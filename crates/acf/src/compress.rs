@@ -36,6 +36,23 @@
 //! `DISE_ACF_SELECT=v1|v2` picks the process-wide default the named
 //! constructors use; [`CompressionConfig::with_select`] pins it per
 //! configuration.
+//!
+//! Both algorithms start from one **window table**: every in-block window
+//! of `1..=max_seq_len` instructions is canonicalized once and interned
+//! to a dense shape id. Windows grow one instruction at a time, and
+//! parameter slots are assigned left to right, so a grown window interns
+//! as a trie child of its prefix in one small-key lookup; only a window
+//! ending in a short branch (whose fused displacement reserves two slots
+//! up front) is re-canonicalized whole. Building the table is
+//! O(n · `max_seq_len`) for `n` instructions. Pair merging then runs on
+//! ids, with pair counts and per-pair occurrence lists updated only
+//! around each merge and a lazily validated max-heap choosing each
+//! round's pair, so it is near-linear in `n` too.
+//!
+//! Selection is a pure function of the program and the configuration:
+//! text, dictionary, tags and statistics reproduce byte for byte
+//! (`tests/select_golden.rs` pins digests of the whole output for every
+//! Figure 7 configuration under both algorithms).
 
 use crate::{AcfError, Result};
 use dise_core::{ImmDirective, InstSpec, OpDirective, ProductionSet, RegDirective, ReplacementSpec};
@@ -43,7 +60,9 @@ use dise_isa::reloc::{NewItem, Relocator};
 use dise_isa::{Cfg, Inst, Op, OpClass, Program, TextItem};
 use dise_sim::telemetry::StatsRegistry;
 use dise_sim::DedicatedDict;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Which codeword-selection algorithm [`Compressor::compress`] runs. See
 /// the module docs.
@@ -321,7 +340,7 @@ impl CompressedProgram {
 }
 
 /// One occurrence of a shape in the original program.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Instance {
     /// Index of the first instruction (into the flat instruction list).
     start: usize,
@@ -337,7 +356,7 @@ struct Instance {
 #[derive(Debug, Default)]
 struct ShapeData {
     len: usize,
-    parameterized: bool,
+    /// Every occurrence, in start order.
     instances: Vec<Instance>,
 }
 
@@ -348,6 +367,123 @@ type Selection = (Vec<(Vec<InstSpec>, ShapeData)>, Vec<(u16, usize, Vec<Instance
 /// One block's optimal cover under the active entry set: the realized
 /// byte savings and the placed instances as (position, length, shape id).
 type BlockCover = (i64, Vec<(usize, u32, u32)>);
+
+/// A multiplicative (Fx-style) hasher for the selection tables. Their
+/// keys are small, trusted and hashed hundreds of thousands of times per
+/// program, so SipHash's flooding resistance buys nothing.
+#[derive(Default, Clone, Copy)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u8(&mut self, i: u8) {
+        self.add(i.into());
+    }
+    fn write_u16(&mut self, i: u16) {
+        self.add(i.into());
+    }
+    fn write_u32(&mut self, i: u32) {
+        self.add(i.into());
+    }
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// Marks a window that is not compressible (and a missing link in the
+/// pair-merge span lists).
+const NONE: u32 = u32::MAX;
+
+/// Every in-block window of `1..=max_seq_len` instructions, canonicalized
+/// once and interned to a dense shape id. Everything downstream — window
+/// enumeration, pair merging, the candidate filter and the occurrence
+/// index — works on ids.
+///
+/// Shapes form a trie: shape `id` is shape `parent[id]` ([`NONE`] for the
+/// empty prefix) extended by one instruction spec, so interning a window
+/// one instruction longer than an interned one is a single small-key
+/// lookup, and only the shapes selection keeps are ever materialized as
+/// spec vectors.
+struct WindowTable {
+    max_len: usize,
+    /// Shape id of the window `(start, len)` at `start * max_len + len - 1`
+    /// ([`NONE`] if it is not compressible or leaves its block).
+    ids: Vec<u32>,
+    parent: Vec<u32>,
+    /// Each shape's last instruction spec, as an index into `specs`.
+    last: Vec<u32>,
+    /// Distinct instruction specs.
+    specs: Vec<InstSpec>,
+    spec_ids: FxHashMap<InstSpec, u32>,
+    children: FxHashMap<(u32, u32), u32>,
+    /// Occurrences per shape id, and every occurrence with its shape id
+    /// in window order. Windows shorter than `min_seq_len` are interned
+    /// (pair merging starts from single instructions) but not recorded.
+    counts: Vec<u32>,
+    instances: Vec<(u32, Instance)>,
+}
+
+impl WindowTable {
+    fn num_shapes(&self) -> usize {
+        self.parent.len()
+    }
+
+    /// The shape `prefix` extended by `spec`, interned.
+    fn child(&mut self, prefix: u32, spec: &InstSpec) -> u32 {
+        let next_spec = self.specs.len() as u32;
+        let spec_id = *self.spec_ids.entry(spec.clone()).or_insert(next_spec);
+        if spec_id == next_spec {
+            self.specs.push(spec.clone());
+        }
+        let next = self.parent.len() as u32;
+        let id = *self.children.entry((prefix, spec_id)).or_insert(next);
+        if id == next {
+            self.parent.push(prefix);
+            self.last.push(spec_id);
+            self.counts.push(0);
+        }
+        id
+    }
+
+    /// The canonical specs of shape `id`.
+    fn specs_of(&self, mut id: u32) -> Vec<InstSpec> {
+        let mut specs = Vec::new();
+        while id != NONE {
+            specs.push(self.specs[self.last[id as usize] as usize].clone());
+            id = self.parent[id as usize];
+        }
+        specs.reverse();
+        specs
+    }
+
+    fn shape_at(&self, start: usize, len: usize) -> Option<u32> {
+        if len == 0 || len > self.max_len {
+            return None;
+        }
+        Some(self.ids[start * self.max_len + len - 1]).filter(|&id| id != NONE)
+    }
+}
 
 /// The dictionary compressor. See the module docs.
 #[derive(Debug, Clone)]
@@ -530,46 +666,122 @@ impl Compressor {
         })
     }
 
-    /// Enumerates every in-block window of `min_seq_len..=max_seq_len`
-    /// instructions and groups the compressible ones by canonical shape.
-    fn enumerate_windows(&self, graph: &Cfg) -> HashMap<Vec<InstSpec>, ShapeData> {
+    /// Canonicalizes every in-block window of `1..=max_seq_len`
+    /// instructions once, interning each compressible one to a dense shape
+    /// id.
+    ///
+    /// Windows are grown one instruction at a time from each start.
+    /// Parameter slots are assigned left to right, so a grown window's
+    /// specs are its prefix's plus one and it interns as a trie child of
+    /// its prefix. The one exception is a window ending in a short branch,
+    /// whose fused displacement reserves two slots up front and reshuffles
+    /// the prefix: it is canonicalized whole by [`Compressor::shape_of`]
+    /// and interned along its full path (a branch ends its block, so this
+    /// is at most one window per start).
+    fn window_table(&self, graph: &Cfg) -> WindowTable {
         let cfg = &self.config;
-        let mut shapes: HashMap<Vec<InstSpec>, ShapeData> = HashMap::new();
+        let max_len = cfg.max_seq_len;
+        let num_insts: usize = graph.blocks.iter().map(|b| b.insts.len()).sum();
+        let mut table = WindowTable {
+            max_len,
+            ids: vec![NONE; num_insts * max_len],
+            parent: Vec::new(),
+            last: Vec::new(),
+            specs: Vec::new(),
+            spec_ids: FxHashMap::default(),
+            children: FxHashMap::default(),
+            counts: Vec::new(),
+            instances: Vec::new(),
+        };
+        let mut specs = Vec::with_capacity(max_len);
         let mut idx_base = 0usize;
         for block in &graph.blocks {
             let n = block.insts.len();
             for start in 0..n {
-                for len in cfg.min_seq_len..=cfg.max_seq_len.min(n - start) {
+                let idx = idx_base + start;
+                let mut canon = Canon::default();
+                let mut prefix = NONE;
+                for len in 1..=max_len.min(n - start) {
                     let window = &block.insts[start..start + len];
-                    if let Some((specs, instance)) = self.shape_of(window, idx_base + start) {
-                        let data = shapes.entry(specs).or_default();
-                        data.len = len;
-                        data.instances.push(instance);
+                    // Growing a window never makes it eligible again: stop
+                    // once the new instruction cannot end a window or the
+                    // old last one cannot sit inside one.
+                    if !self.eligible(&window[len - 1].1, true)
+                        || (len > 1 && !self.eligible(&window[len - 2].1, false))
+                    {
+                        break;
+                    }
+                    let term = Terminal::of(window);
+                    let (id, instance) = if let Terminal::Short { .. } = term {
+                        let instance = self
+                            .shape_of(window, idx, &mut specs)
+                            .expect("eligible window");
+                        let id = specs.iter().fold(NONE, |id, spec| table.child(id, spec));
+                        (id, instance)
+                    } else {
+                        let spec = canon.spec(cfg.parameterize, &window[len - 1].1, term.imm());
+                        let id = table.child(prefix, &spec);
+                        let instance = Instance {
+                            start: idx,
+                            pc: window[0].0,
+                            params: canon.params,
+                            branch_target: None,
+                        };
+                        #[cfg(debug_assertions)]
+                        {
+                            let whole = self.shape_of(window, idx, &mut specs);
+                            assert_eq!(whole, Some(instance), "grown window instance");
+                            assert_eq!(specs, table.specs_of(id), "grown window specs");
+                        }
+                        prefix = id;
+                        (id, instance)
+                    };
+                    table.ids[idx * max_len + len - 1] = id;
+                    if len >= cfg.min_seq_len {
+                        table.counts[id as usize] += 1;
+                        table.instances.push((id, instance));
                     }
                 }
             }
             idx_base += n;
         }
-        shapes
+        table
     }
 
-    /// Orders a shape table deterministically (longest, then most
-    /// frequent, then earliest) so dictionaries reproduce byte-for-byte.
+    /// The table's shapes that occur and pass `keep` (given the shape id
+    /// and its occurrence count), ordered deterministically (longest, then
+    /// most frequent, then earliest — a unique key, as no two shapes share
+    /// a first window) so dictionaries reproduce byte-for-byte. Selection
+    /// indexes shapes by position in this list.
     fn sorted_shape_list(
-        shapes: HashMap<Vec<InstSpec>, ShapeData>,
+        table: &WindowTable,
+        keep: impl Fn(usize, u32) -> bool,
     ) -> Vec<(Vec<InstSpec>, ShapeData)> {
-        let mut shape_list: Vec<(Vec<InstSpec>, ShapeData)> = shapes.into_iter().collect();
+        let mut slot = vec![NONE; table.num_shapes()];
+        let mut shape_list: Vec<(Vec<InstSpec>, ShapeData)> = Vec::new();
+        for (id, &count) in table.counts.iter().enumerate() {
+            if count > 0 && keep(id, count) {
+                slot[id] = shape_list.len() as u32;
+                let specs = table.specs_of(id as u32);
+                let data = ShapeData {
+                    len: specs.len(),
+                    instances: Vec::with_capacity(count as usize),
+                };
+                shape_list.push((specs, data));
+            }
+        }
+        for &(id, instance) in &table.instances {
+            if let Some(data) = shape_list.get_mut(slot[id as usize] as usize) {
+                data.1.instances.push(instance);
+            }
+        }
         shape_list.sort_by_key(|(_, d)| {
             (
                 usize::MAX - d.len,
                 usize::MAX - d.instances.len(),
-                d.instances.first().map(|i| i.pc).unwrap_or(0),
+                d.instances[0].pc,
             )
         });
-        for (_, d) in &mut shape_list {
-            d.parameterized = d.len > 0;
-            d.instances.sort_by_key(|i| i.start);
-        }
         shape_list
     }
 
@@ -600,13 +812,8 @@ impl Compressor {
                 k += 1;
                 next_free = inst.start + data.len;
             }
-            let param_entry = {
-                // Entry cost: parameterized entries cost 8 bytes per
-                // instruction; plain ones cfg.entry_bytes_per_inst.
-                cfg.entry_bytes_per_inst
-            };
             let saving = k as i64 * (data.len as i64 * 4 - cw_bytes as i64);
-            let cost = data.len as i64 * param_entry as i64;
+            let cost = data.len as i64 * cfg.entry_bytes_per_inst as i64;
             (saving - cost, k)
         };
 
@@ -662,7 +869,7 @@ impl Compressor {
     /// v1 selection: full window enumeration, then one greedy pass. Tags
     /// follow selection order.
     fn select_v1(&self, graph: &Cfg, num_insts: usize) -> Selection {
-        let shape_list = Self::sorted_shape_list(self.enumerate_windows(graph));
+        let shape_list = Self::sorted_shape_list(&self.window_table(graph), |_, _| true);
         let mut claimed = vec![false; num_insts];
         let skip = vec![false; shape_list.len()];
         let selected = self
@@ -685,13 +892,9 @@ impl Compressor {
     fn select_v2(&self, graph: &Cfg, insts: &[(u64, Inst)]) -> Selection {
         let cfg = &self.config;
         let num_insts = insts.len();
-        let proposals = self.merge_candidates(graph, insts);
-        let shapes: HashMap<Vec<InstSpec>, ShapeData> = self
-            .enumerate_windows(graph)
-            .into_iter()
-            .filter(|(shape, d)| d.instances.len() >= 2 || proposals.contains(shape))
-            .collect();
-        let shape_list = Self::sorted_shape_list(shapes);
+        let table = self.window_table(graph);
+        let proposed = self.merge_candidates(graph, insts, &table);
+        let shape_list = Self::sorted_shape_list(&table, |id, count| count >= 2 || proposed[id]);
 
         // LPM occurrence index: every candidate match, keyed by start
         // position, longest (lowest sid) first.
@@ -831,6 +1034,11 @@ impl Compressor {
                 uses[sid as usize] += 1;
             }
         }
+        let mut used_now = uses.iter().filter(|u| **u > 0).count() as i64;
+        // Per-trial change in each entry's use count (dense scratch,
+        // zeroed again as each trial reads it back).
+        let mut delta_uses: Vec<i64> = vec![0; shape_list.len()];
+        let mut touched: Vec<u32> = Vec::new();
         for _pass in 0..8 {
             let mut improved = false;
             for sid in 0..shape_list.len() {
@@ -855,18 +1063,21 @@ impl Compressor {
                     .map(|&bi| (bi, dp_block(bi, &active)))
                     .collect();
                 let mut delta = 0i64;
-                let mut delta_uses: HashMap<u32, i64> = HashMap::new();
                 for (bi, (v, c)) in &trial {
                     delta += v - covers[*bi].0;
                     for &(_, _, s2) in &covers[*bi].1 {
-                        *delta_uses.entry(s2).or_insert(0) -= 1;
+                        delta_uses[s2 as usize] -= 1;
+                        touched.push(s2);
                     }
                     for &(_, _, s2) in c {
-                        *delta_uses.entry(s2).or_insert(0) += 1;
+                        delta_uses[s2 as usize] += 1;
+                        touched.push(s2);
                     }
                 }
                 let mut used_delta = 0i64;
-                for (&s2, &du) in &delta_uses {
+                for s2 in touched.drain(..) {
+                    // Repeats read back zero and change nothing.
+                    let du = std::mem::take(&mut delta_uses[s2 as usize]);
                     let u0 = uses[s2 as usize];
                     if u0 == 0 && u0 + du > 0 {
                         delta -= entry_cost(s2 as usize);
@@ -876,7 +1087,6 @@ impl Compressor {
                         used_delta -= 1;
                     }
                 }
-                let used_now = uses.iter().filter(|u| **u > 0).count() as i64;
                 if delta > 0 && used_now + used_delta <= budget as i64 {
                     for (bi, bc) in trial {
                         for &(_, _, s2) in &covers[bi].1 {
@@ -887,6 +1097,7 @@ impl Compressor {
                         }
                         covers[bi] = bc;
                     }
+                    used_now += used_delta;
                     improved = true;
                 } else {
                     active[sid] = !active[sid];
@@ -896,337 +1107,460 @@ impl Compressor {
                 break;
             }
         }
-        let cover: Vec<(usize, u32, u32)> = covers
-            .iter()
-            .flat_map(|(_, c)| c.iter().copied())
-            .collect();
 
         // Map the final cover back to per-entry instances; tag entries by
         // first planted position.
-        let mut instance_of: HashMap<(u32, usize), Instance> = HashMap::new();
-        for (sid, (_, d)) in shape_list.iter().enumerate() {
-            for inst in &d.instances {
-                instance_of.insert((sid as u32, inst.start), *inst);
-            }
-        }
-        let mut order: Vec<u32> = Vec::new();
-        let mut taken: HashMap<u32, Vec<Instance>> = HashMap::new();
-        for &(start, _, sid) in &cover {
-            let slot = taken.entry(sid).or_default();
+        let mut order: Vec<usize> = Vec::new();
+        let mut taken: Vec<Vec<Instance>> = vec![Vec::new(); shape_list.len()];
+        for &(start, _, sid) in covers.iter().flat_map(|(_, c)| c) {
+            let instances = &shape_list[sid as usize].1.instances;
+            let at = instances
+                .binary_search_by_key(&start, |i| i.start)
+                .expect("covers place indexed instances");
+            let slot = &mut taken[sid as usize];
             if slot.is_empty() {
-                order.push(sid);
+                order.push(sid as usize);
             }
-            slot.push(instance_of[&(sid, start)]);
+            slot.push(instances[at]);
         }
         let selected = order
-            .iter()
+            .into_iter()
             .enumerate()
-            .map(|(tag, sid)| (tag as u16, *sid as usize, taken.remove(sid).expect("covered")))
+            .map(|(tag, sid)| (tag as u16, sid, std::mem::take(&mut taken[sid])))
             .collect();
         (shape_list, selected)
     }
 
-    /// Iterative pair-merge (BPE/RePair-style) candidate growth: tokenize
-    /// every basic block, then repeatedly merge the most frequent
-    /// adjacent token pair, canonicalizing each merged occurrence window
-    /// through [`Compressor::shape_of`] and proposing every eligible
-    /// merged shape as a dictionary candidate. Merging is per occurrence:
-    /// two occurrences of the same symbol pair can canonicalize
-    /// differently once joined (register equality across the seam), so
-    /// the merged symbol is recomputed per window.
-    fn merge_candidates(&self, graph: &Cfg, insts: &[(u64, Inst)]) -> HashSet<Vec<InstSpec>> {
-        let cfg = &self.config;
-        #[derive(Clone, Copy)]
-        struct Span {
-            start: usize,
-            len: usize,
-            sym: u32,
+    /// Iterative pair-merge (BPE/RePair-style) candidate growth over the
+    /// window table: tokenize every basic block, then repeatedly merge the
+    /// most frequent adjacent symbol pair, proposing every eligible merged
+    /// shape as a dictionary candidate. Returns a proposal flag per shape
+    /// id.
+    ///
+    /// Merging is per occurrence: two occurrences of the same symbol pair
+    /// can canonicalize differently once joined (register equality across
+    /// the seam), so each merged window takes its own shape's symbol.
+    /// Occurrences merge left to right without overlap (`a a a` merges
+    /// once) in (block, position) order, which also fixes the order new
+    /// symbol ids are allocated in. The most frequent pair wins, ties
+    /// going to the lower first, then second, symbol id; pairs whose
+    /// joined length exceeds `max_seq_len` are never counted, and a pair
+    /// that merges nowhere (its joined window is not compressible) is
+    /// banned.
+    ///
+    /// Pair counts and per-pair occurrence lists are updated only around
+    /// each merge, and a lazily validated max-heap picks each round's
+    /// pair, so growth costs near-linear time in the text size instead of
+    /// a full recount per round.
+    fn merge_candidates(
+        &self,
+        graph: &Cfg,
+        insts: &[(u64, Inst)],
+        table: &WindowTable,
+    ) -> Vec<bool> {
+        /// One adjacent symbol pair: its live occurrence count and the
+        /// left-span positions it formed at (validated when read — merges
+        /// elsewhere leave stale entries behind).
+        #[derive(Default)]
+        struct Pair {
+            count: u32,
+            banned: bool,
+            queued: bool,
+            occ: Vec<u32>,
         }
-        #[derive(PartialEq, Eq, Hash)]
-        enum SymKey {
-            Shape(Vec<InstSpec>),
-            /// Ineligible single instructions still participate as opaque
-            /// tokens so eligible neighbors can pair across them later.
-            Raw(Inst),
-        }
-
-        let mut proposals: HashSet<Vec<InstSpec>> = HashSet::new();
-        let mut sym_ids: HashMap<SymKey, u32> = HashMap::new();
-        let mut streams: Vec<Vec<Span>> = Vec::with_capacity(graph.blocks.len());
-        let mut idx_base = 0usize;
-        for block in &graph.blocks {
-            let mut stream = Vec::with_capacity(block.insts.len());
-            for i in 0..block.insts.len() {
-                let start = idx_base + i;
-                let key = match self.shape_of(&insts[start..start + 1], start) {
-                    Some((shape, _)) => {
-                        if cfg.min_seq_len <= 1 {
-                            proposals.insert(shape.clone());
-                        }
-                        SymKey::Shape(shape)
-                    }
-                    None => SymKey::Raw(insts[start].1),
-                };
-                let next = sym_ids.len() as u32;
-                let sym = *sym_ids.entry(key).or_insert(next);
-                stream.push(Span { start, len: 1, sym });
+        type Pairs = FxHashMap<(u32, u32), Pair>;
+        fn add(pairs: &mut Pairs, dirty: &mut Vec<(u32, u32)>, key: (u32, u32), p: u32) {
+            let pair = pairs.entry(key).or_default();
+            pair.count += 1;
+            pair.occ.push(p);
+            if !std::mem::replace(&mut pair.queued, true) {
+                dirty.push(key);
             }
-            streams.push(stream);
-            idx_base += block.insts.len();
+        }
+        fn remove(pairs: &mut Pairs, dirty: &mut Vec<(u32, u32)>, key: (u32, u32)) {
+            let pair = pairs.get_mut(&key).expect("live pairs are counted");
+            pair.count -= 1;
+            if !std::mem::replace(&mut pair.queued, true) {
+                dirty.push(key);
+            }
+        }
+        /// The symbol bound to `slot`, allocating the next id on first use.
+        fn intern(slot: &mut u32, num_syms: &mut u32) -> u32 {
+            if *slot == NONE {
+                *slot = *num_syms;
+                *num_syms += 1;
+            }
+            *slot
         }
 
-        let total: usize = streams.iter().map(|s| s.len()).sum();
-        let mut banned: HashSet<(u32, u32)> = HashSet::new();
-        // Every round either merges (shrinking a stream — at most `total`
-        // times) or bans a pair; the cap is a safety net, and candidate
-        // completeness is backstopped by the frequency sweep either way.
-        for _round in 0..(2 * total + 64) {
-            let mut pair_freq: HashMap<(u32, u32), u32> = HashMap::new();
-            for stream in &streams {
-                for w in stream.windows(2) {
-                    if w[0].len + w[1].len > cfg.max_seq_len {
-                        continue;
+        let cfg = &self.config;
+        let max_len = cfg.max_seq_len as u32;
+        let n = insts.len();
+        let mut proposed = vec![false; table.num_shapes()];
+        // Symbols: one per shape, plus one per distinct incompressible
+        // instruction — opaque tokens, so eligible neighbors can still
+        // pair across them later.
+        let mut shape_sym = vec![NONE; table.num_shapes()];
+        let mut raw_sym: FxHashMap<Inst, u32> = FxHashMap::default();
+        let mut num_syms = 0u32;
+        // In-block span lists over instruction positions: the span
+        // starting at `p` covers `len[p]` instructions (0 inside a span)
+        // and links to its neighbors' starts.
+        let mut sym = vec![0u32; n];
+        let mut len = vec![1u32; n];
+        let mut next = vec![NONE; n];
+        let mut prev = vec![NONE; n];
+        let mut base = 0usize;
+        for block in &graph.blocks {
+            for p in base..base + block.insts.len() {
+                sym[p] = match table.shape_at(p, 1) {
+                    Some(shape) => {
+                        if cfg.min_seq_len <= 1 {
+                            proposed[shape as usize] = true;
+                        }
+                        intern(&mut shape_sym[shape as usize], &mut num_syms)
                     }
-                    let key = (w[0].sym, w[1].sym);
-                    if !banned.contains(&key) {
-                        *pair_freq.entry(key).or_insert(0) += 1;
-                    }
+                    None => intern(raw_sym.entry(insts[p].1).or_insert(NONE), &mut num_syms),
+                };
+                if p > base {
+                    prev[p] = p as u32 - 1;
+                    next[p - 1] = p as u32;
                 }
             }
-            use std::cmp::Reverse;
-            let Some((&pair, _)) = pair_freq
-                .iter()
-                .filter(|&(_, &c)| c >= 2)
-                .max_by_key(|&(&(a, b), &c)| (c, Reverse(a), Reverse(b)))
+            base += block.insts.len();
+        }
+        // The counted pair at span `p` followed by `q`, if any.
+        let pair_at = |sym: &[u32], len: &[u32], p: u32, q: u32| -> Option<(u32, u32)> {
+            let (p, q) = (p as usize, q as usize);
+            (q != NONE as usize && len[p] + len[q] <= max_len).then(|| (sym[p], sym[q]))
+        };
+
+        let mut pairs = Pairs::default();
+        let mut dirty = Vec::new();
+        for p in 0..n as u32 {
+            if let Some(key) = pair_at(&sym, &len, p, next[p as usize]) {
+                add(&mut pairs, &mut dirty, key, p);
+            }
+        }
+        let mut heap: BinaryHeap<(u32, Reverse<u32>, Reverse<u32>)> = BinaryHeap::new();
+        let flush = |pairs: &mut Pairs,
+                     dirty: &mut Vec<(u32, u32)>,
+                     heap: &mut BinaryHeap<(u32, Reverse<u32>, Reverse<u32>)>| {
+            for key in dirty.drain(..) {
+                let pair = pairs.get_mut(&key).expect("queued pairs are counted");
+                pair.queued = false;
+                if pair.count >= 2 && !pair.banned {
+                    heap.push((pair.count, Reverse(key.0), Reverse(key.1)));
+                }
+            }
+        };
+        flush(&mut pairs, &mut dirty, &mut heap);
+
+        // Every round either merges (shrinking a span list — at most `n`
+        // times) or bans a pair; the cap is a safety net, and candidate
+        // completeness is backstopped by the frequency sweep either way.
+        for _round in 0..(2 * n + 64) {
+            // Heap entries go stale as counts move; a live one carries its
+            // pair's current count.
+            let Some((a, b)) =
+                std::iter::from_fn(|| heap.pop()).find_map(|(count, Reverse(a), Reverse(b))| {
+                    let pair = &pairs[&(a, b)];
+                    (pair.count == count && !pair.banned).then_some((a, b))
+                })
             else {
                 break;
             };
+            let mut occ = std::mem::take(&mut pairs.get_mut(&(a, b)).expect("picked").occ);
+            occ.sort_unstable();
+            let mut unmerged = Vec::new();
             let mut merged_any = false;
-            for stream in &mut streams {
-                let mut out: Vec<Span> = Vec::with_capacity(stream.len());
-                let mut i = 0usize;
-                while i < stream.len() {
-                    let joinable = i + 1 < stream.len()
-                        && (stream[i].sym, stream[i + 1].sym) == pair
-                        && stream[i].len + stream[i + 1].len <= cfg.max_seq_len;
-                    if joinable {
-                        let start = stream[i].start;
-                        let len = stream[i].len + stream[i + 1].len;
-                        if let Some((shape, _)) = self.shape_of(&insts[start..start + len], start)
-                        {
-                            if len >= cfg.min_seq_len {
-                                proposals.insert(shape.clone());
-                            }
-                            let next = sym_ids.len() as u32;
-                            let sym = *sym_ids.entry(SymKey::Shape(shape)).or_insert(next);
-                            out.push(Span { start, len, sym });
-                            merged_any = true;
-                            i += 2;
-                            continue;
-                        }
-                        // An ineligible joined window would only hide its
-                        // halves from other merges — leave the pair split.
-                    }
-                    out.push(stream[i]);
-                    i += 1;
+            for p in occ {
+                let (pu, q) = (p as usize, next[p as usize]);
+                if len[pu] == 0 || sym[pu] != a || q == NONE || sym[q as usize] != b {
+                    continue; // merged away, or a neighbor changed since
                 }
-                *stream = out;
+                let qu = q as usize;
+                let joined = len[pu] + len[qu];
+                let Some(shape) = table.shape_at(pu, joined as usize) else {
+                    // An ineligible joined window would only hide its
+                    // halves from other merges — leave the pair split.
+                    unmerged.push(p);
+                    continue;
+                };
+                if joined as usize >= cfg.min_seq_len {
+                    proposed[shape as usize] = true;
+                }
+                let c = intern(&mut shape_sym[shape as usize], &mut num_syms);
+                let (l, r) = (prev[pu], next[qu]);
+                // Unlink the pairs this merge destroys, splice the merged
+                // span in, and link the pairs it forms.
+                if l != NONE {
+                    if let Some(key) = pair_at(&sym, &len, l, p) {
+                        remove(&mut pairs, &mut dirty, key);
+                    }
+                }
+                remove(&mut pairs, &mut dirty, (a, b));
+                if let Some(key) = pair_at(&sym, &len, q, r) {
+                    remove(&mut pairs, &mut dirty, key);
+                }
+                sym[pu] = c;
+                len[pu] = joined;
+                len[qu] = 0;
+                next[pu] = r;
+                if r != NONE {
+                    prev[r as usize] = p;
+                }
+                if l != NONE {
+                    if let Some(key) = pair_at(&sym, &len, l, p) {
+                        add(&mut pairs, &mut dirty, key, l);
+                    }
+                }
+                if let Some(key) = pair_at(&sym, &len, p, r) {
+                    add(&mut pairs, &mut dirty, key, p);
+                }
+                merged_any = true;
             }
+            let pair = pairs.get_mut(&(a, b)).expect("picked");
+            pair.occ.extend(unmerged);
             if !merged_any {
-                banned.insert(pair);
+                pair.banned = true;
             }
+            flush(&mut pairs, &mut dirty, &mut heap);
         }
-        proposals
+        proposed
     }
 
-    /// Computes the (shape, instance) of one candidate window, or `None`
-    /// if the window is not compressible under this configuration.
+    /// Whether `inst` may appear in a compressible window, as its last
+    /// instruction or inside it.
+    fn eligible(&self, inst: &Inst, last: bool) -> bool {
+        match inst.op.class() {
+            OpClass::Codeword | OpClass::Misc => false,
+            OpClass::CondBranch | OpClass::UncondBranch => self.config.compress_branches && last,
+            OpClass::IndirectJump => self.config.allow_jumps && last,
+            _ => true,
+        }
+    }
+
+    /// Canonicalizes one candidate window into `specs` and returns its
+    /// instance, or `None` if the window is not compressible under this
+    /// configuration.
     fn shape_of(
         &self,
         window: &[(u64, Inst)],
         start_idx: usize,
-    ) -> Option<(Vec<InstSpec>, Instance)> {
+        specs: &mut Vec<InstSpec>,
+    ) -> Option<Instance> {
         let cfg = &self.config;
         let last = window.len() - 1;
-        // Eligibility.
-        for (i, (_, inst)) in window.iter().enumerate() {
-            match inst.op.class() {
-                OpClass::Codeword | OpClass::Misc => return None,
-                OpClass::CondBranch | OpClass::UncondBranch
-                    if (!cfg.compress_branches || i != last) => {
-                        return None;
-                    }
-                OpClass::IndirectJump
-                    if (!cfg.allow_jumps || i != last) => {
-                        return None;
-                    }
-                _ => {}
-            }
+        if !window
+            .iter()
+            .enumerate()
+            .all(|(i, (_, inst))| self.eligible(inst, i == last))
+        {
+            return None;
         }
-
-        let mut params = [0u8; 3];
-        let mut used = [false; 3];
-        let mut reg_slots: HashMap<dise_isa::Reg, u8> = HashMap::new();
-        let mut imm_slots: HashMap<i64, u8> = HashMap::new();
+        let term = Terminal::of(window);
+        let mut canon = Canon::default();
         let mut branch_target = None;
-
-        // A terminating PC-relative branch is parameterized one of two
-        // ways. Short offsets go into a fused two-parameter field (the
-        // displacement relative to the planted codeword — the whole
-        // sequence collapses to one instruction). Long offsets that all
-        // point at one shared absolute target (error handlers, common call
-        // targets) instead use an `AbsTarget` directive: the IL computes
-        // the displacement from the trigger's PC at expansion time, so
-        // sites at different addresses still share one dictionary entry.
-        let mut abs_branch_target = None;
-        let branch_pc = match window[last] {
-            (pc, inst)
-                if matches!(
-                    inst.op.class(),
-                    OpClass::CondBranch | OpClass::UncondBranch
-                ) =>
-            {
-                let target = (pc + 4).wrapping_add_signed(inst.imm);
-                let disp_from_cw = target as i64 - (window[0].0 as i64 + 4);
-                if (-(1 << 11)..(1 << 11)).contains(&disp_from_cw) && disp_from_cw % 4 == 0 {
-                    used[1] = true;
-                    used[2] = true;
-                    branch_target = Some(target);
-                    let d10 = ((disp_from_cw >> 2) & 0x3FF) as u32;
-                    params[1] = (d10 & 31) as u8;
-                    params[2] = ((d10 >> 5) & 31) as u8;
-                    Some(pc)
-                } else {
-                    abs_branch_target = Some(target);
-                    Some(pc)
-                }
-            }
-            _ => None,
-        };
-
-        let alloc = |used: &mut [bool; 3]| -> Option<u8> {
-            (0..3u8).find(|s| {
-                if !used[*s as usize] {
-                    used[*s as usize] = true;
-                    true
-                } else {
-                    false
-                }
-            })
-        };
-
-        let mut specs = Vec::with_capacity(window.len());
-        for (i, (_, inst)) in window.iter().enumerate() {
-            let reg_dir = |r: dise_isa::Reg,
-                               params: &mut [u8; 3],
-                               used: &mut [bool; 3],
-                               reg_slots: &mut HashMap<dise_isa::Reg, u8>|
-             -> RegDirective {
-                if !cfg.parameterize || r.is_zero() {
-                    return RegDirective::Literal(r);
-                }
-                if let Some(slot) = reg_slots.get(&r) {
-                    return RegDirective::Param(*slot);
-                }
-                match alloc(used) {
-                    Some(slot) => {
-                        reg_slots.insert(r, slot);
-                        params[slot as usize] = r.index() as u8;
-                        RegDirective::Param(slot)
-                    }
-                    None => RegDirective::Literal(r),
-                }
-            };
-            let is_term_branch = branch_pc.is_some() && i == last;
-            let imm_dir = if is_term_branch {
-                match abs_branch_target {
-                    // The entry carries the *original* absolute target;
-                    // it is remapped to the post-layout address when the
-                    // dictionary is built.
-                    Some(target) => ImmDirective::AbsTarget(target),
-                    None => ImmDirective::Param2 {
-                        lo: 1,
-                        hi: 2,
-                        shift: 2,
-                        signed: true,
-                    },
-                }
-            } else if cfg.parameterize
-                && inst.imm != 0
-                && matches!(
-                    inst.op.format(),
-                    dise_isa::op::Format::Memory | dise_isa::op::Format::Operate
-                )
-            {
-                let (lo, hi, signed) = if inst.uses_lit {
-                    (1, 31, false) // operate literals are unsigned
-                } else {
-                    (-16, 15, true)
-                };
-                if (lo..=hi).contains(&inst.imm) {
-                    if let Some(slot) = imm_slots.get(&inst.imm) {
-                        ImmDirective::Param {
-                            slot: *slot,
-                            shift: 0,
-                            signed,
-                        }
-                    } else {
-                        match alloc(&mut used) {
-                            Some(slot) => {
-                                imm_slots.insert(inst.imm, slot);
-                                params[slot as usize] = (inst.imm & 31) as u8;
-                                ImmDirective::Param {
-                                    slot,
-                                    shift: 0,
-                                    signed,
-                                }
-                            }
-                            None => ImmDirective::Literal(inst.imm),
-                        }
-                    }
-                } else {
-                    ImmDirective::Literal(inst.imm)
-                }
-            } else {
-                ImmDirective::Literal(inst.imm)
-            };
-            specs.push(InstSpec::Templated {
-                op: OpDirective::Literal(inst.op),
-                ra: reg_dir(inst.ra, &mut params, &mut used, &mut reg_slots),
-                rb: reg_dir(inst.rb, &mut params, &mut used, &mut reg_slots),
-                rc: reg_dir(inst.rc, &mut params, &mut used, &mut reg_slots),
-                imm: imm_dir,
-                uses_lit: inst.uses_lit,
-                dise_branch: false,
-            });
+        if let Terminal::Short { target, lo, hi } = term {
+            canon.used[1] = true;
+            canon.used[2] = true;
+            canon.params[1] = lo;
+            canon.params[2] = hi;
+            branch_target = Some(target);
         }
+        specs.clear();
+        for (i, (_, inst)) in window.iter().enumerate() {
+            let term_imm = if i == last { term.imm() } else { None };
+            specs.push(canon.spec(cfg.parameterize, inst, term_imm));
+        }
+        let params = canon.params;
 
         // Verify: instantiating the shape against the would-be codeword
         // recreates the original window exactly.
         #[cfg(debug_assertions)]
         {
+            let branch_pc = term.imm().map(|_| window[last].0);
             let cw = Inst::codeword(cfg.cw_op, params[0], params[1], params[2], 0);
-            let trigger = if cfg.parameterize || branch_pc.is_some() { cw } else { Inst::nop() };
+            let trigger = if cfg.parameterize || branch_pc.is_some() {
+                cw
+            } else {
+                Inst::nop()
+            };
             for (s, (pc0, orig)) in specs.iter().zip(window) {
-                let inst = s.instantiate(&trigger, window[0].0).expect("shape instantiation");
+                let inst = s
+                    .instantiate(&trigger, window[0].0)
+                    .expect("shape instantiation");
                 let ok = if branch_pc == Some(*pc0) {
                     (window[0].0 + 4).wrapping_add_signed(inst.imm)
                         == (pc0 + 4).wrapping_add_signed(orig.imm)
-                } else { inst == *orig };
+                } else {
+                    inst == *orig
+                };
                 if !ok {
-                    panic!("SHAPEBUG: spec {s} gave {inst}, expected {orig} (window[0] pc {:#x})", window[0].0);
+                    panic!(
+                        "SHAPEBUG: spec {s} gave {inst}, expected {orig} (window[0] pc {:#x})",
+                        window[0].0
+                    );
                 }
             }
         }
-        Some((
-            specs,
-            Instance {
-                start: start_idx,
-                pc: window[0].0,
-                params,
-                branch_target,
+        Some(Instance {
+            start: start_idx,
+            pc: window[0].0,
+            params,
+            branch_target,
+        })
+    }
+}
+
+/// How a window's terminating PC-relative branch is parameterized. Short
+/// offsets go into a fused two-parameter field (the displacement relative
+/// to the planted codeword — the whole sequence collapses to one
+/// instruction). Long offsets that all point at one shared absolute
+/// target (error handlers, common call targets) instead use an
+/// `AbsTarget` directive: the IL computes the displacement from the
+/// trigger's PC at expansion time, so sites at different addresses still
+/// share one dictionary entry.
+#[derive(Debug, Clone, Copy)]
+enum Terminal {
+    /// The window does not end in a PC-relative branch.
+    None,
+    /// Fused displacement in parameters 1 (`lo`) and 2 (`hi`).
+    Short { target: u64, lo: u8, hi: u8 },
+    /// Shared absolute target (the original address; remapped to the
+    /// post-layout one when the dictionary is built).
+    Abs(u64),
+}
+
+impl Terminal {
+    fn of(window: &[(u64, Inst)]) -> Terminal {
+        let (pc, inst) = window[window.len() - 1];
+        if !matches!(inst.op.class(), OpClass::CondBranch | OpClass::UncondBranch) {
+            return Terminal::None;
+        }
+        let target = (pc + 4).wrapping_add_signed(inst.imm);
+        let disp_from_cw = target as i64 - (window[0].0 as i64 + 4);
+        if (-(1 << 11)..(1 << 11)).contains(&disp_from_cw) && disp_from_cw % 4 == 0 {
+            let d10 = ((disp_from_cw >> 2) & 0x3FF) as u32;
+            Terminal::Short {
+                target,
+                lo: (d10 & 31) as u8,
+                hi: ((d10 >> 5) & 31) as u8,
+            }
+        } else {
+            Terminal::Abs(target)
+        }
+    }
+
+    /// The branch's immediate directive, if the window ends in one.
+    fn imm(self) -> Option<ImmDirective> {
+        match self {
+            Terminal::None => None,
+            Terminal::Short { .. } => Some(ImmDirective::Param2 {
+                lo: 1,
+                hi: 2,
+                shift: 2,
+                signed: true,
+            }),
+            Terminal::Abs(target) => Some(ImmDirective::AbsTarget(target)),
+        }
+    }
+}
+
+/// Canonicalization state of a window built left to right: the codeword
+/// parameters so far and the register or immediate each assigned slot
+/// abstracts.
+#[derive(Debug, Default, Clone, Copy)]
+struct Canon {
+    params: [u8; 3],
+    used: [bool; 3],
+    reg_slots: [Option<dise_isa::Reg>; 3],
+    imm_slots: [Option<i64>; 3],
+}
+
+impl Canon {
+    fn alloc(&mut self) -> Option<u8> {
+        let slot = self.used.iter().position(|u| !u)?;
+        self.used[slot] = true;
+        Some(slot as u8)
+    }
+
+    /// The spec of the window's next instruction; `term_imm` overrides
+    /// the immediate of a terminating branch.
+    fn spec(
+        &mut self,
+        parameterize: bool,
+        inst: &Inst,
+        term_imm: Option<ImmDirective>,
+    ) -> InstSpec {
+        // The immediate claims its slot before the registers do.
+        let imm = match term_imm {
+            Some(imm) => imm,
+            None => self.imm(parameterize, inst),
+        };
+        InstSpec::Templated {
+            op: OpDirective::Literal(inst.op),
+            ra: self.reg(parameterize, inst.ra),
+            rb: self.reg(parameterize, inst.rb),
+            rc: self.reg(parameterize, inst.rc),
+            imm,
+            uses_lit: inst.uses_lit,
+            dise_branch: false,
+        }
+    }
+
+    fn reg(&mut self, parameterize: bool, r: dise_isa::Reg) -> RegDirective {
+        if !parameterize || r.is_zero() {
+            return RegDirective::Literal(r);
+        }
+        if let Some(slot) = self.reg_slots.iter().position(|s| *s == Some(r)) {
+            return RegDirective::Param(slot as u8);
+        }
+        match self.alloc() {
+            Some(slot) => {
+                self.reg_slots[slot as usize] = Some(r);
+                self.params[slot as usize] = r.index() as u8;
+                RegDirective::Param(slot)
+            }
+            None => RegDirective::Literal(r),
+        }
+    }
+
+    fn imm(&mut self, parameterize: bool, inst: &Inst) -> ImmDirective {
+        if !parameterize
+            || inst.imm == 0
+            || !matches!(
+                inst.op.format(),
+                dise_isa::op::Format::Memory | dise_isa::op::Format::Operate
+            )
+        {
+            return ImmDirective::Literal(inst.imm);
+        }
+        let (lo, hi, signed) = if inst.uses_lit {
+            (1, 31, false) // operate literals are unsigned
+        } else {
+            (-16, 15, true)
+        };
+        if !(lo..=hi).contains(&inst.imm) {
+            return ImmDirective::Literal(inst.imm);
+        }
+        let slot = match self.imm_slots.iter().position(|s| *s == Some(inst.imm)) {
+            Some(slot) => slot as u8,
+            None => match self.alloc() {
+                Some(slot) => {
+                    self.imm_slots[slot as usize] = Some(inst.imm);
+                    self.params[slot as usize] = (inst.imm & 31) as u8;
+                    slot
+                }
+                None => return ImmDirective::Literal(inst.imm),
             },
-        ))
+        };
+        ImmDirective::Param {
+            slot,
+            shift: 0,
+            signed,
+        }
     }
 }
 
@@ -1461,6 +1795,184 @@ mod tests {
                 v1.stats.total_ratio()
             );
         }
+    }
+
+    /// The pair-merge proposal set for `listing`, each shape rendered as
+    /// its specs joined by `; `, sorted.
+    fn merge_proposals(config: CompressionConfig, listing: &str) -> Vec<String> {
+        let p = Assembler::new(Program::segment_base(Program::TEXT_SEGMENT))
+            .assemble(listing)
+            .unwrap();
+        let graph = Cfg::build(&p).unwrap();
+        let insts: Vec<(u64, Inst)> = graph
+            .blocks
+            .iter()
+            .flat_map(|b| b.insts.iter().copied())
+            .collect();
+        let compressor = Compressor::new(config);
+        let table = compressor.window_table(&graph);
+        let proposed = compressor.merge_candidates(&graph, &insts, &table);
+        let mut out: Vec<String> = (0..table.num_shapes() as u32)
+            .filter(|&id| proposed[id as usize])
+            .map(|id| {
+                table
+                    .specs_of(id)
+                    .iter()
+                    .map(|s| s.to_string())
+                    .collect::<Vec<_>>()
+                    .join("; ")
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn pair_merge_overlapping_runs_merge_left_to_right() {
+        // a×7: (a,a) merges at 0, 2, 4 (never at the overlapping odd
+        // positions), then (aa,aa) once at the front.
+        let got = merge_proposals(
+            CompressionConfig::dise_unparameterized(),
+            &"addq r1, #1, r1\n".repeat(7),
+        );
+        assert_eq!(
+            got,
+            [
+                "addq r1, #1, r1; addq r1, #1, r1",
+                "addq r1, #1, r1; addq r1, #1, r1; addq r1, #1, r1; addq r1, #1, r1",
+            ]
+        );
+        // a×5 then s, in two blocks: merging left to right leaves the odd
+        // `a` beside `s`, so (a, s) is proposed (right to left would
+        // propose a a a instead).
+        let run = format!("{}subq r2, #1, r2\n", "addq r1, #1, r1\n".repeat(5));
+        let got = merge_proposals(
+            CompressionConfig::dise_unparameterized(),
+            &format!("{run}beq r2, l1\nl1: {run}halt"),
+        );
+        assert_eq!(
+            got,
+            [
+                "addq r1, #1, r1; addq r1, #1, r1",
+                "addq r1, #1, r1; addq r1, #1, r1; addq r1, #1, r1; addq r1, #1, r1",
+                "addq r1, #1, r1; addq r1, #1, r1; addq r1, #1, r1; addq r1, #1, r1; \
+                 addq r1, #1, r1; subq r2, #1, r2",
+                "addq r1, #1, r1; subq r2, #1, r2",
+            ]
+        );
+    }
+
+    #[test]
+    fn pair_merge_bans_ineligible_pairs() {
+        // (addq, nop) is the most frequent pair and (nop, addq) wins the
+        // next tie, but a `nop` inside a window is never compressible:
+        // both are banned and (subq, mulq) merges instead.
+        let got = merge_proposals(
+            CompressionConfig::dise_unparameterized(),
+            "addq r1, #1, r1\nnop\naddq r1, #1, r1\nnop\naddq r1, #1, r1\nnop
+             subq r2, #1, r2\nmulq r3, r3, r3\nsubq r2, #1, r2\nmulq r3, r3, r3\n",
+        );
+        assert_eq!(got, ["subq r2, #1, r2; mulq r3, r3, r3"]);
+    }
+
+    #[test]
+    fn pair_merge_partial_occurrences() {
+        // Two blocks of a a a: each merges its first pair only, then the
+        // (aa, a) pair joins both blocks' remainders.
+        let got = merge_proposals(
+            CompressionConfig::dise_unparameterized(),
+            "       addq r1, #1, r1
+                    addq r1, #1, r1
+                    addq r1, #1, r1
+                    beq r1, l1
+             l1:    addq r1, #1, r1
+                    addq r1, #1, r1
+                    addq r1, #1, r1
+                    halt",
+        );
+        assert_eq!(
+            got,
+            [
+                "addq r1, #1, r1; addq r1, #1, r1",
+                "addq r1, #1, r1; addq r1, #1, r1; addq r1, #1, r1",
+            ]
+        );
+    }
+
+    #[test]
+    fn pair_merge_recanonicalizes_each_occurrence() {
+        // The same (addq, subq) symbol pair joins into two different
+        // parameterized shapes depending on whether r3 crosses the seam.
+        let got = merge_proposals(
+            CompressionConfig::dise_parameterized(),
+            "addq r1, r2, r3\nsubq r3, r4, r5\naddq r6, r7, r8\nsubq r9, r10, r11
+             addq r1, r2, r3\nsubq r3, r4, r5\naddq r6, r7, r8\nsubq r9, r10, r11\n",
+        );
+        assert_eq!(
+            got,
+            [
+                "addq T.P1, T.P2, T.P3; subq T.P3, r4, r5",
+                "addq T.P1, T.P2, T.P3; subq T.P3, r4, r5; addq r6, r7, r8; subq r9, r10, r11",
+                "addq T.P1, T.P2, T.P3; subq r9, r10, r11",
+            ]
+        );
+    }
+
+    #[test]
+    fn pair_merge_respects_max_seq_len() {
+        // Four-instruction idiom ×3 with max_seq_len 3: the pair of two
+        // merged halves (length 4) is never counted.
+        let config = CompressionConfig {
+            max_seq_len: 3,
+            ..CompressionConfig::dise_unparameterized()
+        };
+        let got = merge_proposals(
+            config,
+            &"addq r1, #1, r1\nsubq r2, #1, r2\nmulq r3, r3, r3\nxor r4, r5, r6\n".repeat(3),
+        );
+        assert_eq!(
+            got,
+            [
+                "addq r1, #1, r1; subq r2, #1, r2",
+                "mulq r3, r3, r3; xor r4, r5, r6"
+            ]
+        );
+    }
+
+    #[test]
+    fn pair_merge_tie_breaks_on_symbol_ids() {
+        // (a,b) and (b,c) tie at two; the lower first symbol id wins, so
+        // `ab` then `abc` are proposed and `bc` never is.
+        let config = CompressionConfig::dise_unparameterized();
+        let got = merge_proposals(
+            config,
+            &"addq r1, #1, r1\nsubq r2, #1, r2\nmulq r3, r3, r3\n".repeat(2),
+        );
+        assert_eq!(
+            got,
+            [
+                "addq r1, #1, r1; subq r2, #1, r2",
+                "addq r1, #1, r1; subq r2, #1, r2; mulq r3, r3, r3",
+            ]
+        );
+        // a b a c y ×2: (a,b) beats (a,c) on the second id, so `ab` gets
+        // the lower new id and later wins (ab,ac) over (ac,y): `abac` is
+        // proposed, `acy` never is.
+        let got = merge_proposals(
+            config,
+            &"addq r1, #1, r1\nsubq r2, #1, r2\naddq r1, #1, r1\nmulq r3, r3, r3\nxor r4, r5, r6\n"
+                .repeat(2),
+        );
+        assert_eq!(
+            got,
+            [
+                "addq r1, #1, r1; mulq r3, r3, r3",
+                "addq r1, #1, r1; subq r2, #1, r2",
+                "addq r1, #1, r1; subq r2, #1, r2; addq r1, #1, r1; mulq r3, r3, r3",
+                "addq r1, #1, r1; subq r2, #1, r2; addq r1, #1, r1; mulq r3, r3, r3; \
+                 xor r4, r5, r6",
+            ]
+        );
     }
 
     #[test]

@@ -13,6 +13,9 @@
 #             forced-private construction, byte-identical at jobs 1/8)
 #   shadow  — one figure cell with the --shadow lockstep oracle armed
 #             (cache off: warm cells skip simulation and prove nothing)
+#   golden  — the full selection golden-digest matrix under --release
+#             (byte-identical compressor output, every Figure 7
+#             configuration × v1/v2; `ignore`d in debug builds)
 #   snapshot — the bit-identical-resume matrices under --release (they
 #             are `ignore`d in debug builds: minutes-slow unoptimized)
 #             plus a fig6 smoke cell checkpointing at every instruction,
@@ -104,6 +107,15 @@ cmp "$ACFTMP/on.json" "$ACFTMP/off.json" || {
     echo "arena-off stats-JSON diverged from the default (arena on)"
     rm -rf "$ACFTMP"; exit 1; }
 rm -rf "$ACFTMP"
+
+echo "== ci: selection golden digests ($(date)) =="
+# Selection is byte-stable: digests of the whole compressor output
+# (text, productions or dictionary, stats) for every benchmark × seed ×
+# Figure 7 configuration × v1/v2 must match the committed table. The
+# full matrix is `ignore`d under debug_assertions (debug runs cover a
+# one-benchmark subset) and runs here under --release. No `--ignored`:
+# release builds do not ignore it, so that flag would select nothing.
+cargo test --release -q -p dise-acf --test select_golden
 
 echo "== ci: snapshot resume ($(date)) =="
 # The differential snapshot fuzz suite, release-only: the two big
