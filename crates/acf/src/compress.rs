@@ -55,14 +55,15 @@
 //! Figure 7 configuration under both algorithms).
 
 use crate::{AcfError, Result};
-use dise_core::{ImmDirective, InstSpec, OpDirective, ProductionSet, RegDirective, ReplacementSpec};
+use dise_core::{
+    FxHashMap, ImmDirective, InstSpec, OpDirective, ProductionSet, RegDirective, ReplacementSpec,
+};
 use dise_isa::reloc::{NewItem, Relocator};
 use dise_isa::{Cfg, Inst, Op, OpClass, Program, TextItem};
 use dise_sim::telemetry::StatsRegistry;
 use dise_sim::DedicatedDict;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Which codeword-selection algorithm [`Compressor::compress`] runs. See
 /// the module docs.
@@ -367,49 +368,6 @@ type Selection = (Vec<(Vec<InstSpec>, ShapeData)>, Vec<(u16, usize, Vec<Instance
 /// One block's optimal cover under the active entry set: the realized
 /// byte savings and the placed instances as (position, length, shape id).
 type BlockCover = (i64, Vec<(usize, u32, u32)>);
-
-/// A multiplicative (Fx-style) hasher for the selection tables. Their
-/// keys are small, trusted and hashed hundreds of thousands of times per
-/// program, so SipHash's flooding resistance buys nothing.
-#[derive(Default, Clone, Copy)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-    fn write_u8(&mut self, i: u8) {
-        self.add(i.into());
-    }
-    fn write_u16(&mut self, i: u16) {
-        self.add(i.into());
-    }
-    fn write_u32(&mut self, i: u32) {
-        self.add(i.into());
-    }
-    fn write_u64(&mut self, i: u64) {
-        self.add(i);
-    }
-    fn write_usize(&mut self, i: usize) {
-        self.add(i as u64);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Marks a window that is not compressible (and a missing link in the
 /// pair-merge span lists).

@@ -17,11 +17,11 @@
 
 use crate::controller::Controller;
 use crate::frontend::{self, SharedFrontend};
+use crate::fxhash::FxHashMap;
 use crate::production::{ProductionSet, ReplacementId};
 use crate::spec::{ImmDirective, InstSpec, OpDirective, RegDirective};
 use crate::{CoreError, Result};
 use dise_isa::{Inst, Op};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Replacement-table organization (Figure 7 bottom sweeps these).
@@ -59,10 +59,12 @@ pub struct EngineConfig {
     /// Enables the host-side frontend fast path: the per-opcode PT match
     /// index, the expansion memo, and the instantiation memo. Purely a
     /// simulation-speed knob — architectural results and every
-    /// [`EngineStats`] counter are bit-identical either way (the memos are
-    /// invalidated on every event that could change an outcome, and memo
-    /// hits replay the slow path's RT reference so LRU state stays in
-    /// lockstep). Off reproduces the original linear-scan decode path.
+    /// [`EngineStats`] counter are bit-identical either way (memo entries
+    /// are architectural and flushed on every event that could change
+    /// one; every hit re-verifies RT residency with the same LRU
+    /// reference the slow path makes, and falls through to the slow path
+    /// when the entry was evicted). Off reproduces the original
+    /// linear-scan decode path.
     pub fast_path: bool,
 }
 
@@ -237,7 +239,9 @@ enum RtStore {
         block: usize,
     },
     Perfect {
-        map: HashMap<(ReplacementId, u8), RtSeq>,
+        /// Fx-hashed: `touch` probes it on every replacement µop of a
+        /// perfect-RT run, and its keys are small and trusted.
+        map: FxHashMap<(ReplacementId, u8), RtSeq>,
         block: usize,
     },
 }
@@ -266,7 +270,7 @@ impl RtStore {
         };
         match config.rt_org {
             RtOrganization::Perfect => RtStore::Perfect {
-                map: HashMap::new(),
+                map: FxHashMap::default(),
                 block,
             },
             RtOrganization::DirectMapped => cache((config.rt_entries / block).max(1), 1),
@@ -523,19 +527,15 @@ impl RtStore {
         }
     }
 
-    /// Inserts a whole sequence, one block entry per `block` specs.
+    /// Inserts a whole sequence, one block entry per `block` specs. Each
+    /// chunk is copied straight into its slot's payload, reusing the
+    /// evicted entry's allocation.
     fn insert_sequence(&mut self, id: ReplacementId, seq_len: u8, specs: &[InstSpec]) {
         let block = self.block();
         for (chunk_ix, chunk) in specs.chunks(block).enumerate() {
             let base = (chunk_ix * block) as u8;
-            let seq = RtSeq {
-                seq_len,
-                specs: chunk.to_vec(),
-            };
-            match self {
-                RtStore::Perfect { map, .. } => {
-                    map.insert((id, base), seq);
-                }
+            let seq = match self {
+                RtStore::Perfect { map, .. } => map.entry((id, base)).or_default(),
                 RtStore::Cache {
                     keys,
                     seqs,
@@ -560,12 +560,15 @@ impl RtStore {
                                 .min_by_key(|&i| stamps[i])
                                 .expect("assoc >= 1")
                         });
-                    keys[i] = tag | seq.specs.len() as u64;
-                    seqs[i] = seq;
+                    keys[i] = tag | chunk.len() as u64;
                     *clock += 1;
                     stamps[i] = *clock;
+                    &mut seqs[i]
                 }
-            }
+            };
+            seq.seq_len = seq_len;
+            seq.specs.clear();
+            seq.specs.extend_from_slice(chunk);
         }
     }
 }
@@ -848,8 +851,8 @@ pub struct DiseEngine {
     config: EngineConfig,
     controller: Controller,
     /// Indices (into the controller's rule list) of PT-resident rules,
-    /// LRU-first at the *end* (most recently used last? no: MRU-first at
-    /// front).
+    /// most recently filled first: fills insert at the front and evict
+    /// from the back. Hits do not reorder the list.
     pt_resident: Vec<usize>,
     /// Pattern-counter table: per opcode number, (active, resident).
     counters: [(u16, u16); 64],
@@ -871,14 +874,17 @@ pub struct DiseEngine {
     /// Direct-mapped memo of steady-state `inspect` outcomes, keyed by the
     /// trigger's raw instruction word. Caches only `None` and `Expand`
     /// (misses and faults mutate or depend on transient table state).
-    /// Invalidated on installs, context switches, and PT/RT fills.
+    /// Entries depend on the production set and PT residency only, so
+    /// this is flushed on installs, context switches, imports and PT
+    /// fills, but not on RT fills (see [`DiseEngine::invalidate_memos`]).
     /// Allocated lazily (empty until the first store): engines attached to
     /// a shared frontend rarely need it at all.
     exp_memo: Box<[Option<(u32, Expansion)>]>,
     /// Direct-mapped memo of `spec.instantiate` results, keyed by
-    /// `(id, disepc, trigger word, trigger pc)`. Same invalidation rules;
-    /// also lazily allocated. Always private — instantiations depend on
-    /// trigger PC and fields, which don't amortize across cells.
+    /// `(id, disepc, trigger word, trigger pc)`: a pure function of the
+    /// production set. Flushed with `exp_memo`; also lazily allocated.
+    /// Always private — instantiations depend on trigger PC and fields,
+    /// which don't amortize across cells.
     inst_memo: Box<[Option<(InstMemoKey, Inst)>]>,
     rt: RtStore,
     /// Dense pre-instantiated replacement arena (see [`SpecArena`]);
@@ -1077,11 +1083,25 @@ impl DiseEngine {
         (h >> 48) as usize % INST_MEMO_SLOTS
     }
 
-    /// Drops every memoized outcome. Called on any event that could change
-    /// an inspection or instantiation result *or* the RT's miss behavior:
-    /// production installs, context switches, and PT/RT fills (fills can
-    /// evict, so a memo hit after one could skip a miss the slow path
-    /// would model).
+    /// Drops every memoized outcome.
+    ///
+    /// Memo entries are architectural: an instantiation is a pure
+    /// function of the production set (`resolve_spec` is deterministic
+    /// per id), and an expansion outcome depends only on the production
+    /// set and PT residency. RT residency is never assumed: every hit
+    /// replays the slow path's RT reference through `rt.touch`, and when
+    /// the entry was evicted the hit falls through to the live path,
+    /// which models the miss and refill. RT fills therefore keep the
+    /// memos. The flushes that remain are:
+    ///
+    /// * PT fills — private expansion-memo hits skip the pattern-counter
+    ///   check, so a fill that evicts another opcode's patterns must
+    ///   drop outcomes that would now PT-miss;
+    /// * production installs — outcomes and instantiations change;
+    /// * context switches and state imports — PT residency is replaced
+    ///   wholesale.
+    ///
+    /// All four are rare (a handful per run).
     fn invalidate_memos(&mut self) {
         self.exp_memo.fill(None);
         self.inst_memo.fill(None);
@@ -1495,7 +1515,7 @@ impl DiseEngine {
             // covering this opcode is PT-resident — the counters are the
             // hardware's own encoding of exactly that condition, and the
             // check must precede the probe (the shared memo, unlike the
-            // private one, is never invalidated by fills or switches).
+            // private one, is never flushed by PT fills or switches).
             if active == resident {
                 match shared.lookup(raw) {
                     Some(None) => {
@@ -1528,9 +1548,10 @@ impl DiseEngine {
                         return Expansion::None;
                     }
                     // The slow path would call `rt.get(id, 0)` here;
-                    // replay its LRU effect. Residency is guaranteed (any
-                    // eviction since the memo store invalidated it), but
-                    // fall through defensively if not.
+                    // replay its LRU effect. RT fills keep the memo, so
+                    // the sequence may have been evicted since the store:
+                    // then fall through to the live path, which models
+                    // the miss.
                     Expansion::Expand { id, len } if self.rt.touch(id, 0) => {
                         self.stats.inspected += 1;
                         self.stats.expansions += 1;
@@ -1610,9 +1631,10 @@ impl DiseEngine {
         let key = (id, disepc, raw, trigger_pc);
         let slot = Self::inst_slot(&key);
         if let Some((k, inst)) = self.inst_memo.get(slot).copied().flatten() {
-            // Residency is guaranteed on a hit (fills and installs
-            // invalidate the memo), so `touch` replays the slow path's
-            // `contains` + `get` pair; fall through defensively if not.
+            // `touch` replays the slow path's `contains` + `get` pair.
+            // RT fills keep the memo, so the entry may have been evicted
+            // since the store: then fall through to the live path, which
+            // models the miss.
             if k == key && self.rt.touch(id, disepc) {
                 return Ok(inst);
             }
@@ -1687,8 +1709,7 @@ impl DiseEngine {
         }
         self.rt.invalidate(id);
         // The shared snapshot and memoized expansions/instantiations for
-        // `id` are stale, and memo hits assume RT residency (which
-        // `rt.invalidate` just broke).
+        // `id` are stale: the sequence itself changed.
         self.detach_shared();
         self.invalidate_memos();
         self.rebuild_arena();
@@ -1753,12 +1774,11 @@ impl DiseEngine {
     /// stall penalty (150 cycles if the fill required composition).
     fn fill_rt(&mut self, id: ReplacementId) -> Result<u64> {
         let (spec, composed) = self.controller.resolve_spec(id)?;
-        let len = spec.len() as u8;
-        let specs: Vec<InstSpec> = spec.insts.clone();
-        self.rt.insert_sequence(id, len, &specs);
-        // The insert may have evicted another sequence whose expansions
-        // or instantiations are memoized.
-        self.invalidate_memos();
+        self.rt.insert_sequence(id, spec.len() as u8, &spec.insts);
+        // No memo flush: the insert may evict another sequence whose
+        // expansions or instantiations are memoized, but those entries
+        // are architectural and every hit re-verifies residency through
+        // `rt.touch` (see `invalidate_memos`).
         if composed {
             self.stats.composed_fills += 1;
             Ok(self.config.compose_penalty)
@@ -2503,6 +2523,90 @@ mod tests {
             e.fetch_replacement_decoded(id, 0, &cw, raw, 0).unwrap().op,
             Op::Sll
         );
+    }
+
+    impl DiseEngine {
+        /// Whether the private expansion memo holds an entry for `raw`.
+        fn exp_memo_holds(&self, raw: u32) -> bool {
+            matches!(self.exp_memo.get(Self::exp_slot(raw)), Some(Some((w, _))) if *w == raw)
+        }
+
+        /// Whether the private instantiation memo holds an entry for `key`.
+        fn inst_memo_holds(&self, key: InstMemoKey) -> bool {
+            matches!(self.inst_memo.get(Self::inst_slot(&key)), Some(Some((k, _))) if *k == key)
+        }
+    }
+
+    #[test]
+    fn rt_fills_keep_memos_and_hits_reverify_residency() {
+        // A one-entry direct-mapped RT and two one-instruction aware
+        // sequences A and B, which therefore evict each other on every
+        // fill. A fast and a slow engine run the same calls and must
+        // agree on every outcome and statistic after each one.
+        let mut set = ProductionSet::new();
+        for tag in [0u16, 1] {
+            set.add_aware(
+                Op::Cw0,
+                tag,
+                ReplacementSpec::new(vec![InstSpec::literal(i("addq r1, r2, r3"))]),
+            )
+            .unwrap();
+        }
+        let config = EngineConfig {
+            rt_entries: 1,
+            rt_org: RtOrganization::DirectMapped,
+            ..EngineConfig::default()
+        };
+        let mut fast = DiseEngine::with_productions(config, set.clone()).unwrap();
+        let mut slow = DiseEngine::with_productions(config.slow_path(), set).unwrap();
+        let a = Inst::codeword(Op::Cw0, 0, 0, 0, 0);
+        let b = Inst::codeword(Op::Cw0, 0, 0, 0, 1);
+        let (raw_a, raw_b) = (a.encode().unwrap(), b.encode().unwrap());
+        let pc = 0x1000;
+        let fetch = |fast: &mut DiseEngine, slow: &mut DiseEngine, id, cw: &Inst, raw| {
+            let inst = fast.fetch_replacement_decoded(id, 0, cw, raw, pc).unwrap();
+            assert_eq!(
+                inst,
+                slow.fetch_replacement_decoded(id, 0, cw, raw, pc).unwrap()
+            );
+            assert_eq!(fast.stats(), slow.stats());
+        };
+        // One trigger: inspect until it expands, then fetch its
+        // replacement.
+        let trigger = |fast: &mut DiseEngine, slow: &mut DiseEngine, cw: &Inst, raw: u32| {
+            let id = loop {
+                let outcome = fast.inspect_decoded(cw, raw);
+                assert_eq!(outcome, slow.inspect_decoded(cw, raw));
+                assert_eq!(fast.stats(), slow.stats());
+                match outcome {
+                    Expansion::Expand { id, .. } => break id,
+                    Expansion::Miss { .. } => continue,
+                    other => panic!("unexpected {other:?}"),
+                }
+            };
+            fetch(fast, slow, id, cw, raw);
+            id
+        };
+        let id_a = trigger(&mut fast, &mut slow, &a, raw_a);
+        assert!(fast.exp_memo_holds(raw_a));
+        assert!(fast.inst_memo_holds((id_a, 0, raw_a, pc)));
+        // B's fill evicts A from the RT, but A's memo entries survive.
+        let id_b = trigger(&mut fast, &mut slow, &b, raw_b);
+        assert_eq!(fast.stats().rt_misses, 2);
+        assert!(!fast.rt.contains(id_a, 0));
+        assert!(fast.exp_memo_holds(raw_a));
+        assert!(fast.inst_memo_holds((id_a, 0, raw_a, pc)));
+        // A fetch of evicted A (as after a mid-sequence eviction) hits
+        // the instantiation memo, whose residency check fails: the live
+        // path models the miss and refills A, evicting B.
+        fetch(&mut fast, &mut slow, id_a, &a, raw_a);
+        assert_eq!(fast.stats().rt_misses, 3);
+        assert!(!fast.rt.contains(id_b, 0));
+        // Likewise B's surviving expansion entry must not hide B's
+        // refill.
+        assert!(fast.exp_memo_holds(raw_b));
+        trigger(&mut fast, &mut slow, &b, raw_b);
+        assert_eq!(fast.stats().rt_misses, 4);
     }
 
     #[test]

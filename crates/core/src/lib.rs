@@ -75,6 +75,7 @@ pub mod controller;
 pub mod dsl;
 pub mod engine;
 pub mod frontend;
+pub mod fxhash;
 pub mod pattern;
 pub mod production;
 pub mod spec;
@@ -85,6 +86,7 @@ pub use engine::{
     EngineStats, Expansion, RtOrganization, RtState,
 };
 pub use frontend::SharedFrontend;
+pub use fxhash::{FxHashMap, FxHasher};
 pub use pattern::{ImmPredicate, Pattern};
 pub use production::{Production, ProductionSet, ReplacementId, SeqRef};
 pub use spec::{ImmDirective, InstSpec, OpDirective, RegDirective, ReplacementSpec};

@@ -11,8 +11,10 @@
 #             check (jobs 1 vs 8, warm vs cold cell cache)
 #   arena   — the shared-frontend differential suite (shared arena vs
 #             forced-private construction, byte-identical at jobs 1/8)
-#   shadow  — one figure cell with the --shadow lockstep oracle armed
-#             (cache off: warm cells skip simulation and prove nothing)
+#   shadow  — fig6 MFI cells and the fig8 RT panel with the --shadow
+#             lockstep oracle armed (cache off: warm cells skip
+#             simulation and prove nothing), plus an RT-miss engagement
+#             check on the fig8 cells
 #   golden  — the full selection golden-digest matrix under --release
 #             (byte-identical compressor output, every Figure 7
 #             configuration × v1/v2; `ignore`d in debug builds)
@@ -55,6 +57,21 @@ echo "== ci: shadow smoke cell ($(date)) =="
 # so the shadow oracle would never engage.
 DISE_BENCH_DYN=20000 DISE_BENCH_FILTER=gcc DISE_BENCH_CACHE=off \
     DISE_BENCH_JOBS=2 ./target/release/fig6_mfi top --shadow > /dev/null
+# The Figure 8 RT panel: eager and compose-on-miss composition on
+# 512/2K direct-mapped/2-way RTs. Those cells miss thousands of times, so
+# the engine's memo hits keep meeting evicted sequences. The MFI cells
+# above barely miss. The jq check proves the thrashing path engaged:
+# some cell took more than 1000 RT misses, and some filled by composing.
+SHADOWTMP=$(mktemp -d)
+DISE_BENCH_DYN=20000 DISE_BENCH_FILTER=gzip DISE_BENCH_CACHE=off \
+    DISE_BENCH_JOBS=2 ./target/release/fig8_composition rt --shadow \
+    --stats-json "$SHADOWTMP/fig8rt.json" > /dev/null
+jq -e '([.[] | .["engine.rt_misses"] // 0] | max) > 1000
+       and ([.[] | .["engine.composed_fills"] // 0] | max) > 0' \
+    "$SHADOWTMP/fig8rt.json" > /dev/null || {
+    echo "fig8 RT-panel shadow run never thrashed the RT or never composed"
+    rm -rf "$SHADOWTMP"; exit 1; }
+rm -rf "$SHADOWTMP"
 
 echo "== ci: block-cache ablation ($(date)) =="
 # The translated-execution block cache is a pure speed device: one

@@ -10,7 +10,7 @@
 
 use dise::acf::compress::{CompressionConfig, Compressor};
 use dise::acf::mfi::{Mfi, MfiVariant};
-use dise::engine::{DiseEngine, EngineConfig, RtOrganization};
+use dise::engine::{Controller, DiseEngine, EngineConfig, RtOrganization};
 use dise::isa::{Inst, Program, Reg};
 use dise::sim::{Machine, MachineConfig, SimConfig, Simulator};
 use dise::workloads::{Benchmark, WorkloadConfig};
@@ -115,12 +115,19 @@ fn compression_identical_fast_and_slow_with_finite_rt() {
     let rf = fast.run(u64::MAX).unwrap();
     let rs = slow.run(u64::MAX).unwrap();
     assert_eq!(rf, rs, "SimResult diverged");
+    let stats = fast.machine().engine().unwrap().stats();
     assert_eq!(
-        fast.machine().engine().unwrap().stats(),
+        stats,
         slow.machine().engine().unwrap().stats(),
         "EngineStats diverged"
     );
     assert_eq!(final_state(fast.machine()), final_state(slow.machine()));
+    // Engagement: the 16-entry RT really missed (about 15K times).
+    assert!(
+        stats.rt_misses >= 10_000,
+        "only {} RT misses",
+        stats.rt_misses
+    );
 }
 
 #[test]
@@ -199,4 +206,92 @@ fn raw_words_round_trip_through_engine_memo_keys() {
         }
     }
     assert_eq!(fast.stats(), slow.stats());
+}
+
+/// A DISE+DISE machine: `c`'s aware decompression productions with DISE3
+/// MFI composed in, either eagerly (composed up front in software) or
+/// lazily (the controller inlines MFI into each aware sequence at RT-fill
+/// time), fast path on or off in both the machine and the engine.
+fn composed_machine(
+    c: &dise::acf::compress::CompressedProgram,
+    econfig: EngineConfig,
+    eager: bool,
+    fast: bool,
+) -> Machine {
+    let aware = c.productions.clone().unwrap();
+    let mfi = Mfi::new(MfiVariant::Dise3)
+        .with_error_handler(c.program.symbol("mfi_error").unwrap())
+        .productions()
+        .unwrap();
+    let (mconfig, econfig) = if fast {
+        (MachineConfig::default(), econfig)
+    } else {
+        (MachineConfig::default().slow_path(), econfig.slow_path())
+    };
+    let engine = if eager {
+        let composed = dise::engine::compose::compose_nested(&mfi, &aware).unwrap();
+        DiseEngine::with_productions(econfig, composed).unwrap()
+    } else {
+        let mut active = mfi.clone();
+        active.absorb(&aware).unwrap();
+        let controller = Controller::new(active).with_inline_on_fill(mfi);
+        DiseEngine::with_controller(econfig, controller)
+    };
+    let mut m = Machine::with_config(&c.program, mconfig);
+    m.attach_engine(engine);
+    Mfi::init_machine(&mut m);
+    m
+}
+
+#[test]
+fn composition_identical_fast_and_slow_on_thrashing_rt() {
+    // The Figure 8 RT panel's smallest geometries: a 512-entry RT under
+    // the composed decompression+MFI stream misses constantly, so every
+    // fill evicts sequences whose expansions and instantiations the fast
+    // path has memoized. The 2-way case makes the LRU stamp order
+    // observable through which way each fill evicts.
+    let p = workload(Benchmark::Gzip);
+    let c = Compressor::new(CompressionConfig::dise_full())
+        .compress(&p)
+        .unwrap();
+    for org in [
+        RtOrganization::DirectMapped,
+        RtOrganization::SetAssociative(2),
+    ] {
+        let econfig = EngineConfig {
+            rt_entries: 512,
+            rt_org: org,
+            ..EngineConfig::default()
+        };
+        for eager in [true, false] {
+            let tag = format!("{org:?}/{}", if eager { "eager" } else { "lazy" });
+            let sim = SimConfig::default().with_icache_size(Some(8 * 1024));
+            let mut fast = Simulator::new(sim, composed_machine(&c, econfig, eager, true));
+            let mut slow = Simulator::new(sim, composed_machine(&c, econfig, eager, false));
+            let rf = fast.run(u64::MAX).unwrap();
+            let rs = slow.run(u64::MAX).unwrap();
+            assert_eq!(rf, rs, "{tag}: SimResult diverged");
+            let stats = fast.machine().engine().unwrap().stats();
+            assert_eq!(
+                stats,
+                slow.machine().engine().unwrap().stats(),
+                "{tag}: EngineStats diverged"
+            );
+            assert_eq!(
+                final_state(fast.machine()),
+                final_state(slow.machine()),
+                "{tag}: architectural state diverged"
+            );
+            // Engagement: the RT really thrashed, and the lazy runs really
+            // composed at fill time.
+            assert!(
+                stats.rt_misses >= 500,
+                "{tag}: only {} RT misses",
+                stats.rt_misses
+            );
+            if !eager {
+                assert!(stats.composed_fills > 0, "{tag}: no composing fills");
+            }
+        }
+    }
 }

@@ -12,7 +12,7 @@
 
 use dise::acf::compress::{CompressionConfig, Compressor};
 use dise::acf::mfi::{Mfi, MfiVariant};
-use dise::engine::{DiseEngine, EngineConfig, RtOrganization};
+use dise::engine::{DiseEngine, EngineConfig, EngineStats, RtOrganization};
 use dise::isa::{Program, Reg};
 use dise::sim::{ExpansionCost, Machine, SimConfig, Simulator};
 use dise::workloads::{Benchmark, WorkloadConfig};
@@ -67,8 +67,13 @@ fn composed_machine(p: &Program) -> Machine {
 }
 
 /// Runs `build()` under `sim` with the fast path on and off; both runs
-/// must agree bit-for-bit.
-fn assert_paths_identical(build: impl Fn() -> Machine, sim: SimConfig, tag: &str) {
+/// must agree bit-for-bit. Returns the engine statistics (if an engine is
+/// attached) so callers can check that the path under test engaged.
+fn assert_paths_identical(
+    build: impl Fn() -> Machine,
+    sim: SimConfig,
+    tag: &str,
+) -> Option<EngineStats> {
     let mut fast = Simulator::new(sim, build());
     let mut slow = Simulator::new(sim.slow_path(), build());
     let rf = fast.run(u64::MAX).unwrap();
@@ -84,6 +89,13 @@ fn assert_paths_identical(build: impl Fn() -> Machine, sim: SimConfig, tag: &str
         slow.machine().inst_counts(),
         "{tag}: instruction counts diverged"
     );
+    let stats = fast.machine().engine().map(|e| e.stats());
+    assert_eq!(
+        stats,
+        slow.machine().engine().map(|e| e.stats()),
+        "{tag}: EngineStats diverged"
+    );
+    stats
 }
 
 #[test]
@@ -122,10 +134,17 @@ fn compressed_timing_identical_with_finite_rt() {
         rt_org: RtOrganization::DirectMapped,
         ..EngineConfig::default()
     };
-    assert_paths_identical(
+    let stats = assert_paths_identical(
         || compressed_machine(&p, engine),
         SimConfig::default().with_icache_size(Some(8 * 1024)),
         "compressed/finite-rt",
+    )
+    .unwrap();
+    // Engagement: the 64-entry RT really missed (about 3K times).
+    assert!(
+        stats.rt_misses >= 2_000,
+        "only {} RT misses",
+        stats.rt_misses
     );
 }
 
