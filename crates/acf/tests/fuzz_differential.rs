@@ -3,7 +3,7 @@
 //! configuration and both selection algorithms, must run to completion
 //! bit-identically with the uncompressed original — same final
 //! architectural state, same retired-instruction count. (Mirrors the
-//! `block_cache.rs` fuzz style in `dise-sim`: pre-generated inputs, a
+//! `fastpath_fuzz.rs` fuzz style in `dise-sim`: pre-generated inputs, a
 //! reference run, and exhaustive observable-state comparison; seeds are
 //! part of the shared corpus documented in `dise_workloads::fuzz`.)
 //!

@@ -412,9 +412,9 @@ impl Sweep {
 }
 
 /// Debug-build audit backing the [`CellCache`] key policy: the key
-/// deliberately ignores snapshot-class env toggles (`DISE_SNAPSHOT`,
-/// `DISE_BLOCK_CACHE`, `DISE_ACF_ARENA`) because each is proven
-/// output-neutral. Re-prove the snapshot leg on one cell per suite:
+/// deliberately ignores the snapshot env toggle (`DISE_SNAPSHOT`)
+/// because it is proven output-neutral. Re-prove that on one cell per
+/// suite:
 /// recompute the first cell with forced run slicing — the checkpoint
 /// knob flipped — and require the exact same output the keyed lookup
 /// returned.

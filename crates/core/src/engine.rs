@@ -19,7 +19,7 @@ use crate::controller::Controller;
 use crate::frontend::{self, SharedFrontend};
 use crate::fxhash::FxHashMap;
 use crate::production::{ProductionSet, ReplacementId};
-use crate::spec::{ImmDirective, InstSpec, OpDirective, RegDirective};
+use crate::spec::InstSpec;
 use crate::{CoreError, Result};
 use dise_isa::{Inst, Op};
 use std::sync::Arc;
@@ -128,32 +128,6 @@ pub enum Expansion {
     },
 }
 
-/// What a block translator may bake for one fetched instruction: the
-/// *architectural* inspection outcome, computed without touching the PT,
-/// the RT, the memos, or the statistics. Valid exactly as long as the
-/// engine's [`DiseEngine::generation`] is unchanged — the generation
-/// advances on every event that can change this answer (PT fills, runtime
-/// installs, context switches).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockOutcome {
-    /// The pattern counters for this opcode disagree (`active !=
-    /// resident`): the next inspection is a PT miss, whose fill both
-    /// changes future outcomes and bumps the generation. Not bakeable.
-    NotReady,
-    /// No pattern matches; the instruction passes through unmodified.
-    Pass,
-    /// The instruction triggers replacement sequence `id` of length `len`.
-    Expand {
-        /// Replacement-sequence identifier.
-        id: ReplacementId,
-        /// Sequence length in instructions.
-        len: u8,
-    },
-    /// The matched rule names a sequence that cannot be resolved;
-    /// executing the instruction is a program error. Not bakeable.
-    Fault,
-}
-
 /// Counters the engine accumulates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
@@ -207,10 +181,10 @@ struct RtSeq {
 ///
 /// The cache keeps keys and payloads in two flat parallel arrays
 /// (`assoc` slots per set, MRU-first, compact) instead of a
-/// vec-of-vecs: an RT reference happens for every µop the simulator's
-/// translated-block path executes, and the flat layout turns it into
-/// one predictable cache-line load and a couple of ALU ops instead of
-/// two dependent pointer chases through scattered per-set allocations.
+/// vec-of-vecs: an RT reference happens for every replacement µop the
+/// simulator executes, and the flat layout turns it into one
+/// predictable cache-line load and a couple of ALU ops instead of two
+/// dependent pointer chases through scattered per-set allocations.
 #[derive(Debug)]
 enum RtStore {
     Cache {
@@ -227,10 +201,8 @@ enum RtStore {
         /// tick it happened at, and the fill victim is the minimum
         /// stamp in the set. Relative stamp order within a set is
         /// exactly list order, so hit/miss behavior is bit-identical —
-        /// but a touch is one store instead of a memmove, entries never
-        /// move between slots, and a slot index therefore stays valid
-        /// for as long as no fill or invalidation intervenes (the basis
-        /// of the slot-replay API the simulator's block executor uses).
+        /// but a touch is one store instead of a memmove, and entries
+        /// never move between slots.
         stamps: Vec<u64>,
         /// Monotonic reference tick feeding `stamps`.
         clock: u64,
@@ -245,10 +217,6 @@ enum RtStore {
         block: usize,
     },
 }
-
-/// Slot sentinel for RT organizations without addressable slots (the
-/// perfect RT): the reference is a hit, but there is nothing to stamp.
-pub const RT_NO_SLOT: u32 = u32::MAX;
 
 /// The key-word tag (everything above the spec-count byte).
 #[inline]
@@ -318,22 +286,12 @@ impl RtStore {
     /// entry is resident.
     #[inline]
     fn touch(&mut self, id: ReplacementId, disepc: u8) -> bool {
-        self.touch_slot(id, disepc).is_some()
-    }
-
-    /// [`RtStore::touch`], additionally reporting *where* the entry
-    /// lives: a slot index that stays valid (same entry, still resident)
-    /// until the next fill or invalidation, or [`RT_NO_SLOT`] for the
-    /// perfect RT (hit, but nothing to stamp). `None` on a miss.
-    #[inline]
-    fn touch_slot(&mut self, id: ReplacementId, disepc: u8) -> Option<u32> {
         let base = self.base_of(disepc);
         let off = (disepc - base) as u64;
         match self {
             RtStore::Perfect { map, .. } => map
                 .get(&(id, base))
-                .is_some_and(|e| (off as usize) < e.specs.len())
-                .then_some(RT_NO_SLOT),
+                .is_some_and(|e| (off as usize) < e.specs.len()),
             RtStore::Cache {
                 keys,
                 stamps,
@@ -349,72 +307,10 @@ impl RtStore {
                     if k & !0xFF == tag && k & 0xFF > off {
                         *clock += 1;
                         stamps[i] = *clock;
-                        return Some(i as u32);
+                        return true;
                     }
                 }
-                None
-            }
-        }
-    }
-
-    /// Re-references `(id, disepc)` through a slot index previously
-    /// returned by [`RtStore::touch_slot`], verifying the slot still
-    /// holds the entry before stamping it. The packed key *is* complete
-    /// identity (tag + resident spec count), so one compare replaces the
-    /// whole set search: a matching key means the set's unique match for
-    /// this tag (inserts never duplicate a tag within a set) is exactly
-    /// this slot, and the stamp has the same LRU effect as the full
-    /// touch. Returns `false` — no state changed — when the slot was
-    /// since refilled with something else; the caller re-searches.
-    #[inline]
-    fn stamp_verified(&mut self, slot: u32, id: ReplacementId, disepc: u8) -> bool {
-        let base = self.base_of(disepc);
-        let off = (disepc - base) as u64;
-        match self {
-            // Never reached: the perfect RT reports `RT_NO_SLOT`, which
-            // executors cannot record (it encodes to "no plan").
-            RtStore::Perfect { .. } => false,
-            RtStore::Cache { keys, stamps, clock, .. } => {
-                let k = keys[slot as usize];
-                if k & !0xFF == rt_tag(id, base) && k & 0xFF > off {
-                    *clock += 1;
-                    stamps[slot as usize] = *clock;
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    /// Read-only half of [`RtStore::stamp_verified`]: does `slot` still
-    /// hold `(id, disepc)`'s block? No LRU effect — callers that verify a
-    /// whole group up front pair this with [`RtStore::stamp_slot`] per
-    /// executed µop so the stamp order matches the per-µop path exactly.
-    #[inline]
-    fn slot_holds(&self, slot: u32, id: ReplacementId, disepc: u8) -> bool {
-        let base = self.base_of(disepc);
-        let off = (disepc - base) as u64;
-        match self {
-            RtStore::Perfect { .. } => false,
-            RtStore::Cache { keys, .. } => {
-                let k = keys[slot as usize];
-                k & !0xFF == rt_tag(id, base) && k & 0xFF > off
-            }
-        }
-    }
-
-    /// Stamp half of [`RtStore::stamp_verified`]: re-references `slot`
-    /// without re-checking its key. Sound only when [`RtStore::slot_holds`]
-    /// was observed and no fill or invalidation has intervened (stamps
-    /// never change keys).
-    #[inline]
-    fn stamp_slot(&mut self, slot: u32) {
-        match self {
-            RtStore::Perfect { .. } => {}
-            RtStore::Cache { stamps, clock, .. } => {
-                *clock += 1;
-                stamps[slot as usize] = *clock;
+                false
             }
         }
     }
@@ -493,40 +389,6 @@ impl RtStore {
         }
     }
 
-    /// Whether, given `tags` — every `(id, base)` key a fill could
-    /// insert under the current production set — no insertion can ever
-    /// evict a live entry: each set has at least as many ways as the
-    /// distinct tags (potential or currently resident) that map to it.
-    /// Fills then always land on their own tag or a free slot, the LRU
-    /// victim choice is never made, and a slot that once held an entry
-    /// holds it until the next invalidation (see
-    /// [`DiseEngine::rt_static`]). Trivially true for the perfect RT.
-    fn conflict_free(&self, tags: &[(ReplacementId, u8)]) -> bool {
-        match self {
-            RtStore::Perfect { .. } => true,
-            RtStore::Cache {
-                keys,
-                num_sets,
-                assoc,
-                ..
-            } => {
-                let mut sets: Vec<Vec<u64>> = vec![Vec::new(); *num_sets];
-                for (i, &k) in keys.iter().enumerate() {
-                    if k != 0 && !sets[i / *assoc].contains(&(k & !0xFF)) {
-                        sets[i / *assoc].push(k & !0xFF);
-                    }
-                }
-                for &(id, base) in tags {
-                    let set = &mut sets[Self::set_index(*num_sets, id, base)];
-                    if !set.contains(&rt_tag(id, base)) {
-                        set.push(rt_tag(id, base));
-                    }
-                }
-                sets.iter().all(|s| s.len() <= *assoc)
-            }
-        }
-    }
-
     /// Inserts a whole sequence, one block entry per `block` specs. Each
     /// chunk is copied straight into its slot's payload, reusing the
     /// evicted entry's allocation.
@@ -587,261 +449,6 @@ const INST_MEMO_SLOTS: usize = 32768;
 /// instantiate differently at different trigger addresses.
 type InstMemoKey = (ReplacementId, u8, u32, u64);
 
-/// Parses a `DISE_ACF_ARENA` setting: `"on"` enables the dense
-/// replacement-sequence arena (fixed-stride pre-instantiated slots — the
-/// expansion fast path), `"off"` disables it (every instantiation walks
-/// the `ReplacementSpec` directives).
-///
-/// # Errors
-///
-/// Any other value is rejected with an actionable message.
-pub fn parse_acf_arena(v: &str) -> std::result::Result<bool, String> {
-    match v {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        _ => Err(format!(
-            "DISE_ACF_ARENA must be \"on\" or \"off\", got {v:?}; unset it to use the default (on)"
-        )),
-    }
-}
-
-/// The process-wide `DISE_ACF_ARENA` default (read once). Panics with the
-/// [`parse_acf_arena`] message on an invalid setting — a silently ignored
-/// typo would miscredit every benchmark run after it. The arena is a pure
-/// speed device: results and statistics are bit-identical either way.
-pub fn acf_arena_env() -> bool {
-    static ENV_GATE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENV_GATE.get_or_init(|| match std::env::var("DISE_ACF_ARENA") {
-        Ok(v) => match parse_acf_arena(&v) {
-            Ok(enabled) => enabled,
-            Err(why) => panic!("{why}"),
-        },
-        Err(_) => true,
-    })
-}
-
-/// Maximum sequence length (in replacement instructions) the dense arena
-/// holds. Longer sequences — none of the shipped ACFs produce any — fall
-/// back to the directive-walking path.
-const ARENA_MAX_LEN: usize = 8;
-
-/// A deferred (trigger-dependent) field of an arena-baked replacement
-/// instruction. Literal fields are pre-resolved into the arena at build
-/// time; only these survive to instantiation.
-#[derive(Debug, Clone, Copy)]
-enum ArenaFixup {
-    /// `T.INSN` — the whole instruction is the trigger.
-    Whole,
-    /// `T.OP`.
-    Op,
-    /// Trigger-dependent `ra` field.
-    Ra(RegDirective),
-    /// Trigger-dependent `rb` field.
-    Rb(RegDirective),
-    /// Trigger-dependent `rc` field.
-    Rc(RegDirective),
-    /// Trigger-dependent immediate.
-    Imm(ImmDirective),
-}
-
-/// Dense replacement-sequence arena: every installed sequence of at most
-/// [`ARENA_MAX_LEN`] instructions, *post-composition*, laid out
-/// contiguously in fixed-stride slots with every literal directive
-/// pre-resolved. Expanding a codeword is then one bounds-checked slice
-/// copy plus a (usually short) fixup list patching the trigger-dependent
-/// fields in place — instead of walking `ReplacementSpec` directive
-/// enums per field per µop.
-///
-/// Built from [`Controller::resolve_spec`], so compose-on-miss
-/// configurations bake the *composed* sequence (identical to what RT
-/// fills install under the same id). Rebuilt on runtime installs; RT and
-/// PT state never affect it (it caches architectural content only).
-/// Instantiations that could error return `None` instead — callers fall
-/// back to the directive walk, which reproduces the identical error.
-#[derive(Debug, Default)]
-struct SpecArena {
-    /// Slot stride in instructions (the longest baked sequence).
-    stride: usize,
-    /// Baked sequence ids, sorted for binary search.
-    ids: Vec<ReplacementId>,
-    /// Per row: sequence length.
-    lens: Vec<u8>,
-    /// `ids.len() * stride` pre-instantiated instructions; row `r`'s
-    /// sequence occupies `ops[r*stride..r*stride + lens[r]]`.
-    ops: Vec<Inst>,
-    /// Per row: range into `fixups`.
-    fixup_ranges: Vec<(u32, u32)>,
-    /// `(disepc, fixup)` pairs, grouped by row, ordered by disepc then
-    /// field order.
-    fixups: Vec<(u8, ArenaFixup)>,
-}
-
-impl SpecArena {
-    /// Bakes every eligible sequence of `controller`'s production set.
-    fn build(controller: &Controller) -> SpecArena {
-        let mut ids: Vec<ReplacementId> = controller
-            .productions()
-            .seqs()
-            .map(|(id, _)| id)
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        let resolved: Vec<(ReplacementId, std::borrow::Cow<'_, crate::spec::ReplacementSpec>)> =
-            ids.into_iter()
-                .filter_map(|id| {
-                    let (spec, _) = controller.resolve_spec(id).ok()?;
-                    ((1..=ARENA_MAX_LEN).contains(&spec.len())).then_some((id, spec))
-                })
-                .collect();
-        let stride = resolved.iter().map(|(_, s)| s.len()).max().unwrap_or(0);
-        let mut arena = SpecArena {
-            stride,
-            ..SpecArena::default()
-        };
-        for (id, spec) in &resolved {
-            let fix_start = arena.fixups.len() as u32;
-            for (d, s) in spec.insts.iter().enumerate() {
-                let d = d as u8;
-                let baked = match s {
-                    InstSpec::Trigger => {
-                        arena.fixups.push((d, ArenaFixup::Whole));
-                        Inst::nop()
-                    }
-                    InstSpec::Templated {
-                        op,
-                        ra,
-                        rb,
-                        rc,
-                        imm,
-                        uses_lit,
-                        dise_branch,
-                    } => {
-                        let mut inst = Inst::nop();
-                        inst.uses_lit = *uses_lit;
-                        inst.dise_branch = *dise_branch;
-                        match op {
-                            OpDirective::Literal(o) => inst.op = *o,
-                            OpDirective::Trigger => arena.fixups.push((d, ArenaFixup::Op)),
-                        }
-                        match ra {
-                            RegDirective::Literal(r) => inst.ra = *r,
-                            dir => arena.fixups.push((d, ArenaFixup::Ra(*dir))),
-                        }
-                        match rb {
-                            RegDirective::Literal(r) => inst.rb = *r,
-                            dir => arena.fixups.push((d, ArenaFixup::Rb(*dir))),
-                        }
-                        match rc {
-                            RegDirective::Literal(r) => inst.rc = *r,
-                            dir => arena.fixups.push((d, ArenaFixup::Rc(*dir))),
-                        }
-                        match imm {
-                            ImmDirective::Literal(v) => inst.imm = *v,
-                            dir => arena.fixups.push((d, ArenaFixup::Imm(*dir))),
-                        }
-                        inst
-                    }
-                };
-                arena.ops.push(baked);
-            }
-            arena
-                .ops
-                .resize(arena.ops.len() + stride - spec.len(), Inst::nop());
-            arena.ids.push(*id);
-            arena.lens.push(spec.len() as u8);
-            arena
-                .fixup_ranges
-                .push((fix_start, arena.fixups.len() as u32));
-        }
-        arena
-    }
-
-    /// The arena row for `id`, if baked.
-    #[inline]
-    fn row(&self, id: ReplacementId) -> Option<usize> {
-        self.ids.binary_search(&id).ok()
-    }
-
-    /// Instantiates replacement `disepc` of sequence `id` against
-    /// `trigger`. `None` when the sequence is not baked, `disepc` is out
-    /// of range, or a fixup cannot resolve — callers fall back to the
-    /// directive-walking path, which reproduces the identical error.
-    #[inline]
-    fn instantiate(
-        &self,
-        id: ReplacementId,
-        disepc: u8,
-        trigger: &Inst,
-        trigger_pc: u64,
-    ) -> Option<Inst> {
-        let row = self.row(id)?;
-        if disepc >= self.lens[row] {
-            return None;
-        }
-        let mut inst = self.ops[row * self.stride + disepc as usize];
-        let (s, e) = self.fixup_ranges[row];
-        for &(d, fix) in &self.fixups[s as usize..e as usize] {
-            if d != disepc {
-                continue;
-            }
-            match fix {
-                ArenaFixup::Whole => inst = *trigger,
-                ArenaFixup::Op => inst.op = trigger.op,
-                ArenaFixup::Ra(dir) => inst.ra = dir.resolve(trigger).ok()?,
-                ArenaFixup::Rb(dir) => inst.rb = dir.resolve(trigger).ok()?,
-                ArenaFixup::Rc(dir) => inst.rc = dir.resolve(trigger).ok()?,
-                ArenaFixup::Imm(dir) => inst.imm = dir.resolve(trigger, trigger_pc).ok()?,
-            }
-        }
-        Some(inst)
-    }
-
-    /// Instantiates the whole sequence `id` into `out` — one slice copy
-    /// of the row followed by the in-place fixups ("memcpy-shaped"
-    /// expansion). Returns the sequence length, or `None` under the same
-    /// fallback conditions as [`SpecArena::instantiate`] (with `out`
-    /// restored to its original length).
-    fn instantiate_span(
-        &self,
-        id: ReplacementId,
-        trigger: &Inst,
-        trigger_pc: u64,
-        out: &mut Vec<Inst>,
-    ) -> Option<u8> {
-        let row = self.row(id)?;
-        let len = self.lens[row] as usize;
-        let mark = out.len();
-        let at = row * self.stride;
-        out.extend_from_slice(&self.ops[at..at + len]);
-        let (s, e) = self.fixup_ranges[row];
-        for &(d, fix) in &self.fixups[s as usize..e as usize] {
-            let inst = &mut out[mark + d as usize];
-            let ok = match fix {
-                ArenaFixup::Whole => {
-                    *inst = *trigger;
-                    true
-                }
-                ArenaFixup::Op => {
-                    inst.op = trigger.op;
-                    true
-                }
-                ArenaFixup::Ra(dir) => dir.resolve(trigger).map(|r| inst.ra = r).is_ok(),
-                ArenaFixup::Rb(dir) => dir.resolve(trigger).map(|r| inst.rb = r).is_ok(),
-                ArenaFixup::Rc(dir) => dir.resolve(trigger).map(|r| inst.rc = r).is_ok(),
-                ArenaFixup::Imm(dir) => dir
-                    .resolve(trigger, trigger_pc)
-                    .map(|v| inst.imm = v)
-                    .is_ok(),
-            };
-            if !ok {
-                out.truncate(mark);
-                return None;
-            }
-        }
-        Some(len as u8)
-    }
-}
-
 /// The DISE engine: PT + RT + pattern-counter table + instantiation logic,
 /// fed by a [`Controller`] that owns the architectural production set.
 ///
@@ -887,25 +494,7 @@ pub struct DiseEngine {
     /// which don't amortize across cells.
     inst_memo: Box<[Option<(InstMemoKey, Inst)>]>,
     rt: RtStore,
-    /// Dense pre-instantiated replacement arena (see [`SpecArena`]);
-    /// empty when `DISE_ACF_ARENA=off`, in which case every lookup misses
-    /// and instantiation walks the directives.
-    arena: SpecArena,
     stats: EngineStats,
-    /// Monotonic invalidation epoch for outcome-holding caches *outside*
-    /// the engine (the simulator's translated-block cache). Bumped by
-    /// every event after which a previously computed [`BlockOutcome`] or
-    /// baked instantiation may be stale: PT fills, runtime production
-    /// installs, and context switches. RT fills deliberately do *not*
-    /// bump it — they change miss timing, not architectural outcomes,
-    /// and external caches replay RT references per use (see
-    /// [`DiseEngine::block_expand_hit`]).
-    generation: u64,
-    /// Cached [`RtStore::conflict_free`] verdict over the current
-    /// production set (see [`DiseEngine::rt_static`]). Recomputed
-    /// whenever the production set or the resident RT contents can
-    /// change other than by fills of that same set's sequences.
-    rt_static: bool,
 }
 
 impl DiseEngine {
@@ -942,12 +531,7 @@ impl DiseEngine {
             }
         }
         let op_rules = Arc::new(frontend::build_op_rules(controller.productions().rules()));
-        let arena = if acf_arena_env() {
-            SpecArena::build(&controller)
-        } else {
-            SpecArena::default()
-        };
-        let mut engine = DiseEngine {
+        DiseEngine {
             rt: RtStore::new(&config),
             config,
             controller,
@@ -957,67 +541,7 @@ impl DiseEngine {
             shared: None,
             exp_memo: Box::default(),
             inst_memo: Box::default(),
-            arena,
             stats: EngineStats::default(),
-            generation: 0,
-            rt_static: false,
-        };
-        engine.recompute_rt_static();
-        engine
-    }
-
-    /// True when the RT is *statically conflict-free* under the current
-    /// production set: every `(id, base)` key a fill could ever insert
-    /// maps to a set with at least as many ways as distinct tags, so no
-    /// fill can evict a live entry within the current generation (the
-    /// only other RT mutations — invalidations and context switches —
-    /// bump the generation and recompute this flag). Block executors
-    /// holding a recorded, generation-checked RT slot may then skip
-    /// both the key re-verification (the slot provably still holds the
-    /// entry) and the LRU stamps (victimless caches never read them) —
-    /// results and statistics stay bit-identical.
-    #[inline]
-    pub fn rt_static(&self) -> bool {
-        self.rt_static
-    }
-
-    /// Recomputes [`DiseEngine::rt_static`]: enumerates every RT key the
-    /// current production set can fill (one per `rt_block` chunk of each
-    /// resolvable sequence) and asks the store whether they — plus
-    /// whatever is already resident — fit without evictions.
-    fn recompute_rt_static(&mut self) {
-        let block = self.rt.block();
-        let mut ids: Vec<ReplacementId> = self
-            .controller
-            .productions()
-            .seqs()
-            .map(|(id, _)| id)
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        let mut tags = Vec::new();
-        for id in ids {
-            let Ok((spec, _)) = self.controller.resolve_spec(id) else {
-                continue;
-            };
-            // An unvalidatable geometry (bases past the 8-bit DISEPC)
-            // can never be declared static.
-            if spec.len() > 256 {
-                self.rt_static = false;
-                return;
-            }
-            for base in (0..spec.len()).step_by(block) {
-                tags.push((id, base as u8));
-            }
-        }
-        self.rt_static = self.rt.conflict_free(&tags);
-    }
-
-    /// Rebuilds the replacement arena after a runtime production install
-    /// (the architectural set changed; RT/PT state is irrelevant to it).
-    fn rebuild_arena(&mut self) {
-        if acf_arena_env() {
-            self.arena = SpecArena::build(&self.controller);
         }
     }
 
@@ -1132,290 +656,6 @@ impl DiseEngine {
     /// The controller (and through it the architectural production set).
     pub fn controller(&self) -> &Controller {
         &self.controller
-    }
-
-    /// The invalidation epoch for externally cached inspection outcomes
-    /// (see the `generation` field). A block translated under generation
-    /// `g` is valid to execute exactly while `generation() == g`.
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The architectural inspection outcome for `inst`, computed without
-    /// mutating any table, memo, or counter — what a block translator may
-    /// bake under the current [`DiseEngine::generation`]. Mirrors
-    /// [`DiseEngine::inspect`]'s decision exactly: reaching the match
-    /// requires `active == resident` for the opcode, in which state the
-    /// static per-opcode rule index and the resident-PT scan select the
-    /// same winner (see the comment in `inspect`).
-    pub fn block_outcome(&self, inst: &Inst) -> BlockOutcome {
-        let (active, resident) = self.counters[inst.op.number() as usize];
-        if active != resident {
-            return BlockOutcome::NotReady;
-        }
-        if active == 0 {
-            return BlockOutcome::Pass;
-        }
-        let rules = self.controller.productions().rules();
-        let best = self.op_rules[inst.op.number() as usize]
-            .iter()
-            .map(|i| (*i, &rules[*i]))
-            .filter(|(_, r)| r.pattern.matches(inst))
-            .max_by_key(|(i, r)| (r.priority, r.pattern.specificity(), usize::MAX - *i));
-        let Some((_, rule)) = best else {
-            return BlockOutcome::Pass;
-        };
-        let id = match rule.seq {
-            crate::production::SeqRef::Fixed(id) => id,
-            crate::production::SeqRef::FromTag { base } => base + inst.codeword_tag() as u32,
-        };
-        match self.controller.resolve_spec(id) {
-            Ok((spec, _)) => BlockOutcome::Expand {
-                id,
-                len: spec.len() as u8,
-            },
-            Err(_) => BlockOutcome::Fault,
-        }
-    }
-
-    /// Pure instantiation of replacement instruction `disepc` of sequence
-    /// `id` against `trigger` — no RT reference, no fill, no statistics.
-    /// Instantiation is a function of `(id, disepc, trigger, trigger_pc)`
-    /// only (the instantiation memo's key is exactly that), so a block
-    /// translator may bake the result.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `id` has no installed sequence, `disepc` is out of range,
-    /// or the spec does not instantiate against this trigger.
-    pub fn instantiate_block(
-        &self,
-        id: ReplacementId,
-        disepc: u8,
-        trigger: &Inst,
-        trigger_pc: u64,
-    ) -> Result<Inst> {
-        if let Some(inst) = self.arena.instantiate(id, disepc, trigger, trigger_pc) {
-            return Ok(inst);
-        }
-        let (spec, _) = self.controller.resolve_spec(id)?;
-        spec.insts
-            .get(disepc as usize)
-            .ok_or(CoreError::UnknownSequence(id))?
-            .instantiate(trigger, trigger_pc)
-    }
-
-    /// Whole-sequence [`DiseEngine::instantiate_block`]: appends sequence
-    /// `id` instantiated against `trigger` to `out` with one arena slice
-    /// copy plus in-place fixups, returning its length. `None` when the
-    /// sequence is not arena-baked (arena disabled, over-long, or a fixup
-    /// that cannot resolve) — callers fall back to the per-µop path.
-    pub fn instantiate_block_span(
-        &self,
-        id: ReplacementId,
-        trigger: &Inst,
-        trigger_pc: u64,
-        out: &mut Vec<Inst>,
-    ) -> Option<u8> {
-        self.arena.instantiate_span(id, trigger, trigger_pc, out)
-    }
-
-    /// Replays the inspection a baked `Expand` outcome skipped: the RT
-    /// reference for `(id, 0)` with its LRU effect, plus the inspected /
-    /// expansion statistics the slow path would have accumulated. Returns
-    /// `false` (leaving all statistics untouched) when the sequence head
-    /// is no longer RT-resident — the caller must then take the live
-    /// [`DiseEngine::inspect_decoded`] path, which models the refill.
-    pub fn block_expand_hit(&mut self, id: ReplacementId, len: u8) -> bool {
-        if !self.rt.touch(id, 0) {
-            return false;
-        }
-        self.stats.inspected += 1;
-        self.stats.expansions += 1;
-        self.stats.replacement_insts += len as u64;
-        true
-    }
-
-    /// Replays the RT reference a baked replacement instruction skipped:
-    /// the `contains` + `get` pair of [`DiseEngine::fetch_replacement`]
-    /// collapses to one LRU touch of `(id, disepc)`. Returns `false` when
-    /// the entry was evicted since the block was translated — the caller
-    /// must then take the live fetch path, which models the refill miss.
-    #[inline]
-    pub fn block_replacement_hit(&mut self, id: ReplacementId, disepc: u8) -> bool {
-        self.rt.touch(id, disepc)
-    }
-
-    /// [`DiseEngine::block_expand_hit`], additionally reporting *which*
-    /// physical RT slot the entry reference touched (or
-    /// [`RT_NO_SLOT`] on a perfect RT, which has no slots to stamp).
-    /// `None` means a miss: no statistics were accumulated and the caller
-    /// must take the live inspect path. The returned slot may be replayed
-    /// via [`DiseEngine::block_expand_stamp`], which re-verifies it
-    /// against the slot's key on every use.
-    #[inline]
-    pub fn block_expand_hit_slot(&mut self, id: ReplacementId, len: u8) -> Option<u32> {
-        let slot = self.rt.touch_slot(id, 0)?;
-        self.stats.inspected += 1;
-        self.stats.expansions += 1;
-        self.stats.replacement_insts += len as u64;
-        Some(slot)
-    }
-
-    /// [`DiseEngine::block_replacement_hit`], additionally reporting the
-    /// touched slot under the same contract as
-    /// [`DiseEngine::block_expand_hit_slot`].
-    #[inline]
-    pub fn block_replacement_hit_slot(&mut self, id: ReplacementId, disepc: u8) -> Option<u32> {
-        self.rt.touch_slot(id, disepc)
-    }
-
-    /// Replays [`DiseEngine::block_expand_hit`] through a slot index
-    /// previously obtained from [`DiseEngine::block_expand_hit_slot`]:
-    /// one verify-compare and an indexed LRU stamp plus the inspection
-    /// statistics, with no set search. The verify makes cached slots
-    /// self-validating — a fill that replaced the slot simply fails the
-    /// compare (returning `false`, no state changed) and the caller
-    /// falls back to the searching hit path.
-    #[inline]
-    pub fn block_expand_stamp(&mut self, slot: u32, id: ReplacementId, len: u8) -> bool {
-        if !self.rt.stamp_verified(slot, id, 0) {
-            return false;
-        }
-        self.stats.inspected += 1;
-        self.stats.expansions += 1;
-        self.stats.replacement_insts += len as u64;
-        true
-    }
-
-    /// Replays [`DiseEngine::block_replacement_hit`] through a cached
-    /// slot index; same self-validating contract as
-    /// [`DiseEngine::block_expand_stamp`].
-    #[inline]
-    pub fn block_replacement_stamp(&mut self, slot: u32, id: ReplacementId, disepc: u8) -> bool {
-        self.rt.stamp_verified(slot, id, disepc)
-    }
-
-    /// Read-only verification that every recorded touch plan of a
-    /// straight expand group still holds its RT entry: `plans[d]` must be
-    /// nonzero and slot `plans[d] - 1` must hold `(id, d)`'s block. No
-    /// LRU effect — the caller then replays the reference string with
-    /// [`DiseEngine::block_group_enter`] + [`DiseEngine::block_stamp_unchecked`]
-    /// in the per-µop order. Sound because nothing between the verify and
-    /// the stamps can change RT keys: stamps only move LRU state, and
-    /// straight groups execute no instruction that reaches the engine.
-    #[inline]
-    pub fn block_group_verify(&self, id: ReplacementId, plans: &[u32]) -> bool {
-        plans
-            .iter()
-            .enumerate()
-            .all(|(d, &p)| p != 0 && self.rt.slot_holds(p - 1, id, d as u8))
-    }
-
-    /// Read-only entry-only verification (solo groups skip the per-µop
-    /// replay, so only `(id, 0)`'s plan needs to hold).
-    #[inline]
-    pub fn block_entry_holds(&self, slot: u32, id: ReplacementId) -> bool {
-        self.rt.slot_holds(slot, id, 0)
-    }
-
-    /// Entry half of a verified group's replay: the group-entry
-    /// inspection statistics of [`DiseEngine::block_expand_stamp`] plus
-    /// the entry slot's LRU stamp. Must follow a successful
-    /// [`DiseEngine::block_group_verify`] / [`DiseEngine::block_entry_holds`].
-    #[inline]
-    pub fn block_group_enter(&mut self, slot: u32, len: u8) {
-        self.rt.stamp_slot(slot);
-        self.stats.inspected += 1;
-        self.stats.expansions += 1;
-        self.stats.replacement_insts += len as u64;
-    }
-
-    /// Per-µop half of a verified group's replay: stamps a slot already
-    /// verified by [`DiseEngine::block_group_verify`], with exactly the
-    /// LRU effect of [`DiseEngine::block_replacement_stamp`]'s success
-    /// path and no key re-check.
-    #[inline]
-    pub fn block_stamp_unchecked(&mut self, slot: u32) {
-        self.rt.stamp_slot(slot);
-    }
-
-    /// [`DiseEngine::block_group_enter`] without the LRU stamp, for
-    /// statically conflict-free RTs (see [`DiseEngine::rt_static`]):
-    /// when no fill can ever evict, stamps only feed a victim choice
-    /// that is never made, so the group replay reduces to its
-    /// inspection statistics.
-    #[inline]
-    pub fn block_group_enter_static(&mut self, len: u8) {
-        self.stats.inspected += 1;
-        self.stats.expansions += 1;
-        self.stats.replacement_insts += len as u64;
-    }
-
-    /// [`DiseEngine::block_group_enter_static`] for a whole straight
-    /// segment at once: `expands` verified expansion groups totalling
-    /// `repl` replacement instructions retire in one statistics update
-    /// (the executor precomputed both at translation time). Only valid
-    /// on a statically conflict-free RT, where the skipped stamps are
-    /// provably unobservable.
-    #[inline]
-    pub fn block_segment_enter(&mut self, expands: u64, repl: u64) {
-        self.stats.inspected += expands;
-        self.stats.expansions += expands;
-        self.stats.replacement_insts += repl;
-    }
-
-    /// Whole-group replay of a verified multi-block straight group's RT
-    /// reference string in one call: the entry stamp and statistics of
-    /// [`DiseEngine::block_group_enter`] followed by every per-µop stamp
-    /// of [`DiseEngine::block_stamp_unchecked`], in the slow path's
-    /// exact order. Stamps commute with the group's µop execution
-    /// (straight groups execute nothing that reaches the engine), so
-    /// hoisting them above it leaves RT state bit-identical while the
-    /// executor's µop loop runs engine-free.
-    #[inline]
-    pub fn block_group_replay(&mut self, plans: &[u32], len: u8) {
-        self.rt.stamp_slot(plans[0] - 1);
-        self.stats.inspected += 1;
-        self.stats.expansions += 1;
-        self.stats.replacement_insts += len as u64;
-        for &p in plans {
-            self.rt.stamp_slot(p - 1);
-        }
-    }
-
-    /// True when a length-`len` sequence's every RT reference lands on
-    /// the block already touched by [`DiseEngine::block_expand_hit`] —
-    /// i.e. the executor may skip the per-µop
-    /// [`DiseEngine::block_replacement_hit`] replay after an entry hit:
-    ///
-    /// * perfect RT: touches never mutate (no LRU), and residency is
-    ///   whole-sequence (fills insert and invalidations remove every
-    ///   block of `id` together), so an entry hit implies every µop hits
-    ///   and no replay has an effect;
-    /// * `len <= rt_block`: the sequence occupies the single block the
-    ///   entry touch already moved to MRU; repeated touches of an MRU
-    ///   entry are no-ops, and no fill can intervene mid-group, so the
-    ///   dynamic path through the sequence (DISE jumps, early exits)
-    ///   cannot change which blocks get referenced.
-    ///
-    /// Multi-block sequences on a finite RT must take the per-µop path:
-    /// which blocks the slow path references, and in what order, depends
-    /// on the dynamic path.
-    pub fn single_block_sequences(&self, len: u8) -> bool {
-        match self.config.rt_org {
-            RtOrganization::Perfect => true,
-            _ => len as usize <= self.rt.block(),
-        }
-    }
-
-    /// Credits `n` inspections accumulated by a block executor for
-    /// pass-through instructions (the slow path counts one per fetched
-    /// instruction; a block counts locally and flushes at block exits).
-    #[inline]
-    pub fn add_inspected(&mut self, n: u64) {
-        self.stats.inspected += n;
     }
 
     /// Inspects one fetched instruction (every fetched instruction passes
@@ -1596,11 +836,6 @@ impl DiseEngine {
             self.stats.rt_misses += 1;
             self.stats.stall_cycles += penalty;
         }
-        // The RT `get` already has the spec in hand, so the directive
-        // walk is the cheapest instantiation here — the arena's packed
-        // rows pay off in the whole-sequence paths
-        // ([`DiseEngine::instantiate_block_span`]), not per µop on top
-        // of a completed RT reference.
         let (spec, _) = self
             .rt
             .get(id, disepc)
@@ -1677,9 +912,6 @@ impl DiseEngine {
         // previously memoized `None` outcomes may now expand.
         self.detach_shared();
         self.invalidate_memos();
-        self.rebuild_arena();
-        self.recompute_rt_static();
-        self.generation += 1;
         Ok(id)
     }
 
@@ -1712,9 +944,6 @@ impl DiseEngine {
         // `id` are stale: the sequence itself changed.
         self.detach_shared();
         self.invalidate_memos();
-        self.rebuild_arena();
-        self.recompute_rt_static();
-        self.generation += 1;
         Ok(id)
     }
 
@@ -1734,8 +963,6 @@ impl DiseEngine {
         }
         self.rt = RtStore::new(&self.config);
         self.invalidate_memos();
-        self.recompute_rt_static();
-        self.generation += 1;
     }
 
     fn fill_pt(&mut self, op: Op) -> u64 {
@@ -1762,11 +989,10 @@ impl DiseEngine {
                 self.counters[o.number() as usize].1 += 1;
             }
         }
-        // Residency changed, so memoized inspect outcomes are stale —
-        // and so are externally baked blocks (the fill may have evicted
-        // patterns for *other* opcodes, flipping their counters).
+        // Residency changed, so memoized inspect outcomes are stale (the
+        // fill may have evicted patterns for *other* opcodes, flipping
+        // their counters).
         self.invalidate_memos();
-        self.generation += 1;
         self.config.miss_penalty
     }
 
@@ -1791,42 +1017,29 @@ impl DiseEngine {
     /// residency, RT keys/LRU state, and statistics. Replacement-sequence
     /// payloads are deliberately **not** exported — they are a pure
     /// function of the (immutable, fingerprint-identified) production
-    /// set and are re-derived on [`DiseEngine::import_state`]. Memos,
-    /// the spec arena, and the shared frontend are likewise excluded:
-    /// they are rebuildable caches, and the import bumps
-    /// [`DiseEngine::generation`] so no externally baked translation
-    /// survives either.
+    /// set and are re-derived on [`DiseEngine::import_state`]. Memos and
+    /// the shared frontend are likewise excluded: they are rebuildable
+    /// caches.
     pub fn export_state(&self) -> EngineState {
         let rt = match &self.rt {
             RtStore::Cache { keys, stamps, .. } => {
                 // Canonical LRU form. The victim choice is the minimum
                 // stamp among a set's occupied slots, so only the
-                // *relative order* of stamps is observable — raw tick
-                // values legitimately differ between the per-µop path
-                // and the block executor's batched replays (which skip
-                // provably order-preserving MRU re-stamps). Densely
+                // *relative order* of stamps is observable. Densely
                 // re-ranking the stamps makes behaviorally identical
-                // engines export identical state. On a statically
-                // conflict-free RT the victim choice is never made at
-                // all, so the stamps are dead state and export as
-                // zeros.
-                let (stamps, clock) = if self.rt_static {
-                    (vec![0; stamps.len()], 0)
-                } else {
-                    let mut order: Vec<usize> =
-                        (0..stamps.len()).filter(|&i| keys[i] != 0).collect();
-                    order.sort_unstable_by_key(|&i| stamps[i]);
-                    let mut ranked = vec![0u64; stamps.len()];
-                    for (rank, &i) in order.iter().enumerate() {
-                        ranked[i] = rank as u64 + 1;
-                    }
-                    let clock = order.len() as u64;
-                    (ranked, clock)
-                };
+                // engines export identical state whatever their raw
+                // tick values.
+                let mut order: Vec<usize> =
+                    (0..stamps.len()).filter(|&i| keys[i] != 0).collect();
+                order.sort_unstable_by_key(|&i| stamps[i]);
+                let mut ranked = vec![0u64; stamps.len()];
+                for (rank, &i) in order.iter().enumerate() {
+                    ranked[i] = rank as u64 + 1;
+                }
                 RtState::Cache {
                     keys: keys.clone(),
-                    stamps,
-                    clock,
+                    stamps: ranked,
+                    clock: order.len() as u64,
                 }
             }
             RtStore::Perfect { map, .. } => {
@@ -1854,8 +1067,7 @@ impl DiseEngine {
     /// form [`DiseEngine::export_state`] produces. Victim choice only
     /// compares stamps, so every future hit/miss/victim decision is
     /// bit-identical to the uninterrupted engine. All memos are dropped
-    /// and the generation is bumped: caches rebuild cold, stale
-    /// translations cannot survive.
+    /// and rebuild cold.
     ///
     /// # Errors
     ///
@@ -1993,8 +1205,6 @@ impl DiseEngine {
         self.rt = rt;
         self.stats = state.stats;
         self.invalidate_memos();
-        self.recompute_rt_static();
-        self.generation += 1;
         Ok(())
     }
 }
@@ -2013,11 +1223,9 @@ pub enum RtState {
         keys: Vec<u64>,
         /// LRU stamps, parallel to `keys`, in canonical form: occupied
         /// slots hold their dense recency rank (`1` = LRU-most across
-        /// the whole table), empty slots hold `0`, and a statically
-        /// conflict-free RT — whose stamps are dead state — exports all
-        /// zeros. Only the relative order is ever observed (the fill
-        /// victim is a set's minimum stamp), so ranks replay the exact
-        /// live behavior.
+        /// the whole table) and empty slots hold `0`. Only the relative
+        /// order is ever observed (the fill victim is a set's minimum
+        /// stamp), so ranks replay the exact live behavior.
         stamps: Vec<u64>,
         /// Reference tick feeding post-restore stamps: the number of
         /// ranked (occupied) slots in canonical form.
@@ -2689,165 +1897,6 @@ mod tests {
     }
 
     #[test]
-    fn generation_tracks_outcome_changing_events_only() {
-        let mut e = engine_with_store_rule(EngineConfig::default());
-        let g0 = e.generation();
-        let st = i("stq r1, 0(r2)");
-        let _ = e.inspect(&st); // PT miss: fill bumps
-        assert_eq!(e.generation(), g0 + 1);
-        let _ = e.inspect(&st); // RT miss: fill must NOT bump
-        assert_eq!(e.generation(), g0 + 1);
-        assert!(matches!(e.inspect(&st), Expansion::Expand { .. }));
-        assert_eq!(e.generation(), g0 + 1);
-        e.context_switch();
-        assert_eq!(e.generation(), g0 + 2);
-        e.install_transparent(
-            Pattern::opclass(OpClass::Store).with_rs(Reg::SP),
-            ReplacementSpec::identity(),
-        )
-        .unwrap();
-        assert_eq!(e.generation(), g0 + 3);
-        e.install_aware(Op::Cw0, 1, two_inst_spec()).unwrap();
-        assert_eq!(e.generation(), g0 + 4);
-    }
-
-    #[test]
-    fn block_outcome_matches_steady_state_inspect() {
-        let mut set = ProductionSet::new();
-        set.add_transparent(Pattern::opclass(OpClass::Store), two_inst_spec())
-            .unwrap();
-        set.add_aware(Op::Cw0, 3, two_inst_spec()).unwrap();
-        let mut e = DiseEngine::with_productions(EngineConfig::default(), set).unwrap();
-        let st = i("stq r1, 0(r2)");
-        let cw = Inst::codeword(Op::Cw0, 0, 4, 0, 3);
-        let bad = Inst::codeword(Op::Cw0, 0, 0, 0, 9);
-        // Cold counters: not bakeable.
-        assert_eq!(e.block_outcome(&st), BlockOutcome::NotReady);
-        // Uncovered opcodes are bakeable pass-throughs even when cold.
-        assert_eq!(e.block_outcome(&i("nop")), BlockOutcome::Pass);
-        // Warm the PT, then the outcomes must agree with `inspect`.
-        while matches!(e.inspect(&st), Expansion::Miss { .. }) {}
-        let Expansion::Expand { id, len } = e.inspect(&st) else {
-            panic!()
-        };
-        assert_eq!(e.block_outcome(&st), BlockOutcome::Expand { id, len });
-        assert_eq!(e.block_outcome(&i("ldq r1, 0(r2)")), BlockOutcome::Pass);
-        while matches!(e.inspect(&cw), Expansion::Miss { .. }) {}
-        assert!(matches!(e.block_outcome(&cw), BlockOutcome::Expand { len: 2, .. }));
-        assert_eq!(e.block_outcome(&bad), BlockOutcome::Fault);
-        // The probe mutated nothing: generation and stats are untouched
-        // by block_outcome itself.
-        let stats = e.stats();
-        let generation = e.generation();
-        let _ = e.block_outcome(&st);
-        assert_eq!((e.stats(), e.generation()), (stats, generation));
-    }
-
-    #[test]
-    fn block_replay_is_bit_identical_to_inspect_and_fetch() {
-        // Drive a slow-path engine with the live loop and a second engine
-        // with the baked replay hooks; stats and LRU-observable miss
-        // behavior must match on a thrash-prone direct-mapped RT.
-        let config = EngineConfig {
-            rt_entries: 4,
-            rt_org: RtOrganization::DirectMapped,
-            ..EngineConfig::default()
-        };
-        // Codewords carry no T.RS, so the sequences address their
-        // trigger through codeword parameters.
-        let param_spec = || {
-            ReplacementSpec::new(vec![
-                InstSpec::Templated {
-                    op: OpDirective::Literal(Op::Srl),
-                    ra: RegDirective::Param(0),
-                    rb: RegDirective::Literal(Reg::ZERO),
-                    rc: RegDirective::Literal(Reg::dr(1)),
-                    imm: ImmDirective::Literal(26),
-                    uses_lit: true,
-                    dise_branch: false,
-                },
-                InstSpec::Templated {
-                    op: OpDirective::Literal(Op::Addq),
-                    ra: RegDirective::Literal(Reg::dr(1)),
-                    rb: RegDirective::Literal(Reg::ZERO),
-                    rc: RegDirective::Literal(Reg::dr(2)),
-                    imm: ImmDirective::Literal(1),
-                    uses_lit: true,
-                    dise_branch: false,
-                },
-            ])
-        };
-        let build = || {
-            let mut set = ProductionSet::new();
-            set.add_aware(Op::Cw0, 0, param_spec()).unwrap();
-            set.add_aware(Op::Cw0, 1, param_spec()).unwrap();
-            set
-        };
-        let mut live = DiseEngine::with_productions(config.slow_path(), build()).unwrap();
-        let mut baked = DiseEngine::with_productions(config, build()).unwrap();
-        let cws = [
-            Inst::codeword(Op::Cw0, 0, 2, 0, 0),
-            Inst::codeword(Op::Cw0, 0, 2, 0, 1),
-        ];
-        // Warm both PTs (one fill each; generations advance in lockstep).
-        assert!(matches!(live.inspect(&cws[0]), Expansion::Miss { .. }));
-        assert!(matches!(
-            baked.inspect_decoded(&cws[0], cws[0].encode().unwrap()),
-            Expansion::Miss { .. }
-        ));
-        // Translate once per codeword under the now-stable generation.
-        let outcome: Vec<(ReplacementId, u8)> = cws
-            .iter()
-            .map(|cw| match baked.block_outcome(cw) {
-                BlockOutcome::Expand { id, len } => (id, len),
-                other => panic!("{other:?}"),
-            })
-            .collect();
-        let generation = baked.generation();
-        for round in 0..6 {
-            for (cw, (id, len)) in cws.iter().zip(&outcome) {
-                let raw = cw.encode().unwrap();
-                // Live reference: inspect loop + per-DISEPC fetches.
-                loop {
-                    match live.inspect(cw) {
-                        Expansion::Miss { .. } => continue,
-                        Expansion::Expand { .. } => break,
-                        other => panic!("{other:?}"),
-                    }
-                }
-                for d in 0..*len {
-                    live.fetch_replacement(*id, d, cw, 0x1000).unwrap();
-                }
-                // Baked replay: hooks, with the live path on RT loss.
-                if !baked.block_expand_hit(*id, *len) {
-                    loop {
-                        match baked.inspect_decoded(cw, raw) {
-                            Expansion::Miss { .. } => continue,
-                            Expansion::Expand { .. } => break,
-                            other => panic!("{other:?}"),
-                        }
-                    }
-                }
-                for d in 0..*len {
-                    let inst = baked.instantiate_block(*id, d, cw, 0x1000).unwrap();
-                    if !baked.block_replacement_hit(*id, d) {
-                        assert_eq!(
-                            baked
-                                .fetch_replacement_decoded(*id, d, cw, raw, 0x1000)
-                                .unwrap(),
-                            inst,
-                            "round {round} disepc {d}: baked inst diverged"
-                        );
-                    }
-                }
-                assert_eq!(baked.generation(), generation, "RT fills must not bump");
-            }
-            assert_eq!(baked.stats(), live.stats(), "round {round}");
-        }
-        assert!(baked.stats().rt_misses > 2, "RT was supposed to thrash");
-    }
-
-    #[test]
     fn stats_track_replacement_volume() {
         let mut e = engine_with_store_rule(EngineConfig::default());
         let st = i("stq r1, 0(r2)");
@@ -2865,9 +1914,7 @@ mod tests {
     /// Warm an engine (PT + RT resident, stats accumulated), export, and
     /// import into a freshly constructed twin: every observable —
     /// inspection outcomes, fetched replacements, statistics, and the
-    /// re-exported state itself — must match the original, and the
-    /// import must bump the generation so stale external translations
-    /// die.
+    /// re-exported state itself — must match the original.
     #[test]
     fn export_import_round_trips_bit_identically() {
         let configs = [
@@ -2896,9 +1943,7 @@ mod tests {
             let state = warm.export_state();
 
             let mut cold = engine_with_store_rule(config);
-            let g0 = cold.generation();
             cold.import_state(&state).unwrap();
-            assert!(cold.generation() > g0, "{config:?}: generation must bump");
             assert_eq!(cold.stats(), warm.stats(), "{config:?}: stats");
             assert_eq!(
                 cold.export_state(),

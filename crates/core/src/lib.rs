@@ -82,8 +82,7 @@ pub mod spec;
 
 pub use controller::{Controller, MissKind};
 pub use engine::{
-    acf_arena_env, parse_acf_arena, BlockOutcome, DiseEngine, EngineConfig, EngineState,
-    EngineStats, Expansion, RtOrganization, RtState,
+    DiseEngine, EngineConfig, EngineState, EngineStats, Expansion, RtOrganization, RtState,
 };
 pub use frontend::SharedFrontend;
 pub use fxhash::{FxHashMap, FxHasher};

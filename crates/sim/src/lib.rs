@@ -48,7 +48,6 @@
 //! ```
 
 pub mod arena;
-pub mod block;
 pub mod bpred;
 pub mod cache;
 pub mod machine;
@@ -58,10 +57,9 @@ pub mod ring;
 pub mod snapshot;
 pub mod telemetry;
 
-pub use block::BlockStats;
 pub use bpred::{BpredConfig, BranchPredictor};
 pub use cache::{Cache, CacheConfig, MemoryHierarchy, MemoryHierarchyConfig};
-pub use machine::{parse_block_cache, DedicatedDict, Machine, MachineConfig, RunResult, StepInfo};
+pub use machine::{DedicatedDict, Machine, MachineConfig, RunResult, StepInfo};
 pub use mem::Memory;
 pub use pipeline::{ExpansionCost, SimConfig, SimResult, SimStats, Simulator};
 pub use snapshot::{

@@ -18,7 +18,6 @@
 //! modeling the dedicated decoder-based decompressor the paper compares
 //! against (§4.2).
 
-use crate::block::{self, BlockCache, BlockStats, GroupKind};
 use crate::mem::Memory;
 use crate::{Result, SimError};
 use dise_core::{DiseEngine, Expansion};
@@ -97,16 +96,6 @@ pub struct MachineConfig {
     /// simulation-speed knob: results, statistics, and error behavior are
     /// bit-identical with it off.
     pub fast_path: bool,
-    /// Use the translated-execution block cache in [`Machine::run`]
-    /// (see [`crate::block`]): basic blocks are translated once into flat
-    /// µop buffers — DISE expansions inlined, operands pre-resolved — and
-    /// executed directly, falling back to per-instruction stepping at
-    /// block exits, faults, and unresolved control flow. Requires
-    /// `fast_path` (blocks are built over the predecode table). Like
-    /// `fast_path`, purely a speed knob: results, statistics, and error
-    /// behavior are bit-identical with it off. Defaults to the
-    /// `DISE_BLOCK_CACHE` environment setting (`on` unless set to `off`).
-    pub block_cache: bool,
 }
 
 impl Default for MachineConfig {
@@ -114,51 +103,17 @@ impl Default for MachineConfig {
         MachineConfig {
             stack_size: 1 << 20,
             fast_path: true,
-            block_cache: block_cache_env(),
         }
     }
 }
 
 impl MachineConfig {
-    /// Disables the fast path (predecode + engine memoization + block
-    /// translation) — used by differential tests and honest baseline
-    /// measurements.
+    /// Disables the fast path (predecode + engine memoization) — used by
+    /// differential tests and honest baseline measurements.
     pub fn slow_path(mut self) -> MachineConfig {
         self.fast_path = false;
-        self.block_cache = false;
         self
     }
-}
-
-/// Parses a `DISE_BLOCK_CACHE` setting: `"on"` enables the translated-
-/// execution block cache, `"off"` disables it (forcing per-instruction
-/// interpretation in [`Machine::run`]).
-///
-/// # Errors
-///
-/// Any other value is rejected with an actionable message.
-pub fn parse_block_cache(v: &str) -> std::result::Result<bool, String> {
-    match v {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        _ => Err(format!(
-            "DISE_BLOCK_CACHE must be \"on\" or \"off\", got {v:?}; unset it to use the default (on)"
-        )),
-    }
-}
-
-/// The process-wide `DISE_BLOCK_CACHE` default (read once). Panics with
-/// the [`parse_block_cache`] message on an invalid setting — a silently
-/// ignored typo would miscredit every benchmark run after it.
-fn block_cache_env() -> bool {
-    static ENV_GATE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENV_GATE.get_or_init(|| match std::env::var("DISE_BLOCK_CACHE") {
-        Ok(v) => match parse_block_cache(&v) {
-            Ok(enabled) => enabled,
-            Err(why) => panic!("{why}"),
-        },
-        Err(_) => true,
-    })
 }
 
 /// What kind of control transfer a retired instruction performed.
@@ -168,20 +123,6 @@ enum Ctrl {
     AppJump(u64),
     DiseJump(u8),
     Halt,
-}
-
-/// Why [`Machine::exec_block`] returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BlockExit {
-    /// Control left the block at a fetch boundary — look up the next
-    /// block at the (already updated) PC.
-    Chain,
-    /// Fuel ran out or the machine halted; `(PC, DISEPC, exp)` carry the
-    /// exact resume state.
-    Suspend,
-    /// Execution must continue on the per-instruction path (defensive
-    /// divergence escape).
-    Fallback,
 }
 
 /// Everything the timing model needs to know about one retired dynamic
@@ -324,13 +265,6 @@ pub struct Machine {
     halted: bool,
     total_insts: u64,
     app_insts: u64,
-    /// Whether [`Machine::run`] may use the translated-execution block
-    /// cache (config gate; the cache itself is built lazily).
-    block_cache: bool,
-    /// The translated-block cache, built on first use and dropped when an
-    /// engine or dictionary is (re)attached — translations bake their
-    /// outcomes.
-    blocks: Option<BlockCache>,
 }
 
 impl Machine {
@@ -358,8 +292,6 @@ impl Machine {
             halted: false,
             total_insts: 0,
             app_insts: 0,
-            block_cache: config.fast_path && config.block_cache,
-            blocks: None,
             predecode: config.fast_path.then(|| crate::arena::predecode_for(program)),
             program: program.clone(),
         }
@@ -382,16 +314,11 @@ impl Machine {
                 engine.controller(),
             ));
         }
-        // Blocks translated against the previous engine (or none) baked
-        // its outcomes; drop them.
-        self.blocks = None;
         self.engine = Some(engine);
     }
 
     /// Attaches a dedicated-decompressor dictionary for 2-byte codewords.
     pub fn attach_dedicated(&mut self, dict: DedicatedDict) {
-        // Blocks baked against the previous dictionary are stale.
-        self.blocks = None;
         self.dedicated = Some(dict);
     }
 
@@ -405,16 +332,10 @@ impl Machine {
         self.engine.as_mut()
     }
 
-    /// Block-cache telemetry (hits / misses / invalidations / fallbacks).
-    /// All zeros when the cache is disabled or was never exercised.
-    pub fn block_stats(&self) -> BlockStats {
-        self.blocks.as_ref().map(|c| c.stats).unwrap_or_default()
-    }
-
     /// Serializes the machine's mutable state (see [`crate::snapshot`]).
     /// The program, production set and dedicated dictionary are recorded
-    /// as fingerprints only; the predecode table and block cache are
-    /// derived state and not recorded at all.
+    /// as fingerprints only; the predecode table is derived state and not
+    /// recorded at all.
     pub(crate) fn save_state(&self, w: &mut crate::snapshot::Writer) {
         w.u64(crate::arena::program_fingerprint(&self.program));
         match &self.engine {
@@ -591,9 +512,7 @@ impl Machine {
 
     /// Installs a parsed state. The engine import validates before it
     /// mutates and everything after it is infallible, so a failure here
-    /// leaves the machine untouched. The block cache is dropped — the
-    /// engine bumps its generation on import, so stale translations
-    /// cannot survive even if one were kept.
+    /// leaves the machine untouched.
     pub(crate) fn apply_state(&mut self, state: MachineState) -> Result<()> {
         if let Some(engine_state) = &state.engine {
             self.engine
@@ -610,7 +529,6 @@ impl Machine {
         self.app_insts = state.app_insts;
         self.exp = state.exp;
         self.mem = state.mem;
-        self.blocks = None;
         Ok(())
     }
 
@@ -883,13 +801,6 @@ impl Machine {
 
     /// Runs until halt or `max_steps` dynamic instructions.
     ///
-    /// When the block cache is enabled (the default), execution proceeds
-    /// through translated basic blocks wherever the machine sits at a
-    /// fetch boundary (`exp == None`, `DISEPC == 0`), dropping to
-    /// [`Machine::step_into`]-equivalent interpretation everywhere else.
-    /// Results, statistics, error behavior, and the `(PC, DISEPC)` state
-    /// left behind on fuel exhaustion are bit-identical either way.
-    ///
     /// # Errors
     ///
     /// Propagates step errors; returns [`SimError::OutOfFuel`] if the
@@ -897,7 +808,6 @@ impl Machine {
     pub fn run(&mut self, max_steps: u64) -> Result<RunResult> {
         let mut out = StepInfo::default();
         let mut fuel = max_steps;
-        let use_blocks = self.block_cache && self.predecode.is_some();
         loop {
             if self.halted {
                 return Ok(RunResult {
@@ -909,633 +819,18 @@ impl Machine {
             if fuel == 0 {
                 return Err(SimError::OutOfFuel);
             }
-            if use_blocks
-                && self.exp.is_none()
-                && self.disepc == 0
-                && self.run_blocks(&mut fuel)?
-            {
-                continue;
-            }
-            // Interpret one step: mid-sequence resume points, and PCs the
-            // translator could not bake.
             if self.step_inner::<false>(&mut out)? {
                 fuel -= 1;
             }
         }
     }
 
-    /// Executes translated blocks starting at the current PC until fuel
-    /// runs out, the machine halts or suspends mid-sequence, or control
-    /// reaches a PC with nothing bakeable. Returns `Ok(false)` when the
-    /// caller should interpret one step before retrying the block path
-    /// (the progress guarantee that prevents a fallback-marker livelock).
-    fn run_blocks(&mut self, fuel: &mut u64) -> Result<bool> {
-        let mut cache = match self.blocks.take() {
-            Some(c) => c,
-            None => BlockCache::new(self.predecode.as_ref().expect("gated on predecode")),
-        };
-        let r = self.run_blocks_inner(&mut cache, fuel);
-        self.blocks = Some(cache);
-        r
-    }
-
-    fn run_blocks_inner(&mut self, cache: &mut BlockCache, fuel: &mut u64) -> Result<bool> {
-        loop {
-            if *fuel == 0 || self.halted {
-                return Ok(true);
-            }
-            debug_assert!(self.exp.is_none() && self.disepc == 0);
-            let generation = self.engine.as_ref().map_or(0, |e| e.generation());
-            let Some(slot) = cache.slot(self.pc) else {
-                // Outside the text segment: let `step_inner` produce the
-                // exact fetch error.
-                return Ok(false);
-            };
-            match cache.get(slot) {
-                Some(b) if b.generation == generation => cache.stats.hits += 1,
-                existing => {
-                    if existing.is_some() {
-                        cache.stats.invalidations += 1;
-                    }
-                    cache.stats.misses += 1;
-                    let b = block::translate(
-                        self.predecode.as_ref().expect("gated on predecode"),
-                        self.engine.as_ref(),
-                        self.dedicated.as_ref(),
-                        self.pc,
-                        generation,
-                    );
-                    cache.install(slot, b);
-                }
-            }
-            if cache.get(slot).expect("just installed").groups.is_empty() {
-                cache.stats.fallbacks += 1;
-                return Ok(false);
-            }
-            let (blk, stats) = cache.get_mut(slot).expect("just installed");
-            match self.exec_block(blk, stats, fuel)? {
-                BlockExit::Chain => {}
-                BlockExit::Suspend => return Ok(true),
-                BlockExit::Fallback => return Ok(false),
-            }
-        }
-    }
-
-    /// Executes one translated block. Wrapper flushing the pass-through
-    /// inspection credit (the slow path counts one `inspected` per fetched
-    /// instruction; the block path counts locally and flushes on every
-    /// exit, including errors).
-    fn exec_block(
-        &mut self,
-        blk: &mut block::Block,
-        stats: &mut BlockStats,
-        fuel: &mut u64,
-    ) -> Result<BlockExit> {
-        let count_inspected = self.engine.is_some();
-        let mut inspected = 0u64;
-        let r = self.exec_block_inner(blk, stats, fuel, count_inspected, &mut inspected);
-        if inspected > 0 {
-            self.engine
-                .as_mut()
-                .expect("counted only with an engine")
-                .add_inspected(inspected);
-        }
-        r
-    }
-
-    fn exec_block_inner(
-        &mut self,
-        blk: &mut block::Block,
-        stats: &mut BlockStats,
-        fuel: &mut u64,
-        count_inspected: bool,
-        inspected: &mut u64,
-    ) -> Result<BlockExit> {
-        let mut gi = 0usize;
-        while gi < blk.groups.len() {
-            if *fuel == 0 {
-                // Clean fetch boundary: state is exactly the slow path's
-                // after the same number of retired instructions.
-                return Ok(BlockExit::Suspend);
-            }
-            let g = blk.groups[gi];
-            debug_assert_eq!(self.pc, g.pc);
-            // Straight-segment fast path: a translate-time-marked run of
-            // wholly-straight groups retires as one loop over its
-            // contiguous µop span. Every µop is plain dataflow (`exec`
-            // provably returns `Ctrl::Next`, cannot fault, never
-            // observes the PC), so the PC/fuel/counter updates and the
-            // engine's inspection statistics collapse to one batched
-            // update each from the segment's precomputed totals, and the
-            // loop body is nothing but execution. Requires a statically
-            // conflict-free RT when expansions are present (stamps and
-            // key re-verifies are then provably vacuous — see
-            // [`DiseEngine::rt_static`]) and every spanned touch plan
-            // recorded; otherwise the per-group paths below run the
-            // segment's groups one at a time, exactly as before.
-            if g.seg != 0 {
-                let seg = blk.segs[g.seg as usize - 1];
-                if *fuel >= seg.uops as u64
-                    && (seg.expands == 0
-                        || self.engine.as_ref().is_some_and(|e| e.rt_static()))
-                    && blk.seg_plans_ok(gi, seg.groups as usize)
-                {
-                    stats.seg_groups += seg.groups as u64;
-                    if seg.expands > 0 {
-                        stats.planned_groups += seg.expands as u64;
-                        self.engine
-                            .as_mut()
-                            .expect("expand groups need an engine")
-                            .block_segment_enter(seg.expands as u64, seg.repl);
-                    }
-                    if count_inspected {
-                        *inspected += seg.singles as u64;
-                    }
-                    *fuel -= seg.uops as u64;
-                    self.total_insts += seg.uops as u64;
-                    self.app_insts += seg.groups as u64;
-                    let base = g.first as usize;
-                    for i in 0..seg.uops as usize {
-                        // Plain-dataflow µops never read the item size
-                        // (only control transfers compute a next PC).
-                        match self.exec_fast(blk.ops[base + i], 4) {
-                            Ok(ctrl) => {
-                                debug_assert!(matches!(ctrl, Ctrl::Next), "wholly straight")
-                            }
-                            Err(_) => unreachable!("segment µops are plain dataflow"),
-                        }
-                    }
-                    self.pc += seg.advance;
-                    gi += seg.groups as usize;
-                    continue;
-                }
-            }
-            match g.kind {
-                GroupKind::Single { run } => {
-                    // A marked run of straight singles retires in one
-                    // batched loop: every instruction provably produces
-                    // `Ctrl::Next` without observing the PC, so the
-                    // PC/fuel/counter updates collapse to one per run and
-                    // the per-group dispatch disappears. (The defensive
-                    // unwind mirrors the group batches; straight singles
-                    // cannot actually fault.)
-                    let run = run as u64;
-                    if run >= 1 && *fuel >= run {
-                        if count_inspected {
-                            *inspected += run;
-                        }
-                        *fuel -= run;
-                        self.total_insts += run;
-                        self.app_insts += run;
-                        let first = g.first as usize;
-                        for i in 0..run as usize {
-                            match self.exec_fast(blk.ops[first + i], g.fetch_size) {
-                                Ok(ctrl) => {
-                                    debug_assert!(matches!(ctrl, Ctrl::Next), "straight single");
-                                }
-                                Err(e) => {
-                                    let rest = run - i as u64;
-                                    if count_inspected {
-                                        *inspected -= rest - 1;
-                                    }
-                                    *fuel += rest;
-                                    self.total_insts -= rest;
-                                    self.app_insts -= rest;
-                                    self.pc += 4 * i as u64;
-                                    return Err(e);
-                                }
-                            }
-                        }
-                        self.pc += 4 * run;
-                        gi += run as usize;
-                        continue;
-                    }
-                    let inst = blk.ops[g.first as usize];
-                    if count_inspected {
-                        *inspected += 1;
-                    }
-                    let ctrl = self.exec_fast(inst, g.fetch_size)?;
-                    *fuel -= 1;
-                    self.total_insts += 1;
-                    self.app_insts += 1;
-                    match ctrl {
-                        Ctrl::Next => {
-                            self.pc += g.fetch_size;
-                            gi += 1;
-                        }
-                        Ctrl::AppJump(t) => {
-                            self.pc = t;
-                            return Ok(BlockExit::Chain);
-                        }
-                        Ctrl::Halt => {
-                            self.halted = true;
-                            self.exp = None;
-                            return Ok(BlockExit::Suspend);
-                        }
-                        Ctrl::DiseJump(_) => {
-                            unreachable!("translator rejects bare DISE branches")
-                        }
-                    }
-                }
-                GroupKind::Expand {
-                    id,
-                    len,
-                    trigger,
-                    raw,
-                    solo,
-                    straight,
-                } => {
-                    let engine = self.engine.as_mut().expect("Expand group needs engine");
-                    let base = g.first as usize;
-                    // Arena fast path: a straight group (no DISE branches,
-                    // no interior control) whose recorded touch plan fully
-                    // verifies replays the slow path's reference string as
-                    // an upfront read-only verify followed by unchecked
-                    // stamps in per-µop order — bit-identical RT state,
-                    // one branchless run over the arena-baked µops. Any
-                    // verify miss falls through to the general path below,
-                    // which re-searches and re-records exactly as before.
-                    if straight && *fuel >= len as u64 {
-                        let plans = &blk.plan[base..base + len as usize];
-                        // On a statically conflict-free RT
-                        // ([`DiseEngine::rt_static`]) a recorded plan
-                        // slot provably still holds its entry — no fill
-                        // can evict within a generation, and generation
-                        // bumps retranslate the block — so the key
-                        // compares are vacuous and the LRU stamps feed a
-                        // victim choice that is never made. The replay
-                        // then reduces to plan-recorded checks plus the
-                        // inspection statistics.
-                        let rt_static = engine.rt_static();
-                        let verified = plans[0] != 0
-                            && if rt_static {
-                                solo || plans.iter().all(|&p| p != 0)
-                            } else if solo {
-                                engine.block_entry_holds(plans[0] - 1, id)
-                            } else {
-                                engine.block_group_verify(id, plans)
-                            };
-                        if verified {
-                            stats.planned_groups += 1;
-                            // The whole reference string replays before
-                            // the µops run (stamps commute with straight
-                            // execution), and the counters batch to one
-                            // update (unwound on the cold error path), so
-                            // the loop below is pure execution.
-                            if rt_static {
-                                engine.block_group_enter_static(len);
-                            } else if solo {
-                                engine.block_group_enter(plans[0] - 1, len);
-                            } else {
-                                engine.block_group_replay(plans, len);
-                            }
-                            *fuel -= len as u64;
-                            self.total_insts += len as u64;
-                            self.app_insts += 1;
-                            // Interior µops of a straight group are
-                            // architecturally `Ctrl::Next` (the translator
-                            // verified no branch/halt opcodes and no DISE
-                            // branches), so only the last µop's control
-                            // needs dispatching.
-                            let last = len as usize - 1;
-                            for d in 0..last {
-                                match self.exec_fast(blk.ops[base + d], g.fetch_size) {
-                                    Ok(ctrl) => {
-                                        debug_assert!(
-                                            matches!(ctrl, Ctrl::Next),
-                                            "straight-checked"
-                                        );
-                                    }
-                                    Err(e) => {
-                                        self.batch_unwind(fuel, d as u64, len as u64);
-                                        return Err(e);
-                                    }
-                                }
-                            }
-                            let ctrl = match self.exec_fast(blk.ops[base + last], g.fetch_size) {
-                                Ok(ctrl) => ctrl,
-                                Err(e) => {
-                                    self.batch_unwind(fuel, last as u64, len as u64);
-                                    return Err(e);
-                                }
-                            };
-                            match ctrl {
-                                Ctrl::Next => {
-                                    self.pc += g.fetch_size;
-                                    gi += 1;
-                                }
-                                Ctrl::AppJump(t) => {
-                                    self.pc = t;
-                                    return Ok(BlockExit::Chain);
-                                }
-                                Ctrl::Halt => {
-                                    self.halted = true;
-                                    self.disepc = last as u8;
-                                    self.exp = None;
-                                    return Ok(BlockExit::Suspend);
-                                }
-                                Ctrl::DiseJump(_) => {
-                                    unreachable!("straight groups have no DISE branches")
-                                }
-                            }
-                            continue;
-                        }
-                    }
-                    // Nonzero plan entries replay their RT reference by
-                    // stamping the recorded slot directly — one verify-
-                    // compare against the slot's key instead of a set
-                    // search. Hints self-validate, so a fill that
-                    // replaced the slot just fails the verify and the
-                    // pass re-searches (and re-records) below. Entries
-                    // are recorded lazily, one per executed µop, so
-                    // partially resident or jumpily executed sequences
-                    // still plan the µops they actually run.
-                    let p = blk.plan[base];
-                    if p != 0 && engine.block_expand_stamp(p - 1, id, len) {
-                        stats.planned_groups += 1;
-                    } else {
-                        stats.searched_groups += 1;
-                        // Replay the group-entry inspection (`inspect`'s
-                        // RT reference and statistics); on RT eviction
-                        // model the refill through the live path, exactly
-                        // as the slow path's inspect/stall/re-inspect
-                        // loop would.
-                        match engine.block_expand_hit_slot(id, len) {
-                            // `RT_NO_SLOT` wraps to 0 (= unrecorded): a
-                            // perfect RT has no slots to stamp, so it
-                            // keeps the searching path.
-                            Some(slot) => blk.plan[base] = slot.wrapping_add(1),
-                            None => loop {
-                                match engine.inspect_decoded(&trigger, raw) {
-                                    Expansion::Miss { .. } => continue,
-                                    Expansion::Expand { id: i2, len: l2 } => {
-                                        debug_assert_eq!((i2, l2), (id, len));
-                                        break;
-                                    }
-                                    Expansion::Fault { .. } => {
-                                        return Err(SimError::UnexpandedCodeword {
-                                            pc: self.pc,
-                                        });
-                                    }
-                                    Expansion::None => {
-                                        // A baked outcome diverging under
-                                        // an unchanged generation is
-                                        // impossible by construction;
-                                        // degrade to the interpreter
-                                        // rather than guess.
-                                        debug_assert!(false, "baked expansion diverged");
-                                        return Ok(BlockExit::Fallback);
-                                    }
-                                }
-                            },
-                        }
-                    }
-                    let mut d: u8 = 0;
-                    loop {
-                        // Per-µop RT reference replay (skipped for
-                        // single-block sequences — the entry touch above
-                        // already was the whole reference string); on
-                        // eviction the live fetch models the refill miss
-                        // (and returns the same instruction the
-                        // translator baked).
-                        let inst = if solo {
-                            blk.ops[base + d as usize]
-                        } else {
-                            let engine =
-                                self.engine.as_mut().expect("Expand group needs engine");
-                            let p = blk.plan[base + d as usize];
-                            if p != 0 && engine.block_replacement_stamp(p - 1, id, d) {
-                                blk.ops[base + d as usize]
-                            } else if let Some(slot) = engine.block_replacement_hit_slot(id, d)
-                            {
-                                blk.plan[base + d as usize] = slot.wrapping_add(1);
-                                blk.ops[base + d as usize]
-                            } else {
-                                match engine.fetch_replacement_decoded(id, d, &trigger, raw, g.pc)
-                                {
-                                    Ok(i) => {
-                                        debug_assert_eq!(i, blk.ops[base + d as usize]);
-                                        i
-                                    }
-                                    Err(e) => {
-                                        self.disepc = d;
-                                        self.exp = Some(ExpState::Dise {
-                                            id,
-                                            len,
-                                            trigger,
-                                            raw: Some(raw),
-                                        });
-                                        return Err(e.into());
-                                    }
-                                }
-                            }
-                        };
-                        let ctrl = self.exec_fast(inst, g.fetch_size)?;
-                        *fuel -= 1;
-                        self.total_insts += 1;
-                        if d == 0 {
-                            self.app_insts += 1;
-                        }
-                        match ctrl {
-                            Ctrl::Next => {
-                                if d + 1 < len {
-                                    d += 1;
-                                    if *fuel == 0 {
-                                        self.disepc = d;
-                                        self.exp = Some(ExpState::Dise {
-                                            id,
-                                            len,
-                                            trigger,
-                                            raw: Some(raw),
-                                        });
-                                        return Ok(BlockExit::Suspend);
-                                    }
-                                } else {
-                                    self.pc += g.fetch_size;
-                                    gi += 1;
-                                    break;
-                                }
-                            }
-                            Ctrl::DiseJump(ix) => {
-                                debug_assert!(ix < len, "bake-checked target");
-                                d = ix;
-                                if *fuel == 0 {
-                                    self.disepc = d;
-                                    self.exp = Some(ExpState::Dise {
-                                        id,
-                                        len,
-                                        trigger,
-                                        raw: Some(raw),
-                                    });
-                                    return Ok(BlockExit::Suspend);
-                                }
-                            }
-                            Ctrl::AppJump(t) => {
-                                self.pc = t;
-                                return Ok(BlockExit::Chain);
-                            }
-                            Ctrl::Halt => {
-                                // The slow path leaves DISEPC at the halt
-                                // site (it only clears `exp`).
-                                self.halted = true;
-                                self.disepc = d;
-                                self.exp = None;
-                                return Ok(BlockExit::Suspend);
-                            }
-                        }
-                    }
-                }
-                GroupKind::Dedicated {
-                    ix: dict_ix,
-                    len,
-                    straight,
-                } => {
-                    let base = g.first as usize;
-                    // Straight dedicated groups batch the same way as
-                    // straight expand groups, minus the engine replay
-                    // (dedicated expansion never references the RT).
-                    if straight && *fuel >= len as u64 {
-                        *fuel -= len as u64;
-                        self.total_insts += len as u64;
-                        self.app_insts += 1;
-                        let last = len as usize - 1;
-                        for d in 0..last {
-                            match self.exec_fast(blk.ops[base + d], g.fetch_size) {
-                                Ok(ctrl) => {
-                                    debug_assert!(matches!(ctrl, Ctrl::Next), "straight-checked");
-                                }
-                                Err(e) => {
-                                    self.batch_unwind(fuel, d as u64, len as u64);
-                                    return Err(e);
-                                }
-                            }
-                        }
-                        let ctrl = match self.exec_fast(blk.ops[base + last], g.fetch_size) {
-                            Ok(ctrl) => ctrl,
-                            Err(e) => {
-                                self.batch_unwind(fuel, last as u64, len as u64);
-                                return Err(e);
-                            }
-                        };
-                        match ctrl {
-                            Ctrl::Next => {
-                                self.pc += g.fetch_size;
-                                gi += 1;
-                            }
-                            Ctrl::AppJump(t) => {
-                                self.pc = t;
-                                return Ok(BlockExit::Chain);
-                            }
-                            Ctrl::Halt => {
-                                self.halted = true;
-                                self.disepc = last as u8;
-                                self.exp = None;
-                                return Ok(BlockExit::Suspend);
-                            }
-                            Ctrl::DiseJump(_) => {
-                                unreachable!("straight groups have no DISE branches")
-                            }
-                        }
-                        continue;
-                    }
-                    let mut d: u8 = 0;
-                    loop {
-                        let inst = blk.ops[base + d as usize];
-                        let ctrl = self.exec_fast(inst, g.fetch_size)?;
-                        *fuel -= 1;
-                        self.total_insts += 1;
-                        if d == 0 {
-                            self.app_insts += 1;
-                        }
-                        match ctrl {
-                            Ctrl::Next => {
-                                if d + 1 < len {
-                                    d += 1;
-                                    if *fuel == 0 {
-                                        self.disepc = d;
-                                        self.exp = Some(ExpState::Dedicated { ix: dict_ix });
-                                        return Ok(BlockExit::Suspend);
-                                    }
-                                } else {
-                                    self.pc += g.fetch_size;
-                                    gi += 1;
-                                    break;
-                                }
-                            }
-                            Ctrl::DiseJump(j) => {
-                                debug_assert!(j < len, "bake-checked target");
-                                d = j;
-                                if *fuel == 0 {
-                                    self.disepc = d;
-                                    self.exp = Some(ExpState::Dedicated { ix: dict_ix });
-                                    return Ok(BlockExit::Suspend);
-                                }
-                            }
-                            Ctrl::AppJump(t) => {
-                                self.pc = t;
-                                return Ok(BlockExit::Chain);
-                            }
-                            Ctrl::Halt => {
-                                self.halted = true;
-                                self.disepc = d;
-                                self.exp = None;
-                                return Ok(BlockExit::Suspend);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Fell off the block's end: PC already advanced past the last
-        // group — chain into the next block.
-        Ok(BlockExit::Chain)
-    }
-
-    /// Restores the reference path's counter state after a µop errs
-    /// mid-way through a batched straight group: the batch charged the
-    /// whole group up front, but the slow path charges per µop *after*
-    /// a successful exec, so the erroring µop and everything behind it
-    /// must be refunded. (`executed` = µops fully retired before the
-    /// error.) Keeps machine state bit-identical with the interpreter
-    /// even when a run is inspected after an error.
-    #[cold]
-    fn batch_unwind(&mut self, fuel: &mut u64, executed: u64, group_len: u64) {
-        let rest = group_len - executed;
-        *fuel += rest;
-        self.total_insts -= rest;
-        if executed == 0 {
-            self.app_insts -= 1;
-        }
-    }
-
     /// Executes one instruction's semantics, returning control outcome,
     /// effective address, and taken-ness (for application control).
     fn exec(&mut self, inst: Inst, item_size: u64) -> Result<(Ctrl, Option<u64>, Option<bool>)> {
+        use Op::*;
         let mut mem_addr = None;
         let mut taken = None;
-        let ctrl = self.exec_inner::<true>(inst, item_size, &mut mem_addr, &mut taken)?;
-        Ok((ctrl, mem_addr, taken))
-    }
-
-    /// [`Machine::exec`] without materializing the effective-address and
-    /// taken-ness outputs — the translated-block executors run every
-    /// instruction through here and discard both, and the `TRACK = false`
-    /// monomorphization lets the compiler drop the output stores and the
-    /// aggregate return from the hottest loop in the simulator. Semantics
-    /// are [`Machine::exec`]'s exactly (one shared body).
-    #[inline]
-    fn exec_fast(&mut self, inst: Inst, item_size: u64) -> Result<Ctrl> {
-        self.exec_inner::<false>(inst, item_size, &mut None, &mut None)
-    }
-
-    fn exec_inner<const TRACK: bool>(
-        &mut self,
-        inst: Inst,
-        item_size: u64,
-        mem_addr: &mut Option<u64>,
-        taken: &mut Option<bool>,
-    ) -> Result<Ctrl> {
-        use Op::*;
         let ra = self.reg(inst.ra);
         let rb = self.reg(inst.rb);
         let next_pc = self.pc + item_size;
@@ -1555,43 +850,33 @@ impl Machine {
             }
             Ldl => {
                 let addr = rb.wrapping_add_signed(imm);
-                if TRACK {
-                    *mem_addr = Some(addr);
-                }
+                mem_addr = Some(addr);
                 let v = self.mem.load_u32(addr) as i32 as i64 as u64;
                 self.set_reg(inst.ra, v);
                 Ctrl::Next
             }
             Ldq => {
                 let addr = rb.wrapping_add_signed(imm);
-                if TRACK {
-                    *mem_addr = Some(addr);
-                }
+                mem_addr = Some(addr);
                 let v = self.mem.load_u64(addr);
                 self.set_reg(inst.ra, v);
                 Ctrl::Next
             }
             Stl => {
                 let addr = rb.wrapping_add_signed(imm);
-                if TRACK {
-                    *mem_addr = Some(addr);
-                }
+                mem_addr = Some(addr);
                 self.mem.store_u32(addr, ra as u32);
                 Ctrl::Next
             }
             Stq => {
                 let addr = rb.wrapping_add_signed(imm);
-                if TRACK {
-                    *mem_addr = Some(addr);
-                }
+                mem_addr = Some(addr);
                 self.mem.store_u64(addr, ra);
                 Ctrl::Next
             }
             Br | Bsr => {
                 self.set_reg(inst.ra, next_pc);
-                if TRACK {
-                    *taken = Some(true);
-                }
+                taken = Some(true);
                 Ctrl::AppJump(next_pc.wrapping_add_signed(imm))
             }
             Beq | Bne | Blt | Ble | Bgt | Bge | Blbc | Blbs => {
@@ -1613,9 +898,7 @@ impl Machine {
                         Ctrl::Next
                     }
                 } else {
-                    if TRACK {
-                        *taken = Some(cond);
-                    }
+                    taken = Some(cond);
                     if cond {
                         Ctrl::AppJump(next_pc.wrapping_add_signed(imm))
                     } else {
@@ -1625,9 +908,7 @@ impl Machine {
             }
             Jmp | Jsr | Ret => {
                 self.set_reg(inst.ra, next_pc);
-                if TRACK {
-                    *taken = Some(true);
-                }
+                taken = Some(true);
                 Ctrl::AppJump(rb)
             }
             Addq => {
@@ -1726,7 +1007,7 @@ impl Machine {
                 return Err(SimError::UnexpandedCodeword { pc: self.pc });
             }
         };
-        Ok(ctrl)
+        Ok((ctrl, mem_addr, taken))
     }
 }
 

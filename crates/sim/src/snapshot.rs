@@ -14,11 +14,10 @@
 //! fingerprints the frontend arena keys on — see [`crate::arena`]); the
 //! caller reconstructs the scenario exactly as it would for a fresh run
 //! and restore verifies the fingerprints before injecting anything.
-//! Caches of pure derived state — the translated-block cache, engine
-//! expansion/instantiation memos, block touch plans — are dropped and
-//! rebuilt cold: restoring bumps the engine generation, so no stale
-//! translation can survive, and all of them are bit-identity-neutral by
-//! construction.
+//! Caches of pure derived state — the predecode table and the engine's
+//! expansion/instantiation memos — are not recorded: the memos are
+//! dropped on restore and rebuilt cold, and all of them are
+//! bit-identity-neutral by construction.
 //!
 //! The correctness contract, enforced by `tests/snapshot_resume.rs`:
 //! snapshot → restore → run is byte-identical to the uninterrupted run
@@ -256,8 +255,8 @@ pub fn save_machine(m: &Machine) -> Vec<u8> {
 /// bytes into `m`, which the caller must have constructed exactly as for
 /// a fresh run of the same scenario: same program, same attached engine
 /// (same production set and engine configuration), same dedicated
-/// dictionary. Speed knobs (`fast_path`, `block_cache`, frontend
-/// sharing) may differ — they are bit-identity-neutral by construction.
+/// dictionary. Speed knobs (`fast_path`, frontend sharing) may
+/// differ — they are bit-identity-neutral by construction.
 ///
 /// # Errors
 ///

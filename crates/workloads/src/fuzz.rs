@@ -3,7 +3,7 @@
 //!
 //! Four suites used to carry copy-pasted generators: `tests/props.rs`
 //! (encoding/pattern/compression properties), the predecode round-trip
-//! fuzz in `dise-isa`, the block-cache differential fuzz in `dise-sim`,
+//! fuzz in `dise-isa`, the fast-path differential fuzz in `dise-sim`,
 //! and the compressor differential fuzz in `dise-acf`. They now draw from
 //! this module, as does the snapshot/restore resume fuzz — one generator,
 //! one documented seed corpus, no fifth copy.
@@ -18,7 +18,7 @@
 //! |------------------------------------|-----------------------------------------|
 //! | `tests/props.rs`                   | [`SEED_PROPS`] `^ 0..=7` per property   |
 //! | `dise-isa` predecode fuzz          | [`SEED_PREDECODE`] `^ 0..=1`            |
-//! | `dise-sim` block-cache fuzz        | `0..6`, `10..16`, `20..26`, `30..36` (one decade per RT organization) |
+//! | `dise-sim` fast-path fuzz          | `0..6`, `10..16`, `20..26`, `30..36` (one decade per RT organization) |
 //! | `dise-acf` compressor differential | `0..k`, `10..10+k`, `20..20+k` per benchmark |
 //! | `tests/snapshot_resume.rs`         | [`SEED_SNAPSHOT`] `+ case index`        |
 //!
@@ -195,7 +195,7 @@ pub fn random_items(rng: &mut StdRng) -> Vec<TextItem> {
 }
 
 // ---------------------------------------------------------------------
-// Engine-attached fuzz fixtures (block-cache and snapshot suites)
+// Engine-attached fuzz fixtures (fast-path and snapshot suites)
 
 /// The aware `(cw_op, tag)` pairs [`engine_program`] triggers.
 pub const AWARE_PAIRS: [(Op, u16); 4] = [

@@ -15,6 +15,8 @@
 #             lockstep oracle armed (cache off: warm cells skip
 #             simulation and prove nothing), plus an RT-miss engagement
 #             check on the fig8 cells
+#   fig7    — a fig7 smoke sweep's compression ratios must match
+#             scripts/fig7_smoke_golden.json cell for cell
 #   golden  — the full selection golden-digest matrix under --release
 #             (byte-identical compressor output, every Figure 7
 #             configuration × v1/v2; `ignore`d in debug builds)
@@ -73,23 +75,6 @@ jq -e '([.[] | .["engine.rt_misses"] // 0] | max) > 1000
     rm -rf "$SHADOWTMP"; exit 1; }
 rm -rf "$SHADOWTMP"
 
-echo "== ci: block-cache ablation ($(date)) =="
-# The translated-execution block cache is a pure speed device: one
-# smoke cell with DISE_BLOCK_CACHE=off must produce byte-identical
-# stats-JSON to the default (block cache on). Fresh cache dirs on both
-# sides — a warm cell would replay cached stats without simulating.
-BLKTMP=$(mktemp -d)
-DISE_BENCH_DYN=20000 DISE_BENCH_FILTER=gcc DISE_BENCH_JOBS=2 \
-    DISE_BENCH_CACHE="$BLKTMP/on" \
-    ./target/release/fig6_mfi top --stats-json "$BLKTMP/on.json" > /dev/null
-DISE_BLOCK_CACHE=off DISE_BENCH_DYN=20000 DISE_BENCH_FILTER=gcc \
-    DISE_BENCH_JOBS=2 DISE_BENCH_CACHE="$BLKTMP/off" \
-    ./target/release/fig6_mfi top --stats-json "$BLKTMP/off.json" > /dev/null
-cmp "$BLKTMP/on.json" "$BLKTMP/off.json" || {
-    echo "block-cache-off stats-JSON diverged from the default build"
-    rm -rf "$BLKTMP"; exit 1; }
-rm -rf "$BLKTMP"
-
 echo "== ci: fig7 compression smoke ($(date)) =="
 # Golden compression ratios: dictionary selection is deterministic, so
 # the smoke sweep's acf.compress.total_ratio telemetry must cover the
@@ -99,11 +84,11 @@ echo "== ci: fig7 compression smoke ($(date)) =="
 # an explicit decision in review.
 ACFTMP=$(mktemp -d)
 DISE_BENCH_DYN=20000 DISE_BENCH_FILTER=gzip DISE_BENCH_JOBS=2 \
-    DISE_BENCH_CACHE="$ACFTMP/on" \
-    ./target/release/fig7_compression --stats-json "$ACFTMP/on.json" > /dev/null
+    DISE_BENCH_CACHE="$ACFTMP/cache" \
+    ./target/release/fig7_compression --stats-json "$ACFTMP/fig7.json" > /dev/null
 jq '[to_entries[] | select(.value["acf.compress.total_ratio"] != null)
      | {cell: .key, ratio: .value["acf.compress.total_ratio"]}]' \
-    "$ACFTMP/on.json" > "$ACFTMP/ratios.json"
+    "$ACFTMP/fig7.json" > "$ACFTMP/ratios.json"
 jq -e -n --slurpfile cur "$ACFTMP/ratios.json" \
     --slurpfile gold scripts/fig7_smoke_golden.json '
     ($cur[0] | map({(.cell): .ratio}) | add) as $c |
@@ -112,16 +97,6 @@ jq -e -n --slurpfile cur "$ACFTMP/ratios.json" \
     all($g | keys[]; $c[.] <= $g[.] + 1e-9 and $c[.] >= $g[.] - 1e-9)' \
     > /dev/null || {
     echo "fig7 smoke ratios diverged from scripts/fig7_smoke_golden.json"
-    rm -rf "$ACFTMP"; exit 1; }
-# Arena ablation: the dictionary arena and its batched expansion fast
-# path are pure speed devices — one smoke sweep with DISE_ACF_ARENA=off
-# must produce byte-identical stats-JSON to the default (arena on).
-# Fresh cache dirs on both sides, as for the block-cache ablation.
-DISE_ACF_ARENA=off DISE_BENCH_DYN=20000 DISE_BENCH_FILTER=gzip \
-    DISE_BENCH_JOBS=2 DISE_BENCH_CACHE="$ACFTMP/off" \
-    ./target/release/fig7_compression --stats-json "$ACFTMP/off.json" > /dev/null
-cmp "$ACFTMP/on.json" "$ACFTMP/off.json" || {
-    echo "arena-off stats-JSON diverged from the default (arena on)"
     rm -rf "$ACFTMP"; exit 1; }
 rm -rf "$ACFTMP"
 

@@ -311,7 +311,7 @@ fn mid_macro_body_suspension_survives_restore() {
 }
 
 /// Speed knobs are not part of the contract: a snapshot taken on the
-/// default fast configuration (predecode, block cache, engine memos)
+/// default fast configuration (predecode, engine memos)
 /// restores into a twin built with every speed device off — and still
 /// finishes byte-identical to the fast uninterrupted run.
 #[test]
@@ -333,19 +333,6 @@ fn speed_knobs_are_snapshot_neutral() {
     restore_machine(&mut slow, &snap).unwrap();
     slow.run(u64::MAX).unwrap();
     assert_eq!(save_machine(&slow), ref_bytes, "slow-path twin diverged");
-
-    let no_blocks = MachineConfig {
-        block_cache: false,
-        ..MachineConfig::default()
-    };
-    let mut unblocked = build(Scenario::Mfi, econfig, no_blocks);
-    restore_machine(&mut unblocked, &snap).unwrap();
-    unblocked.run(u64::MAX).unwrap();
-    assert_eq!(
-        save_machine(&unblocked),
-        ref_bytes,
-        "block-cache-off twin diverged"
-    );
 }
 
 /// The shared-frontend arena is likewise snapshot-neutral: a snapshot
