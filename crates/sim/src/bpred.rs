@@ -63,6 +63,9 @@ pub struct BranchPredictor {
     history: u64,
     /// Direct-mapped BTB: `btb[i] = (tag, target)`.
     btb: Vec<(u64, u64)>,
+    /// `btb.len() - 1` when the length is a power of two (index by
+    /// masking instead of dividing).
+    btb_mask: Option<usize>,
     ras: Vec<u64>,
     stats: BpredStats,
 }
@@ -75,6 +78,11 @@ impl BranchPredictor {
             pht: vec![1; 1 << config.gshare_bits],
             history: 0,
             btb: vec![(u64::MAX, 0); config.btb_entries.max(1)],
+            btb_mask: config
+                .btb_entries
+                .max(1)
+                .is_power_of_two()
+                .then(|| config.btb_entries.max(1) - 1),
             ras: Vec::with_capacity(config.ras_depth),
             stats: BpredStats::default(),
         }
@@ -263,7 +271,10 @@ impl BranchPredictor {
         // 2-byte PC granularity, as in `cond_branch`: `>> 2` would map
         // branches 2 bytes apart to the same direct-mapped slot, where
         // the full-PC tags make them evict each other on every access.
-        let ix = (pc as usize >> 1) % self.btb.len();
+        let ix = match self.btb_mask {
+            Some(mask) => (pc as usize >> 1) & mask,
+            None => (pc as usize >> 1) % self.btb.len(),
+        };
         let hit = self.btb[ix] == (pc, target);
         self.btb[ix] = (pc, target);
         hit

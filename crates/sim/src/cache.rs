@@ -175,6 +175,7 @@ impl Cache {
         }
         self.stats.misses += 1;
         // Fill at MRU; the rotate evicts the LRU way once the set is full.
+        // Either way the probed line ends up MRU (see `hit_mru`).
         let new_len = (len + 1).min(self.assoc);
         ways[..new_len].rotate_right(1);
         ways[0] = tag;
@@ -182,10 +183,13 @@ impl Cache {
         false
     }
 
-    /// True if an access spanning `[addr, addr+len)` crosses a line
-    /// boundary (the caller should probe both lines).
-    pub fn straddles(&self, addr: u64, len: u64) -> bool {
-        len > 0 && (addr / self.config.line) != ((addr + len - 1) / self.config.line)
+    /// Counts an access to the line the previous [`Cache::access`]
+    /// probed, without probing again. That line is MRU in its set
+    /// whether the probe hit or filled, so a real probe would hit at way
+    /// 0 and change nothing but the access count.
+    #[inline]
+    fn hit_mru(&mut self) {
+        self.stats.accesses += 1;
     }
 
     /// Serializes occupied sets only (resident tags in MRU order) plus the
@@ -302,7 +306,17 @@ pub struct MemoryHierarchy {
     icache: Cache,
     dcache: Cache,
     l2: Cache,
+    /// log2 of the I-cache line size, when it is a power of two.
+    iline_shift: Option<u32>,
+    /// The I-cache line [`MemoryHierarchy::ifetch`] probed last (a line
+    /// number, not an address), or [`NO_LINE`]. Only `ifetch` touches
+    /// the I-cache, so that line is still MRU and a fetch inside it hits.
+    last_iline: u64,
 }
+
+/// `last_iline` before any fetch: no address maps to it, because a fetch
+/// ending at `u64::MAX` would overflow its end address.
+const NO_LINE: u64 = u64::MAX;
 
 impl MemoryHierarchy {
     /// Creates the hierarchy.
@@ -311,23 +325,52 @@ impl MemoryHierarchy {
             icache: Cache::new(config.icache),
             dcache: Cache::new(config.dcache),
             l2: Cache::new(config.l2),
+            iline_shift: config
+                .icache
+                .line
+                .is_power_of_two()
+                .then(|| config.icache.line.trailing_zeros()),
+            last_iline: NO_LINE,
             config,
         }
     }
 
     /// Instruction fetch of `len` bytes at `addr`: returns total latency.
+    ///
+    /// A fetch inside the line probed last counts one I-cache access and
+    /// hits without probing (see [`Cache::hit_mru`]). Any other
+    /// single-line fetch probes its line directly; a fetch straddling
+    /// lines probes each in address order.
     pub fn ifetch(&mut self, addr: u64, len: u64) -> u64 {
+        let line = self.icache.config().line;
+        let (first, last) = match self.iline_shift {
+            Some(s) => (addr >> s, (addr + len.max(1) - 1) >> s),
+            None => (addr / line, (addr + len.max(1) - 1) / line),
+        };
         let mut latency = self.config.l1_latency;
-        for a in Self::lines_touched(addr, len, self.icache.config().line) {
-            if !self.icache.access(a) {
-                latency += if self.l2.access(a) {
-                    self.config.l2_latency
-                } else {
-                    self.config.l2_latency + self.config.mem_latency
-                };
+        if first != last {
+            for l in first..=last {
+                latency += self.iprobe(l * line);
             }
+        } else if first == self.last_iline {
+            self.icache.hit_mru();
+        } else {
+            latency += self.iprobe(first * line);
         }
+        self.last_iline = last;
         latency
+    }
+
+    /// Probes the I-cache (and on a miss the L2) for the line at `addr`:
+    /// returns the latency beyond an L1 hit.
+    fn iprobe(&mut self, addr: u64) -> u64 {
+        if self.icache.access(addr) {
+            0
+        } else if self.l2.access(addr) {
+            self.config.l2_latency
+        } else {
+            self.config.l2_latency + self.config.mem_latency
+        }
     }
 
     /// Data access at `addr`: returns total latency (loads); stores use the
@@ -340,16 +383,6 @@ impl MemoryHierarchy {
         } else {
             self.config.l1_latency + self.config.l2_latency + self.config.mem_latency
         }
-    }
-
-    fn lines_touched(addr: u64, len: u64, line: u64) -> impl Iterator<Item = u64> {
-        let (first, last) = if line.is_power_of_two() {
-            let s = line.trailing_zeros();
-            (addr >> s, (addr + len.max(1) - 1) >> s)
-        } else {
-            (addr / line, (addr + len.max(1) - 1) / line)
-        };
-        (first..=last).map(move |l| l * line)
     }
 
     /// I-cache statistics.
@@ -387,8 +420,10 @@ impl MemoryHierarchy {
         })
     }
 
-    /// Installs a parsed state.
+    /// Installs a parsed state. The remembered I-cache line is not part
+    /// of it, so the next fetch probes.
     pub(crate) fn apply_state(&mut self, state: HierarchyState) {
+        self.last_iline = NO_LINE;
         self.icache.apply_state(state.icache);
         self.dcache.apply_state(state.dcache);
         self.l2.apply_state(state.l2);
@@ -539,6 +574,106 @@ mod tests {
         // Data access to the same line: D-cache cold but L2 warm.
         assert_eq!(h.daccess(8), 1 + 12);
         assert_eq!(h.daccess(8), 1);
+    }
+
+    /// The probe-every-line formulation `ifetch` replaced: an I-cache
+    /// and an L2 probed with bare [`Cache::access`] calls, one per line
+    /// the fetch touches.
+    struct ReferenceIfetch {
+        config: MemoryHierarchyConfig,
+        icache: Cache,
+        l2: Cache,
+    }
+
+    impl ReferenceIfetch {
+        fn new(config: MemoryHierarchyConfig) -> ReferenceIfetch {
+            ReferenceIfetch {
+                icache: Cache::new(config.icache),
+                l2: Cache::new(config.l2),
+                config,
+            }
+        }
+
+        fn ifetch(&mut self, addr: u64, len: u64) -> u64 {
+            let line = self.config.icache.line;
+            let mut latency = self.config.l1_latency;
+            for l in addr / line..=(addr + len - 1) / line {
+                if !self.icache.access(l * line) {
+                    latency += if self.l2.access(l * line) {
+                        self.config.l2_latency
+                    } else {
+                        self.config.l2_latency + self.config.mem_latency
+                    };
+                }
+            }
+            latency
+        }
+    }
+
+    #[test]
+    fn ifetch_matches_bare_cache_probes() {
+        for icache in [
+            CacheConfig::of_size(8 * 1024),
+            CacheConfig::of_size(32 * 1024),
+            CacheConfig::perfect(),
+        ] {
+            let config = MemoryHierarchyConfig {
+                icache,
+                ..MemoryHierarchyConfig::default()
+            };
+            let mut h = MemoryHierarchy::new(config);
+            let mut reference = ReferenceIfetch::new(config);
+            let (mut straddles, mut same_line) = (0, 0);
+            let mut prev_last = NO_LINE;
+            let mut lcg = 0x9e37_79b9_7f4a_7c15u64;
+            let mut pc = 0x0400_0000u64;
+            for i in 0..60_000u64 {
+                lcg = lcg
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                // Mostly straight-line runs of 2- and 4-byte items at
+                // 2-byte-aligned PCs, with jumps across a 48KB footprint.
+                if lcg >> 60 == 0 {
+                    pc = 0x0400_0000 + (((lcg >> 20) % (48 * 1024)) & !1);
+                }
+                let len = if (lcg >> 40) & 3 == 0 { 2 } else { 4 };
+                let (first, last) = (pc / 64, (pc + len - 1) / 64);
+                straddles += usize::from(first != last);
+                same_line += usize::from(first == last && first == prev_last);
+                prev_last = last;
+                assert_eq!(
+                    h.ifetch(pc, len),
+                    reference.ifetch(pc, len),
+                    "{icache:?}: fetch {i} of {len} bytes at {pc:#x}"
+                );
+                pc += len;
+                if i == 30_000 {
+                    // A save → restore round trip mid-trace forgets the
+                    // remembered line; the next fetch must probe.
+                    let mut w = crate::snapshot::Writer::new();
+                    h.save_state(&mut w);
+                    let bytes = w.into_bytes();
+                    let mut r = crate::snapshot::Reader::new(&bytes);
+                    let state = h.read_state(&mut r).unwrap();
+                    r.finish().unwrap();
+                    h.apply_state(state);
+                    assert_eq!(h.last_iline, NO_LINE);
+                }
+            }
+            assert_eq!(h.icache_stats(), reference.icache.stats(), "{icache:?}");
+            assert_eq!(h.l2_stats(), reference.l2.stats(), "{icache:?}");
+            assert!(
+                straddles > 1000,
+                "{icache:?}: {straddles} straddling fetches"
+            );
+            assert!(
+                same_line > 10_000,
+                "{icache:?}: {same_line} same-line fetches"
+            );
+            if icache.size == Some(8 * 1024) {
+                assert!(h.icache_stats().misses > 1000, "8KB I-cache should thrash");
+            }
+        }
     }
 
     #[test]

@@ -123,6 +123,9 @@ enum Ctrl {
     AppJump(u64),
     DiseJump(u8),
     Halt,
+    /// A reserved codeword reached execution unexpanded; the caller
+    /// reports [`SimError::UnexpandedCodeword`] and retires nothing.
+    Fault,
 }
 
 /// Everything the timing model needs to know about one retired dynamic
@@ -210,10 +213,11 @@ impl RunResult {
     }
 }
 
+/// An expansion in flight across step boundaries. Unexpanded
+/// instructions never build one: they go fetch → execute → advance
+/// inside a single step.
 #[derive(Debug)]
 enum ExpState {
-    /// An unexpanded instruction.
-    Single(Inst),
     /// A DISE expansion in progress. `raw` is the trigger's encoded word
     /// when it came off the predecode table (keys the engine's
     /// instantiation memo); `None` on the byte-accurate fallback path.
@@ -242,12 +246,18 @@ pub(crate) struct MachineState {
     engine: Option<dise_core::EngineState>,
 }
 
+/// Register-file slot that absorbs writes to the zero register, so
+/// [`Machine::set_reg`] needs no branch and slot 31 stays 0 for
+/// [`Machine::reg`] to read unconditionally. Snapshots record it as 0.
+const ZERO_SINK: usize = 63;
+
 /// The functional machine. See the module docs.
 #[derive(Debug)]
 pub struct Machine {
     /// Register file, padded to a power of two so `Reg::index()` (< 48 by
     /// construction) can be masked instead of bounds-checked on the hot
-    /// path. Slots 48–63 are never addressed.
+    /// path. Invariant: `regs[31] == 0` (r31 writes land in
+    /// [`ZERO_SINK`]). Slots 48–62 are never addressed.
     regs: [u64; 64],
     /// Data memory (text is fetched from the program image).
     pub mem: Memory,
@@ -352,20 +362,18 @@ impl Machine {
             }
             None => w.bool(false),
         }
-        for &v in &self.regs {
-            w.u64(v);
+        for (i, &v) in self.regs.iter().enumerate() {
+            w.u64(if i == ZERO_SINK { 0 } else { v });
         }
         w.u64(self.pc);
         w.u8(self.disepc);
         w.bool(self.halted);
         w.u64(self.total_insts);
         w.u64(self.app_insts);
+        // Tag 1 (an unexpanded instruction) is retired: no step leaves
+        // one behind, so no snapshot records it.
         match &self.exp {
             None => w.u8(0),
-            Some(ExpState::Single(inst)) => {
-                w.u8(1);
-                crate::snapshot::write_inst(w, inst);
-            }
             Some(ExpState::Dise {
                 id,
                 len,
@@ -458,6 +466,16 @@ impl Machine {
         for v in regs.iter_mut() {
             *v = r.u64()?;
         }
+        // The hot path reads r31 from its slot and parks r31 writes in
+        // the sink, so a nonzero value in either would change results.
+        for (slot, what) in [(Reg::ZERO.index(), "value"), (ZERO_SINK, "write-sink slot")] {
+            if regs[slot] != 0 {
+                return Err(SimError::Snapshot(format!(
+                    "snapshot corrupt: r31 {what} is {:#x}, must be 0",
+                    regs[slot]
+                )));
+            }
+        }
         let pc = r.u64()?;
         let disepc = r.u8()?;
         let halted = r.bool()?;
@@ -465,7 +483,6 @@ impl Machine {
         let app_insts = r.u64()?;
         let exp = match r.u8()? {
             0 => None,
-            1 => Some(ExpState::Single(crate::snapshot::read_inst(r)?)),
             2 => {
                 let id = r.u32()?;
                 let len = r.u8()?;
@@ -532,22 +549,24 @@ impl Machine {
         Ok(())
     }
 
-    /// Reads a register (the zero register reads 0).
+    /// Reads a register (the zero register reads 0: its slot is never
+    /// written).
     #[inline]
     pub fn reg(&self, r: Reg) -> u64 {
-        if r.is_zero() {
-            0
-        } else {
-            self.regs[r.index() & 63]
-        }
+        self.regs[r.index() & 63]
     }
 
-    /// Writes a register (writes to the zero register are discarded).
+    /// Writes a register (writes to the zero register are discarded:
+    /// they land in [`ZERO_SINK`], which nothing reads).
     #[inline]
     pub fn set_reg(&mut self, r: Reg, value: u64) {
-        if !r.is_zero() {
-            self.regs[r.index() & 63] = value;
-        }
+        let i = r.index();
+        let slot = if i == Reg::ZERO.index() {
+            ZERO_SINK
+        } else {
+            i & 63
+        };
+        self.regs[slot] = value;
     }
 
     /// The current `(PC, DISEPC)` pair.
@@ -610,6 +629,7 @@ impl Machine {
     /// # Errors
     ///
     /// Fails on fetch errors, unexpandable codewords, or engine errors.
+    #[inline(always)]
     pub fn step_into(&mut self, out: &mut StepInfo) -> Result<bool> {
         self.step_inner::<true>(out)
     }
@@ -620,96 +640,142 @@ impl Machine {
     /// only it) at compile time; execution is otherwise identical.
     /// Returns `false` once halted; `out` is filled iff `INFO` and a step
     /// retired.
+    ///
+    /// An unexpanded instruction goes fetch → execute → advance within
+    /// this call and never touches `exp`. Only an expansion is parked
+    /// there, for the steps that retire the rest of its sequence.
+    /// Inlined into each caller's loop (`run`, and through `step_into`
+    /// the timing simulator's), so the report is filled in place.
+    #[inline(always)]
     fn step_inner<const INFO: bool>(&mut self, out: &mut StepInfo) -> Result<bool> {
         if self.halted {
             return Ok(false);
         }
-        let mut dise_stall = 0u64;
-        let mut expanded = false;
-        let first_of_fetch = self.exp.is_none() && self.disepc == 0;
-
-        // Establish the expansion state if needed (initial fetch, or
-        // re-fetch after an interrupt mid-sequence).
-        if self.exp.is_none() {
-            // Fast path: the predecoded text table. Misses (no table, or an
-            // undecodable/out-of-range PC) fall back to the byte-accurate
-            // `fetch`, which either succeeds identically or produces the
-            // exact architectural error.
-            let (item, raw) = match self.predecode.as_ref().and_then(|p| p.get(self.pc)) {
-                Some(pi) => (pi.item, Some(pi.raw)),
-                None => (self.program.fetch(self.pc)?, None),
-            };
-            self.exp = Some(match item {
-                TextItem::Short(ix) => {
-                    let dict = self.dedicated.as_ref().ok_or(SimError::BadShortCodeword {
+        if self.exp.is_some() {
+            return self.step_expansion::<INFO>(out, false, false, 0);
+        }
+        // A fetch: it begins a new application item unless it re-fetches
+        // an interrupted sequence to resume at DISEPC > 0.
+        let first_of_fetch = self.disepc == 0;
+        // Fast path: the predecoded text table. Misses (no table, or an
+        // undecodable/out-of-range PC) fall back to the byte-accurate
+        // `fetch`, which either succeeds identically or produces the
+        // exact architectural error.
+        let (item, raw) = match self.predecode.as_ref().and_then(|p| p.get(self.pc)) {
+            Some(pi) => (pi.item, Some(pi.raw)),
+            None => (self.program.fetch(self.pc)?, None),
+        };
+        let inst = match item {
+            TextItem::Inst(inst) => inst,
+            TextItem::Short(ix) => {
+                if self.dedicated.as_ref().is_none_or(|d| d.get(ix).is_none()) {
+                    return Err(SimError::BadShortCodeword {
                         pc: self.pc,
                         index: ix,
-                    })?;
-                    if dict.get(ix).is_none() {
-                        return Err(SimError::BadShortCodeword {
-                            pc: self.pc,
-                            index: ix,
+                    });
+                }
+                self.exp = Some(ExpState::Dedicated { ix });
+                return self.step_expansion::<INFO>(out, first_of_fetch, false, 0);
+            }
+        };
+        let mut dise_stall = 0u64;
+        if let Some(engine) = self.engine.as_mut() {
+            loop {
+                let outcome = match raw {
+                    Some(raw) => engine.inspect_decoded(&inst, raw),
+                    None => engine.inspect(&inst),
+                };
+                match outcome {
+                    Expansion::Miss { penalty, .. } => dise_stall += penalty,
+                    Expansion::Fault { .. } => {
+                        return Err(SimError::UnexpandedCodeword { pc: self.pc })
+                    }
+                    Expansion::None => break,
+                    Expansion::Expand { id, len } => {
+                        let expanded = self.disepc == 0;
+                        self.exp = Some(ExpState::Dise {
+                            id,
+                            len,
+                            trigger: inst,
+                            raw,
                         });
-                    }
-                    ExpState::Dedicated { ix }
-                }
-                TextItem::Inst(inst) => {
-                    if let Some(engine) = self.engine.as_mut() {
-                        loop {
-                            let outcome = match raw {
-                                Some(raw) => engine.inspect_decoded(&inst, raw),
-                                None => engine.inspect(&inst),
-                            };
-                            match outcome {
-                                Expansion::Miss { penalty, .. } => dise_stall += penalty,
-                                Expansion::Fault { .. } => {
-                                    return Err(SimError::UnexpandedCodeword { pc: self.pc })
-                                }
-                                Expansion::None => {
-                                    if inst.op.is_codeword() {
-                                        return Err(SimError::UnexpandedCodeword {
-                                            pc: self.pc,
-                                        });
-                                    }
-                                    break ExpState::Single(inst);
-                                }
-                                Expansion::Expand { id, len } => {
-                                    expanded = self.disepc == 0;
-                                    break ExpState::Dise {
-                                        id,
-                                        len,
-                                        trigger: inst,
-                                        raw,
-                                    };
-                                }
-                            }
-                        }
-                    } else if inst.op.is_codeword() {
-                        return Err(SimError::UnexpandedCodeword { pc: self.pc });
-                    } else {
-                        ExpState::Single(inst)
+                        return self.step_expansion::<INFO>(
+                            out,
+                            first_of_fetch,
+                            expanded,
+                            dise_stall,
+                        );
                     }
                 }
-            });
+            }
         }
 
-        // Produce the current dynamic instruction.
-        let (inst, len, fetch_size, is_replacement, trigger_inst) = match self
-            .exp
-            .as_ref()
-            .expect("established above")
-        {
-            ExpState::Single(i) => (*i, 1u8, 4u64, false, None),
+        // Unexpanded: execute and advance in place.
+        let (ctrl, mem_addr, taken) = self.exec(inst, 4);
+        if ctrl == Ctrl::Fault {
+            return Err(SimError::UnexpandedCodeword { pc: self.pc });
+        }
+        self.total_insts += 1;
+        self.app_insts += u64::from(first_of_fetch);
+        if INFO {
+            *out = StepInfo {
+                pc: self.pc,
+                disepc: self.disepc,
+                inst,
+                is_replacement: false,
+                first_of_fetch,
+                fetch_size: 4,
+                expansion_len: 1,
+                expanded: false,
+                taken,
+                target: match ctrl {
+                    Ctrl::AppJump(t) => Some(t),
+                    _ => None,
+                },
+                dise_taken: matches!(ctrl, Ctrl::DiseJump(_)),
+                predicted: true,
+                mem_addr,
+                dise_stall,
+            };
+        }
+        match ctrl {
+            Ctrl::Next => {
+                self.pc += 4;
+                self.disepc = 0;
+            }
+            Ctrl::AppJump(t) => {
+                self.pc = t;
+                self.disepc = 0;
+            }
+            Ctrl::Halt => self.halted = true,
+            // Fetched text holds no DISE branches (they have no encoding),
+            // so this arm is for completeness only.
+            Ctrl::DiseJump(ix) => self.disepc = ix,
+            Ctrl::Fault => unreachable!("faults return above"),
+        }
+        Ok(true)
+    }
+
+    /// Retires the next instruction of the expansion in flight in `exp`
+    /// (a DISE replacement sequence or a dedicated dictionary entry).
+    /// `first_of_fetch`, `expanded` and `dise_stall` describe the fetch
+    /// that began it when this is that fetch's step, and are
+    /// `false`/`false`/0 otherwise.
+    fn step_expansion<const INFO: bool>(
+        &mut self,
+        out: &mut StepInfo,
+        first_of_fetch: bool,
+        expanded: bool,
+        mut dise_stall: u64,
+    ) -> Result<bool> {
+        let exp = self.exp.as_ref().expect("an expansion is in flight");
+        let (inst, len, fetch_size, trigger_inst) = match *exp {
             ExpState::Dise {
                 id,
                 len,
                 trigger,
                 raw,
             } => {
-                let id = *id;
-                let len = *len;
-                let trigger = *trigger;
-                let raw = *raw;
                 let engine = self.engine.as_mut().expect("Dise expansion needs engine");
                 let before = engine.stall_cycles();
                 let inst = match raw {
@@ -719,43 +785,38 @@ impl Machine {
                     None => engine.fetch_replacement(id, self.disepc, &trigger, self.pc)?,
                 };
                 dise_stall += engine.stall_cycles() - before;
-                (inst, len, 4, true, Some(trigger))
+                (inst, len, 4u64, Some(trigger))
             }
             ExpState::Dedicated { ix } => {
                 let insts = self
                     .dedicated
                     .as_ref()
                     .expect("dictionary checked at fetch")
-                    .get(*ix)
+                    .get(ix)
                     .expect("dictionary checked at fetch");
-                let inst = insts[self.disepc as usize];
-                (inst, insts.len() as u8, 2, true, None)
+                (insts[self.disepc as usize], insts.len() as u8, 2, None)
             }
         };
 
-        // Execute.
-        let (ctrl, mem_addr, taken) = self.exec(inst, fetch_size)?;
-        self.total_insts += 1;
-        if first_of_fetch {
-            self.app_insts += 1;
+        let (ctrl, mem_addr, taken) = self.exec(inst, fetch_size);
+        if ctrl == Ctrl::Fault {
+            return Err(SimError::UnexpandedCodeword { pc: self.pc });
         }
+        self.total_insts += 1;
+        self.app_insts += u64::from(first_of_fetch);
 
-        // Prediction eligibility: ordinary instructions, the trigger
-        // instance (T.INSN), and the *final* instruction of a replacement
-        // sequence (it determines the next fetch PC, so the front end
-        // predicts it at the trigger's address — this is what makes
-        // compressed sequence-terminating branches predictable). Sequence-
-        // internal branches are never predicted (§2.2): taken ones
-        // redirect, untaken ones are free.
+        // Prediction eligibility: the trigger instance (T.INSN) and the
+        // *final* instruction of a replacement sequence (it determines the
+        // next fetch PC, so the front end predicts it at the trigger's
+        // address — this is what makes compressed sequence-terminating
+        // branches predictable). Sequence-internal branches are never
+        // predicted (§2.2): taken ones redirect, untaken ones are free.
         if INFO {
-            let predicted = !is_replacement
-                || trigger_inst == Some(inst)
-                || self.disepc + 1 == len;
             *out = StepInfo {
                 pc: self.pc,
                 disepc: self.disepc,
                 inst,
-                is_replacement: is_replacement && len > 1,
+                is_replacement: len > 1,
                 first_of_fetch,
                 fetch_size,
                 expansion_len: len,
@@ -766,7 +827,7 @@ impl Machine {
                     _ => None,
                 },
                 dise_taken: matches!(ctrl, Ctrl::DiseJump(_)),
-                predicted,
+                predicted: trigger_inst == Some(inst) || self.disepc + 1 == len,
                 mem_addr,
                 dise_stall,
             };
@@ -795,6 +856,7 @@ impl Machine {
                     self.exp = None;
                 }
             }
+            Ctrl::Fault => unreachable!("faults return above"),
         }
         Ok(true)
     }
@@ -826,8 +888,11 @@ impl Machine {
     }
 
     /// Executes one instruction's semantics, returning control outcome,
-    /// effective address, and taken-ness (for application control).
-    fn exec(&mut self, inst: Inst, item_size: u64) -> Result<(Ctrl, Option<u64>, Option<bool>)> {
+    /// effective address, and taken-ness (for application control). A
+    /// codeword returns [`Ctrl::Fault`] and changes nothing. Inlined into
+    /// both step paths: it runs once per retired instruction.
+    #[inline(always)]
+    fn exec(&mut self, inst: Inst, item_size: u64) -> (Ctrl, Option<u64>, Option<bool>) {
         use Op::*;
         let mut mem_addr = None;
         let mut taken = None;
@@ -1003,23 +1068,10 @@ impl Machine {
                 }
                 Ctrl::Next
             }
-            Cw0 | Cw1 | Cw2 | Cw3 => {
-                return Err(SimError::UnexpandedCodeword { pc: self.pc });
-            }
+            Cw0 | Cw1 | Cw2 | Cw3 => Ctrl::Fault,
         };
-        Ok((ctrl, mem_addr, taken))
+        (ctrl, mem_addr, taken)
     }
-}
-
-/// The registers an instruction's *timing* depends on: its architectural
-/// sources, plus the old destination value for conditional moves.
-pub fn timing_sources(inst: &Inst) -> impl Iterator<Item = Reg> {
-    let cmov_extra = matches!(inst.op, Op::Cmoveq | Op::Cmovne).then_some(inst.rc);
-    inst.sources()
-        .into_iter()
-        .flatten()
-        .chain(cmov_extra)
-        .filter(|r| !r.is_zero())
 }
 
 /// Execution latency (cycles) by opcode class, excluding memory hierarchy
@@ -1104,6 +1156,22 @@ mod tests {
         m.run(100).unwrap();
         assert_eq!(m.reg(Reg::ZERO), 0);
         assert_eq!(m.reg(Reg::R1), 3);
+    }
+
+    #[test]
+    fn zero_register_writes_land_in_the_sink() {
+        let p = asm("halt");
+        let mut m = Machine::load(&p);
+        let before = crate::snapshot::save_machine(&m);
+        m.set_reg(Reg::ZERO, 0xdead);
+        assert_eq!(m.reg(Reg::ZERO), 0);
+        assert_eq!(m.regs[Reg::ZERO.index()], 0, "r31's slot is never written");
+        assert_eq!(m.regs[ZERO_SINK], 0xdead);
+        assert_eq!(
+            crate::snapshot::save_machine(&m),
+            before,
+            "the sink is recorded as 0"
+        );
     }
 
     #[test]

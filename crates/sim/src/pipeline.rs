@@ -27,12 +27,13 @@
 
 use crate::bpred::{BpredConfig, BpredStats, BranchPredictor};
 use crate::cache::{CacheStats, MemoryHierarchy, MemoryHierarchyConfig};
-use crate::machine::{exec_latency, timing_sources, Machine, StepInfo};
+use crate::machine::{exec_latency, Machine, StepInfo};
 use crate::ring::Ring;
 use crate::telemetry::{AnomalyReport, EventRing, StallCause, StatsRegistry, TraceEvent, TraceKind};
 use crate::{Result, SimError};
 use dise_core::EngineStats;
-use dise_isa::OpClass;
+use dise_isa::op::Format;
+use dise_isa::{Inst, Op, OpClass, Reg};
 use std::collections::{HashMap, VecDeque};
 
 /// Where the DISE engine sits relative to the decoder (Figure 6 top).
@@ -239,6 +240,94 @@ pub struct SimResult {
     pub halted: bool,
 }
 
+/// Register-file slot that absorbs the completion time of instructions
+/// whose destination is r31 or that write no register (see
+/// [`Simulator::account`]); no source ever names it.
+const ZERO_SINK: usize = 63;
+
+/// Register fields an opcode reads and writes in the timing model, one
+/// bit each (see [`OP_REGS`]).
+const READS_RA: u8 = 1;
+const READS_RB: u8 = 1 << 1;
+/// `rb`, unless the operate-format operand is a literal.
+const READS_RB_REG: u8 = 1 << 2;
+/// Conditional moves also wait for the old destination value.
+const READS_RC: u8 = 1 << 3;
+const WRITES_RA: u8 = 1 << 4;
+const WRITES_RC: u8 = 1 << 5;
+
+/// The field usage of `op`: the per-opcode part of
+/// [`Inst::sources`]/[`Inst::dest`], plus the conditional-move `rc`
+/// read.
+const fn op_regs(op: Op) -> u8 {
+    match op.format() {
+        Format::Memory => match op.class() {
+            OpClass::Store => READS_RB | READS_RA,
+            _ => READS_RB | WRITES_RA,
+        },
+        Format::Branch => match op.class() {
+            OpClass::CondBranch => READS_RA,
+            _ => WRITES_RA,
+        },
+        Format::Jump => READS_RB | WRITES_RA,
+        Format::Operate => {
+            let cmov = if matches!(op, Op::Cmoveq | Op::Cmovne) {
+                READS_RC
+            } else {
+                0
+            };
+            READS_RA | READS_RB_REG | WRITES_RC | cmov
+        }
+        Format::Codeword | Format::Misc => 0,
+    }
+}
+
+/// [`op_regs`] for every opcode, indexed by discriminant.
+static OP_REGS: [u8; Op::ALL.len()] = {
+    let mut table = [0; Op::ALL.len()];
+    let mut i = 0;
+    while i < Op::ALL.len() {
+        table[Op::ALL[i] as usize] = op_regs(Op::ALL[i]);
+        i += 1;
+    }
+    table
+};
+
+/// The register-file slots one instruction's timing reads and writes:
+/// always three sources, padded with r31 (whose ready time is always 0,
+/// so the padding never delays issue), and one destination, r31 and
+/// "none" both mapped to [`ZERO_SINK`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TimingRegs {
+    sources: [usize; 3],
+    dest: usize,
+}
+
+impl TimingRegs {
+    #[inline]
+    fn of(inst: &Inst) -> TimingRegs {
+        let m = OP_REGS[inst.op as usize];
+        let zero = Reg::ZERO.index();
+        let pick = |reads: bool, r: Reg| if reads { r.index() & 63 } else { zero };
+        let reads_rb = m & READS_RB != 0 || (m & READS_RB_REG != 0 && !inst.uses_lit);
+        let dest = if m & WRITES_RA != 0 {
+            inst.ra.index()
+        } else if m & WRITES_RC != 0 {
+            inst.rc.index()
+        } else {
+            zero
+        };
+        TimingRegs {
+            sources: [
+                pick(m & READS_RA != 0, inst.ra),
+                pick(reads_rb, inst.rb),
+                pick(m & READS_RC != 0, inst.rc),
+            ],
+            dest: if dest == zero { ZERO_SINK } else { dest & 63 },
+        }
+    }
+}
+
 /// Width-limited slot allocator: at most `width` events per cycle, never
 /// moving backwards.
 #[derive(Debug, Clone, Copy)]
@@ -258,16 +347,14 @@ impl SlotAlloc {
     }
 
     /// Allocates a slot no earlier than `ready`; returns its cycle.
+    ///
+    /// Branch-free: a `ready` past the current cycle starts a fresh group
+    /// there, and a full group spills into the next cycle.
     fn alloc(&mut self, ready: u64) -> u64 {
-        if ready > self.cycle {
-            self.cycle = ready;
-            self.used = 0;
-        }
-        if self.used >= self.width {
-            self.cycle += 1;
-            self.used = 0;
-        }
-        self.used += 1;
+        let used = self.used * u64::from(ready <= self.cycle);
+        let full = u64::from(used >= self.width);
+        self.cycle = self.cycle.max(ready) + full;
+        self.used = used * (1 - full) + 1;
         self.cycle
     }
 
@@ -675,8 +762,11 @@ pub struct Simulator {
     rob: Window,
     /// Issue times of in-flight instructions (RS occupancy).
     rs: Window,
-    /// Completion time of the last producer of each register.
-    reg_ready: [u64; dise_isa::reg::NUM_REGS],
+    /// Completion time of the last producer of each register, padded
+    /// like the machine's register file. Invariant: slot 31 stays 0, so
+    /// the zero register pads source triples for free; results of
+    /// instructions without a real destination land in [`ZERO_SINK`].
+    reg_ready: [u64; 64],
     /// Completion time of the last store to each 8-byte granule
     /// (store-to-load forwarding).
     store_ready: StoreTable,
@@ -728,7 +818,7 @@ impl Simulator {
             commit: SlotAlloc::new(config.width),
             rob: Window::new(config.fast_path, config.rob_size),
             rs: Window::new(config.fast_path, config.rs_size),
-            reg_ready: [0; dise_isa::reg::NUM_REGS],
+            reg_ready: [0; 64],
             store_ready: StoreTable::new(config.fast_path),
             last_commit: 0,
             stats: SimStats::default(),
@@ -776,7 +866,7 @@ impl Simulator {
         }
         self.rob.save_state(w);
         self.rs.save_state(w);
-        for &v in &self.reg_ready {
+        for &v in &self.reg_ready[..dise_isa::reg::NUM_REGS] {
             w.u64(v);
         }
         self.store_ready.save_state(w);
@@ -807,6 +897,14 @@ impl Simulator {
         let mut reg_ready = [0u64; dise_isa::reg::NUM_REGS];
         for v in reg_ready.iter_mut() {
             *v = r.u64()?;
+        }
+        // Source triples pad with r31 and read its ready time
+        // unconditionally: a nonzero one would delay every instruction.
+        if reg_ready[Reg::ZERO.index()] != 0 {
+            return Err(SimError::Snapshot(format!(
+                "snapshot corrupt: r31 ready time is {}, must be 0",
+                reg_ready[Reg::ZERO.index()]
+            )));
         }
         let store = self.store_ready.read_state(r)?;
         let last_commit = r.u64()?;
@@ -843,7 +941,8 @@ impl Simulator {
         self.commit.used = state.commit.1;
         self.rob.apply_state(&state.rob);
         self.rs.apply_state(&state.rs);
-        self.reg_ready = state.reg_ready;
+        self.reg_ready = [0; 64];
+        self.reg_ready[..dise_isa::reg::NUM_REGS].copy_from_slice(&state.reg_ready);
         self.store_ready.apply_state(state.store);
         self.last_commit = state.last_commit;
         self.seq = state.seq;
@@ -1075,7 +1174,9 @@ impl Simulator {
         }
     }
 
-    /// Accounts one retired dynamic instruction.
+    /// Accounts one retired dynamic instruction. Inlined into
+    /// [`Simulator::run`]'s per-instruction loop with the oracle step.
+    #[inline(always)]
     fn account(&mut self, info: &StepInfo) {
         // ---- fetch ----------------------------------------------------
         let mut fetch_ready = 0u64;
@@ -1131,10 +1232,11 @@ impl Simulator {
 
         // ---- dispatch / issue / complete -------------------------------
         let dispatch = fetch_time + self.frontend_depth;
-        let mut ready = dispatch + 1;
-        for src in timing_sources(&info.inst) {
-            ready = ready.max(self.reg_ready[src.index()]);
-        }
+        let regs = TimingRegs::of(&info.inst);
+        let mut ready = (dispatch + 1)
+            .max(self.reg_ready[regs.sources[0]])
+            .max(self.reg_ready[regs.sources[1]])
+            .max(self.reg_ready[regs.sources[2]]);
         let class = info.inst.op.class();
         // Loads wait for the youngest older store to the same granule
         // (perfect memory-dependence speculation with forwarding).
@@ -1159,11 +1261,7 @@ impl Simulator {
             }
             _ => issue + exec_latency(class),
         };
-        if let Some(dest) = info.inst.dest() {
-            if !dest.is_zero() {
-                self.reg_ready[dest.index()] = complete;
-            }
-        }
+        self.reg_ready[regs.dest] = complete;
 
         // ---- control flow ----------------------------------------------
         let mut redirect = false;
@@ -1316,6 +1414,116 @@ mod tests {
     use dise_core::{dsl, DiseEngine, EngineConfig};
     use dise_isa::{Assembler, Program, Reg};
     use std::collections::BTreeMap;
+
+    /// The branchy formulation `SlotAlloc::alloc` replaced.
+    fn reference_alloc(cycle: &mut u64, used: &mut u64, width: u64, ready: u64) -> u64 {
+        if ready > *cycle {
+            *cycle = ready;
+            *used = 0;
+        }
+        if *used >= width {
+            *cycle += 1;
+            *used = 0;
+        }
+        *used += 1;
+        *cycle
+    }
+
+    #[test]
+    fn slot_alloc_matches_branchy_reference_exhaustively() {
+        for width in 0..6 {
+            for cycle in 0..8 {
+                for used in 0..8 {
+                    for ready in 0..10 {
+                        let mut a = SlotAlloc { width, cycle, used };
+                        let (mut c, mut u) = (cycle, used);
+                        let expect = reference_alloc(&mut c, &mut u, width, ready);
+                        assert_eq!(
+                            (a.alloc(ready), a.cycle, a.used),
+                            (expect, c, u),
+                            "width {width}, cycle {cycle}, used {used}, ready {ready}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The iterator formulation [`TimingRegs::of`] replaced: an
+    /// instruction's architectural sources, plus the old destination
+    /// value for conditional moves, minus the zero register.
+    fn timing_sources(inst: &Inst) -> impl Iterator<Item = Reg> {
+        let cmov_extra = matches!(inst.op, Op::Cmoveq | Op::Cmovne).then_some(inst.rc);
+        inst.sources()
+            .into_iter()
+            .flatten()
+            .chain(cmov_extra)
+            .filter(|r| !r.is_zero())
+    }
+
+    #[test]
+    fn timing_regs_name_exactly_the_timing_sources_and_dest() {
+        let regs = [0u8, 1, 7, 26, 30, 31, 32, 40, 47].map(Reg::from_index);
+        let mut checked = 0;
+        for &op in Op::ALL {
+            for uses_lit in [false, true] {
+                for dise_branch in [false, true] {
+                    for &ra in &regs {
+                        for &rb in &regs {
+                            for &rc in &regs {
+                                let inst = Inst {
+                                    op,
+                                    ra,
+                                    rb,
+                                    rc,
+                                    imm: 0,
+                                    uses_lit,
+                                    dise_branch,
+                                };
+                                let t = TimingRegs::of(&inst);
+                                let mut padded: Vec<usize> = t
+                                    .sources
+                                    .into_iter()
+                                    .filter(|&r| r != Reg::ZERO.index())
+                                    .collect();
+                                let mut expect: Vec<usize> =
+                                    timing_sources(&inst).map(Reg::index).collect();
+                                padded.sort_unstable();
+                                expect.sort_unstable();
+                                assert_eq!(padded, expect, "sources of {inst:?}");
+                                let dest = inst
+                                    .dest()
+                                    .filter(|r| !r.is_zero())
+                                    .map_or(ZERO_SINK, Reg::index);
+                                assert_eq!(t.dest, dest, "destination of {inst:?}");
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, Op::ALL.len() * 4 * regs.len().pow(3));
+    }
+
+    #[test]
+    fn snapshot_rejects_a_nonzero_r31_ready_time() {
+        let p = counted_loop(50);
+        let mut sim = Simulator::new(SimConfig::default(), Machine::load(&p));
+        assert!(matches!(sim.run(100), Err(SimError::OutOfFuel)));
+        sim.reg_ready[Reg::ZERO.index()] = 9;
+        let corrupt = crate::snapshot::save_simulator(&sim);
+        let mut target = Simulator::new(SimConfig::default(), Machine::load(&p));
+        let before = crate::snapshot::save_simulator(&target);
+        let err = crate::snapshot::restore_simulator(&mut target, &corrupt)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("snapshot corrupt: r31 ready time is 9"),
+            "{err}"
+        );
+        assert_eq!(crate::snapshot::save_simulator(&target), before);
+    }
 
     #[test]
     fn slot_alloc_width_one_serializes() {

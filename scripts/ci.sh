@@ -20,6 +20,9 @@
 #   golden  — the full selection golden-digest matrix under --release
 #             (byte-identical compressor output, every Figure 7
 #             configuration × v1/v2; `ignore`d in debug builds)
+#   sim golden — the full timing-statistics golden-digest matrix under
+#             --release (every exported counter of 168 Figure 6/7/8
+#             cells byte-identical; `ignore`d in debug builds)
 #   snapshot — the bit-identical-resume matrices under --release (they
 #             are `ignore`d in debug builds: minutes-slow unoptimized)
 #             plus a fig6 smoke cell checkpointing at every instruction,
@@ -108,6 +111,15 @@ echo "== ci: selection golden digests ($(date)) =="
 # one-benchmark subset) and runs here under --release. No `--ignored`:
 # release builds do not ignore it, so that flag would select nothing.
 cargo test --release -q -p dise-acf --test select_golden
+
+echo "== ci: simulation golden digests ($(date)) =="
+# The timing model is byte-stable: digests of every exported counter for
+# each Figure 6 MFI cell (8KB and perfect I-cache) and each
+# decompression/composition cell (512-entry direct-mapped RT) must match
+# the committed table. The test also proves it engaged expansions, RT
+# misses, I-cache misses, composed fills and line-straddling fetches.
+# Same debug/release split as the selection digests above.
+cargo test --release -q -p dise-bench --test sim_golden
 
 echo "== ci: snapshot resume ($(date)) =="
 # The differential snapshot fuzz suite, release-only: the two big

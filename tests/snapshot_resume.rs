@@ -16,7 +16,7 @@
 use dise::acf::compress::{CompressionConfig, Compressor, SelectAlgo};
 use dise::acf::mfi::{Mfi, MfiVariant};
 use dise::engine::{compose, DiseEngine, EngineConfig, RtOrganization};
-use dise::isa::Program;
+use dise::isa::{Program, Reg};
 use dise::rewrite::{DedicatedDecompressor, RewriteMfi};
 use dise::sim::{
     restore_machine, restore_simulator, save_machine, save_simulator, Machine, MachineConfig,
@@ -435,4 +435,47 @@ fn restore_rejects_corrupt_and_mismatched_snapshots() {
     let err = restore_machine(&mut plain, &snap).unwrap_err().to_string();
     assert!(err.contains("engine"), "{err}");
     assert_eq!(save_machine(&plain), plain_before);
+}
+
+/// The machine reads r31 from its register slot unconditionally and parks
+/// r31 writes in a sink slot, so a snapshot carrying a nonzero value in
+/// either would silently change results. Both are rejected, naming r31,
+/// without mutating the target.
+#[test]
+fn restore_rejects_nonzero_r31_state() {
+    let econfig = EngineConfig::default();
+    let mconfig = MachineConfig::default();
+    let mut m = build(Scenario::Mfi, econfig, mconfig);
+    assert!(matches!(m.run(500), Err(SimError::OutOfFuel)));
+    // Locate the register file through a marker value in r1: registers
+    // are consecutive little-endian u64s, r31 30 slots after r1 and the
+    // write sink (slot 63) 62 slots after it.
+    let marker: u64 = 0x5eed_f00d_cafe_d00d;
+    m.set_reg(Reg::R1, marker);
+    let snap = save_machine(&m);
+    let r1 = snap
+        .windows(8)
+        .position(|w| w == marker.to_le_bytes())
+        .expect("marker in the register file");
+    let mut target = build(Scenario::Mfi, econfig, mconfig);
+    let before = save_machine(&target);
+    for (slot, what) in [(31, "r31 value"), (63, "r31 write-sink slot")] {
+        let at = r1 + (slot - 1) * 8;
+        assert_eq!(snap[at..at + 8], [0; 8], "{what} is saved as 0");
+        let mut bad = snap.clone();
+        bad[at] = 1;
+        let err = restore_machine(&mut target, &bad).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("snapshot corrupt: {what} is 0x1")),
+            "{what}: {err}"
+        );
+        assert_eq!(
+            save_machine(&target),
+            before,
+            "failed restore mutated the target"
+        );
+    }
+    // The untouched snapshot still restores.
+    restore_machine(&mut target, &snap).unwrap();
+    assert_eq!(save_machine(&target), snap);
 }
