@@ -26,8 +26,8 @@
 //! * **v1** — the paper's single-pass greedy: enumerate every in-block
 //!   window, then lazily re-evaluated greedy entry selection with
 //!   first-fit instance claiming.
-//! * **v2** (default) — iterative pair-merge (BPE/RePair-style) candidate
-//!   growth plus a full-frequency sweep, a longest-prefix-match pass
+//! * **v2** (default) — every shape with at least two occurrences as a
+//!   candidate, a longest-prefix-match pass
 //!   enumerating every candidate occurrence, and a per-block
 //!   weighted-interval dynamic program that picks the best
 //!   non-conflicting cover for the chosen entry set, refined by a
@@ -44,10 +44,7 @@
 //! as a trie child of its prefix in one small-key lookup; only a window
 //! ending in a short branch (whose fused displacement reserves two slots
 //! up front) is re-canonicalized whole. Building the table is
-//! O(n · `max_seq_len`) for `n` instructions. Pair merging then runs on
-//! ids, with pair counts and per-pair occurrence lists updated only
-//! around each merge and a lazily validated max-heap choosing each
-//! round's pair, so it is near-linear in `n` too.
+//! O(n · `max_seq_len`) for `n` instructions.
 //!
 //! Selection is a pure function of the program and the configuration:
 //! text, dictionary, tags and statistics reproduce byte for byte
@@ -62,7 +59,6 @@ use dise_isa::reloc::{NewItem, Relocator};
 use dise_isa::{Cfg, Inst, Op, OpClass, Program, TextItem};
 use dise_sim::telemetry::StatsRegistry;
 use dise_sim::DedicatedDict;
-use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 /// Which codeword-selection algorithm [`Compressor::compress`] runs. See
@@ -72,13 +68,13 @@ pub enum SelectAlgo {
     /// Single-pass window enumeration + lazy-greedy first-fit claiming
     /// (the paper's \[20\]-style selection).
     V1,
-    /// Pair-merge candidate growth + LPM occurrence index + per-block
+    /// Frequency-filtered candidates + LPM occurrence index + per-block
     /// DP cover with dictionary prune/grow refinement.
     V2,
 }
 
 /// Parses a `DISE_ACF_SELECT` setting: `"v1"` selects the single-pass
-/// greedy algorithm, `"v2"` the pair-merge/DP-cover algorithm.
+/// greedy algorithm, `"v2"` the DP-cover algorithm.
 ///
 /// # Errors
 ///
@@ -369,14 +365,12 @@ type Selection = (Vec<(Vec<InstSpec>, ShapeData)>, Vec<(u16, usize, Vec<Instance
 /// byte savings and the placed instances as (position, length, shape id).
 type BlockCover = (i64, Vec<(usize, u32, u32)>);
 
-/// Marks a window that is not compressible (and a missing link in the
-/// pair-merge span lists).
+/// Marks the empty shape prefix and an unassigned shape slot.
 const NONE: u32 = u32::MAX;
 
 /// Every in-block window of `1..=max_seq_len` instructions, canonicalized
-/// once and interned to a dense shape id. Everything downstream — window
-/// enumeration, pair merging, the candidate filter and the occurrence
-/// index — works on ids.
+/// once and interned to a dense shape id. Everything downstream — the
+/// candidate filter and the occurrence index — works on ids.
 ///
 /// Shapes form a trie: shape `id` is shape `parent[id]` ([`NONE`] for the
 /// empty prefix) extended by one instruction spec, so interning a window
@@ -384,10 +378,6 @@ const NONE: u32 = u32::MAX;
 /// lookup, and only the shapes selection keeps are ever materialized as
 /// spec vectors.
 struct WindowTable {
-    max_len: usize,
-    /// Shape id of the window `(start, len)` at `start * max_len + len - 1`
-    /// ([`NONE`] if it is not compressible or leaves its block).
-    ids: Vec<u32>,
     parent: Vec<u32>,
     /// Each shape's last instruction spec, as an index into `specs`.
     last: Vec<u32>,
@@ -397,7 +387,7 @@ struct WindowTable {
     children: FxHashMap<(u32, u32), u32>,
     /// Occurrences per shape id, and every occurrence with its shape id
     /// in window order. Windows shorter than `min_seq_len` are interned
-    /// (pair merging starts from single instructions) but not recorded.
+    /// (they are the trie prefixes of longer ones) but not recorded.
     counts: Vec<u32>,
     instances: Vec<(u32, Instance)>,
 }
@@ -433,13 +423,6 @@ impl WindowTable {
         }
         specs.reverse();
         specs
-    }
-
-    fn shape_at(&self, start: usize, len: usize) -> Option<u32> {
-        if len == 0 || len > self.max_len {
-            return None;
-        }
-        Some(self.ids[start * self.max_len + len - 1]).filter(|&id| id != NONE)
     }
 }
 
@@ -639,10 +622,7 @@ impl Compressor {
     fn window_table(&self, graph: &Cfg) -> WindowTable {
         let cfg = &self.config;
         let max_len = cfg.max_seq_len;
-        let num_insts: usize = graph.blocks.iter().map(|b| b.insts.len()).sum();
         let mut table = WindowTable {
-            max_len,
-            ids: vec![NONE; num_insts * max_len],
             parent: Vec::new(),
             last: Vec::new(),
             specs: Vec::new(),
@@ -694,7 +674,6 @@ impl Compressor {
                         prefix = id;
                         (id, instance)
                     };
-                    table.ids[idx * max_len + len - 1] = id;
                     if len >= cfg.min_seq_len {
                         table.counts[id as usize] += 1;
                         table.instances.push((id, instance));
@@ -706,19 +685,16 @@ impl Compressor {
         table
     }
 
-    /// The table's shapes that occur and pass `keep` (given the shape id
-    /// and its occurrence count), ordered deterministically (longest, then
-    /// most frequent, then earliest — a unique key, as no two shapes share
-    /// a first window) so dictionaries reproduce byte-for-byte. Selection
-    /// indexes shapes by position in this list.
-    fn sorted_shape_list(
-        table: &WindowTable,
-        keep: impl Fn(usize, u32) -> bool,
-    ) -> Vec<(Vec<InstSpec>, ShapeData)> {
+    /// The table's shapes that occur, at least `min_count` times, ordered
+    /// deterministically (longest, then most frequent, then earliest — a
+    /// unique key, as no two shapes share a first window) so dictionaries
+    /// reproduce byte-for-byte. Selection indexes shapes by position in
+    /// this list.
+    fn sorted_shape_list(table: &WindowTable, min_count: u32) -> Vec<(Vec<InstSpec>, ShapeData)> {
         let mut slot = vec![NONE; table.num_shapes()];
         let mut shape_list: Vec<(Vec<InstSpec>, ShapeData)> = Vec::new();
         for (id, &count) in table.counts.iter().enumerate() {
-            if count > 0 && keep(id, count) {
+            if count > 0 && count >= min_count {
                 slot[id] = shape_list.len() as u32;
                 let specs = table.specs_of(id as u32);
                 let data = ShapeData {
@@ -827,7 +803,7 @@ impl Compressor {
     /// v1 selection: full window enumeration, then one greedy pass. Tags
     /// follow selection order.
     fn select_v1(&self, graph: &Cfg, num_insts: usize) -> Selection {
-        let shape_list = Self::sorted_shape_list(&self.window_table(graph), |_, _| true);
+        let shape_list = Self::sorted_shape_list(&self.window_table(graph), 1);
         let mut claimed = vec![false; num_insts];
         let skip = vec![false; shape_list.len()];
         let selected = self
@@ -839,9 +815,9 @@ impl Compressor {
         (shape_list, selected)
     }
 
-    /// v2 selection. Candidates come from iterative pair merging plus a
-    /// full-frequency sweep (a superset of every shape v1 can profitably
-    /// pick — a single-occurrence entry never pays for itself); every
+    /// v2 selection. Candidates are every shape with at least two
+    /// occurrences (a superset of every shape v1 can profitably pick — a
+    /// single-occurrence entry never pays for itself); every
     /// candidate occurrence is indexed per position, longest first; entry
     /// choice starts from the greedy solution and is refined by a
     /// prune/grow fixpoint, with a per-block weighted-interval dynamic
@@ -851,8 +827,7 @@ impl Compressor {
         let cfg = &self.config;
         let num_insts = insts.len();
         let table = self.window_table(graph);
-        let proposed = self.merge_candidates(graph, insts, &table);
-        let shape_list = Self::sorted_shape_list(&table, |id, count| count >= 2 || proposed[id]);
+        let shape_list = Self::sorted_shape_list(&table, 2);
 
         // LPM occurrence index: every candidate match, keyed by start
         // position, longest (lowest sid) first.
@@ -1087,205 +1062,6 @@ impl Compressor {
             .map(|(tag, sid)| (tag as u16, sid, std::mem::take(&mut taken[sid])))
             .collect();
         (shape_list, selected)
-    }
-
-    /// Iterative pair-merge (BPE/RePair-style) candidate growth over the
-    /// window table: tokenize every basic block, then repeatedly merge the
-    /// most frequent adjacent symbol pair, proposing every eligible merged
-    /// shape as a dictionary candidate. Returns a proposal flag per shape
-    /// id.
-    ///
-    /// Merging is per occurrence: two occurrences of the same symbol pair
-    /// can canonicalize differently once joined (register equality across
-    /// the seam), so each merged window takes its own shape's symbol.
-    /// Occurrences merge left to right without overlap (`a a a` merges
-    /// once) in (block, position) order, which also fixes the order new
-    /// symbol ids are allocated in. The most frequent pair wins, ties
-    /// going to the lower first, then second, symbol id; pairs whose
-    /// joined length exceeds `max_seq_len` are never counted, and a pair
-    /// that merges nowhere (its joined window is not compressible) is
-    /// banned.
-    ///
-    /// Pair counts and per-pair occurrence lists are updated only around
-    /// each merge, and a lazily validated max-heap picks each round's
-    /// pair, so growth costs near-linear time in the text size instead of
-    /// a full recount per round.
-    fn merge_candidates(
-        &self,
-        graph: &Cfg,
-        insts: &[(u64, Inst)],
-        table: &WindowTable,
-    ) -> Vec<bool> {
-        /// One adjacent symbol pair: its live occurrence count and the
-        /// left-span positions it formed at (validated when read — merges
-        /// elsewhere leave stale entries behind).
-        #[derive(Default)]
-        struct Pair {
-            count: u32,
-            banned: bool,
-            queued: bool,
-            occ: Vec<u32>,
-        }
-        type Pairs = FxHashMap<(u32, u32), Pair>;
-        fn add(pairs: &mut Pairs, dirty: &mut Vec<(u32, u32)>, key: (u32, u32), p: u32) {
-            let pair = pairs.entry(key).or_default();
-            pair.count += 1;
-            pair.occ.push(p);
-            if !std::mem::replace(&mut pair.queued, true) {
-                dirty.push(key);
-            }
-        }
-        fn remove(pairs: &mut Pairs, dirty: &mut Vec<(u32, u32)>, key: (u32, u32)) {
-            let pair = pairs.get_mut(&key).expect("live pairs are counted");
-            pair.count -= 1;
-            if !std::mem::replace(&mut pair.queued, true) {
-                dirty.push(key);
-            }
-        }
-        /// The symbol bound to `slot`, allocating the next id on first use.
-        fn intern(slot: &mut u32, num_syms: &mut u32) -> u32 {
-            if *slot == NONE {
-                *slot = *num_syms;
-                *num_syms += 1;
-            }
-            *slot
-        }
-
-        let cfg = &self.config;
-        let max_len = cfg.max_seq_len as u32;
-        let n = insts.len();
-        let mut proposed = vec![false; table.num_shapes()];
-        // Symbols: one per shape, plus one per distinct incompressible
-        // instruction — opaque tokens, so eligible neighbors can still
-        // pair across them later.
-        let mut shape_sym = vec![NONE; table.num_shapes()];
-        let mut raw_sym: FxHashMap<Inst, u32> = FxHashMap::default();
-        let mut num_syms = 0u32;
-        // In-block span lists over instruction positions: the span
-        // starting at `p` covers `len[p]` instructions (0 inside a span)
-        // and links to its neighbors' starts.
-        let mut sym = vec![0u32; n];
-        let mut len = vec![1u32; n];
-        let mut next = vec![NONE; n];
-        let mut prev = vec![NONE; n];
-        let mut base = 0usize;
-        for block in &graph.blocks {
-            for p in base..base + block.insts.len() {
-                sym[p] = match table.shape_at(p, 1) {
-                    Some(shape) => {
-                        if cfg.min_seq_len <= 1 {
-                            proposed[shape as usize] = true;
-                        }
-                        intern(&mut shape_sym[shape as usize], &mut num_syms)
-                    }
-                    None => intern(raw_sym.entry(insts[p].1).or_insert(NONE), &mut num_syms),
-                };
-                if p > base {
-                    prev[p] = p as u32 - 1;
-                    next[p - 1] = p as u32;
-                }
-            }
-            base += block.insts.len();
-        }
-        // The counted pair at span `p` followed by `q`, if any.
-        let pair_at = |sym: &[u32], len: &[u32], p: u32, q: u32| -> Option<(u32, u32)> {
-            let (p, q) = (p as usize, q as usize);
-            (q != NONE as usize && len[p] + len[q] <= max_len).then(|| (sym[p], sym[q]))
-        };
-
-        let mut pairs = Pairs::default();
-        let mut dirty = Vec::new();
-        for p in 0..n as u32 {
-            if let Some(key) = pair_at(&sym, &len, p, next[p as usize]) {
-                add(&mut pairs, &mut dirty, key, p);
-            }
-        }
-        let mut heap: BinaryHeap<(u32, Reverse<u32>, Reverse<u32>)> = BinaryHeap::new();
-        let flush = |pairs: &mut Pairs,
-                     dirty: &mut Vec<(u32, u32)>,
-                     heap: &mut BinaryHeap<(u32, Reverse<u32>, Reverse<u32>)>| {
-            for key in dirty.drain(..) {
-                let pair = pairs.get_mut(&key).expect("queued pairs are counted");
-                pair.queued = false;
-                if pair.count >= 2 && !pair.banned {
-                    heap.push((pair.count, Reverse(key.0), Reverse(key.1)));
-                }
-            }
-        };
-        flush(&mut pairs, &mut dirty, &mut heap);
-
-        // Every round either merges (shrinking a span list — at most `n`
-        // times) or bans a pair; the cap is a safety net, and candidate
-        // completeness is backstopped by the frequency sweep either way.
-        for _round in 0..(2 * n + 64) {
-            // Heap entries go stale as counts move; a live one carries its
-            // pair's current count.
-            let Some((a, b)) =
-                std::iter::from_fn(|| heap.pop()).find_map(|(count, Reverse(a), Reverse(b))| {
-                    let pair = &pairs[&(a, b)];
-                    (pair.count == count && !pair.banned).then_some((a, b))
-                })
-            else {
-                break;
-            };
-            let mut occ = std::mem::take(&mut pairs.get_mut(&(a, b)).expect("picked").occ);
-            occ.sort_unstable();
-            let mut unmerged = Vec::new();
-            let mut merged_any = false;
-            for p in occ {
-                let (pu, q) = (p as usize, next[p as usize]);
-                if len[pu] == 0 || sym[pu] != a || q == NONE || sym[q as usize] != b {
-                    continue; // merged away, or a neighbor changed since
-                }
-                let qu = q as usize;
-                let joined = len[pu] + len[qu];
-                let Some(shape) = table.shape_at(pu, joined as usize) else {
-                    // An ineligible joined window would only hide its
-                    // halves from other merges — leave the pair split.
-                    unmerged.push(p);
-                    continue;
-                };
-                if joined as usize >= cfg.min_seq_len {
-                    proposed[shape as usize] = true;
-                }
-                let c = intern(&mut shape_sym[shape as usize], &mut num_syms);
-                let (l, r) = (prev[pu], next[qu]);
-                // Unlink the pairs this merge destroys, splice the merged
-                // span in, and link the pairs it forms.
-                if l != NONE {
-                    if let Some(key) = pair_at(&sym, &len, l, p) {
-                        remove(&mut pairs, &mut dirty, key);
-                    }
-                }
-                remove(&mut pairs, &mut dirty, (a, b));
-                if let Some(key) = pair_at(&sym, &len, q, r) {
-                    remove(&mut pairs, &mut dirty, key);
-                }
-                sym[pu] = c;
-                len[pu] = joined;
-                len[qu] = 0;
-                next[pu] = r;
-                if r != NONE {
-                    prev[r as usize] = p;
-                }
-                if l != NONE {
-                    if let Some(key) = pair_at(&sym, &len, l, p) {
-                        add(&mut pairs, &mut dirty, key, l);
-                    }
-                }
-                if let Some(key) = pair_at(&sym, &len, p, r) {
-                    add(&mut pairs, &mut dirty, key, p);
-                }
-                merged_any = true;
-            }
-            let pair = pairs.get_mut(&(a, b)).expect("picked");
-            pair.occ.extend(unmerged);
-            if !merged_any {
-                pair.banned = true;
-            }
-            flush(&mut pairs, &mut dirty, &mut heap);
-        }
-        proposed
     }
 
     /// Whether `inst` may appear in a compressible window, as its last
@@ -1755,183 +1531,6 @@ mod tests {
         }
     }
 
-    /// The pair-merge proposal set for `listing`, each shape rendered as
-    /// its specs joined by `; `, sorted.
-    fn merge_proposals(config: CompressionConfig, listing: &str) -> Vec<String> {
-        let p = Assembler::new(Program::segment_base(Program::TEXT_SEGMENT))
-            .assemble(listing)
-            .unwrap();
-        let graph = Cfg::build(&p).unwrap();
-        let insts: Vec<(u64, Inst)> = graph
-            .blocks
-            .iter()
-            .flat_map(|b| b.insts.iter().copied())
-            .collect();
-        let compressor = Compressor::new(config);
-        let table = compressor.window_table(&graph);
-        let proposed = compressor.merge_candidates(&graph, &insts, &table);
-        let mut out: Vec<String> = (0..table.num_shapes() as u32)
-            .filter(|&id| proposed[id as usize])
-            .map(|id| {
-                table
-                    .specs_of(id)
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect::<Vec<_>>()
-                    .join("; ")
-            })
-            .collect();
-        out.sort();
-        out
-    }
-
-    #[test]
-    fn pair_merge_overlapping_runs_merge_left_to_right() {
-        // a×7: (a,a) merges at 0, 2, 4 (never at the overlapping odd
-        // positions), then (aa,aa) once at the front.
-        let got = merge_proposals(
-            CompressionConfig::dise_unparameterized(),
-            &"addq r1, #1, r1\n".repeat(7),
-        );
-        assert_eq!(
-            got,
-            [
-                "addq r1, #1, r1; addq r1, #1, r1",
-                "addq r1, #1, r1; addq r1, #1, r1; addq r1, #1, r1; addq r1, #1, r1",
-            ]
-        );
-        // a×5 then s, in two blocks: merging left to right leaves the odd
-        // `a` beside `s`, so (a, s) is proposed (right to left would
-        // propose a a a instead).
-        let run = format!("{}subq r2, #1, r2\n", "addq r1, #1, r1\n".repeat(5));
-        let got = merge_proposals(
-            CompressionConfig::dise_unparameterized(),
-            &format!("{run}beq r2, l1\nl1: {run}halt"),
-        );
-        assert_eq!(
-            got,
-            [
-                "addq r1, #1, r1; addq r1, #1, r1",
-                "addq r1, #1, r1; addq r1, #1, r1; addq r1, #1, r1; addq r1, #1, r1",
-                "addq r1, #1, r1; addq r1, #1, r1; addq r1, #1, r1; addq r1, #1, r1; \
-                 addq r1, #1, r1; subq r2, #1, r2",
-                "addq r1, #1, r1; subq r2, #1, r2",
-            ]
-        );
-    }
-
-    #[test]
-    fn pair_merge_bans_ineligible_pairs() {
-        // (addq, nop) is the most frequent pair and (nop, addq) wins the
-        // next tie, but a `nop` inside a window is never compressible:
-        // both are banned and (subq, mulq) merges instead.
-        let got = merge_proposals(
-            CompressionConfig::dise_unparameterized(),
-            "addq r1, #1, r1\nnop\naddq r1, #1, r1\nnop\naddq r1, #1, r1\nnop
-             subq r2, #1, r2\nmulq r3, r3, r3\nsubq r2, #1, r2\nmulq r3, r3, r3\n",
-        );
-        assert_eq!(got, ["subq r2, #1, r2; mulq r3, r3, r3"]);
-    }
-
-    #[test]
-    fn pair_merge_partial_occurrences() {
-        // Two blocks of a a a: each merges its first pair only, then the
-        // (aa, a) pair joins both blocks' remainders.
-        let got = merge_proposals(
-            CompressionConfig::dise_unparameterized(),
-            "       addq r1, #1, r1
-                    addq r1, #1, r1
-                    addq r1, #1, r1
-                    beq r1, l1
-             l1:    addq r1, #1, r1
-                    addq r1, #1, r1
-                    addq r1, #1, r1
-                    halt",
-        );
-        assert_eq!(
-            got,
-            [
-                "addq r1, #1, r1; addq r1, #1, r1",
-                "addq r1, #1, r1; addq r1, #1, r1; addq r1, #1, r1",
-            ]
-        );
-    }
-
-    #[test]
-    fn pair_merge_recanonicalizes_each_occurrence() {
-        // The same (addq, subq) symbol pair joins into two different
-        // parameterized shapes depending on whether r3 crosses the seam.
-        let got = merge_proposals(
-            CompressionConfig::dise_parameterized(),
-            "addq r1, r2, r3\nsubq r3, r4, r5\naddq r6, r7, r8\nsubq r9, r10, r11
-             addq r1, r2, r3\nsubq r3, r4, r5\naddq r6, r7, r8\nsubq r9, r10, r11\n",
-        );
-        assert_eq!(
-            got,
-            [
-                "addq T.P1, T.P2, T.P3; subq T.P3, r4, r5",
-                "addq T.P1, T.P2, T.P3; subq T.P3, r4, r5; addq r6, r7, r8; subq r9, r10, r11",
-                "addq T.P1, T.P2, T.P3; subq r9, r10, r11",
-            ]
-        );
-    }
-
-    #[test]
-    fn pair_merge_respects_max_seq_len() {
-        // Four-instruction idiom ×3 with max_seq_len 3: the pair of two
-        // merged halves (length 4) is never counted.
-        let config = CompressionConfig {
-            max_seq_len: 3,
-            ..CompressionConfig::dise_unparameterized()
-        };
-        let got = merge_proposals(
-            config,
-            &"addq r1, #1, r1\nsubq r2, #1, r2\nmulq r3, r3, r3\nxor r4, r5, r6\n".repeat(3),
-        );
-        assert_eq!(
-            got,
-            [
-                "addq r1, #1, r1; subq r2, #1, r2",
-                "mulq r3, r3, r3; xor r4, r5, r6"
-            ]
-        );
-    }
-
-    #[test]
-    fn pair_merge_tie_breaks_on_symbol_ids() {
-        // (a,b) and (b,c) tie at two; the lower first symbol id wins, so
-        // `ab` then `abc` are proposed and `bc` never is.
-        let config = CompressionConfig::dise_unparameterized();
-        let got = merge_proposals(
-            config,
-            &"addq r1, #1, r1\nsubq r2, #1, r2\nmulq r3, r3, r3\n".repeat(2),
-        );
-        assert_eq!(
-            got,
-            [
-                "addq r1, #1, r1; subq r2, #1, r2",
-                "addq r1, #1, r1; subq r2, #1, r2; mulq r3, r3, r3",
-            ]
-        );
-        // a b a c y ×2: (a,b) beats (a,c) on the second id, so `ab` gets
-        // the lower new id and later wins (ab,ac) over (ac,y): `abac` is
-        // proposed, `acy` never is.
-        let got = merge_proposals(
-            config,
-            &"addq r1, #1, r1\nsubq r2, #1, r2\naddq r1, #1, r1\nmulq r3, r3, r3\nxor r4, r5, r6\n"
-                .repeat(2),
-        );
-        assert_eq!(
-            got,
-            [
-                "addq r1, #1, r1; mulq r3, r3, r3",
-                "addq r1, #1, r1; subq r2, #1, r2",
-                "addq r1, #1, r1; subq r2, #1, r2; addq r1, #1, r1; mulq r3, r3, r3",
-                "addq r1, #1, r1; subq r2, #1, r2; addq r1, #1, r1; mulq r3, r3, r3; \
-                 xor r4, r5, r6",
-            ]
-        );
-    }
 
     #[test]
     fn compression_registry_carries_static_stats() {

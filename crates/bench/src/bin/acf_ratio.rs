@@ -1,5 +1,5 @@
 //! Static compression-ratio comparison: v1 (greedy frequency-ordered)
-//! vs v2 (pair-merge + DP cover) codeword selection, per benchmark.
+//! vs v2 (DP cover) codeword selection, per benchmark.
 //!
 //! Compresses every benchmark under the full DISE configuration with
 //! both selection algorithms and reports the code and code+dictionary

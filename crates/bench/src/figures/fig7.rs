@@ -10,7 +10,7 @@ use super::{baseline_cell, compressed_cell, ratio_cell};
 use crate::{compress, format_table, Sweep};
 
 /// Top panel: static compression ratio (code, and code+dictionary) over
-/// the six-configuration feature walk, plus the pair-merge (v2)
+/// the six-configuration feature walk, plus the DP-cover (v2)
 /// selection on the full configuration. The walk pins v1 selection and
 /// the last column pins v2, so the table is byte-stable regardless of
 /// `DISE_ACF_SELECT`.

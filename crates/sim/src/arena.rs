@@ -13,8 +13,7 @@
 //! controller's canonical `Debug` form — so distinct `Program` clones of
 //! the same image share, while any architectural difference (down to one
 //! production) gets its own entry. Sharing can be disabled for
-//! differential testing via [`set_share_enabled`] or process-wide with
-//! `DISE_FRONTEND=private`.
+//! differential testing via [`set_share_enabled`].
 
 use dise_core::{Controller, SharedFrontend};
 use dise_isa::{Predecode, Program};
@@ -50,9 +49,8 @@ fn registry() -> &'static Mutex<Registry> {
     REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
 }
 
-/// Runtime switch for the arena, AND-ed with the `DISE_FRONTEND`
-/// environment gate. Exists for the differential conformance suite, which
-/// must run shared and forced-private sweeps in one process.
+/// Runtime switch for the arena. Exists for the differential conformance
+/// suite, which must run shared and forced-private sweeps in one process.
 static SHARE: AtomicBool = AtomicBool::new(true);
 
 /// Enables or disables arena sharing at run time. Disabling does not
@@ -62,18 +60,10 @@ pub fn set_share_enabled(enabled: bool) {
     SHARE.store(enabled, Ordering::SeqCst);
 }
 
-/// Whether arena sharing is currently active: on by default, off when
-/// [`set_share_enabled`]`(false)` was called or the process environment
-/// sets `DISE_FRONTEND` to `private`, `off`, or `0`.
+/// Whether arena sharing is currently active: on by default, off after
+/// [`set_share_enabled`]`(false)`.
 pub fn share_enabled() -> bool {
-    static ENV_GATE: OnceLock<bool> = OnceLock::new();
-    let env_allows = *ENV_GATE.get_or_init(|| {
-        !matches!(
-            std::env::var("DISE_FRONTEND").as_deref(),
-            Ok("private") | Ok("off") | Ok("0")
-        )
-    });
-    env_allows && SHARE.load(Ordering::SeqCst)
+    SHARE.load(Ordering::SeqCst)
 }
 
 /// A snapshot of the arena's traffic counters.

@@ -3,7 +3,8 @@
 //! The simulator tracks ROB and reservation-station occupancy as FIFOs of
 //! timestamps. Both are bounded by construction (an entry is popped before
 //! a push whenever the window is full), so a fixed-size ring that never
-//! reallocates replaces `VecDeque` on the hot path. Capacity is exact —
+//! reallocates stands in for a `VecDeque` (model-tested against one
+//! below). Capacity is exact —
 //! not rounded to a power of two — because ROB/RS sizes (128, 80) are
 //! machine parameters, and a modulo-free wrap test keeps indexing cheap.
 
@@ -152,5 +153,35 @@ mod tests {
             r.push(i);
         }
         assert_eq!(r.len(), 80);
+    }
+
+    #[test]
+    fn matches_vecdeque_model_under_the_timing_discipline() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, RngCore, SeedableRng};
+        use std::collections::VecDeque;
+        // The timing model's window discipline at the ROB/RS sizes it
+        // runs with (and degenerate ones): drain some entries, then pop
+        // once more if full, then push.
+        for cap in [1usize, 4, 8, 80, 128] {
+            let mut rng = StdRng::seed_from_u64(cap as u64);
+            let mut ring = Ring::with_capacity(cap);
+            let mut model: VecDeque<u64> = VecDeque::with_capacity(cap);
+            for step in 0..20_000u64 {
+                if rng.gen_range(0..4u32) == 0 {
+                    for _ in 0..rng.gen_range(0..=cap) {
+                        assert_eq!(ring.pop(), model.pop_front(), "cap {cap}");
+                    }
+                }
+                if ring.len() >= ring.capacity() {
+                    assert_eq!(ring.pop(), model.pop_front(), "cap {cap}");
+                }
+                let v = rng.next_u64() ^ step;
+                ring.push(v);
+                model.push_back(v);
+                assert_eq!(ring.len(), model.len(), "cap {cap}");
+                assert!(ring.iter().eq(model.iter().copied()), "cap {cap}");
+            }
+        }
     }
 }

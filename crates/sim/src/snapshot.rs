@@ -42,7 +42,7 @@ pub(crate) const MAGIC: [u8; 4] = *b"DSNP";
 
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject every version they were not built for.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Kind byte: functional-machine snapshot.
 pub(crate) const KIND_MACHINE: u8 = 0;
@@ -255,8 +255,9 @@ pub fn save_machine(m: &Machine) -> Vec<u8> {
 /// bytes into `m`, which the caller must have constructed exactly as for
 /// a fresh run of the same scenario: same program, same attached engine
 /// (same production set and engine configuration), same dedicated
-/// dictionary. Speed knobs (`fast_path`, frontend sharing) may
-/// differ — they are bit-identity-neutral by construction.
+/// dictionary. The functional speed knobs (`MachineConfig::fast_path`,
+/// `EngineConfig::fast_path`, frontend sharing) may differ — they are
+/// bit-identity-neutral by construction.
 ///
 /// # Errors
 ///
@@ -531,9 +532,10 @@ mod tests {
         let mut bad_version = good.clone();
         bad_version[4] = 99;
         let err = read_header(&mut Reader::new(&bad_version), KIND_MACHINE).unwrap_err();
+        let current = format!("version {SNAPSHOT_VERSION}");
         assert!(
             matches!(&err, SimError::Snapshot(m)
-                if m.contains("version 99") && m.contains("version 1")),
+                if m.contains("version 99") && m.contains(&current)),
             "{err:?}"
         );
 

@@ -17,8 +17,8 @@
 //!   pipeline events ([`TraceEvent`]): fetch, expansion, dispatch, issue,
 //!   writeback, commit, redirect, and stall causes with their cycle
 //!   counts. Recording costs one branch per retired instruction when
-//!   disabled (`trace_last == 0`), verified by the `timing_speed`
-//!   harness.
+//!   disabled (`trace_last == 0`); `perfbench` runs with tracing off,
+//!   so its `sim_mips` bound covers that cost.
 //! * [`AnomalyReport`] — what the simulator dumps when its watchdog
 //!   fires (a commit gap longer than `watchdog` cycles with a non-empty
 //!   ROB), when a shadow functional oracle diverges from the primary

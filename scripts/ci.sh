@@ -25,8 +25,9 @@
 #             cells byte-identical; `ignore`d in debug builds)
 #   snapshot — the bit-identical-resume matrices under --release (they
 #             are `ignore`d in debug builds: minutes-slow unoptimized)
-#             plus a fig6 smoke cell checkpointing at every instruction,
-#             cmp-equal to the plain run
+#             plus fig6 smoke cells checkpointing at every instruction
+#             and every 1000, both cmp-equal to the plain run, with the
+#             second traced to prove every cell ran in several windows
 #   tracing — spans are inert (figure output + stats-JSON cmp-equal with
 #             and without a sink) and the exported Perfetto trace is
 #             structurally valid (figure/cell/phase levels, phases
@@ -157,6 +158,26 @@ cmp "$SNAPTMP/plain.json" "$SNAPTMP/snap.json" || {
 if ls "$SNAPTMP/ckpt"/*.ckpt > /dev/null 2>&1; then
     echo "completed cells left checkpoints behind"
     rm -rf "$SNAPTMP"; exit 1; fi
+# Engagement: a stage whose slicing never armed would pass the cmp
+# above trivially. Each slice runs under a `window` span, so a traced
+# run must show more than one per cell. The trace comes from a second
+# run at every:1000: at every:1 the stream is over a million records,
+# and the sink's size-rotated retention drops the early cells' spans.
+DISE_OBS_SINK="jsonl:$SNAPTMP/obs" DISE_SNAPSHOT=every:1000 \
+    DISE_CHECKPOINT_DIR="$SNAPTMP/ckpt" \
+    DISE_BENCH_DYN=5000 DISE_BENCH_FILTER=gcc DISE_BENCH_JOBS=2 \
+    DISE_BENCH_CACHE="$SNAPTMP/sliced" \
+    ./target/release/fig6_mfi top --stats-json "$SNAPTMP/sliced.json" > /dev/null
+cmp "$SNAPTMP/plain.json" "$SNAPTMP/sliced.json" || {
+    echo "sliced stats-JSON diverged from the plain run"
+    rm -rf "$SNAPTMP"; exit 1; }
+jq -e -n --slurpfile stats "$SNAPTMP/sliced.json" '
+    ([inputs | select(.kind == "span" and .name == "window") | .cell]
+     | group_by(.) | map({(.[0]): length}) | add // {}) as $w
+    | ($stats[0] | keys) | (length > 0) and all(($w[.] // 0) > 1)' \
+    "$SNAPTMP/obs"/*.jsonl > /dev/null || {
+    echo "some checkpointed cell ran in fewer than two windows"
+    rm -rf "$SNAPTMP"; exit 1; }
 rm -rf "$SNAPTMP"
 
 echo "== ci: span tracing ($(date)) =="

@@ -1,12 +1,16 @@
-//! Differential tests for the timing-model fast path.
+//! Differential tests for the functional fast path under the timing
+//! model.
 //!
-//! The direct-mapped store-granule table, the ring-buffer ROB/RS windows,
-//! and the in-place `step_into` oracle loop are pure simulation-speed
-//! devices: every test here runs the same workload with the fast path on
-//! (the default) and off ([`SimConfig::slow_path`]: `HashMap` store
-//! tracking, `VecDeque` windows, the allocating `step` loop) and demands
-//! *bit-identical* [`SimResult`]s — cycles, every stall counter, and the
-//! machine's architectural state.
+//! The timing model has one implementation. What it consumes — the
+//! functional [`Machine`]'s dynamic instruction stream and the DISE
+//! engine's expansions — has a fast path (predecode, memoized matching)
+//! and a byte-accurate slow path ([`MachineConfig::slow_path`] +
+//! [`EngineConfig::slow_path`]), the reference the `--shadow` oracle
+//! uses. Every test here runs the same workload through the same
+//! [`SimConfig`] with both and demands *bit-identical* [`SimResult`]s —
+//! cycles, every stall counter, engine statistics and the machine's
+//! architectural state. Every engine-attached scenario also asserts that
+//! it expanded something, so an engine that never engaged cannot pass.
 //!
 //! [`SimResult`]: dise::sim::SimResult
 
@@ -14,7 +18,7 @@ use dise::acf::compress::{CompressionConfig, Compressor};
 use dise::acf::mfi::{Mfi, MfiVariant};
 use dise::engine::{DiseEngine, EngineConfig, EngineStats, RtOrganization};
 use dise::isa::{Program, Reg};
-use dise::sim::{ExpansionCost, Machine, SimConfig, Simulator};
+use dise::sim::{ExpansionCost, Machine, MachineConfig, SimConfig, Simulator};
 use dise::workloads::{Benchmark, WorkloadConfig};
 
 fn workload(bench: Benchmark) -> Program {
@@ -25,32 +29,61 @@ fn final_state(m: &Machine) -> Vec<u64> {
     (0..32).map(|i| m.reg(Reg::r(i))).collect()
 }
 
-/// An MFI-protected machine over `p` (the frontend fast path stays on in
-/// both runs — only the timing model's paths differ here).
-fn mfi_machine(p: &Program) -> Machine {
-    let mut m = Machine::load(p);
+/// The functional configuration under test: both fast paths, or both
+/// slow paths.
+#[derive(Clone, Copy)]
+struct Paths {
+    machine: MachineConfig,
+    engine: EngineConfig,
+}
+
+impl Paths {
+    /// Both fast paths on (`slow == false`) or both off, over `engine`.
+    fn new(slow: bool, engine: EngineConfig) -> Paths {
+        if slow {
+            Paths {
+                machine: MachineConfig::default().slow_path(),
+                engine: engine.slow_path(),
+            }
+        } else {
+            Paths {
+                machine: MachineConfig::default(),
+                engine,
+            }
+        }
+    }
+}
+
+/// An unmodified machine over `p`.
+fn baseline_machine(p: &Program, paths: Paths) -> Machine {
+    Machine::with_config(p, paths.machine)
+}
+
+/// An MFI-protected machine over `p`.
+fn mfi_machine(p: &Program, paths: Paths) -> Machine {
+    let mut m = Machine::with_config(p, paths.machine);
     let set = Mfi::new(MfiVariant::Dise3)
         .with_error_handler(p.symbol("mfi_error").unwrap())
         .productions()
         .unwrap();
-    m.attach_engine(DiseEngine::with_productions(EngineConfig::default(), set).unwrap());
+    m.attach_engine(DiseEngine::with_productions(paths.engine, set).unwrap());
     Mfi::init_machine(&mut m);
     m
 }
 
 /// A DISE-decompressing machine with a *finite* RT, so engine stalls and
 /// miss penalties flow through the timing model.
-fn compressed_machine(p: &Program, engine: EngineConfig) -> Machine {
+fn compressed_machine(p: &Program, paths: Paths) -> Machine {
     let c = Compressor::new(CompressionConfig::dise_full())
         .compress(p)
         .unwrap();
-    let mut m = Machine::load(&c.program);
-    c.attach(&mut m, engine).unwrap();
+    let mut m = Machine::with_config(&c.program, paths.machine);
+    c.attach(&mut m, paths.engine).unwrap();
     m
 }
 
 /// Decompression with MFI composed in — the densest expansion stream.
-fn composed_machine(p: &Program) -> Machine {
+fn composed_machine(p: &Program, paths: Paths) -> Machine {
     let c = Compressor::new(CompressionConfig::dise_full())
         .compress(p)
         .unwrap();
@@ -60,25 +93,27 @@ fn composed_machine(p: &Program) -> Machine {
         .productions()
         .unwrap();
     let composed = dise::engine::compose::compose_nested(&mfi, &aware).unwrap();
-    let mut m = Machine::load(&c.program);
-    m.attach_engine(DiseEngine::with_productions(EngineConfig::default(), composed).unwrap());
+    let mut m = Machine::with_config(&c.program, paths.machine);
+    m.attach_engine(DiseEngine::with_productions(paths.engine, composed).unwrap());
     Mfi::init_machine(&mut m);
     m
 }
 
-/// Runs `build()` under `sim` with the fast path on and off; both runs
-/// must agree bit-for-bit. Returns the engine statistics (if an engine is
-/// attached) so callers can check that the path under test engaged.
+/// Runs `build(paths)` under `sim` with the functional fast paths on
+/// and off; both runs must agree bit-for-bit. Returns the engine
+/// statistics (if an engine is attached) so callers can check that the
+/// path under test engaged.
 fn assert_paths_identical(
-    build: impl Fn() -> Machine,
+    build: impl Fn(Paths) -> Machine,
+    engine: EngineConfig,
     sim: SimConfig,
     tag: &str,
 ) -> Option<EngineStats> {
-    let mut fast = Simulator::new(sim, build());
-    let mut slow = Simulator::new(sim.slow_path(), build());
+    let mut fast = Simulator::new(sim, build(Paths::new(false, engine)));
+    let mut slow = Simulator::new(sim, build(Paths::new(true, engine)));
     let rf = fast.run(u64::MAX).unwrap();
     let rs = slow.run(u64::MAX).unwrap();
-    assert_eq!(rf, rs, "{tag}: SimResult diverged between timing paths");
+    assert_eq!(rf, rs, "{tag}: SimResult diverged between functional paths");
     assert_eq!(
         final_state(fast.machine()),
         final_state(slow.machine()),
@@ -98,11 +133,29 @@ fn assert_paths_identical(
     stats
 }
 
+/// [`assert_paths_identical`] for an engine-attached scenario, which
+/// must have expanded at least one instruction.
+fn assert_expanding_paths_identical(
+    build: impl Fn(Paths) -> Machine,
+    engine: EngineConfig,
+    sim: SimConfig,
+    tag: &str,
+) -> EngineStats {
+    let stats = assert_paths_identical(build, engine, sim, tag).expect("engine attached");
+    assert!(stats.expansions > 0, "{tag}: the engine never expanded");
+    stats
+}
+
 #[test]
 fn baseline_timing_identical_fast_and_slow() {
     for bench in [Benchmark::Mcf, Benchmark::Gcc, Benchmark::Crafty] {
         let p = workload(bench);
-        assert_paths_identical(|| Machine::load(&p), SimConfig::default(), bench.name());
+        assert_paths_identical(
+            |paths| baseline_machine(&p, paths),
+            EngineConfig::default(),
+            SimConfig::default(),
+            bench.name(),
+        );
     }
 }
 
@@ -116,8 +169,9 @@ fn mfi_timing_identical_across_expansion_costs() {
         ExpansionCost::StallPerExpansion,
         ExpansionCost::ExtraStage,
     ] {
-        assert_paths_identical(
-            || mfi_machine(&p),
+        assert_expanding_paths_identical(
+            |paths| mfi_machine(&p, paths),
+            EngineConfig::default(),
             SimConfig::default().with_expansion_cost(cost),
             &format!("mfi/{cost:?}"),
         );
@@ -134,12 +188,12 @@ fn compressed_timing_identical_with_finite_rt() {
         rt_org: RtOrganization::DirectMapped,
         ..EngineConfig::default()
     };
-    let stats = assert_paths_identical(
-        || compressed_machine(&p, engine),
+    let stats = assert_expanding_paths_identical(
+        |paths| compressed_machine(&p, paths),
+        engine,
         SimConfig::default().with_icache_size(Some(8 * 1024)),
         "compressed/finite-rt",
-    )
-    .unwrap();
+    );
     // Engagement: the 64-entry RT really missed (about 3K times).
     assert!(
         stats.rt_misses >= 2_000,
@@ -151,15 +205,20 @@ fn compressed_timing_identical_with_finite_rt() {
 #[test]
 fn composed_timing_identical_fast_and_slow() {
     let p = workload(Benchmark::Gcc);
-    assert_paths_identical(|| composed_machine(&p), SimConfig::default(), "composed");
+    assert_expanding_paths_identical(
+        |paths| composed_machine(&p, paths),
+        EngineConfig::default(),
+        SimConfig::default(),
+        "composed",
+    );
 }
 
 #[test]
 fn tiny_windows_timing_identical_fast_and_slow() {
     // A near-degenerate machine: 8-entry ROB, 4 reservation stations,
-    // 8-wide fetch. The ring buffers wrap constantly and back-pressure
-    // dominates — the configuration most likely to expose a ring/VecDeque
-    // behavioral difference.
+    // 8-wide fetch. The windows wrap constantly and back-pressure
+    // dominates, so stall timing depends on every instruction's exact
+    // place in the stream.
     let p = workload(Benchmark::Vpr);
     let sim = SimConfig {
         width: 8,
@@ -167,5 +226,10 @@ fn tiny_windows_timing_identical_fast_and_slow() {
         rs_size: 4,
         ..SimConfig::default()
     };
-    assert_paths_identical(|| mfi_machine(&p), sim, "tiny-windows");
+    assert_expanding_paths_identical(
+        |paths| mfi_machine(&p, paths),
+        EngineConfig::default(),
+        sim,
+        "tiny-windows",
+    );
 }
