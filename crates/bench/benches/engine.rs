@@ -72,12 +72,20 @@ fn engine_with_mfi_config(config: EngineConfig) -> DiseEngine {
 }
 
 /// The frontend fast path against the seed algorithm: per-opcode PT index
-/// plus expansion/instantiation memos (default config) vs the linear scan
-/// (`slow_path`). Same engine state, same stats, different lookup cost.
+/// plus the PC-indexed expansion cache (default config) vs the linear
+/// scan (`slow_path`, which never binds the cache). Same engine state,
+/// same stats, different lookup cost. Each instruction sits at its own
+/// text PC, as it would in a program image.
 fn bench_fast_path(c: &mut Criterion) {
+    const TEXT: u64 = 0x1000;
     let alu: Inst = "addq r1, r2, r3".parse().unwrap();
     let store: Inst = "stq r1, 0(r2)".parse().unwrap();
-    let (alu_raw, store_raw) = (alu.encode().unwrap(), store.encode().unwrap());
+    let (alu_pc, store_pc) = (TEXT, TEXT + 4);
+    let bound = |config: EngineConfig| {
+        let mut engine = engine_with_mfi_config(config);
+        engine.bind_text(TEXT, 4);
+        engine
+    };
 
     let mut group = c.benchmark_group("engine_fast_path");
     group.throughput(Throughput::Elements(1));
@@ -85,25 +93,25 @@ fn bench_fast_path(c: &mut Criterion) {
         ("fast", EngineConfig::default()),
         ("slow", EngineConfig::default().slow_path()),
     ] {
-        // Steady-state inspect of a non-covered instruction (memo hit /
-        // counter early-exit).
-        let mut engine = engine_with_mfi_config(config);
-        let _ = engine.inspect_decoded(&alu, alu_raw);
+        // Steady-state inspect of a non-covered instruction (counter
+        // early-exit on both paths).
+        let mut engine = bound(config);
+        let _ = engine.inspect_at(&alu, alu_pc);
         group.bench_function(&format!("inspect_none/{path}"), |b| {
-            b.iter(|| black_box(engine.inspect_decoded(black_box(&alu), alu_raw)))
+            b.iter(|| black_box(engine.inspect_at(black_box(&alu), alu_pc)))
         });
 
-        // Steady-state inspect of an expanding store (memo hit / PT match).
-        let mut engine = engine_with_mfi_config(config);
-        while matches!(engine.inspect_decoded(&store, store_raw), Expansion::Miss { .. }) {}
+        // Steady-state inspect of an expanding store (cache hit / PT match).
+        let mut engine = bound(config);
+        while matches!(engine.inspect_at(&store, store_pc), Expansion::Miss { .. }) {}
         group.bench_function(&format!("inspect_expand/{path}"), |b| {
-            b.iter(|| black_box(engine.inspect_decoded(black_box(&store), store_raw)))
+            b.iter(|| black_box(engine.inspect_at(black_box(&store), store_pc)))
         });
 
-        // Steady-state replacement instantiation (memo hit / re-instantiate).
-        let mut engine = engine_with_mfi_config(config);
+        // Steady-state replacement instantiation (cache hit / re-instantiate).
+        let mut engine = bound(config);
         let id = loop {
-            match engine.inspect_decoded(&store, store_raw) {
+            match engine.inspect_at(&store, store_pc) {
                 Expansion::Expand { id, .. } => break id,
                 _ => continue,
             }
@@ -112,7 +120,7 @@ fn bench_fast_path(c: &mut Criterion) {
             b.iter(|| {
                 black_box(
                     engine
-                        .fetch_replacement_decoded(id, 0, &store, store_raw, 0x1000)
+                        .fetch_replacement_at(id, 0, &store, store_pc)
                         .unwrap(),
                 )
             })

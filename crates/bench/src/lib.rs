@@ -439,8 +439,8 @@ fn audit_snapshot_neutrality(cell: &Cell, out: &CellOutput) {
 /// `build` to `sim`. The builder must mirror the primary machine's
 /// construction exactly (same program, engine productions, register
 /// init) but on the byte-accurate slow path, so the lockstep comparison
-/// cross-checks the fast-path and shared-frontend implementations
-/// against the unshared reference on every retired instruction. The same
+/// cross-checks the fast path (predecode, expansion cache) against the
+/// reference engine on every retired instruction. The same
 /// builder is handed to [`checkpoint::run_sim_replay`], which uses it to
 /// arm a shadow during anomaly replay even when `--shadow` is off.
 fn maybe_attach_shadow(sim: &mut Simulator, build: checkpoint::ShadowBuilder<'_>) {

@@ -16,13 +16,11 @@
 //! compose productions on the fly (§4).
 
 use crate::controller::Controller;
-use crate::frontend::{self, SharedFrontend};
 use crate::fxhash::FxHashMap;
-use crate::production::{ProductionSet, ReplacementId};
+use crate::production::{Production, ProductionSet, ReplacementId};
 use crate::spec::InstSpec;
 use crate::{CoreError, Result};
 use dise_isa::{Inst, Op};
-use std::sync::Arc;
 
 /// Replacement-table organization (Figure 7 bottom sweeps these).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,14 +55,15 @@ pub struct EngineConfig {
     /// productions (transparent-into-aware inlining, §3.3/§4.3).
     pub compose_penalty: u64,
     /// Enables the host-side frontend fast path: the per-opcode PT match
-    /// index, the expansion memo, and the instantiation memo. Purely a
-    /// simulation-speed knob — architectural results and every
-    /// [`EngineStats`] counter are bit-identical either way (memo entries
-    /// are architectural and flushed on every event that could change
-    /// one; every hit re-verifies RT residency with the same LRU
-    /// reference the slow path makes, and falls through to the slow path
-    /// when the entry was evicted). Off reproduces the original
-    /// linear-scan decode path.
+    /// index and the PC-indexed expansion cache (see
+    /// [`DiseEngine::inspect_at`]). Purely a simulation-speed knob —
+    /// architectural results and every [`EngineStats`] counter are
+    /// bit-identical either way: cache entries are architectural and
+    /// cleared only by production installs, and every hit re-checks the
+    /// pattern counters and replays the RT reference the slow path makes,
+    /// falling through to the slow path when the sequence was evicted.
+    /// Off reproduces the original linear-scan decode path; the
+    /// `--shadow` oracle runs it.
     pub fast_path: bool,
 }
 
@@ -151,7 +150,7 @@ impl EngineStats {
     /// The counters under their registry names (without the `engine.`
     /// prefix the simulator's stats registry adds). `pt_probes` is an
     /// alias of `inspected`: every inspected instruction probes the PT
-    /// index exactly once, on the memoized fast path and the plain path
+    /// index exactly once, on the cached fast path and the plain path
     /// alike.
     pub fn named_counters(&self) -> [(&'static str, u64); 8] {
         [
@@ -435,19 +434,80 @@ impl RtStore {
     }
 }
 
-/// Number of slots in the direct-mapped expansion memo. Sized to cover
-/// the static footprint of a large benchmark (tens of thousands of
-/// distinct instruction words) — at ~32 bytes a slot the table stays
-/// well under a megabyte while keeping conflict misses rare.
-const EXP_MEMO_SLOTS: usize = 32768;
-/// Number of slots in the direct-mapped instantiation memo.
-const INST_MEMO_SLOTS: usize = 32768;
+/// `ExpCache::slots` tag: nothing cached for this PC yet.
+const SLOT_UNKNOWN: u32 = 0;
+/// `ExpCache::slots` tag: the instruction at this PC passes through.
+const SLOT_PASS: u32 = 1;
+/// `ExpCache::slots` tags from here up name entry `tag - SLOT_ENTRY`.
+const SLOT_ENTRY: u32 = 2;
 
-/// Instantiation-memo key. The trigger's raw word stands in for its
-/// decoded fields; `trigger_pc` must be part of the key because
-/// PC-relative immediate directives (`T.PC`, absolute-target rewriting)
-/// instantiate differently at different trigger addresses.
-type InstMemoKey = (ReplacementId, u8, u32, u64);
+/// The PC-indexed expansion cache: what the instruction at each text PC
+/// expands to, and each replacement µop instantiated for it.
+///
+/// Dense over the text segment with one slot per predecode slot (even
+/// byte offsets), bound by [`DiseEngine::bind_text`] and filled lazily
+/// from the live path on first execution at a PC. Every entry is
+/// architectural: the instruction at a text PC never changes, an
+/// inspect outcome (`None`, or `Expand { id, len }`) is a pure function
+/// of that instruction and the production set once every rule covering
+/// its opcode is PT-resident, and an instantiation is a pure function of
+/// the spec, the trigger and its PC. Residency is never cached: a hit
+/// re-checks the pattern counters and replays the RT reference, so only
+/// production installs clear the cache (see [`DiseEngine::inspect_at`]).
+#[derive(Debug, Default)]
+struct ExpCache {
+    /// Text base the slots index from: slot `(pc - base) / 2`.
+    base: u64,
+    /// One tag per slot: [`SLOT_UNKNOWN`], [`SLOT_PASS`], or
+    /// `SLOT_ENTRY + i` for `entries[i]`.
+    slots: Vec<u32>,
+    /// `(id, len, start)`: the sequence a trigger PC expands to, and
+    /// where its `len` µops start in `uops`.
+    entries: Vec<(ReplacementId, u8, u32)>,
+    /// Instantiated µops, `len` per entry; `None` until first fetched.
+    uops: Vec<Option<Inst>>,
+    /// Inspections and fetches served from the cache (diagnostics only;
+    /// not an [`EngineStats`] counter).
+    hits: u64,
+}
+
+impl ExpCache {
+    /// The slot for `pc`, if it is an even offset inside the bound text.
+    #[inline]
+    fn slot(&self, pc: u64) -> Option<usize> {
+        let off = pc.wrapping_sub(self.base);
+        let ix = (off >> 1) as usize;
+        (off & 1 == 0 && ix < self.slots.len()).then_some(ix)
+    }
+
+    /// The `uops` index of `(id, disepc)` for the trigger at `pc`, if the
+    /// cache holds an expansion of `id` there.
+    #[inline]
+    fn uop(&self, pc: u64, id: ReplacementId, disepc: u8) -> Option<usize> {
+        let tag = self.slots[self.slot(pc)?];
+        let &(eid, len, start) = self.entries.get(tag.checked_sub(SLOT_ENTRY)? as usize)?;
+        (eid == id && disepc < len).then_some(start as usize + disepc as usize)
+    }
+
+    /// Drops every entry, keeping the binding.
+    fn clear(&mut self) {
+        self.slots.fill(SLOT_UNKNOWN);
+        self.entries.clear();
+        self.uops.clear();
+    }
+}
+
+/// The static per-opcode match index over `rules`: entry `n` holds the
+/// indices (ascending) of the rules whose patterns cover opcode number `n`.
+fn build_op_rules(rules: &[Production]) -> Vec<Vec<usize>> {
+    let mut table = vec![Vec::new(); 64];
+    for (i, rule) in rules.iter().enumerate() {
+        for op in rule.pattern.opcodes() {
+            table[op.number() as usize].push(i);
+        }
+    }
+    table
+}
 
 /// The DISE engine: PT + RT + pattern-counter table + instantiation logic,
 /// fed by a [`Controller`] that owns the architectural production set.
@@ -465,34 +525,15 @@ pub struct DiseEngine {
     counters: [(u16, u16); 64],
     /// Static fast-path match index: per opcode number, the indices of
     /// *all* rules whose patterns cover that opcode (not just resident
-    /// ones). Only consulted when the pattern counters show every
-    /// covering rule resident (`active == resident`), which is the only
-    /// state in which `inspect` matches; the extra filter the old
-    /// residency-tracked index provided was therefore dead. Depends only
-    /// on the production set, so sweep cells over the same productions
-    /// share one copy by `Arc`; runtime installs rebuild a private copy.
-    op_rules: Arc<Vec<Vec<usize>>>,
-    /// Process-shared read-only frontend layer (match index + memo of
-    /// architectural expansion outcomes per raw word), if this engine was
-    /// attached to one. Probed before the private `exp_memo`; detached on
-    /// runtime production installs (the architectural set diverges from
-    /// the shared snapshot).
-    shared: Option<Arc<SharedFrontend>>,
-    /// Direct-mapped memo of steady-state `inspect` outcomes, keyed by the
-    /// trigger's raw instruction word. Caches only `None` and `Expand`
-    /// (misses and faults mutate or depend on transient table state).
-    /// Entries depend on the production set and PT residency only, so
-    /// this is flushed on installs, context switches, imports and PT
-    /// fills, but not on RT fills (see [`DiseEngine::invalidate_memos`]).
-    /// Allocated lazily (empty until the first store): engines attached to
-    /// a shared frontend rarely need it at all.
-    exp_memo: Box<[Option<(u32, Expansion)>]>,
-    /// Direct-mapped memo of `spec.instantiate` results, keyed by
-    /// `(id, disepc, trigger word, trigger pc)`: a pure function of the
-    /// production set. Flushed with `exp_memo`; also lazily allocated.
-    /// Always private — instantiations depend on trigger PC and fields,
-    /// which don't amortize across cells.
-    inst_memo: Box<[Option<(InstMemoKey, Inst)>]>,
+    /// ones), in rule order. Only consulted when the pattern counters show
+    /// every covering rule resident (`active == resident`), which is the
+    /// only state in which `inspect` matches; a residency-tracked index
+    /// would filter nothing more. Depends only on the production set, so
+    /// runtime installs rebuild it.
+    op_rules: Vec<Vec<usize>>,
+    /// The PC-indexed expansion cache (fast path only; empty until
+    /// [`DiseEngine::bind_text`]).
+    cache: ExpCache,
     rt: RtStore,
     stats: EngineStats,
 }
@@ -530,7 +571,7 @@ impl DiseEngine {
                 counters[op.number() as usize].0 += 1;
             }
         }
-        let op_rules = Arc::new(frontend::build_op_rules(controller.productions().rules()));
+        let op_rules = build_op_rules(controller.productions().rules());
         DiseEngine {
             rt: RtStore::new(&config),
             config,
@@ -538,97 +579,33 @@ impl DiseEngine {
             pt_resident: Vec::new(),
             counters,
             op_rules,
-            shared: None,
-            exp_memo: Box::default(),
-            inst_memo: Box::default(),
+            cache: ExpCache::default(),
             stats: EngineStats::default(),
         }
     }
 
-    /// Attaches a process-shared frontend built over this engine's
-    /// production set (see [`SharedFrontend`]). The engine adopts the
-    /// shared match index and probes the shared architectural memo before
-    /// its private one. Purely constructional — architectural results and
-    /// statistics are bit-identical with or without a shared frontend.
-    pub fn set_shared_frontend(&mut self, shared: Arc<SharedFrontend>) {
-        debug_assert_eq!(
-            **shared.op_rules(),
-            frontend::build_op_rules(self.controller.productions().rules()),
-            "shared frontend was built over a different production set"
-        );
-        self.op_rules = Arc::clone(shared.op_rules());
-        self.shared = Some(shared);
+    /// Binds the PC-indexed expansion cache to a text segment of `slots`
+    /// two-byte slots starting at `text_base` (a predecode table's
+    /// geometry), dropping anything cached before. The PC-keyed entry
+    /// points ([`DiseEngine::inspect_at`],
+    /// [`DiseEngine::fetch_replacement_at`]) serve even PCs inside that
+    /// range from the cache; every other PC, and every PC of a slow-path
+    /// engine (which stays unbound), takes the live path.
+    pub fn bind_text(&mut self, text_base: u64, slots: usize) {
+        let slots = if self.config.fast_path { slots } else { 0 };
+        self.cache = ExpCache {
+            base: text_base,
+            slots: vec![SLOT_UNKNOWN; slots],
+            ..ExpCache::default()
+        };
     }
 
-    /// The attached shared frontend, if any.
-    pub fn shared_frontend(&self) -> Option<&Arc<SharedFrontend>> {
-        self.shared.as_ref()
-    }
-
-    /// Drops the shared frontend and rebuilds a private match index.
-    /// Called when a runtime install changes the production set out from
-    /// under the shared architectural snapshot.
-    fn detach_shared(&mut self) {
-        self.shared = None;
-        self.op_rules = Arc::new(frontend::build_op_rules(
-            self.controller.productions().rules(),
-        ));
-    }
-
-    /// The private expansion memo, allocated on first use.
-    fn exp_memo_mut(&mut self) -> &mut [Option<(u32, Expansion)>] {
-        if self.exp_memo.is_empty() {
-            self.exp_memo = vec![None; EXP_MEMO_SLOTS].into_boxed_slice();
-        }
-        &mut self.exp_memo
-    }
-
-    /// The private instantiation memo, allocated on first use.
-    fn inst_memo_mut(&mut self) -> &mut [Option<(InstMemoKey, Inst)>] {
-        if self.inst_memo.is_empty() {
-            self.inst_memo = vec![None; INST_MEMO_SLOTS].into_boxed_slice();
-        }
-        &mut self.inst_memo
-    }
-
-    #[inline]
-    fn exp_slot(raw: u32) -> usize {
-        let bits = EXP_MEMO_SLOTS.trailing_zeros();
-        (raw.wrapping_mul(0x9E37_79B9) >> (32 - bits)) as usize
-    }
-
-    #[inline]
-    fn inst_slot(key: &InstMemoKey) -> usize {
-        let (id, disepc, raw, pc) = *key;
-        let h = (id as u64 ^ ((disepc as u64) << 32))
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ (raw as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-            ^ pc.rotate_left(17);
-        (h >> 48) as usize % INST_MEMO_SLOTS
-    }
-
-    /// Drops every memoized outcome.
-    ///
-    /// Memo entries are architectural: an instantiation is a pure
-    /// function of the production set (`resolve_spec` is deterministic
-    /// per id), and an expansion outcome depends only on the production
-    /// set and PT residency. RT residency is never assumed: every hit
-    /// replays the slow path's RT reference through `rt.touch`, and when
-    /// the entry was evicted the hit falls through to the live path,
-    /// which models the miss and refill. RT fills therefore keep the
-    /// memos. The flushes that remain are:
-    ///
-    /// * PT fills — private expansion-memo hits skip the pattern-counter
-    ///   check, so a fill that evicts another opcode's patterns must
-    ///   drop outcomes that would now PT-miss;
-    /// * production installs — outcomes and instantiations change;
-    /// * context switches and state imports — PT residency is replaced
-    ///   wholesale.
-    ///
-    /// All four are rare (a handful per run).
-    fn invalidate_memos(&mut self) {
-        self.exp_memo.fill(None);
-        self.inst_memo.fill(None);
+    /// Inspections and replacement fetches served from the PC-indexed
+    /// expansion cache so far. A diagnostic for tests and benchmarks that
+    /// must prove the cache engaged; it is not an [`EngineStats`]
+    /// counter, so exported statistics do not depend on it.
+    pub fn expansion_cache_hits(&self) -> u64 {
+        self.cache.hits
     }
 
     /// The engine configuration.
@@ -731,80 +708,64 @@ impl DiseEngine {
         Expansion::Expand { id, len }
     }
 
-    /// [`DiseEngine::inspect`] with the trigger's raw instruction word in
-    /// hand (a predecoded frontend knows it for free). When the fast path
-    /// is enabled, steady-state outcomes are served from a direct-mapped
-    /// memo keyed by the word: the pattern match and RT length lookup are
-    /// skipped, but stats deltas and the RT's LRU reference are replayed
-    /// exactly, so [`EngineStats`] and future miss behavior are
-    /// bit-identical to the slow path.
-    pub fn inspect_decoded(&mut self, inst: &Inst, raw: u32) -> Expansion {
-        if !self.config.fast_path {
-            return self.inspect(inst);
-        }
-        // Opcodes no pattern covers (the common case) resolve from the
-        // live counters alone — cheaper than a memo probe, and literally
-        // the same early-exit `inspect` takes.
+    /// [`DiseEngine::inspect`] for the instruction at text address `pc`
+    /// (`inst` must be the instruction the bound text holds there). Once
+    /// the live path has inspected a PC, its `None` or `Expand` outcome
+    /// is served from the expansion cache: the pattern match and RT
+    /// length lookup are skipped, but the hit replays what the live path
+    /// would do — it requires `active == resident` for the opcode, adds
+    /// the same stats deltas, and repeats the RT's LRU reference — so
+    /// [`EngineStats`] and future miss behavior are bit-identical to the
+    /// slow path.
+    ///
+    /// The counter gate is what makes an outcome cacheable across PT
+    /// fills, evictions and context switches: with every rule covering
+    /// the opcode resident, the match is the architectural one. A hit
+    /// whose sequence has left the RT falls through to the live path,
+    /// which models the miss and the refill.
+    pub fn inspect_at(&mut self, inst: &Inst, pc: u64) -> Expansion {
         let (active, resident) = self.counters[inst.op.number() as usize];
-        if (active, resident) == (0, 0) {
+        // Opcodes no pattern covers (`resident <= active`, so both are 0)
+        // resolve from the counters alone — literally the same early
+        // exit `inspect` takes, and cheaper than a cache probe.
+        if active == 0 {
             self.stats.inspected += 1;
             return Expansion::None;
         }
-        if let Some(shared) = &self.shared {
-            // The shared architectural memo is only valid when every rule
-            // covering this opcode is PT-resident — the counters are the
-            // hardware's own encoding of exactly that condition, and the
-            // check must precede the probe (the shared memo, unlike the
-            // private one, is never flushed by PT fills or switches).
-            if active == resident {
-                match shared.lookup(raw) {
-                    Some(None) => {
-                        self.stats.inspected += 1;
-                        return Expansion::None;
-                    }
-                    // The slow path would call `rt.get(id, 0)` here;
-                    // replay its LRU effect. On an RT miss fall through
-                    // to the live path, which models the fill.
-                    Some(Some((id, len))) if self.rt.touch(id, 0) => {
-                        self.stats.inspected += 1;
-                        self.stats.expansions += 1;
-                        self.stats.replacement_insts += len as u64;
-                        return Expansion::Expand { id, len };
-                    }
-                    _ => {}
-                }
-            }
-            // PT misses, RT misses, faults and unmemoized words all take
-            // the live path. No private-memo store: every steady-state
-            // outcome for this image is already in the shared layer.
+        let Some(slot) = self.cache.slot(pc) else {
             return self.inspect(inst);
-        }
-        let slot = Self::exp_slot(raw);
-        if let Some((word, outcome)) = self.exp_memo.get(slot).copied().flatten() {
-            if word == raw {
-                match outcome {
-                    Expansion::None => {
-                        self.stats.inspected += 1;
-                        return Expansion::None;
-                    }
-                    // The slow path would call `rt.get(id, 0)` here;
-                    // replay its LRU effect. RT fills keep the memo, so
-                    // the sequence may have been evicted since the store:
-                    // then fall through to the live path, which models
-                    // the miss.
-                    Expansion::Expand { id, len } if self.rt.touch(id, 0) => {
+        };
+        if active == resident {
+            match self.cache.slots[slot] {
+                SLOT_UNKNOWN => {}
+                SLOT_PASS => {
+                    self.stats.inspected += 1;
+                    self.cache.hits += 1;
+                    return Expansion::None;
+                }
+                tag => {
+                    let (id, len, _) = self.cache.entries[(tag - SLOT_ENTRY) as usize];
+                    // The live path would call `rt.get(id, 0)` here.
+                    if self.rt.touch(id, 0) {
                         self.stats.inspected += 1;
                         self.stats.expansions += 1;
                         self.stats.replacement_insts += len as u64;
+                        self.cache.hits += 1;
                         return Expansion::Expand { id, len };
                     }
-                    _ => {}
                 }
             }
         }
         let outcome = self.inspect(inst);
-        if matches!(outcome, Expansion::None | Expansion::Expand { .. }) {
-            self.exp_memo_mut()[slot] = Some((raw, outcome));
+        let cache = &mut self.cache;
+        match outcome {
+            Expansion::None => cache.slots[slot] = SLOT_PASS,
+            Expansion::Expand { id, len } if cache.slots[slot] == SLOT_UNKNOWN => {
+                cache.slots[slot] = SLOT_ENTRY + cache.entries.len() as u32;
+                cache.entries.push((id, len, cache.uops.len() as u32));
+                cache.uops.resize(cache.uops.len() + len as usize, None);
+            }
+            _ => {}
         }
         outcome
     }
@@ -843,39 +804,35 @@ impl DiseEngine {
         spec.instantiate(trigger, trigger_pc)
     }
 
-    /// [`DiseEngine::fetch_replacement`] with the trigger's raw word in
-    /// hand. When the fast path is enabled, successful instantiations are
-    /// memoized by `(id, disepc, trigger word, trigger pc)`; a hit skips
-    /// the spec lookup and template evaluation but replays the RT's LRU
-    /// reference, keeping miss modeling bit-identical to the slow path.
+    /// [`DiseEngine::fetch_replacement`] for a trigger at text address
+    /// `trigger_pc`. Once the live path has instantiated `(id, disepc)`
+    /// for a trigger PC the expansion cache holds, later fetches return
+    /// the cached µop: the spec lookup and template evaluation are
+    /// skipped, but the RT reference is replayed (`touch` stands for the
+    /// live `contains` + `get` pair), and a µop whose sequence has left
+    /// the RT takes the live path, which models the miss.
     ///
     /// # Errors
     ///
     /// Same conditions as [`DiseEngine::fetch_replacement`].
-    pub fn fetch_replacement_decoded(
+    pub fn fetch_replacement_at(
         &mut self,
         id: ReplacementId,
         disepc: u8,
         trigger: &Inst,
-        raw: u32,
         trigger_pc: u64,
     ) -> Result<Inst> {
-        if !self.config.fast_path {
+        let Some(uop) = self.cache.uop(trigger_pc, id, disepc) else {
             return self.fetch_replacement(id, disepc, trigger, trigger_pc);
-        }
-        let key = (id, disepc, raw, trigger_pc);
-        let slot = Self::inst_slot(&key);
-        if let Some((k, inst)) = self.inst_memo.get(slot).copied().flatten() {
-            // `touch` replays the slow path's `contains` + `get` pair.
-            // RT fills keep the memo, so the entry may have been evicted
-            // since the store: then fall through to the live path, which
-            // models the miss.
-            if k == key && self.rt.touch(id, disepc) {
+        };
+        if let Some(inst) = self.cache.uops[uop] {
+            if self.rt.touch(id, disepc) {
+                self.cache.hits += 1;
                 return Ok(inst);
             }
         }
         let inst = self.fetch_replacement(id, disepc, trigger, trigger_pc)?;
-        self.inst_memo_mut()[slot] = Some((key, inst));
+        self.cache.uops[uop] = Some(inst);
         Ok(inst)
     }
 
@@ -908,10 +865,9 @@ impl DiseEngine {
         for op in pattern.opcodes() {
             self.counters[op.number() as usize].0 += 1;
         }
-        // The architectural set diverged from any shared snapshot, and
-        // previously memoized `None` outcomes may now expand.
-        self.detach_shared();
-        self.invalidate_memos();
+        // Cached `None` outcomes may now expand.
+        self.op_rules = build_op_rules(self.controller.productions().rules());
+        self.cache.clear();
         Ok(id)
     }
 
@@ -940,10 +896,10 @@ impl DiseEngine {
             self.counters[cw_op.number() as usize].0 += 1;
         }
         self.rt.invalidate(id);
-        // The shared snapshot and memoized expansions/instantiations for
-        // `id` are stale: the sequence itself changed.
-        self.detach_shared();
-        self.invalidate_memos();
+        // Cached expansions and instantiations of `id` are stale: the
+        // sequence itself changed.
+        self.op_rules = build_op_rules(self.controller.productions().rules());
+        self.cache.clear();
         Ok(id)
     }
 
@@ -953,16 +909,14 @@ impl DiseEngine {
     /// state the OS saves and restores) is preserved. Purely a performance
     /// event; results never change.
     pub fn context_switch(&mut self) {
-        // The shared frontend stays attached: it is architectural state
-        // (a pure function of the production set and program image), and
-        // the pattern counters gate every probe of it, so a cold PT after
-        // the switch faults in through the live path exactly as before.
+        // The expansion cache stays: the pattern counters gate every hit
+        // and every hit re-checks the RT, so the cold tables fault in
+        // through the live path exactly as on the slow path.
         self.pt_resident.clear();
         for c in &mut self.counters {
             c.1 = 0;
         }
         self.rt = RtStore::new(&self.config);
-        self.invalidate_memos();
     }
 
     fn fill_pt(&mut self, op: Op) -> u64 {
@@ -989,10 +943,6 @@ impl DiseEngine {
                 self.counters[o.number() as usize].1 += 1;
             }
         }
-        // Residency changed, so memoized inspect outcomes are stale (the
-        // fill may have evicted patterns for *other* opcodes, flipping
-        // their counters).
-        self.invalidate_memos();
         self.config.miss_penalty
     }
 
@@ -1001,10 +951,8 @@ impl DiseEngine {
     fn fill_rt(&mut self, id: ReplacementId) -> Result<u64> {
         let (spec, composed) = self.controller.resolve_spec(id)?;
         self.rt.insert_sequence(id, spec.len() as u8, &spec.insts);
-        // No memo flush: the insert may evict another sequence whose
-        // expansions or instantiations are memoized, but those entries
-        // are architectural and every hit re-verifies residency through
-        // `rt.touch` (see `invalidate_memos`).
+        // The insert may evict another sequence the expansion cache
+        // holds; its hits re-verify residency through `rt.touch`.
         if composed {
             self.stats.composed_fills += 1;
             Ok(self.config.compose_penalty)
@@ -1017,9 +965,9 @@ impl DiseEngine {
     /// residency, RT keys/LRU state, and statistics. Replacement-sequence
     /// payloads are deliberately **not** exported — they are a pure
     /// function of the (immutable, fingerprint-identified) production
-    /// set and are re-derived on [`DiseEngine::import_state`]. Memos and
-    /// the shared frontend are likewise excluded: they are rebuildable
-    /// caches.
+    /// set and are re-derived on [`DiseEngine::import_state`]. The
+    /// expansion cache is likewise excluded: it holds only architectural
+    /// facts, and every hit re-verifies residency.
     pub fn export_state(&self) -> EngineState {
         let rt = match &self.rt {
             RtStore::Cache { keys, stamps, .. } => {
@@ -1066,8 +1014,8 @@ impl DiseEngine {
     /// with keys replayed verbatim and LRU stamps in the canonical rank
     /// form [`DiseEngine::export_state`] produces. Victim choice only
     /// compares stamps, so every future hit/miss/victim decision is
-    /// bit-identical to the uninterrupted engine. All memos are dropped
-    /// and rebuild cold.
+    /// bit-identical to the uninterrupted engine. The expansion cache is
+    /// kept: its entries do not depend on PT/RT contents or statistics.
     ///
     /// # Errors
     ///
@@ -1204,7 +1152,6 @@ impl DiseEngine {
         }
         self.rt = rt;
         self.stats = state.stats;
-        self.invalidate_memos();
         Ok(())
     }
 }
@@ -1527,167 +1474,61 @@ mod tests {
         );
     }
 
-    #[test]
-    fn fast_path_is_bit_identical_to_slow_path() {
-        let build = |config: EngineConfig| {
-            let mut set = ProductionSet::new();
-            set.add_transparent(Pattern::opclass(OpClass::Store), two_inst_spec())
-                .unwrap();
-            set.add_aware(Op::Cw0, 3, two_inst_spec()).unwrap();
-            DiseEngine::with_productions(config, set).unwrap()
-        };
-        let config = EngineConfig {
-            rt_entries: 4,
-            rt_org: RtOrganization::DirectMapped,
-            ..EngineConfig::default()
-        };
-        let mut fast = build(config);
-        let mut slow = build(config.slow_path());
-        let insts = [
-            i("stq r1, 0(r2)"),
-            i("ldq r1, 0(r2)"),
-            i("stl r5, 8(r2)"),
-            i("nop"),
-            Inst::codeword(Op::Cw0, 0, 4, 0, 3),
-        ];
-        for round in 0..6 {
-            for (n, inst) in insts.iter().enumerate() {
-                let raw = inst.encode().unwrap();
-                let f = fast.inspect_decoded(inst, raw);
-                let s = slow.inspect(inst);
-                assert_eq!(f, s, "round {round} inst {n}: {inst}");
-                if let Expansion::Expand { id, len } = f {
-                    for disepc in 0..len {
-                        let ff = fast.fetch_replacement_decoded(id, disepc, inst, raw, 0x1000);
-                        let ss = slow.fetch_replacement(id, disepc, inst, 0x1000);
-                        assert_eq!(ff, ss, "round {round} inst {n} disepc {disepc}");
-                    }
-                }
-            }
-            if round == 2 {
-                fast.context_switch();
-                slow.context_switch();
-            }
-        }
-        assert_eq!(fast.stats(), slow.stats());
+    /// A cached engine (driven through the PC-keyed entry points) and a
+    /// slow-path engine (driven through the live ones), run in lockstep:
+    /// every call must return the same outcome or µop, and leave the
+    /// same statistics, on both.
+    struct Lockstep {
+        cached: DiseEngine,
+        slow: DiseEngine,
     }
 
-    #[test]
-    fn shared_frontend_is_bit_identical_to_slow_path() {
-        let build_set = || {
-            let mut set = ProductionSet::new();
-            set.add_transparent(Pattern::opclass(OpClass::Store), two_inst_spec())
-                .unwrap();
-            set.add_aware(Op::Cw0, 3, two_inst_spec()).unwrap();
-            set
-        };
-        let config = EngineConfig {
-            rt_entries: 4,
-            rt_org: RtOrganization::DirectMapped,
-            ..EngineConfig::default()
-        };
-        let insts = [
-            i("stq r1, 0(r2)"),
-            i("ldq r1, 0(r2)"),
-            i("stl r5, 8(r2)"),
-            i("nop"),
-            Inst::codeword(Op::Cw0, 0, 4, 0, 3),
-            Inst::codeword(Op::Cw0, 0, 4, 0, 9), // unresolvable tag: faults
-        ];
-        let mut shared_eng = DiseEngine::with_productions(config, build_set()).unwrap();
-        let shared = Arc::new(SharedFrontend::build(
-            shared_eng.controller(),
-            insts.iter().map(|inst| (*inst, inst.encode().unwrap())),
-        ));
-        // Memoized: the two stores and the resolvable codeword. The
-        // fault-tagged codeword and the uncovered opcodes (ldq, nop —
-        // the engine's counters early-exit those) stay out.
-        assert_eq!(shared.memo_len(), 3);
-        shared_eng.set_shared_frontend(Arc::clone(&shared));
-        let mut slow = DiseEngine::with_productions(config.slow_path(), build_set()).unwrap();
-        for round in 0..6 {
-            for (n, inst) in insts.iter().enumerate() {
-                let raw = inst.encode().unwrap();
-                let f = shared_eng.inspect_decoded(inst, raw);
-                let s = slow.inspect(inst);
-                assert_eq!(f, s, "round {round} inst {n}: {inst}");
-                if let Expansion::Expand { id, len } = f {
-                    for disepc in 0..len {
-                        let ff =
-                            shared_eng.fetch_replacement_decoded(id, disepc, inst, raw, 0x1000);
-                        let ss = slow.fetch_replacement(id, disepc, inst, 0x1000);
-                        assert_eq!(ff, ss, "round {round} inst {n} disepc {disepc}");
-                    }
-                }
-            }
-            if round == 2 {
-                shared_eng.context_switch();
-                slow.context_switch();
-            }
-        }
-        assert_eq!(shared_eng.stats(), slow.stats());
-        // The shared frontend survives context switches untouched.
-        assert!(shared_eng.shared_frontend().is_some());
-    }
+    const TEXT_BASE: u64 = 0x1000;
 
-    #[test]
-    fn runtime_install_detaches_shared_frontend() {
-        let mut e = engine_with_store_rule(EngineConfig::default());
-        let st = i("stq r1, 0(r2)");
-        let raw = st.encode().unwrap();
-        let shared = Arc::new(SharedFrontend::build(
-            e.controller(),
-            [(st, raw)],
-        ));
-        e.set_shared_frontend(shared);
-        let _ = e.inspect_decoded(&st, raw); // PT
-        let _ = e.inspect_decoded(&st, raw); // RT
-        assert!(matches!(e.inspect_decoded(&st, raw), Expansion::Expand { len: 2, .. }));
-        // A runtime install changes the architectural set: the stale
-        // shared snapshot must be dropped and the new rule must win.
-        e.install_transparent(
-            Pattern::opclass(OpClass::Store).with_rs(Reg::SP),
-            ReplacementSpec::identity(),
-        )
-        .unwrap();
-        assert!(e.shared_frontend().is_none());
-        let sp_store = i("stq r1, 0(r30)");
-        let sp_raw = sp_store.encode().unwrap();
-        let _ = e.inspect_decoded(&sp_store, sp_raw); // PT refill
-        loop {
-            match e.inspect_decoded(&sp_store, sp_raw) {
-                Expansion::Expand { len, .. } => {
-                    assert_eq!(len, 1, "identity expansion should win");
-                    break;
+    impl Lockstep {
+        fn new(config: EngineConfig, set: ProductionSet, text_slots: usize) -> Lockstep {
+            let mut cached = DiseEngine::with_productions(config, set.clone()).unwrap();
+            cached.bind_text(TEXT_BASE, text_slots);
+            let slow = DiseEngine::with_productions(config.slow_path(), set).unwrap();
+            Lockstep { cached, slow }
+        }
+
+        /// Fetches `inst` at `pc` as the machine does: inspect until the
+        /// fills are done, then fetch every µop of an expansion in order.
+        /// Returns the µops (just `inst` when it passes through).
+        fn fetch(&mut self, pc: u64, inst: &Inst) -> Vec<Inst> {
+            let (id, len) = loop {
+                let outcome = self.cached.inspect_at(inst, pc);
+                assert_eq!(outcome, self.slow.inspect(inst), "inspect {inst} at {pc:#x}");
+                assert_eq!(self.cached.stats(), self.slow.stats(), "{inst} at {pc:#x}");
+                match outcome {
+                    Expansion::Miss { .. } => continue,
+                    Expansion::None => return vec![*inst],
+                    Expansion::Expand { id, len } => break (id, len),
+                    Expansion::Fault { id } => panic!("R{id} faulted at {pc:#x}"),
                 }
-                Expansion::Miss { .. } => continue,
-                other => panic!("unexpected {other:?}"),
-            }
+            };
+            (0..len)
+                .map(|d| {
+                    let uop = self.cached.fetch_replacement_at(id, d, inst, pc).unwrap();
+                    assert_eq!(uop, self.slow.fetch_replacement(id, d, inst, pc).unwrap());
+                    assert_eq!(self.cached.stats(), self.slow.stats());
+                    uop
+                })
+                .collect()
         }
     }
 
     #[test]
-    fn install_transparent_invalidates_memoized_outcomes() {
-        let mut e = DiseEngine::new(EngineConfig::default());
-        let st = i("stq r1, 0(r2)");
-        let raw = st.encode().unwrap();
-        // Memoize the pass-through outcome (second call is a memo hit).
-        assert_eq!(e.inspect_decoded(&st, raw), Expansion::None);
-        assert_eq!(e.inspect_decoded(&st, raw), Expansion::None);
-        // Installing a store production must flush the stale `None`.
-        e.install_transparent(Pattern::opclass(OpClass::Store), two_inst_spec())
-            .unwrap();
-        assert!(matches!(e.inspect_decoded(&st, raw), Expansion::Miss { .. }));
-        assert!(matches!(e.inspect_decoded(&st, raw), Expansion::Miss { .. }));
-        assert!(matches!(
-            e.inspect_decoded(&st, raw),
-            Expansion::Expand { len: 2, .. }
-        ));
-    }
-
-    #[test]
-    fn install_aware_invalidates_memoized_instantiations() {
-        let param_spec = |op: Op| {
+    fn expansion_cache_matches_slow_engine_across_evictions_switches_and_installs() {
+        // A two-entry PT and a two-entry direct-mapped RT: the store,
+        // load and aware rules evict each other from the PT, and the
+        // sequences evict each other from the RT, on nearly every fetch.
+        // (Neither table can be smaller: after the install below, stores
+        // have two covering rules, and the store sequence is two µops
+        // long, so a one-entry table could never hold what one fetch
+        // needs.)
+        let one_inst = |op: Op| {
             ReplacementSpec::new(vec![InstSpec::Templated {
                 op: OpDirective::Literal(op),
                 ra: RegDirective::Param(0),
@@ -1698,138 +1539,99 @@ mod tests {
                 dise_branch: false,
             }])
         };
-        let mut e = DiseEngine::new(EngineConfig::default());
-        e.install_aware(Op::Cw0, 4, param_spec(Op::Srl)).unwrap();
-        let cw = Inst::codeword(Op::Cw0, 0, 2, 0, 4);
-        let raw = cw.encode().unwrap();
-        let id = loop {
-            match e.inspect_decoded(&cw, raw) {
-                Expansion::Expand { id, .. } => break id,
-                Expansion::Miss { .. } => continue,
-                other => panic!("{other:?}"),
-            }
-        };
-        // Memoize the instantiation (second call is a memo hit).
-        assert_eq!(
-            e.fetch_replacement_decoded(id, 0, &cw, raw, 0).unwrap().op,
-            Op::Srl
-        );
-        assert_eq!(
-            e.fetch_replacement_decoded(id, 0, &cw, raw, 0).unwrap().op,
-            Op::Srl
-        );
-        // Reinstallation must flush both memos.
-        e.install_aware(Op::Cw0, 4, param_spec(Op::Sll)).unwrap();
-        let id = loop {
-            match e.inspect_decoded(&cw, raw) {
-                Expansion::Expand { id, .. } => break id,
-                Expansion::Miss { .. } => continue,
-                other => panic!("{other:?}"),
-            }
-        };
-        assert_eq!(
-            e.fetch_replacement_decoded(id, 0, &cw, raw, 0).unwrap().op,
-            Op::Sll
-        );
-    }
-
-    impl DiseEngine {
-        /// Whether the private expansion memo holds an entry for `raw`.
-        fn exp_memo_holds(&self, raw: u32) -> bool {
-            matches!(self.exp_memo.get(Self::exp_slot(raw)), Some(Some((w, _))) if *w == raw)
-        }
-
-        /// Whether the private instantiation memo holds an entry for `key`.
-        fn inst_memo_holds(&self, key: InstMemoKey) -> bool {
-            matches!(self.inst_memo.get(Self::inst_slot(&key)), Some(Some((k, _))) if *k == key)
-        }
-    }
-
-    #[test]
-    fn rt_fills_keep_memos_and_hits_reverify_residency() {
-        // A one-entry direct-mapped RT and two one-instruction aware
-        // sequences A and B, which therefore evict each other on every
-        // fill. A fast and a slow engine run the same calls and must
-        // agree on every outcome and statistic after each one.
         let mut set = ProductionSet::new();
-        for tag in [0u16, 1] {
-            set.add_aware(
-                Op::Cw0,
-                tag,
-                ReplacementSpec::new(vec![InstSpec::literal(i("addq r1, r2, r3"))]),
-            )
+        set.add_transparent(Pattern::opclass(OpClass::Store), two_inst_spec())
             .unwrap();
-        }
+        set.add_transparent(Pattern::opclass(OpClass::Load), ReplacementSpec::identity())
+            .unwrap();
+        set.add_aware(Op::Cw0, 0, one_inst(Op::Srl)).unwrap();
+        set.add_aware(Op::Cw0, 1, one_inst(Op::Sll)).unwrap();
         let config = EngineConfig {
-            rt_entries: 1,
+            pt_entries: 2,
+            rt_entries: 2,
             rt_org: RtOrganization::DirectMapped,
             ..EngineConfig::default()
         };
-        let mut fast = DiseEngine::with_productions(config, set.clone()).unwrap();
-        let mut slow = DiseEngine::with_productions(config.slow_path(), set).unwrap();
-        let a = Inst::codeword(Op::Cw0, 0, 0, 0, 0);
-        let b = Inst::codeword(Op::Cw0, 0, 0, 0, 1);
-        let (raw_a, raw_b) = (a.encode().unwrap(), b.encode().unwrap());
-        let pc = 0x1000;
-        let fetch = |fast: &mut DiseEngine, slow: &mut DiseEngine, id, cw: &Inst, raw| {
-            let inst = fast.fetch_replacement_decoded(id, 0, cw, raw, pc).unwrap();
-            assert_eq!(
-                inst,
-                slow.fetch_replacement_decoded(id, 0, cw, raw, pc).unwrap()
-            );
-            assert_eq!(fast.stats(), slow.stats());
-        };
-        // One trigger: inspect until it expands, then fetch its
-        // replacement.
-        let trigger = |fast: &mut DiseEngine, slow: &mut DiseEngine, cw: &Inst, raw: u32| {
-            let id = loop {
-                let outcome = fast.inspect_decoded(cw, raw);
-                assert_eq!(outcome, slow.inspect_decoded(cw, raw));
-                assert_eq!(fast.stats(), slow.stats());
-                match outcome {
-                    Expansion::Expand { id, .. } => break id,
-                    Expansion::Miss { .. } => continue,
-                    other => panic!("unexpected {other:?}"),
+        // The SP store follows the plain one, so its cached expansion's
+        // sequence is RT-resident when the install below makes it stale.
+        let text = [
+            i("stq r1, 0(r2)"),
+            i("stq r1, 0(r30)"),
+            Inst::codeword(Op::Cw0, 0, 4, 0, 0),
+            i("ldq r1, 0(r2)"),
+            Inst::codeword(Op::Cw0, 0, 4, 0, 1),
+            i("stl r5, 8(r2)"),
+            i("nop"),
+        ];
+        let mut e = Lockstep::new(config, set, text.len() * 2);
+        let pc = |n: usize| TEXT_BASE + 4 * n as u64;
+        for round in 0..8 {
+            match round {
+                3 => {
+                    e.cached.context_switch();
+                    e.slow.context_switch();
                 }
-            };
-            fetch(fast, slow, id, cw, raw);
-            id
-        };
-        let id_a = trigger(&mut fast, &mut slow, &a, raw_a);
-        assert!(fast.exp_memo_holds(raw_a));
-        assert!(fast.inst_memo_holds((id_a, 0, raw_a, pc)));
-        // B's fill evicts A from the RT, but A's memo entries survive.
-        let id_b = trigger(&mut fast, &mut slow, &b, raw_b);
-        assert_eq!(fast.stats().rt_misses, 2);
-        assert!(!fast.rt.contains(id_a, 0));
-        assert!(fast.exp_memo_holds(raw_a));
-        assert!(fast.inst_memo_holds((id_a, 0, raw_a, pc)));
-        // A fetch of evicted A (as after a mid-sequence eviction) hits
-        // the instantiation memo, whose residency check fails: the live
-        // path models the miss and refills A, evicting B.
-        fetch(&mut fast, &mut slow, id_a, &a, raw_a);
-        assert_eq!(fast.stats().rt_misses, 3);
-        assert!(!fast.rt.contains(id_b, 0));
-        // Likewise B's surviving expansion entry must not hide B's
-        // refill.
-        assert!(fast.exp_memo_holds(raw_b));
-        trigger(&mut fast, &mut slow, &b, raw_b);
-        assert_eq!(fast.stats().rt_misses, 4);
+                // A more specific rule for SP-based stores: a cached
+                // expansion of `stq r1, 0(r30)` must not hide it.
+                4 => {
+                    for eng in [&mut e.cached, &mut e.slow] {
+                        eng.install_transparent(
+                            Pattern::opclass(OpClass::Store).with_rs(Reg::SP),
+                            ReplacementSpec::identity(),
+                        )
+                        .unwrap();
+                    }
+                }
+                // Tag 0 now expands to `sll`: a cached `srl` µop must not
+                // survive.
+                6 => {
+                    for eng in [&mut e.cached, &mut e.slow] {
+                        eng.install_aware(Op::Cw0, 0, one_inst(Op::Sll)).unwrap();
+                    }
+                }
+                _ => {}
+            }
+            for (n, inst) in text.iter().enumerate() {
+                let uops = e.fetch(pc(n), inst);
+                if n == 1 {
+                    assert_eq!(uops.len(), if round >= 4 { 1 } else { 2 }, "round {round}");
+                }
+                if n == 2 {
+                    let op = if round >= 6 { Op::Sll } else { Op::Srl };
+                    assert_eq!(uops[0].op, op, "round {round}");
+                }
+            }
+        }
+        // Engagement: the cache served hits, and the tiny tables really
+        // evicted what it had cached.
+        let stats = e.cached.stats();
+        assert!(e.cached.expansion_cache_hits() > 0, "the cache never hit");
+        assert!(stats.rt_misses >= 20, "only {} RT misses", stats.rt_misses);
+        assert!(stats.pt_misses >= 10, "only {} PT misses", stats.pt_misses);
     }
 
     #[test]
-    fn context_switch_invalidates_memos() {
+    fn pcs_outside_the_bound_text_take_the_live_path() {
         let mut e = engine_with_store_rule(EngineConfig::default());
+        e.bind_text(TEXT_BASE, 4);
         let st = i("stq r1, 0(r2)");
-        let raw = st.encode().unwrap();
-        let _ = e.inspect_decoded(&st, raw);
-        let _ = e.inspect_decoded(&st, raw);
-        assert!(matches!(e.inspect_decoded(&st, raw), Expansion::Expand { .. }));
-        assert!(matches!(e.inspect_decoded(&st, raw), Expansion::Expand { .. }));
-        // After a context switch the tables are cold again; a stale memo
-        // hit would wrongly report an expansion with no miss.
-        e.context_switch();
-        assert!(matches!(e.inspect_decoded(&st, raw), Expansion::Miss { .. }));
+        // Odd, below-base and past-the-end PCs never index the cache.
+        for pc in [TEXT_BASE + 1, TEXT_BASE - 4, TEXT_BASE + 8] {
+            while matches!(e.inspect_at(&st, pc), Expansion::Miss { .. }) {}
+            assert!(matches!(e.inspect_at(&st, pc), Expansion::Expand { .. }));
+        }
+        assert_eq!(e.expansion_cache_hits(), 0);
+        // An in-range PC hits from its second fetch on.
+        let _ = e.inspect_at(&st, TEXT_BASE + 4);
+        let _ = e.inspect_at(&st, TEXT_BASE + 4);
+        assert_eq!(e.expansion_cache_hits(), 1);
+        // A slow-path engine never binds.
+        let mut slow = engine_with_store_rule(EngineConfig::default().slow_path());
+        slow.bind_text(TEXT_BASE, 4);
+        for _ in 0..4 {
+            let _ = slow.inspect_at(&st, TEXT_BASE);
+        }
+        assert_eq!(slow.expansion_cache_hits(), 0);
     }
 
     #[test]

@@ -74,7 +74,6 @@ pub mod compose;
 pub mod controller;
 pub mod dsl;
 pub mod engine;
-pub mod frontend;
 pub mod fxhash;
 pub mod pattern;
 pub mod production;
@@ -84,7 +83,6 @@ pub use controller::{Controller, MissKind};
 pub use engine::{
     DiseEngine, EngineConfig, EngineState, EngineStats, Expansion, RtOrganization, RtState,
 };
-pub use frontend::SharedFrontend;
 pub use fxhash::{FxHashMap, FxHasher};
 pub use pattern::{ImmPredicate, Pattern};
 pub use production::{Production, ProductionSet, ReplacementId, SeqRef};

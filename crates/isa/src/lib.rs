@@ -50,7 +50,7 @@ pub use builder::ProgramBuilder;
 pub use cfg::{BasicBlock, Cfg};
 pub use inst::Inst;
 pub use op::{Op, OpClass};
-pub use program::{Predecode, PredecodedItem, Program, TextItem};
+pub use program::{Predecode, Program, TextItem};
 pub use reg::Reg;
 pub use reloc::Relocator;
 

@@ -240,18 +240,6 @@ impl Program {
     }
 }
 
-/// One entry of a [`Predecode`] table: the decoded item starting at a byte
-/// offset plus the raw bits it was decoded from. The raw word doubles as
-/// the key for the engine's expansion memo, saving a re-encode per step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PredecodedItem {
-    /// The decoded text item.
-    pub item: TextItem,
-    /// The raw big-endian 32-bit word for instructions; the zero-extended
-    /// 2-byte codeword halfword for short codewords.
-    pub raw: u32,
-}
-
 /// A predecoded view of a program's text segment: for every *even* byte
 /// offset, the [`TextItem`] that decodes starting there. Items are 2 or 4
 /// bytes and the text base is aligned, so every PC real control flow can
@@ -267,7 +255,7 @@ pub struct PredecodedItem {
 pub struct Predecode {
     text_base: u64,
     text_len: usize,
-    items: Vec<Option<PredecodedItem>>,
+    items: Vec<Option<TextItem>>,
 }
 
 impl Predecode {
@@ -281,18 +269,12 @@ impl Predecode {
                 if is_short_codeword_byte(first) {
                     let second = *text.get(off + 1)?;
                     let ix = decode_short_codeword([first, second]).expect("escape byte checked");
-                    Some(PredecodedItem {
-                        item: TextItem::Short(ix),
-                        raw: u32::from(u16::from_be_bytes([first, second])),
-                    })
+                    Some(TextItem::Short(ix))
                 } else {
                     let quad: [u8; 4] = text.get(off..off + 4)?.try_into().ok()?;
-                    let word = u32::from_be_bytes(quad);
-                    let inst = Inst::decode(word).ok()?;
-                    Some(PredecodedItem {
-                        item: TextItem::Inst(inst),
-                        raw: word,
-                    })
+                    Inst::decode(u32::from_be_bytes(quad))
+                        .ok()
+                        .map(TextItem::Inst)
                 }
             })
             .collect();
@@ -307,7 +289,7 @@ impl Predecode {
     /// range, or its bytes do not decode (fall back to [`Program::fetch`]
     /// to learn which).
     #[inline]
-    pub fn get(&self, pc: u64) -> Option<PredecodedItem> {
+    pub fn get(&self, pc: u64) -> Option<TextItem> {
         let off = pc.checked_sub(self.text_base)? as usize;
         if off & 1 != 0 {
             return None;
@@ -331,17 +313,15 @@ impl Predecode {
         self.text_len
     }
 
+    /// Number of slots: one per even byte offset of the text segment
+    /// (slot `(pc - text_base) / 2` holds the item at `pc`).
+    pub fn slot_count(&self) -> usize {
+        self.items.len()
+    }
+
     /// Number of even byte offsets holding a decodable item.
     pub fn decodable_offsets(&self) -> usize {
         self.items.iter().filter(|i| i.is_some()).count()
-    }
-
-    /// Every decodable predecoded item, in ascending-offset order —
-    /// including mid-instruction decodes (control can land on any even
-    /// byte, so every decodable word is reachable). This is the image an
-    /// architectural frontend memo must cover.
-    pub fn items(&self) -> impl Iterator<Item = PredecodedItem> + '_ {
-        self.items.iter().filter_map(|i| *i)
     }
 }
 
@@ -491,18 +471,20 @@ mod tests {
                 continue;
             }
             match (pd.get(pc), p.fetch(pc)) {
-                (Some(pi), Ok(item)) => {
-                    assert_eq!(pi.item, item, "pc {pc:#x}");
-                    if let TextItem::Inst(i) = item {
-                        assert_eq!(Inst::decode(pi.raw).unwrap(), i, "raw word at {pc:#x}");
-                    }
-                }
+                (Some(got), Ok(item)) => assert_eq!(got, item, "pc {pc:#x}"),
                 (None, Err(_)) => {}
                 (got, want) => panic!("pc {pc:#x}: predecode {got:?} vs fetch {want:?}"),
             }
         }
         assert!(pd.get(p.text_base - 1).is_none());
         assert!(pd.decodable_offsets() > 0);
+    }
+
+    #[test]
+    fn predecode_slot_is_sixteen_bytes() {
+        // The table holds one slot per even text byte and is probed on
+        // every fetch, so its density is the fetch path's cache footprint.
+        assert_eq!(std::mem::size_of::<Option<TextItem>>(), 16);
     }
 
     #[test]

@@ -36,21 +36,10 @@ fn predecode_matches_cold_decode_at_every_pc() {
                 continue;
             }
             match (fast, program.fetch(pc)) {
-                (Some(pi), Ok(item)) => {
-                    assert_eq!(
-                        pi.item, item,
-                        "case {case} pc {pc:#x}: predecode and fetch disagree"
-                    );
-                    // The raw word must reproduce the decode, even for
-                    // mid-instruction garbage decodes.
-                    if let TextItem::Inst(inst) = item {
-                        assert_eq!(
-                            Inst::decode(pi.raw),
-                            Ok(inst),
-                            "case {case} pc {pc:#x}: raw word does not re-decode"
-                        );
-                    }
-                }
+                (Some(got), Ok(item)) => assert_eq!(
+                    got, item,
+                    "case {case} pc {pc:#x}: predecode and fetch disagree"
+                ),
                 (None, Err(_)) => {}
                 (fast, cold) => panic!(
                     "case {case} pc {pc:#x}: predecode {fast:?} vs cold decode {cold:?}"
@@ -60,8 +49,8 @@ fn predecode_matches_cold_decode_at_every_pc() {
     }
 }
 
-/// At item starts the predecoded raw word is the item's exact encoding,
-/// and the encode → predecode → decode → disassemble chain round-trips.
+/// At item starts the predecoded item is the assembled one, and the
+/// encode → predecode → decode → disassemble chain round-trips.
 #[test]
 fn predecode_round_trips_item_starts() {
     let mut rng = StdRng::seed_from_u64(FUZZ_SEED ^ 1);
@@ -75,15 +64,15 @@ fn predecode_round_trips_item_starts() {
         assert_eq!(walked.len(), items.len(), "case {case}");
         for ((pc, item), original) in walked.iter().zip(&items) {
             assert_eq!(item, original, "case {case} pc {pc:#x}");
-            let pi = pd
+            let got = pd
                 .get(*pc)
                 .unwrap_or_else(|| panic!("case {case} pc {pc:#x}: item start undecodable"));
-            assert_eq!(pi.item, *item, "case {case} pc {pc:#x}");
+            assert_eq!(got, *item, "case {case} pc {pc:#x}");
             if let TextItem::Inst(inst) = item {
                 assert_eq!(
-                    pi.raw,
-                    inst.encode().unwrap(),
-                    "case {case} pc {pc:#x}: raw differs from encoding"
+                    Inst::decode(inst.encode().unwrap()),
+                    Ok(*inst),
+                    "case {case} pc {pc:#x}: encoding does not re-decode"
                 );
                 // Textual round trip: the disassembled form re-parses to
                 // the same instruction.

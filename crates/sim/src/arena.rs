@@ -1,21 +1,22 @@
-//! The process-wide frontend arena: one [`Predecode`] table per program
-//! image and one [`SharedFrontend`] per (program image, production set)
-//! pair, shared across every machine in the process by [`Arc`].
+//! The process-wide predecode arena: one [`Predecode`] table per program
+//! image, shared across every machine in the process by [`Arc`].
 //!
 //! A sweep process simulates the same image under dozens of engine and
-//! cache configurations; before the arena, every cell rebuilt both
-//! structures from scratch. Both are pure functions of architectural
-//! inputs, so sharing is invisible to results (differential-tested in
-//! `crates/bench/tests/shared_frontend.rs`): the arena only changes *who
-//! builds and owns* the tables, never what they contain.
+//! cache configurations; without the arena, every cell would re-decode
+//! the text segment. The table is a pure function of the image, so
+//! sharing is invisible to results (differential-tested in
+//! `crates/bench/tests/predecode_arena.rs`): the arena only changes *who
+//! builds and owns* the table, never what it contains. Per-engine
+//! expansion state is not shared: each engine fills its own PC-indexed
+//! cache (see `dise_core::DiseEngine::bind_text`).
 //!
-//! Keying is by content fingerprint — the program's text bytes and the
-//! controller's canonical `Debug` form — so distinct `Program` clones of
-//! the same image share, while any architectural difference (down to one
-//! production) gets its own entry. Sharing can be disabled for
-//! differential testing via [`set_share_enabled`].
+//! Keying is by content fingerprint — the program's text base and bytes
+//! — so distinct `Program` clones of the same image share, while any
+//! difference gets its own entry. Sharing can be disabled for
+//! differential testing via [`set_share_enabled`]. The module also owns
+//! the content fingerprints the snapshot format records.
 
-use dise_core::{Controller, SharedFrontend};
+use dise_core::Controller;
 use dise_isa::{Predecode, Program};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -24,23 +25,18 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// Counters describing arena traffic since process start (or the last
 /// [`clear`]). Reads are snapshots; sharing effectiveness is
-/// `*_hits / (*_hits + *_builds)`.
+/// `predecode_hits / (predecode_hits + predecode_builds)`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaStats {
     /// Predecode tables built (one per distinct program image).
     pub predecode_builds: u64,
     /// Predecode requests served from the arena.
     pub predecode_hits: u64,
-    /// Shared frontends built (one per distinct image × production set).
-    pub frontend_builds: u64,
-    /// Shared-frontend requests served from the arena.
-    pub frontend_hits: u64,
 }
 
 #[derive(Default)]
 struct Registry {
     predecodes: HashMap<u64, Arc<Predecode>>,
-    frontends: HashMap<(u64, u64), Arc<SharedFrontend>>,
     stats: ArenaStats,
 }
 
@@ -82,10 +78,9 @@ pub fn stats() -> ArenaStats {
 /// unaffected (unit-tested below), only who pays the build.
 pub fn reap_unreferenced() -> usize {
     let mut reg = registry().lock().expect("arena lock");
-    let before = reg.predecodes.len() + reg.frontends.len();
-    reg.frontends.retain(|_, f| Arc::strong_count(f) > 1);
+    let before = reg.predecodes.len();
     reg.predecodes.retain(|_, p| Arc::strong_count(p) > 1);
-    before - (reg.predecodes.len() + reg.frontends.len())
+    before - reg.predecodes.len()
 }
 
 /// Drops every arena entry and zeroes the counters. Tables already handed
@@ -93,7 +88,6 @@ pub fn reap_unreferenced() -> usize {
 pub fn clear() {
     let mut reg = registry().lock().expect("arena lock");
     reg.predecodes.clear();
-    reg.frontends.clear();
     reg.stats = ArenaStats::default();
 }
 
@@ -173,47 +167,6 @@ pub fn predecode_for(program: &Program) -> Arc<Predecode> {
     pd
 }
 
-fn build_frontend(controller: &Controller, pd: &Predecode) -> SharedFrontend {
-    // Shorts never reach the engine (they go to the dedicated dictionary),
-    // so only full instruction words feed the architectural memo.
-    SharedFrontend::build(
-        controller,
-        pd.items()
-            .filter_map(|pi| pi.item.inst().map(|inst| (inst, pi.raw))),
-    )
-}
-
-/// The shared frontend for `(program image, controller's production
-/// state)`: shared from the arena when sharing is enabled, freshly built
-/// otherwise. Building needs a predecode table; the arena reuses (or
-/// seeds) its predecode entry for the image under the same lock.
-pub fn frontend_for(program: &Program, controller: &Controller) -> Arc<SharedFrontend> {
-    if !share_enabled() {
-        return Arc::new(build_frontend(controller, &program.predecode()));
-    }
-    let pkey = program_fingerprint(program);
-    let key = (pkey, controller_fingerprint(controller));
-    let mut reg = registry().lock().expect("arena lock");
-    if let Some(f) = reg.frontends.get(&key).map(Arc::clone) {
-        reg.stats.frontend_hits += 1;
-        return f;
-    }
-    let pd = match reg.predecodes.get(&pkey) {
-        Some(pd) if pd.covers(program) => Arc::clone(pd),
-        Some(_) => Arc::new(program.predecode()),
-        None => {
-            let pd = Arc::new(program.predecode());
-            reg.stats.predecode_builds += 1;
-            reg.predecodes.insert(pkey, Arc::clone(&pd));
-            pd
-        }
-    };
-    let f = Arc::new(build_frontend(controller, &pd));
-    reg.stats.frontend_builds += 1;
-    reg.frontends.insert(key, Arc::clone(&f));
-    f
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,14 +204,8 @@ mod tests {
         let c = predecode_for(&other);
         assert!(!Arc::ptr_eq(&a, &c), "different images must not share");
 
-        let controller = Controller::new(dise_core::ProductionSet::new());
-        let f1 = frontend_for(&p, &controller);
-        let f2 = frontend_for(&clone, &controller);
-        assert!(Arc::ptr_eq(&f1, &f2));
         let after = stats();
         assert!(after.predecode_hits > before.predecode_hits);
-        assert!(after.frontend_builds > before.frontend_builds);
-        assert!(after.frontend_hits > before.frontend_hits);
 
         set_share_enabled(false);
         let d = predecode_for(&p);
@@ -272,24 +219,20 @@ mod tests {
         // Bases unique to this test: no other test (or concurrent
         // thread) touches these fingerprints.
         let p = program(0x0600_0000);
-        let controller = Controller::new(dise_core::ProductionSet::new());
 
         let pd = predecode_for(&p);
-        let fe = frontend_for(&p, &controller);
         // Held entries survive a reap (strong count 2: registry + us).
         reap_unreferenced();
         assert!(
             Arc::ptr_eq(&pd, &predecode_for(&p)),
             "live entries must survive reaping"
         );
-        assert!(Arc::ptr_eq(&fe, &frontend_for(&p, &controller)));
 
-        // Dropped entries are reaped: both of this test's entries are
-        // now unreferenced, so at least two go.
+        // Dropped entries are reaped: this test's entry is now
+        // unreferenced, so at least one goes.
         drop(pd);
-        drop(fe);
         let reaped = reap_unreferenced();
-        assert!(reaped >= 2, "both unreferenced entries reaped, got {reaped}");
+        assert!(reaped >= 1, "the unreferenced entry reaped, got {reaped}");
 
         // Fingerprint re-registration rebuilds correctly: the next
         // request must *build* (the key is unique to this test, so a hit
@@ -303,13 +246,7 @@ mod tests {
             "reaped fingerprint must rebuild on re-registration"
         );
         assert!(pd2.covers(&p), "rebuilt table covers the image");
-        let fe2 = frontend_for(&p, &controller);
-        assert!(
-            stats().frontend_builds > after.frontend_builds,
-            "reaped frontend must rebuild on re-registration"
-        );
-        // And the rebuilt entries are shared again on the next request.
+        // And the rebuilt entry is shared again on the next request.
         assert!(Arc::ptr_eq(&pd2, &predecode_for(&p)));
-        assert!(Arc::ptr_eq(&fe2, &frontend_for(&p, &controller)));
     }
 }

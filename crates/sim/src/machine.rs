@@ -92,7 +92,7 @@ pub struct MachineConfig {
     /// Stack size in bytes; SP starts at the top of the stack segment.
     pub stack_size: u64,
     /// Use the predecoded-text fast path (and, when an engine is attached,
-    /// its memoized inspect/instantiate entry points). Purely a
+    /// its PC-indexed expansion cache). Purely a
     /// simulation-speed knob: results, statistics, and error behavior are
     /// bit-identical with it off.
     pub fast_path: bool,
@@ -108,7 +108,7 @@ impl Default for MachineConfig {
 }
 
 impl MachineConfig {
-    /// Disables the fast path (predecode + engine memoization) — used by
+    /// Disables the fast path (predecode + expansion cache) — used by
     /// differential tests and honest baseline measurements.
     pub fn slow_path(mut self) -> MachineConfig {
         self.fast_path = false;
@@ -218,14 +218,11 @@ impl RunResult {
 /// inside a single step.
 #[derive(Debug)]
 enum ExpState {
-    /// A DISE expansion in progress. `raw` is the trigger's encoded word
-    /// when it came off the predecode table (keys the engine's
-    /// instantiation memo); `None` on the byte-accurate fallback path.
+    /// A DISE expansion in progress.
     Dise {
         id: dise_core::ReplacementId,
         len: u8,
         trigger: Inst,
-        raw: Option<u32>,
     },
     /// A dedicated-decompressor expansion in progress (dictionary index).
     Dedicated { ix: u16 },
@@ -308,22 +305,15 @@ impl Machine {
     }
 
     /// Attaches a DISE engine; every subsequently fetched instruction is
-    /// inspected by it. Fast-path engines without a shared frontend of
-    /// their own are upgraded from the process arena (a pure
-    /// constructional change — results are bit-identical; see
-    /// [`crate::arena`]), so every construction path in the workspace
-    /// shares automatically.
+    /// inspected by it. With the fast path on, the engine's expansion
+    /// cache is bound to this machine's text segment, one entry per
+    /// predecode slot (see [`DiseEngine::bind_text`]).
     pub fn attach_engine(&mut self, mut engine: DiseEngine) {
-        if engine.config().fast_path
-            && engine.shared_frontend().is_none()
-            && self.predecode.is_some()
-            && crate::arena::share_enabled()
-        {
-            engine.set_shared_frontend(crate::arena::frontend_for(
-                &self.program,
-                engine.controller(),
-            ));
-        }
+        let (base, slots) = self
+            .predecode
+            .as_ref()
+            .map_or((0, 0), |pd| (pd.text_base(), pd.slot_count()));
+        engine.bind_text(base, slots);
         self.engine = Some(engine);
     }
 
@@ -374,23 +364,15 @@ impl Machine {
         // one behind, so no snapshot records it.
         match &self.exp {
             None => w.u8(0),
-            Some(ExpState::Dise {
-                id,
-                len,
-                trigger,
-                raw,
-            }) => {
+            Some(ExpState::Dise { id, len, trigger }) => {
                 w.u8(2);
                 w.u32(*id);
                 w.u8(*len);
                 crate::snapshot::write_inst(w, trigger);
-                match raw {
-                    Some(word) => {
-                        w.bool(true);
-                        w.u32(*word);
-                    }
-                    None => w.bool(false),
-                }
+                // A retired optional field (the trigger's raw word): always
+                // written absent and skipped when present, so the layout
+                // and `SNAPSHOT_VERSION` are unchanged.
+                w.bool(false);
             }
             Some(ExpState::Dedicated { ix }) => {
                 w.u8(3);
@@ -487,13 +469,10 @@ impl Machine {
                 let id = r.u32()?;
                 let len = r.u8()?;
                 let trigger = crate::snapshot::read_inst(r)?;
-                let raw = if r.bool()? { Some(r.u32()?) } else { None };
-                Some(ExpState::Dise {
-                    id,
-                    len,
-                    trigger,
-                    raw,
-                })
+                if r.bool()? {
+                    r.u32()?;
+                }
+                Some(ExpState::Dise { id, len, trigger })
             }
             3 => {
                 let ix = r.u32()?;
@@ -661,9 +640,9 @@ impl Machine {
         // undecodable/out-of-range PC) fall back to the byte-accurate
         // `fetch`, which either succeeds identically or produces the
         // exact architectural error.
-        let (item, raw) = match self.predecode.as_ref().and_then(|p| p.get(self.pc)) {
-            Some(pi) => (pi.item, Some(pi.raw)),
-            None => (self.program.fetch(self.pc)?, None),
+        let item = match self.predecode.as_ref().and_then(|p| p.get(self.pc)) {
+            Some(item) => item,
+            None => self.program.fetch(self.pc)?,
         };
         let inst = match item {
             TextItem::Inst(inst) => inst,
@@ -681,11 +660,12 @@ impl Machine {
         let mut dise_stall = 0u64;
         if let Some(engine) = self.engine.as_mut() {
             loop {
-                let outcome = match raw {
-                    Some(raw) => engine.inspect_decoded(&inst, raw),
-                    None => engine.inspect(&inst),
-                };
-                match outcome {
+                // A fetch that fell back to `Program::fetch` is at an odd
+                // PC (even ones either predecode or fail to fetch), or on a
+                // machine without a predecode table, whose engine stays
+                // unbound. The engine's PC-keyed entry points take the
+                // live path for both.
+                match engine.inspect_at(&inst, self.pc) {
                     Expansion::Miss { penalty, .. } => dise_stall += penalty,
                     Expansion::Fault { .. } => {
                         return Err(SimError::UnexpandedCodeword { pc: self.pc })
@@ -697,7 +677,6 @@ impl Machine {
                             id,
                             len,
                             trigger: inst,
-                            raw,
                         });
                         return self.step_expansion::<INFO>(
                             out,
@@ -770,20 +749,10 @@ impl Machine {
     ) -> Result<bool> {
         let exp = self.exp.as_ref().expect("an expansion is in flight");
         let (inst, len, fetch_size, trigger_inst) = match *exp {
-            ExpState::Dise {
-                id,
-                len,
-                trigger,
-                raw,
-            } => {
+            ExpState::Dise { id, len, trigger } => {
                 let engine = self.engine.as_mut().expect("Dise expansion needs engine");
                 let before = engine.stall_cycles();
-                let inst = match raw {
-                    Some(raw) => {
-                        engine.fetch_replacement_decoded(id, self.disepc, &trigger, raw, self.pc)?
-                    }
-                    None => engine.fetch_replacement(id, self.disepc, &trigger, self.pc)?,
-                };
+                let inst = engine.fetch_replacement_at(id, self.disepc, &trigger, self.pc)?;
                 dise_stall += engine.stall_cycles() - before;
                 (inst, len, 4u64, Some(trigger))
             }

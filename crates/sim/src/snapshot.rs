@@ -11,13 +11,12 @@
 //! Immutable state is **not** serialized. The program image, the
 //! production set, the dedicated dictionary and the timing configuration
 //! are recorded only as content fingerprints (the same FNV-1a
-//! fingerprints the frontend arena keys on — see [`crate::arena`]); the
+//! fingerprints the predecode arena keys on — see [`crate::arena`]); the
 //! caller reconstructs the scenario exactly as it would for a fresh run
 //! and restore verifies the fingerprints before injecting anything.
 //! Caches of pure derived state — the predecode table and the engine's
-//! expansion/instantiation memos — are not recorded: the memos are
-//! dropped on restore and rebuilt cold, and all of them are
-//! bit-identity-neutral by construction.
+//! expansion cache — are not recorded: the restore target keeps its own,
+//! and both are bit-identity-neutral by construction.
 //!
 //! The correctness contract, enforced by `tests/snapshot_resume.rs`:
 //! snapshot → restore → run is byte-identical to the uninterrupted run

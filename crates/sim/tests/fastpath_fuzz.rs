@@ -1,12 +1,12 @@
 //! Differential fuzz tests for the machine's fast path.
 //!
 //! The fast path — the predecoded text table plus the engine's
-//! expansion and instantiation memos — is a pure simulation-speed
-//! device: it must replay the slow-path reference interpreter
-//! bit-for-bit, including every engine statistic and RT LRU decision.
-//! These tests interleave the events that flush or outdate memoized
-//! state — aware production (re)installs, context switches, interrupts
-//! mid-expansion — with RT thrashing under all four RT organizations,
+//! PC-indexed expansion cache — is a pure simulation-speed device: it
+//! must replay the slow-path reference interpreter bit-for-bit,
+//! including every engine statistic and RT LRU decision. These tests
+//! interleave the events that clear or outdate cached state — aware
+//! production (re)installs, context switches, interrupts mid-expansion —
+//! with RT thrashing under all four RT organizations,
 //! and demand identical behavior between the default machine and the
 //! slow-path reference.
 

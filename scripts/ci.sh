@@ -9,8 +9,9 @@
 #   smoke   — run_figures.sh --smoke: every figure binary end-to-end on
 #             a tiny budget, including the stats-JSON byte-stability
 #             check (jobs 1 vs 8, warm vs cold cell cache)
-#   arena   — the shared-frontend differential suite (shared arena vs
-#             forced-private construction, byte-identical at jobs 1/8)
+#   arena   — the predecode-arena differential suite (shared predecode
+#             tables vs forced-private construction, byte-identical at
+#             jobs 1/8, with arena hits asserted)
 #   shadow  — fig6 MFI cells and the fig8 RT panel with the --shadow
 #             lockstep oracle armed (cache off: warm cells skip
 #             simulation and prove nothing), plus an RT-miss engagement
@@ -55,8 +56,8 @@ cargo clippy --all-targets -- -D warnings
 echo "== ci: smoke figures ($(date)) =="
 ./run_figures.sh --smoke
 
-echo "== ci: shared-frontend differential ($(date)) =="
-cargo test -q -p dise-bench --test shared_frontend
+echo "== ci: predecode-arena differential ($(date)) =="
+cargo test -q -p dise-bench --test predecode_arena
 
 echo "== ci: shadow smoke cell ($(date)) =="
 # Cache must be off: warm cells replay cached stats without simulating,
@@ -65,7 +66,7 @@ DISE_BENCH_DYN=20000 DISE_BENCH_FILTER=gcc DISE_BENCH_CACHE=off \
     DISE_BENCH_JOBS=2 ./target/release/fig6_mfi top --shadow > /dev/null
 # The Figure 8 RT panel: eager and compose-on-miss composition on
 # 512/2K direct-mapped/2-way RTs. Those cells miss thousands of times, so
-# the engine's memo hits keep meeting evicted sequences. The MFI cells
+# the engine's expansion-cache hits keep meeting evicted sequences. The MFI cells
 # above barely miss. The jq check proves the thrashing path engaged:
 # some cell took more than 1000 RT misses, and some filled by composing.
 SHADOWTMP=$(mktemp -d)

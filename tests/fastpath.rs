@@ -1,7 +1,7 @@
 //! Differential tests for the frontend fast path.
 //!
-//! The predecode table, the per-opcode PT index, and the expansion /
-//! instantiation memos are pure simulation-speed devices: every test here
+//! The predecode table, the per-opcode PT index, and the engine's
+//! PC-indexed expansion cache are pure simulation-speed devices: every test here
 //! runs the same workload with the fast path on (the default) and off
 //! (`MachineConfig::slow_path` + `EngineConfig::slow_path`) and demands
 //! *bit-identical* results — architectural state, retirement counts,
@@ -24,7 +24,7 @@ fn final_state(m: &Machine) -> Vec<u64> {
 }
 
 /// An MFI-protected machine over `p`, fast path on or off in *both* the
-/// machine (predecode) and the engine (index + memos).
+/// machine (predecode) and the engine (index + expansion cache).
 fn mfi_machine(p: &Program, fast: bool) -> Machine {
     let mconfig = if fast {
         MachineConfig::default()
@@ -93,7 +93,7 @@ fn mfi_executed_stream_identical_fast_and_slow() {
 #[test]
 fn compression_identical_fast_and_slow_with_finite_rt() {
     // A finite direct-mapped RT makes the LRU order observable through
-    // miss counts: a memo hit that failed to replay the RT touch would
+    // miss counts: a cache hit that failed to replay the RT touch would
     // show up as diverging rt_misses / stall cycles here.
     let p = workload(Benchmark::Parser);
     let c = Compressor::new(CompressionConfig::dise_full())
@@ -133,7 +133,7 @@ fn compression_identical_fast_and_slow_with_finite_rt() {
 #[test]
 fn interrupts_do_not_perturb_fast_path_identity() {
     // Interrupt mid-sequence every 97 steps: the re-fetch path must take
-    // the same memoized decisions as the slow path's re-inspection.
+    // the same cached decisions as the slow path's re-inspection.
     let p = workload(Benchmark::Vpr);
     let mut fast = mfi_machine(&p, true);
     let mut slow = mfi_machine(&p, false);
@@ -174,38 +174,40 @@ fn predecode_fallback_handles_undecodable_pc_identically() {
 }
 
 #[test]
-fn raw_words_round_trip_through_engine_memo_keys() {
-    // Two different raw words decoding to *different* instructions must
-    // never alias in the expansion memo to the point of changing outcomes:
-    // exercise the hash slots with every opcode's canonical encoding.
+fn every_text_pc_round_trips_through_the_expansion_cache() {
+    // Every instruction of the image inspected at its own PC, three
+    // times over: the cache, filled on the first pass and hit on the
+    // next two, must agree with the slow engine's live match at every
+    // PC and opcode.
     let p = workload(Benchmark::Twolf);
     let set = Mfi::new(MfiVariant::Dise3)
         .with_error_handler(p.symbol("mfi_error").unwrap())
         .productions()
         .unwrap();
     let mut fast = DiseEngine::with_productions(EngineConfig::default(), set.clone()).unwrap();
-    let mut slow =
-        DiseEngine::with_productions(EngineConfig::default().slow_path(), set).unwrap();
-    let insts: Vec<Inst> = p
+    let pd = p.predecode();
+    fast.bind_text(pd.text_base(), pd.slot_count());
+    let mut slow = DiseEngine::with_productions(EngineConfig::default().slow_path(), set).unwrap();
+    let insts: Vec<(u64, Inst)> = p
         .items()
         .unwrap()
         .into_iter()
-        .filter_map(|(_, item)| match item {
-            dise::isa::TextItem::Inst(i) => Some(i),
+        .filter_map(|(pc, item)| match item {
+            dise::isa::TextItem::Inst(i) => Some((pc, i)),
             dise::isa::TextItem::Short(_) => None,
         })
         .collect();
     for round in 0..3 {
-        for inst in &insts {
-            let raw = inst.encode().unwrap();
+        for (pc, inst) in &insts {
             assert_eq!(
-                fast.inspect_decoded(inst, raw),
+                fast.inspect_at(inst, *pc),
                 slow.inspect(inst),
-                "round {round}: {inst}"
+                "round {round}: {inst} at {pc:#x}"
             );
         }
     }
     assert_eq!(fast.stats(), slow.stats());
+    assert!(fast.expansion_cache_hits() > 0, "the cache never hit");
 }
 
 /// A DISE+DISE machine: `c`'s aware decompression productions with DISE3
@@ -248,7 +250,7 @@ fn composition_identical_fast_and_slow_on_thrashing_rt() {
     // The Figure 8 RT panel's smallest geometries: a 512-entry RT under
     // the composed decompression+MFI stream misses constantly, so every
     // fill evicts sequences whose expansions and instantiations the fast
-    // path has memoized. The 2-way case makes the LRU stamp order
+    // path has cached. The 2-way case makes the LRU stamp order
     // observable through which way each fill evicts.
     let p = workload(Benchmark::Gzip);
     let c = Compressor::new(CompressionConfig::dise_full())

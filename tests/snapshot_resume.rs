@@ -311,7 +311,7 @@ fn mid_macro_body_suspension_survives_restore() {
 }
 
 /// Speed knobs are not part of the contract: a snapshot taken on the
-/// default fast configuration (predecode, engine memos)
+/// default fast configuration (predecode, expansion cache)
 /// restores into a twin built with every speed device off — and still
 /// finishes byte-identical to the fast uninterrupted run.
 #[test]
@@ -335,11 +335,11 @@ fn speed_knobs_are_snapshot_neutral() {
     assert_eq!(save_machine(&slow), ref_bytes, "slow-path twin diverged");
 }
 
-/// The shared-frontend arena is likewise snapshot-neutral: a snapshot
-/// from a sharing machine restores into a twin built with sharing
-/// disabled.
+/// The predecode arena is likewise snapshot-neutral: a snapshot from a
+/// machine on a shared predecode table restores into a twin that decoded
+/// its own.
 #[test]
-fn shared_frontend_toggle_is_snapshot_neutral() {
+fn shared_predecode_toggle_is_snapshot_neutral() {
     let econfig = EngineConfig::default();
     let mut reference = build(Scenario::Mfi, econfig, MachineConfig::default());
     reference.run(u64::MAX).unwrap();

@@ -3,7 +3,7 @@
 //!
 //! The timing model has one implementation. What it consumes — the
 //! functional [`Machine`]'s dynamic instruction stream and the DISE
-//! engine's expansions — has a fast path (predecode, memoized matching)
+//! engine's expansions — has a fast path (predecode, expansion cache)
 //! and a byte-accurate slow path ([`MachineConfig::slow_path`] +
 //! [`EngineConfig::slow_path`]), the reference the `--shadow` oracle
 //! uses. Every test here runs the same workload through the same
