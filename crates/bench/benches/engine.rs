@@ -28,10 +28,10 @@ fn bench_inspect(c: &mut Criterion) {
         b.iter(|| black_box(engine.inspect(black_box(&alu))))
     });
 
-    // Matching store: PT match + RT hit.
+    // Matching store: rule match + resolved-sequence lookup.
     let mut engine = engine_with_mfi();
     let store: Inst = "stq r1, 0(r2)".parse().unwrap();
-    while matches!(engine.inspect(&store), Expansion::Miss { .. }) {}
+    let _ = engine.inspect(&store);
     group.bench_function("hit_expansion", |b| {
         b.iter(|| black_box(engine.inspect(black_box(&store))))
     });
@@ -41,11 +41,8 @@ fn bench_inspect(c: &mut Criterion) {
 fn bench_fetch_replacement(c: &mut Criterion) {
     let mut engine = engine_with_mfi();
     let store: Inst = "stq r1, 0(r2)".parse().unwrap();
-    let id = loop {
-        match engine.inspect(&store) {
-            Expansion::Expand { id, .. } => break id,
-            _ => continue,
-        }
+    let Expansion::Expand { id, .. } = engine.inspect(&store) else {
+        panic!("the store expands")
     };
     let mut group = c.benchmark_group("engine_instantiate");
     group.throughput(Throughput::Elements(4));
@@ -93,28 +90,25 @@ fn bench_fast_path(c: &mut Criterion) {
         ("fast", EngineConfig::default()),
         ("slow", EngineConfig::default().slow_path()),
     ] {
-        // Steady-state inspect of a non-covered instruction (counter
-        // early-exit on both paths).
+        // Steady-state inspect of a non-covered instruction (index
+        // early exit on the fast path).
         let mut engine = bound(config);
         let _ = engine.inspect_at(&alu, alu_pc);
         group.bench_function(&format!("inspect_none/{path}"), |b| {
             b.iter(|| black_box(engine.inspect_at(black_box(&alu), alu_pc)))
         });
 
-        // Steady-state inspect of an expanding store (cache hit / PT match).
+        // Steady-state inspect of an expanding store (cache hit / match).
         let mut engine = bound(config);
-        while matches!(engine.inspect_at(&store, store_pc), Expansion::Miss { .. }) {}
+        let _ = engine.inspect_at(&store, store_pc);
         group.bench_function(&format!("inspect_expand/{path}"), |b| {
             b.iter(|| black_box(engine.inspect_at(black_box(&store), store_pc)))
         });
 
         // Steady-state replacement instantiation (cache hit / re-instantiate).
         let mut engine = bound(config);
-        let id = loop {
-            match engine.inspect_at(&store, store_pc) {
-                Expansion::Expand { id, .. } => break id,
-                _ => continue,
-            }
+        let Expansion::Expand { id, .. } = engine.inspect_at(&store, store_pc) else {
+            panic!("the store expands")
         };
         group.bench_function(&format!("instantiate/{path}"), |b| {
             b.iter(|| {

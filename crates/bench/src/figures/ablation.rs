@@ -6,7 +6,7 @@ use dise_acf::compress::{CompressionConfig, SelectAlgo};
 use dise_acf::mfi::{Mfi, MfiVariant};
 use dise_core::{DiseEngine, EngineConfig, RtOrganization};
 use dise_isa::Program;
-use dise_sim::{ExpansionCost, Machine, SimConfig};
+use dise_sim::{DiseCacheModel, ExpansionCost, Machine, SimConfig};
 use dise_workloads::Benchmark;
 
 use super::{baseline_cell, cell_key, compressed_cell, dise_mfi_cell};
@@ -111,20 +111,24 @@ fn ctx_cell(sweep: &Sweep, bench: Benchmark, p: &Arc<Program>, interval: u64) ->
             .unwrap(),
         );
         Mfi::init_machine(&mut m);
+        // A functional run feeding the PT/RT model directly: only the
+        // tables' stall cycles are measured, not the pipeline.
+        let mut tables = DiseCacheModel::new(m.engine().unwrap());
         let mut next_switch = interval;
         while let Some(info) = m.step().unwrap() {
+            tables.observe(&info, m.engine().unwrap());
             if info.first_of_fetch {
                 next_switch -= 1;
                 if next_switch == 0 {
-                    m.engine_mut().unwrap().context_switch();
+                    tables.context_switch();
                     next_switch = interval;
                 }
             }
         }
-        let stats = m.engine().unwrap().stats();
+        let stats = tables.engine_stats(m.engine().unwrap());
         let (_, app) = m.inst_counts();
-        // A functional run: there is no SimStats registry, but the engine
-        // counters are still worth exporting.
+        // There is no SimStats registry, but the engine counters are
+        // still worth exporting.
         let pairs = stats
             .named_counters()
             .iter()

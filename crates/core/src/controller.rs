@@ -1,11 +1,13 @@
 //! The DISE controller (paper §2.3).
 //!
-//! The controller mediates all PT/RT manipulation: it owns the
-//! architectural (virtual) production set, translates productions into the
-//! internal table formats on demand-fill, and — for the composed-ACF
-//! configurations of §4.3 — inlines a transparent production set into aware
-//! replacement sequences *at RT-miss time*, so that composite productions
-//! are represented in the RT only.
+//! The controller owns the architectural (virtual) production set and
+//! resolves replacement sequences from it. For the composed-ACF
+//! configurations of §4.3 it inlines a transparent production set into
+//! aware replacement sequences as it resolves them — in hardware, *at
+//! RT-miss time*, so composite productions are represented in the RT
+//! only. The engine resolves each sequence once per install
+//! ([`crate::DiseEngine`]); the timing simulator's RT model charges the
+//! 150-cycle composing penalty on every fill of such a sequence.
 
 use crate::compose;
 use crate::production::{ProductionSet, ReplacementId};
@@ -13,17 +15,8 @@ use crate::spec::ReplacementSpec;
 use crate::{CoreError, Result};
 use std::borrow::Cow;
 
-/// Which structure missed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MissKind {
-    /// Pattern-table miss (per-opcode pattern fill).
-    Pt,
-    /// Replacement-table miss (sequence fill).
-    Rt,
-}
-
 /// The controller: owns the production set and resolves replacement
-/// sequences for RT fills.
+/// sequences.
 #[derive(Debug, Clone)]
 pub struct Controller {
     productions: ProductionSet,
@@ -67,8 +60,8 @@ impl Controller {
         self.inline_on_fill.is_some()
     }
 
-    /// Resolves the replacement sequence for an RT fill. Returns the spec
-    /// and whether composition was performed (determining the miss
+    /// Resolves the replacement sequence `id`. Returns the spec and
+    /// whether composition was performed (determining the RT fill
     /// penalty).
     ///
     /// # Errors

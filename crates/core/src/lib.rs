@@ -20,13 +20,15 @@
 //!   supporting both *transparent* rules (fixed replacement-sequence
 //!   identifier) and *aware* rules (identifier taken from the trigger's
 //!   explicit tag, §2.1).
-//! * [`DiseEngine`] — the microarchitectural model: a finite pattern table
-//!   (PT), a finite replacement table (RT, direct-mapped / set-associative /
-//!   perfect), instantiation logic, and the pattern-counter table used to
-//!   detect PT misses (§2.2–2.3).
-//! * [`Controller`] — the PT/RT miss handler: demand-fills the tables from
-//!   the production set, charging 30-cycle simple misses or 150-cycle
-//!   misses when productions must be composed on the fly (§2.3, §4).
+//! * [`DiseEngine`] — the functional engine: production matching and
+//!   instantiation logic, a pure function of the production set (§2.2).
+//!   The finite pattern table (PT), replacement table (RT, direct-mapped
+//!   / set-associative / perfect) and pattern-counter table of §2.3 only
+//!   cost time, so `dise_sim`'s timing model owns them; [`EngineConfig`]
+//!   carries their geometry and 30/150-cycle miss penalties.
+//! * [`Controller`] — owns the production set and resolves replacement
+//!   sequences, composing productions into them on the fly for the
+//!   compose-on-miss configurations (§3.3, §4).
 //! * [`compose`] — ACF composition: nested composition by replacement-
 //!   sequence inlining (with dedicated-register renaming) and non-nested
 //!   merging (§3.3).
@@ -56,15 +58,7 @@
 //! ).unwrap();
 //!
 //! let store: Inst = "stq r0, 0(r2)".parse().unwrap();
-//! // First touches miss in the cold PT and RT; the processor charges the
-//! // stalls and re-inspects.
-//! let expansion = loop {
-//!     match engine.inspect(&store) {
-//!         Expansion::Miss { .. } => continue,
-//!         other => break other,
-//!     }
-//! };
-//! let Expansion::Expand { id, len } = expansion else { panic!() };
+//! let Expansion::Expand { id, len } = engine.inspect(&store) else { panic!() };
 //! assert_eq!(len, 4);
 //! let first = engine.fetch_replacement(id, 0, &store, 0x1000).unwrap();
 //! assert_eq!(first.to_string(), "srl r2, #26, $dr1");
@@ -79,10 +73,8 @@ pub mod pattern;
 pub mod production;
 pub mod spec;
 
-pub use controller::{Controller, MissKind};
-pub use engine::{
-    DiseEngine, EngineConfig, EngineState, EngineStats, Expansion, RtOrganization, RtState,
-};
+pub use controller::Controller;
+pub use engine::{DiseEngine, EngineConfig, EngineStats, Expansion, RtOrganization};
 pub use fxhash::{FxHashMap, FxHasher};
 pub use pattern::{ImmPredicate, Pattern};
 pub use production::{Production, ProductionSet, ReplacementId, SeqRef};
@@ -105,9 +97,6 @@ pub enum CoreError {
     /// ACF composition failed (e.g. statically undecidable pattern match or
     /// no free dedicated registers for renaming).
     Compose(String),
-    /// Reinjecting exported engine state failed (snapshot restore against
-    /// a mismatched production set, RT geometry, or PT capacity).
-    Restore(String),
 }
 
 impl std::fmt::Display for CoreError {
@@ -118,7 +107,6 @@ impl std::fmt::Display for CoreError {
             CoreError::BadProduction(why) => write!(f, "bad production: {why}"),
             CoreError::Dsl(why) => write!(f, "production DSL error: {why}"),
             CoreError::Compose(why) => write!(f, "composition failed: {why}"),
-            CoreError::Restore(why) => write!(f, "engine state restore failed: {why}"),
         }
     }
 }

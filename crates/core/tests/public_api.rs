@@ -9,15 +9,6 @@ use dise_core::{
 use dise_isa::{Inst, Op, OpClass, Reg};
 use std::collections::BTreeMap;
 
-fn drive(engine: &mut DiseEngine, inst: &Inst) -> Expansion {
-    loop {
-        match engine.inspect(inst) {
-            Expansion::Miss { .. } => continue,
-            other => return other,
-        }
-    }
-}
-
 #[test]
 fn figure_1_through_the_dsl_and_engine() {
     let set = dsl::parse(
@@ -35,7 +26,7 @@ fn figure_1_through_the_dsl_and_engine() {
     let mut engine = DiseEngine::with_productions(EngineConfig::default(), set).unwrap();
     // The paper's example: `stq a0, &t0` with the address register in r2.
     let store: Inst = "stq r0, 0(r2)".parse().unwrap();
-    let Expansion::Expand { id, len } = drive(&mut engine, &store) else {
+    let Expansion::Expand { id, len } = engine.inspect(&store) else {
         panic!()
     };
     assert_eq!(len, 4);
@@ -74,11 +65,11 @@ fn negative_patterns_via_specificity() {
     let heap_load: Inst = "ldq r1, 0(r7)".parse().unwrap();
     let stack_load: Inst = "ldq r1, 0(r30)".parse().unwrap();
     assert!(matches!(
-        drive(&mut engine, &heap_load),
+        engine.inspect(&heap_load),
         Expansion::Expand { len: 2, .. }
     ));
     assert!(matches!(
-        drive(&mut engine, &stack_load),
+        engine.inspect(&stack_load),
         Expansion::Expand { len: 1, .. },
     ));
 }
@@ -97,14 +88,15 @@ fn immediate_attribute_patterns() {
     let mut engine = DiseEngine::with_productions(EngineConfig::default(), set).unwrap();
     let back: Inst = "bne r1, -12".parse().unwrap();
     let fwd: Inst = "bne r1, 12".parse().unwrap();
-    assert!(matches!(drive(&mut engine, &back), Expansion::Expand { .. }));
-    assert!(matches!(drive(&mut engine, &fwd), Expansion::None));
+    assert!(matches!(engine.inspect(&back), Expansion::Expand { .. }));
+    assert!(matches!(engine.inspect(&fwd), Expansion::None));
 }
 
 #[test]
-fn pt_capacity_evictions_refill_transparently() {
-    // More distinct opcode-specific rules than PT entries: the engine must
-    // keep producing correct expansions, just with extra PT misses.
+fn pt_capacity_does_not_change_expansions() {
+    // More distinct opcode-specific rules than PT entries: the engine
+    // produces every expansion. (PT residency is timing state; dise-sim's
+    // table model counts the misses this thrashing costs.)
     let mut set = ProductionSet::new();
     let ops = [
         Op::Ldq,
@@ -139,18 +131,14 @@ fn pt_capacity_evictions_refill_transparently() {
     ];
     for round in 0..4 {
         for inst in &insts {
-            let e = drive(&mut engine, inst);
+            let e = engine.inspect(inst);
             assert!(
                 matches!(e, Expansion::Expand { len: 2, .. }),
                 "round {round}: {inst} gave {e:?}"
             );
         }
     }
-    assert!(
-        engine.stats().pt_misses >= 8,
-        "tiny PT must thrash: {} misses",
-        engine.stats().pt_misses
-    );
+    assert_eq!(engine.stats().expansions, 16);
 }
 
 #[test]
@@ -222,7 +210,7 @@ fn rt_organizations_agree_architecturally() {
             ..EngineConfig::default()
         };
         let mut engine = DiseEngine::with_productions(config, set.clone()).unwrap();
-        let Expansion::Expand { id, len } = drive(&mut engine, &st) else {
+        let Expansion::Expand { id, len } = engine.inspect(&st) else {
             panic!()
         };
         let seq: Vec<Inst> = (0..len)

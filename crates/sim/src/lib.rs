@@ -22,6 +22,9 @@
 //!   expansion cost models of Figure 6 ([`ExpansionCost`]).
 //! * [`Cache`] — parameterized set-associative caches with an L2 behind
 //!   the L1s.
+//! * [`DiseCacheModel`] — the DISE engine's physical pattern and
+//!   replacement tables (§2.3) as timing state: residency, LRU, and the
+//!   30/150-cycle miss stalls the simulator charges.
 //!
 //! ```
 //! use dise_sim::{Machine, Simulator, SimConfig};
@@ -50,6 +53,7 @@
 pub mod arena;
 pub mod bpred;
 pub mod cache;
+pub mod dise_cache;
 pub mod machine;
 pub mod mem;
 pub mod pipeline;
@@ -59,7 +63,8 @@ pub mod telemetry;
 
 pub use bpred::{BpredConfig, BranchPredictor};
 pub use cache::{Cache, CacheConfig, MemoryHierarchy, MemoryHierarchyConfig};
-pub use machine::{DedicatedDict, Machine, MachineConfig, RunResult, StepInfo};
+pub use dise_cache::DiseCacheModel;
+pub use machine::{DedicatedDict, DiseRef, Machine, MachineConfig, RunResult, StepInfo};
 pub use mem::Memory;
 pub use pipeline::{ExpansionCost, SimConfig, SimResult, SimStats, Simulator};
 pub use snapshot::{

@@ -20,7 +20,7 @@
 
 use crate::mem::Memory;
 use crate::{Result, SimError};
-use dise_core::{DiseEngine, Expansion};
+use dise_core::{DiseEngine, Expansion, ReplacementId};
 use dise_isa::{Inst, Op, OpClass, Predecode, Program, Reg, TextItem};
 
 /// The dictionary of a dedicated hardware decompressor: entry `i` is the
@@ -167,9 +167,32 @@ pub struct StepInfo {
     pub predicted: bool,
     /// Effective address for memory operations.
     pub mem_addr: Option<u64>,
-    /// DISE PT/RT miss stall cycles charged at this step (pipeline flush +
-    /// fill).
-    pub dise_stall: u64,
+    /// The DISE engine reference this step made, which the timing
+    /// model replays against the PT and RT (see
+    /// [`crate::DiseCacheModel`]).
+    pub dise: DiseRef,
+}
+
+/// The DISE engine reference one step made: what the physical PT and RT
+/// see of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DiseRef {
+    /// No reference: no engine is attached, or the step retired a
+    /// dedicated-dictionary instruction.
+    None,
+    /// The engine inspected the step's instruction, and it passed
+    /// through unexpanded.
+    Pass,
+    /// The step retired the replacement instruction at the step's
+    /// `disepc` of sequence `id`.
+    Uop {
+        /// The replacement sequence.
+        id: ReplacementId,
+        /// The trigger's opcode when this step began with the engine's
+        /// inspect: a new expansion, or an interrupted one re-fetched to
+        /// resume at DISEPC > 0. `None` for the sequence's later steps.
+        inspected: Option<Op>,
+    },
 }
 
 impl Default for StepInfo {
@@ -190,7 +213,7 @@ impl Default for StepInfo {
             dise_taken: false,
             predicted: false,
             mem_addr: None,
-            dise_stall: 0,
+            dise: DiseRef::None,
         }
     }
 }
@@ -240,7 +263,8 @@ pub(crate) struct MachineState {
     app_insts: u64,
     exp: Option<ExpState>,
     mem: Memory,
-    engine: Option<dise_core::EngineState>,
+    /// The engine's functional counters.
+    engine: Option<dise_core::EngineStats>,
 }
 
 /// Register-file slot that absorbs writes to the zero register, so
@@ -381,7 +405,10 @@ impl Machine {
         }
         self.mem.save_state(w);
         if let Some(e) = &self.engine {
-            crate::snapshot::write_engine_state(w, &e.export_state());
+            let s = e.stats();
+            for v in [s.inspected, s.expansions, s.replacement_insts] {
+                w.u64(v);
+            }
         }
     }
 
@@ -490,9 +517,16 @@ impl Machine {
             }
         };
         let mem = Memory::read_state(r)?;
-        let engine = snap_engine
-            .then(|| crate::snapshot::read_engine_state(r))
-            .transpose()?;
+        let engine = if snap_engine {
+            Some(dise_core::EngineStats {
+                inspected: r.u64()?,
+                expansions: r.u64()?,
+                replacement_insts: r.u64()?,
+                ..dise_core::EngineStats::default()
+            })
+        } else {
+            None
+        };
         Ok(MachineState {
             regs,
             pc,
@@ -506,16 +540,13 @@ impl Machine {
         })
     }
 
-    /// Installs a parsed state. The engine import validates before it
-    /// mutates and everything after it is infallible, so a failure here
-    /// leaves the machine untouched.
-    pub(crate) fn apply_state(&mut self, state: MachineState) -> Result<()> {
-        if let Some(engine_state) = &state.engine {
+    /// Installs a parsed state.
+    pub(crate) fn apply_state(&mut self, state: MachineState) {
+        if let Some(stats) = state.engine {
             self.engine
                 .as_mut()
                 .expect("engine presence was validated in read_state")
-                .import_state(engine_state)
-                .map_err(|e| SimError::Snapshot(format!("engine section rejected: {e}")))?;
+                .set_stats(stats);
         }
         self.regs = state.regs;
         self.pc = state.pc;
@@ -525,7 +556,6 @@ impl Machine {
         self.app_insts = state.app_insts;
         self.exp = state.exp;
         self.mem = state.mem;
-        Ok(())
     }
 
     /// Reads a register (the zero register reads 0: its slot is never
@@ -631,7 +661,7 @@ impl Machine {
             return Ok(false);
         }
         if self.exp.is_some() {
-            return self.step_expansion::<INFO>(out, false, false, 0);
+            return self.step_expansion::<INFO>(out, false, false, None);
         }
         // A fetch: it begins a new application item unless it re-fetches
         // an interrupted sequence to resume at DISEPC > 0.
@@ -654,37 +684,34 @@ impl Machine {
                     });
                 }
                 self.exp = Some(ExpState::Dedicated { ix });
-                return self.step_expansion::<INFO>(out, first_of_fetch, false, 0);
+                return self.step_expansion::<INFO>(out, first_of_fetch, false, None);
             }
         };
-        let mut dise_stall = 0u64;
+        let mut dise = DiseRef::None;
         if let Some(engine) = self.engine.as_mut() {
-            loop {
-                // A fetch that fell back to `Program::fetch` is at an odd
-                // PC (even ones either predecode or fail to fetch), or on a
-                // machine without a predecode table, whose engine stays
-                // unbound. The engine's PC-keyed entry points take the
-                // live path for both.
-                match engine.inspect_at(&inst, self.pc) {
-                    Expansion::Miss { penalty, .. } => dise_stall += penalty,
-                    Expansion::Fault { .. } => {
-                        return Err(SimError::UnexpandedCodeword { pc: self.pc })
-                    }
-                    Expansion::None => break,
-                    Expansion::Expand { id, len } => {
-                        let expanded = self.disepc == 0;
-                        self.exp = Some(ExpState::Dise {
-                            id,
-                            len,
-                            trigger: inst,
-                        });
-                        return self.step_expansion::<INFO>(
-                            out,
-                            first_of_fetch,
-                            expanded,
-                            dise_stall,
-                        );
-                    }
+            // A fetch that fell back to `Program::fetch` is at an odd PC
+            // (even ones either predecode or fail to fetch), or on a
+            // machine without a predecode table, whose engine stays
+            // unbound. The engine's PC-keyed entry points take the live
+            // path for both.
+            match engine.inspect_at(&inst, self.pc) {
+                Expansion::Fault { .. } => {
+                    return Err(SimError::UnexpandedCodeword { pc: self.pc })
+                }
+                Expansion::None => dise = DiseRef::Pass,
+                Expansion::Expand { id, len } => {
+                    let expanded = self.disepc == 0;
+                    self.exp = Some(ExpState::Dise {
+                        id,
+                        len,
+                        trigger: inst,
+                    });
+                    return self.step_expansion::<INFO>(
+                        out,
+                        first_of_fetch,
+                        expanded,
+                        Some(inst.op),
+                    );
                 }
             }
         }
@@ -714,7 +741,7 @@ impl Machine {
                 dise_taken: matches!(ctrl, Ctrl::DiseJump(_)),
                 predicted: true,
                 mem_addr,
-                dise_stall,
+                dise,
             };
         }
         match ctrl {
@@ -737,24 +764,22 @@ impl Machine {
 
     /// Retires the next instruction of the expansion in flight in `exp`
     /// (a DISE replacement sequence or a dedicated dictionary entry).
-    /// `first_of_fetch`, `expanded` and `dise_stall` describe the fetch
-    /// that began it when this is that fetch's step, and are
-    /// `false`/`false`/0 otherwise.
+    /// `first_of_fetch`, `expanded` and `inspected` (the trigger's
+    /// opcode) describe the fetch that began it when this is that
+    /// fetch's step, and are `false`/`false`/`None` otherwise.
     fn step_expansion<const INFO: bool>(
         &mut self,
         out: &mut StepInfo,
         first_of_fetch: bool,
         expanded: bool,
-        mut dise_stall: u64,
+        inspected: Option<Op>,
     ) -> Result<bool> {
         let exp = self.exp.as_ref().expect("an expansion is in flight");
-        let (inst, len, fetch_size, trigger_inst) = match *exp {
+        let (inst, len, fetch_size, trigger_inst, dise) = match *exp {
             ExpState::Dise { id, len, trigger } => {
                 let engine = self.engine.as_mut().expect("Dise expansion needs engine");
-                let before = engine.stall_cycles();
                 let inst = engine.fetch_replacement_at(id, self.disepc, &trigger, self.pc)?;
-                dise_stall += engine.stall_cycles() - before;
-                (inst, len, 4u64, Some(trigger))
+                (inst, len, 4u64, Some(trigger), DiseRef::Uop { id, inspected })
             }
             ExpState::Dedicated { ix } => {
                 let insts = self
@@ -763,7 +788,8 @@ impl Machine {
                     .expect("dictionary checked at fetch")
                     .get(ix)
                     .expect("dictionary checked at fetch");
-                (insts[self.disepc as usize], insts.len() as u8, 2, None)
+                let ix = self.disepc as usize;
+                (insts[ix], insts.len() as u8, 2, None, DiseRef::None)
             }
         };
 
@@ -798,7 +824,7 @@ impl Machine {
                 dise_taken: matches!(ctrl, Ctrl::DiseJump(_)),
                 predicted: trigger_inst == Some(inst) || self.disepc + 1 == len,
                 mem_addr,
-                dise_stall,
+                dise,
             };
         }
 
@@ -1366,15 +1392,35 @@ mod tests {
         assert!(s0.expanded);
         assert!(s0.is_replacement);
         assert_eq!(s0.expansion_len, 4);
-        assert!(s0.dise_stall > 0, "cold PT/RT misses were charged");
+        let DiseRef::Uop { id, inspected } = s0.dise else {
+            panic!("{:?}", s0.dise)
+        };
+        assert_eq!(inspected, Some(Op::Stq), "the trigger's inspect");
         let s1 = m.step().unwrap().unwrap();
         assert!(!s1.first_of_fetch);
-        assert_eq!(s1.dise_stall, 0);
+        assert_eq!(
+            s1.dise,
+            DiseRef::Uop {
+                id,
+                inspected: None
+            }
+        );
         let s2 = m.step().unwrap().unwrap(); // beq (not taken)
         assert_eq!(s2.taken, Some(false));
         assert!(!s2.predicted, "non-trigger replacement branch unpredicted");
         let s3 = m.step().unwrap().unwrap(); // the store (trigger instance)
         assert!(s3.predicted);
         assert!(s3.mem_addr.is_some());
+        let s4 = m.step().unwrap().unwrap(); // halt: inspected, not expanded
+        assert_eq!(s4.dise, DiseRef::Pass);
+    }
+
+    /// [`StepInfo`] is the per-instruction hand-off from the functional
+    /// machine to the timing model, which a shared-stream design would
+    /// buffer; its size is pinned so it cannot grow unnoticed.
+    #[test]
+    fn step_info_stays_within_eighty_bytes() {
+        assert!(std::mem::size_of::<StepInfo>() <= 80);
+        assert!(std::mem::size_of::<DiseRef>() <= 8);
     }
 }

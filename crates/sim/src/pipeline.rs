@@ -17,6 +17,8 @@
 //! * replacement instructions consume fetch/decode/dispatch slots, RS and
 //!   ROB entries, and execution resources, but do not access the I-cache;
 //! * PT/RT misses flush the pipeline and stall fetch (30/150 cycles);
+//!   the tables are timing state, modeled by [`DiseCacheModel`] from the
+//!   engine references each step reports;
 //! * the engine's placement cost is selectable via [`ExpansionCost`]:
 //!   `Free` (idealized), `StallPerExpansion` (PT/RT in parallel with the
 //!   decoder, one bubble per actual expansion) or `ExtraStage` (PT/RT in
@@ -27,7 +29,8 @@
 
 use crate::bpred::{BpredConfig, BpredStats, BranchPredictor};
 use crate::cache::{CacheStats, MemoryHierarchy, MemoryHierarchyConfig};
-use crate::machine::{exec_latency, Machine, StepInfo};
+use crate::dise_cache::DiseCacheModel;
+use crate::machine::{exec_latency, DiseRef, Machine, StepInfo};
 use crate::ring::Ring;
 use crate::telemetry::{AnomalyReport, EventRing, StallCause, StatsRegistry, TraceEvent, TraceKind};
 use crate::{Result, SimError};
@@ -229,6 +232,33 @@ pub struct SimResult {
 /// [`Simulator::account`]); no source ever names it.
 const ZERO_SINK: usize = 63;
 
+/// `a.max(b)` as a conditional move. The timing model's maxima compare
+/// data-dependent times, so as branches they mispredict often, and
+/// LLVM's x86 cmov-conversion pass turns the `cmov`s of an innermost
+/// loop into branches when it estimates that shortens the loop's
+/// critical path. [`Simulator::run`]'s loop is innermost, and the
+/// conversion made an engine-less 1M-instruction run 30% slower (2-core
+/// Xeon VM, against the same code with the pass disabled).
+/// `select_unpredictable` does not help: a max is canonicalized to
+/// `umax` first. So on x86-64 the `cmov` is written out.
+#[inline(always)]
+fn max(a: u64, b: u64) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let mut r = a;
+        // SAFETY: a register-only compare and conditional move.
+        unsafe {
+            std::arch::asm!("cmp {r}, {b}", "cmovb {r}, {b}", r = inout(reg) r, b = in(reg) b,
+                options(pure, nomem, nostack));
+        }
+        r
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        a.max(b)
+    }
+}
+
 /// Register fields an opcode reads and writes in the timing model, one
 /// bit each (see [`OP_REGS`]).
 const READS_RA: u8 = 1;
@@ -337,7 +367,7 @@ impl SlotAlloc {
     fn alloc(&mut self, ready: u64) -> u64 {
         let used = self.used * u64::from(ready <= self.cycle);
         let full = u64::from(used >= self.width);
-        self.cycle = self.cycle.max(ready) + full;
+        self.cycle = max(self.cycle, ready) + full;
         self.used = used * (1 - full) + 1;
         self.cycle
     }
@@ -486,6 +516,7 @@ pub(crate) struct SimulatorState {
     stats: SimStats,
     hierarchy: crate::cache::HierarchyState,
     bpred: crate::bpred::BpredState,
+    dise: Option<DiseCacheModel>,
 }
 
 /// Serializes every [`SimStats`] counter in declaration order.
@@ -598,6 +629,9 @@ pub struct Simulator {
     config: SimConfig,
     machine: Machine,
     mem: MemoryHierarchy,
+    /// The DISE engine's PT and RT (present iff the machine had an engine
+    /// when the simulator was built).
+    dise: Option<DiseCacheModel>,
     bpred: BranchPredictor,
     fetch: SlotAlloc,
     commit: SlotAlloc,
@@ -656,6 +690,7 @@ impl Simulator {
         config.frontend_depth += frontend_extra;
         Simulator {
             mem: MemoryHierarchy::new(config.mem),
+            dise: machine.engine().map(DiseCacheModel::new),
             bpred: BranchPredictor::new(config.bpred),
             fetch: SlotAlloc::new(config.width),
             commit: SlotAlloc::new(config.width),
@@ -688,12 +723,6 @@ impl Simulator {
         &self.machine
     }
 
-    /// Mutable access to the oracle machine (e.g. to initialize dedicated
-    /// registers before running).
-    pub fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
-    }
-
     /// Serializes the simulator's mutable state (see [`crate::snapshot`]).
     /// The timing configuration is recorded as a fingerprint of its
     /// `Debug` form — the same result-affecting-fields-only rendering the
@@ -718,6 +747,13 @@ impl Simulator {
         save_sim_stats(&self.stats, w);
         self.mem.save_state(w);
         self.bpred.save_state(w);
+        match (&self.dise, self.machine.engine()) {
+            (Some(model), Some(engine)) => {
+                w.bool(true);
+                model.save_state(w, engine);
+            }
+            _ => w.bool(false),
+        }
     }
 
     /// Parses a [`Simulator::save_state`] section, checking the recorded
@@ -755,6 +791,15 @@ impl Simulator {
         let stats = read_sim_stats(r)?;
         let hierarchy = self.mem.read_state(r)?;
         let bpred = self.bpred.read_state(r)?;
+        let dise = match (r.bool()?, self.machine.engine()) {
+            (true, Some(engine)) => Some(DiseCacheModel::read_state(r, engine)?),
+            (false, _) => None,
+            (true, None) => {
+                return Err(SimError::Snapshot(
+                    "snapshot corrupt: a DISE table section without an attached engine".into(),
+                ))
+            }
+        };
         Ok(SimulatorState {
             machine,
             fetch,
@@ -768,16 +813,16 @@ impl Simulator {
             stats,
             hierarchy,
             bpred,
+            dise,
         })
     }
 
-    /// Installs a parsed state. The only fallible step — the machine's
-    /// engine import — runs first and validates before mutating, so a
-    /// failure leaves the simulator untouched. The shadow oracle (if one
-    /// was enabled) is dropped: it tracks the primary machine from load,
-    /// and a restored primary has nothing for it to have shadowed.
-    pub(crate) fn apply_state(&mut self, state: SimulatorState) -> Result<()> {
-        self.machine.apply_state(state.machine)?;
+    /// Installs a parsed state. The shadow oracle (if one was enabled)
+    /// is dropped: it tracks the primary machine from load, and a
+    /// restored primary has nothing for it to have shadowed.
+    pub(crate) fn apply_state(&mut self, state: SimulatorState) {
+        self.machine.apply_state(state.machine);
+        self.dise = state.dise;
         self.fetch.cycle = state.fetch.0;
         self.fetch.used = state.fetch.1;
         self.commit.cycle = state.commit.0;
@@ -796,7 +841,6 @@ impl Simulator {
         self.shadow = None;
         self.anomaly_pc = None;
         self.replay = false;
-        Ok(())
     }
 
     /// Attaches a shadow functional oracle, stepped in lockstep with the
@@ -869,9 +913,9 @@ impl Simulator {
         snapshot.dcache = self.mem.dcache_stats();
         snapshot.l2 = self.mem.l2_stats();
         snapshot.bpred = self.bpred.stats();
-        if let Some(e) = self.machine.engine() {
-            snapshot.engine = e.stats();
-            snapshot.expansions = snapshot.engine.expansions;
+        if let Some(engine) = self.engine_stats() {
+            snapshot.engine = engine;
+            snapshot.expansions = engine.expansions;
         }
         snapshot.registry()
     }
@@ -995,13 +1039,32 @@ impl Simulator {
         self.stats.dcache = self.mem.dcache_stats();
         self.stats.l2 = self.mem.l2_stats();
         self.stats.bpred = self.bpred.stats();
-        if let Some(e) = self.machine.engine() {
-            self.stats.engine = e.stats();
-            self.stats.expansions = self.stats.engine.expansions;
+        if let Some(engine) = self.engine_stats() {
+            self.stats.engine = engine;
+            self.stats.expansions = engine.expansions;
         }
         SimResult {
             stats: self.stats,
             halted,
+        }
+    }
+
+    /// The engine counters: the engine's functional counts merged with
+    /// the PT/RT model's misses.
+    fn engine_stats(&self) -> Option<EngineStats> {
+        let engine = self.machine.engine()?;
+        Some(match &self.dise {
+            Some(model) => model.engine_stats(engine),
+            None => engine.stats(),
+        })
+    }
+
+    /// Replays a step's engine references against the PT/RT model and
+    /// returns the miss stall.
+    fn dise_stall(&mut self, info: &StepInfo) -> u64 {
+        match (self.dise.as_mut(), self.machine.engine()) {
+            (Some(model), Some(engine)) => model.observe(info, engine),
+            _ => 0,
         }
     }
 
@@ -1013,9 +1076,13 @@ impl Simulator {
         let mut fetch_ready = 0u64;
 
         // DISE PT/RT miss: pipeline flush + fixed stall (§2.3).
-        if info.dise_stall > 0 {
-            self.stats.dise_stall_cycles += info.dise_stall;
-            fetch_ready = self.fetch.cycle + info.dise_stall;
+        let dise_stall = match info.dise {
+            DiseRef::None => 0,
+            _ => self.dise_stall(info),
+        };
+        if dise_stall > 0 {
+            self.stats.dise_stall_cycles += dise_stall;
+            fetch_ready = self.fetch.cycle + dise_stall;
             self.fetch.break_group();
         }
 
@@ -1026,14 +1093,14 @@ impl Simulator {
         if self.rob.len() >= self.rob_cap {
             let freed = self.rob.pop().expect("non-empty");
             let until = freed.saturating_sub(self.frontend_depth);
-            rob_wait = until.saturating_sub(fetch_ready.max(self.fetch.cycle));
-            fetch_ready = fetch_ready.max(until);
+            rob_wait = until.saturating_sub(max(fetch_ready, self.fetch.cycle));
+            fetch_ready = max(fetch_ready, until);
         }
         if self.rs.len() >= self.rs_cap {
             let freed = self.rs.pop().expect("non-empty");
             let until = freed.saturating_sub(self.frontend_depth);
-            rs_wait = until.saturating_sub(fetch_ready.max(self.fetch.cycle));
-            fetch_ready = fetch_ready.max(until);
+            rs_wait = until.saturating_sub(max(fetch_ready, self.fetch.cycle));
+            fetch_ready = max(fetch_ready, until);
         }
 
         let mut fetch_time = self.fetch.alloc(fetch_ready);
@@ -1064,17 +1131,20 @@ impl Simulator {
         // ---- dispatch / issue / complete -------------------------------
         let dispatch = fetch_time + self.frontend_depth;
         let regs = TimingRegs::of(&info.inst);
-        let mut ready = (dispatch + 1)
-            .max(self.reg_ready[regs.sources[0]])
-            .max(self.reg_ready[regs.sources[1]])
-            .max(self.reg_ready[regs.sources[2]]);
+        let mut ready = max(
+            max(dispatch + 1, self.reg_ready[regs.sources[0]]),
+            max(
+                self.reg_ready[regs.sources[1]],
+                self.reg_ready[regs.sources[2]],
+            ),
+        );
         let class = info.inst.op.class();
         // Loads wait for the youngest older store to the same granule
         // (perfect memory-dependence speculation with forwarding).
         if class == OpClass::Load {
             if let Some(addr) = info.mem_addr {
                 if let Some(t) = self.store_ready.get(addr >> 3) {
-                    ready = ready.max(t);
+                    ready = max(ready, t);
                 }
             }
         }
@@ -1136,12 +1206,12 @@ impl Simulator {
         if redirect {
             self.stats.redirects += 1;
             // Fetch resumes after the branch resolves.
-            self.fetch.cycle = self.fetch.cycle.max(complete);
+            self.fetch.cycle = max(self.fetch.cycle, complete);
             self.fetch.break_group();
         }
 
         // ---- commit -----------------------------------------------------
-        let commit = self.commit.alloc(complete.max(self.last_commit));
+        let commit = self.commit.alloc(max(complete, self.last_commit));
 
         // Commit-gap watchdog: in this timestamp-dataflow model every
         // accounted instruction commits, so a wedged pipeline shows up as
@@ -1168,6 +1238,7 @@ impl Simulator {
         if self.trace.is_some() {
             self.record_events(
                 info,
+                dise_stall,
                 rob_wait,
                 rs_wait,
                 icache_wait,
@@ -1178,7 +1249,7 @@ impl Simulator {
         }
         self.seq += 1;
 
-        self.last_commit = commit.max(self.last_commit);
+        self.last_commit = max(commit, self.last_commit);
         self.rob.push(commit);
         self.rs.push(issue + 1);
     }
@@ -1189,6 +1260,7 @@ impl Simulator {
     fn record_events(
         &mut self,
         info: &StepInfo,
+        dise_stall: u64,
         rob_wait: u64,
         rs_wait: u64,
         icache_wait: u64,
@@ -1209,8 +1281,8 @@ impl Simulator {
             kind,
         };
         let stall = |cause: StallCause, cycles: u64| TraceKind::Stall { cause, cycles };
-        if info.dise_stall > 0 {
-            ring.push(ev(fetch_time, stall(StallCause::DiseMiss, info.dise_stall)));
+        if dise_stall > 0 {
+            ring.push(ev(fetch_time, stall(StallCause::DiseMiss, dise_stall)));
         }
         if rob_wait > 0 {
             ring.push(ev(fetch_time, stall(StallCause::RobFull, rob_wait)));

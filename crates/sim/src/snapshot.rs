@@ -2,11 +2,12 @@
 //!
 //! A snapshot serializes *mutable state only*: the [`Machine`]'s
 //! registers, resident memory pages, `(PC, DISEPC)` control point,
-//! in-flight expansion state and instruction counters; the engine's
-//! PT/RT placement, LRU stamps and statistics; and — for full
-//! [`Simulator`] snapshots — every flat timing structure (slot
-//! allocators, ROB/RS windows, register/store scoreboards, caches,
-//! branch predictor, accumulated counters).
+//! in-flight expansion state, instruction counters and the engine's
+//! functional counters; and — for full [`Simulator`] snapshots — every
+//! flat timing structure (slot allocators, ROB/RS windows,
+//! register/store scoreboards, caches, branch predictor, the DISE PT/RT
+//! model's residency, LRU stamps and miss counters, accumulated
+//! counters).
 //!
 //! Immutable state is **not** serialized. The program image, the
 //! production set, the dedicated dictionary and the timing configuration
@@ -41,7 +42,7 @@ pub(crate) const MAGIC: [u8; 4] = *b"DSNP";
 
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject every version they were not built for.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Kind byte: functional-machine snapshot.
 pub(crate) const KIND_MACHINE: u8 = 0;
@@ -241,8 +242,8 @@ pub(crate) fn check_fingerprint(what: &str, snapshot: u64, target: u64) -> Resul
 ///
 /// The bytes are also the canonical *final-state digest*: two machines
 /// with byte-equal snapshots have identical registers, memory,
-/// `(PC, DISEPC)` suspension state, counters and engine state — the
-/// differential suite compares resumed and uninterrupted runs this way.
+/// `(PC, DISEPC)` suspension state and counters — the differential suite
+/// compares resumed and uninterrupted runs this way.
 pub fn save_machine(m: &Machine) -> Vec<u8> {
     let mut w = Writer::new();
     write_header(&mut w, KIND_MACHINE);
@@ -269,7 +270,8 @@ pub fn restore_machine(m: &mut Machine, bytes: &[u8]) -> Result<()> {
     read_header(&mut r, KIND_MACHINE)?;
     let state = m.read_state(&mut r)?;
     r.finish()?;
-    m.apply_state(state)
+    m.apply_state(state);
+    Ok(())
 }
 
 /// Serializes a timing simulator's full mutable state (the oracle
@@ -297,7 +299,8 @@ pub fn restore_simulator(sim: &mut Simulator, bytes: &[u8]) -> Result<()> {
     read_header(&mut r, KIND_SIMULATOR)?;
     let state = sim.read_state(&mut r)?;
     r.finish()?;
-    sim.apply_state(state)
+    sim.apply_state(state);
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -343,7 +346,7 @@ pub fn snapshot_env() -> Option<u64> {
 }
 
 // ---------------------------------------------------------------------
-// Shared codecs (instruction, engine state)
+// Shared codecs
 // ---------------------------------------------------------------------
 
 pub(crate) fn write_inst(w: &mut Writer, inst: &dise_isa::Inst) {
@@ -379,100 +382,6 @@ pub(crate) fn read_inst(r: &mut Reader<'_>) -> Result<dise_isa::Inst> {
         imm: r.i64()?,
         uses_lit: r.bool()?,
         dise_branch: r.bool()?,
-    })
-}
-
-pub(crate) fn write_engine_state(w: &mut Writer, state: &dise_core::EngineState) {
-    w.u64(state.pt_resident.len() as u64);
-    for &ix in &state.pt_resident {
-        w.u64(ix as u64);
-    }
-    match &state.rt {
-        dise_core::RtState::Cache { keys, stamps, clock } => {
-            w.u8(0);
-            w.u64(keys.len() as u64);
-            for &k in keys {
-                w.u64(k);
-            }
-            for &s in stamps {
-                w.u64(s);
-            }
-            w.u64(*clock);
-        }
-        dise_core::RtState::Perfect { resident } => {
-            w.u8(1);
-            w.u64(resident.len() as u64);
-            for &(id, base) in resident {
-                w.u32(id);
-                w.u8(base);
-            }
-        }
-    }
-    let s = &state.stats;
-    for v in [
-        s.inspected,
-        s.expansions,
-        s.replacement_insts,
-        s.pt_misses,
-        s.rt_misses,
-        s.composed_fills,
-        s.stall_cycles,
-    ] {
-        w.u64(v);
-    }
-}
-
-pub(crate) fn read_engine_state(r: &mut Reader<'_>) -> Result<dise_core::EngineState> {
-    let n = r.len_prefix(8)?;
-    let mut pt_resident = Vec::with_capacity(n);
-    for _ in 0..n {
-        pt_resident.push(r.u64()? as usize);
-    }
-    let rt = match r.u8()? {
-        0 => {
-            let n = r.len_prefix(8)?;
-            let mut keys = Vec::with_capacity(n);
-            for _ in 0..n {
-                keys.push(r.u64()?);
-            }
-            let mut stamps = Vec::with_capacity(n);
-            for _ in 0..n {
-                stamps.push(r.u64()?);
-            }
-            dise_core::RtState::Cache {
-                keys,
-                stamps,
-                clock: r.u64()?,
-            }
-        }
-        1 => {
-            let n = r.len_prefix(5)?;
-            let mut resident = Vec::with_capacity(n);
-            for _ in 0..n {
-                resident.push((r.u32()?, r.u8()?));
-            }
-            dise_core::RtState::Perfect { resident }
-        }
-        other => {
-            return Err(SimError::Snapshot(format!(
-                "snapshot corrupt: unknown RT organization tag {other}"
-            )))
-        }
-    };
-    let mut stat = || r.u64();
-    let stats = dise_core::EngineStats {
-        inspected: stat()?,
-        expansions: stat()?,
-        replacement_insts: stat()?,
-        pt_misses: stat()?,
-        rt_misses: stat()?,
-        composed_fills: stat()?,
-        stall_cycles: stat()?,
-    };
-    Ok(dise_core::EngineState {
-        pt_resident,
-        rt,
-        stats,
     })
 }
 

@@ -3,17 +3,19 @@
 //! The fast path — the predecoded text table plus the engine's
 //! PC-indexed expansion cache — is a pure simulation-speed device: it
 //! must replay the slow-path reference interpreter bit-for-bit,
-//! including every engine statistic and RT LRU decision. These tests
+//! including every step report (and so every engine reference the
+//! PT/RT model replays) and every engine statistic. These tests
 //! interleave the events that clear or outdate cached state — aware
 //! production (re)installs, context switches, interrupts mid-expansion —
-//! with RT thrashing under all four RT organizations,
-//! and demand identical behavior between the default machine and the
-//! slow-path reference.
+//! with RT thrashing under all four RT organizations, feed each
+//! machine's reported steps to a [`DiseCacheModel`], and demand
+//! identical behavior between the default machine and the slow-path
+//! reference, through both `Machine::step` and `Machine::run`.
 
 use dise_core::pattern::Pattern;
 use dise_core::{DiseEngine, EngineConfig, RtOrganization};
 use dise_isa::{OpClass, Program, Reg};
-use dise_sim::{Machine, MachineConfig};
+use dise_sim::{DiseCacheModel, Machine, MachineConfig, RunResult, SimError};
 use dise_workloads::fuzz::{
     arch_state as regs, aware_spec, engine_program as program, schedule, store_spec, Action,
     AWARE_PAIRS,
@@ -24,6 +26,53 @@ use rand::SeedableRng;
 // The workload, production generators, and event schedule live in
 // `dise_workloads::fuzz` (shared seed corpus documented there); this file
 // keeps only the fast-vs-slow differential driver.
+
+/// A machine and the PT/RT model fed every step it retires.
+struct Observed {
+    m: Machine,
+    model: DiseCacheModel,
+}
+
+impl Observed {
+    fn new(m: Machine) -> Observed {
+        let model = DiseCacheModel::new(m.engine().unwrap());
+        Observed { m, model }
+    }
+
+    fn step(&mut self) -> Result<bool, SimError> {
+        let Some(info) = self.m.step()? else {
+            return Ok(false);
+        };
+        self.model.observe(&info, self.m.engine().unwrap());
+        Ok(true)
+    }
+
+    /// [`Machine::run`] one step at a time, so the model sees each one
+    /// (the final run to halt, whose misses the engagement check
+    /// counts).
+    fn run(&mut self, mut fuel: u64) -> Result<RunResult, SimError> {
+        loop {
+            if self.m.halted() {
+                let (total_insts, app_insts) = self.m.inst_counts();
+                return Ok(RunResult {
+                    total_insts,
+                    app_insts,
+                    halted: true,
+                });
+            }
+            if fuel == 0 {
+                return Err(SimError::OutOfFuel);
+            }
+            if self.step()? {
+                fuel -= 1;
+            }
+        }
+    }
+
+    fn stats(&self) -> dise_core::EngineStats {
+        self.model.engine_stats(self.m.engine().unwrap())
+    }
+}
 
 /// Builds one machine over `p` with a freshly seeded production set.
 /// `slow` selects the reference interpreter (no predecode, no engine
@@ -51,26 +100,33 @@ fn machine(p: &Program, econfig: EngineConfig, rng: &mut StdRng, slow: bool) -> 
 /// Applies one action and folds every observable outcome into a string so
 /// success, error kinds, and step traces all participate in the
 /// comparison.
-fn apply(m: &mut Machine, a: &Action) -> String {
+fn apply(o: &mut Observed, a: &Action) -> String {
     match a {
-        Action::Run(fuel) => format!("{:?}", m.run(*fuel)),
+        // The report-free `Machine::run` loop: the model misses these
+        // steps, equally on both machines.
+        Action::Run(fuel) => format!("{:?}", o.m.run(*fuel)),
         Action::Step(n) => {
             let mut out = String::new();
             for _ in 0..*n {
-                out.push_str(&format!("{:?};", m.step()));
+                out.push_str(&format!("{:?};", o.step()));
             }
             out
         }
         Action::Interrupt => {
-            m.interrupt();
+            o.m.interrupt();
             String::new()
         }
         Action::ContextSwitch => {
-            m.engine_mut().unwrap().context_switch();
+            o.model.context_switch();
             String::new()
         }
         Action::InstallAware(cw, tag, spec) => {
-            format!("{:?}", m.engine_mut().unwrap().install_aware(*cw, *tag, spec.clone()))
+            format!(
+                "{:?}",
+                o.m.engine_mut()
+                    .unwrap()
+                    .install_aware(*cw, *tag, spec.clone())
+            )
         }
     }
 }
@@ -88,35 +144,54 @@ fn fuzz_one(seed: u64, econfig: EngineConfig) {
     // consumes randomness for the initial production set, and the
     // schedule must be byte-identical for both machines.
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut fast = machine(&p, econfig, &mut StdRng::seed_from_u64(!seed), false);
-    let mut slow = machine(&p, econfig, &mut StdRng::seed_from_u64(!seed), true);
+    let mut fast = Observed::new(machine(
+        &p,
+        econfig,
+        &mut StdRng::seed_from_u64(!seed),
+        false,
+    ));
+    let mut slow = Observed::new(machine(
+        &p,
+        econfig,
+        &mut StdRng::seed_from_u64(!seed),
+        true,
+    ));
 
     for (i, action) in schedule(&mut rng, 60).iter().enumerate() {
         let of = apply(&mut fast, action);
         let os = apply(&mut slow, action);
         let ctx = |what: &str| format!("seed {seed}, round {i} ({action:?}): {what} diverged");
         assert_eq!(of, os, "{}", ctx("action outcome"));
-        assert_eq!(fast.pc(), slow.pc(), "{}", ctx("PC:DISEPC"));
-        assert_eq!(fast.inst_counts(), slow.inst_counts(), "{}", ctx("inst counts"));
-        assert_eq!(arch_state(&fast), arch_state(&slow), "{}", ctx("registers"));
+        assert_eq!(fast.m.pc(), slow.m.pc(), "{}", ctx("PC:DISEPC"));
         assert_eq!(
-            fast.engine().unwrap().stats(),
-            slow.engine().unwrap().stats(),
+            fast.m.inst_counts(),
+            slow.m.inst_counts(),
             "{}",
-            ctx("engine stats")
+            ctx("inst counts")
         );
+        assert_eq!(
+            arch_state(&fast.m),
+            arch_state(&slow.m),
+            "{}",
+            ctx("registers")
+        );
+        assert_eq!(fast.stats(), slow.stats(), "{}", ctx("engine stats"));
     }
 
     // A reinstall may have shrunk a sequence below a suspended DISEPC
     // (resuming then reports an out-of-range fetch — identically on both
     // machines, but never halting); restart the trigger from DISEPC 0
     // like an OS handler would before the final run.
-    assert_eq!(fast.pc(), slow.pc(), "seed {seed}: pre-restart PC:DISEPC");
-    assert_eq!(fast.halted(), slow.halted(), "seed {seed}: halt state");
-    if !fast.halted() {
-        let (pc, _) = fast.pc();
-        fast.set_pc(pc);
-        slow.set_pc(pc);
+    assert_eq!(
+        fast.m.pc(),
+        slow.m.pc(),
+        "seed {seed}: pre-restart PC:DISEPC"
+    );
+    assert_eq!(fast.m.halted(), slow.m.halted(), "seed {seed}: halt state");
+    if !fast.m.halted() {
+        let (pc, _) = fast.m.pc();
+        fast.m.set_pc(pc);
+        slow.m.set_pc(pc);
     }
     let rf = fast.run(2_000_000);
     let rs = slow.run(2_000_000);
@@ -126,16 +201,20 @@ fn fuzz_one(seed: u64, econfig: EngineConfig) {
         "seed {seed}: final RunResult diverged"
     );
     assert!(rf.unwrap().halted, "seed {seed}: machines did not halt");
-    assert_eq!(arch_state(&fast), arch_state(&slow), "seed {seed}: final registers");
     assert_eq!(
-        fast.engine().unwrap().stats(),
-        slow.engine().unwrap().stats(),
+        arch_state(&fast.m),
+        arch_state(&slow.m),
+        "seed {seed}: final registers"
+    );
+    assert_eq!(
+        fast.stats(),
+        slow.stats(),
         "seed {seed}: final engine stats"
     );
 
     // The comparison proves nothing unless the engine actually expanded,
     // and, on a finite RT, actually evicted and refilled sequences.
-    let stats = fast.engine().unwrap().stats();
+    let stats = fast.stats();
     assert!(stats.expansions > 0, "seed {seed}: nothing ever expanded");
     if econfig.rt_org != RtOrganization::Perfect {
         assert!(stats.rt_misses > 0, "seed {seed}: the finite RT never missed");

@@ -65,10 +65,12 @@ echo "== ci: shadow smoke cell ($(date)) =="
 DISE_BENCH_DYN=20000 DISE_BENCH_FILTER=gcc DISE_BENCH_CACHE=off \
     DISE_BENCH_JOBS=2 ./target/release/fig6_mfi top --shadow > /dev/null
 # The Figure 8 RT panel: eager and compose-on-miss composition on
-# 512/2K direct-mapped/2-way RTs. Those cells miss thousands of times, so
-# the engine's expansion-cache hits keep meeting evicted sequences. The MFI cells
-# above barely miss. The jq check proves the thrashing path engaged:
-# some cell took more than 1000 RT misses, and some filled by composing.
+# 512/2K direct-mapped/2-way RTs. The shadow checks only the functional
+# stream: every step report, including the engine reference (sequence
+# id, inspected opcode) the simulator's PT/RT model replays. The tables
+# themselves are timing state that neither oracle runs. The jq check
+# proves the model engaged on that stream: some cell took more than
+# 1000 RT misses, and some filled by composing.
 SHADOWTMP=$(mktemp -d)
 DISE_BENCH_DYN=20000 DISE_BENCH_FILTER=gzip DISE_BENCH_CACHE=off \
     DISE_BENCH_JOBS=2 ./target/release/fig8_composition rt --shadow \

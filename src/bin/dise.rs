@@ -120,6 +120,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             s.redirects,
             s.dise_stall_cycles
         );
+        if sim.machine().engine().is_some() {
+            let e = s.engine;
+            println!(
+                "engine: {} PT / {} RT misses, {} composed fills",
+                e.pt_misses, e.rt_misses, e.composed_fills
+            );
+        }
         report_regs(sim.machine());
         if args.iter().any(|a| a == "--profile") {
             report_profile(sim.machine());
@@ -132,11 +139,12 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             result.total_insts,
             m.pc().0
         );
+        // PT/RT misses are timing events; a functional run has none.
         if let Some(e) = m.engine() {
             let s = e.stats();
             println!(
-                "engine: {} inspected, {} expansions, {} replacement insts, {} PT / {} RT misses",
-                s.inspected, s.expansions, s.replacement_insts, s.pt_misses, s.rt_misses
+                "engine: {} inspected, {} expansions, {} replacement insts",
+                s.inspected, s.expansions, s.replacement_insts
             );
         }
         report_regs(&m);

@@ -7,7 +7,7 @@ use dise::acf::mfi::{Mfi, MfiVariant};
 use dise::acf::trace::StoreTracer;
 use dise::engine::{compose, Controller, DiseEngine, EngineConfig};
 use dise::isa::{Program, Reg};
-use dise::sim::Machine;
+use dise::sim::{Machine, SimConfig, Simulator};
 use dise::workloads::{Benchmark, WorkloadConfig};
 
 fn workload() -> Program {
@@ -54,10 +54,12 @@ fn eager_and_lazy_composition_agree() {
             controller,
         ));
         Mfi::init_machine(&mut m);
-        let r = m.run(u64::MAX).unwrap();
-        assert!(r.halted());
-        assert!(m.engine().unwrap().stats().composed_fills > 0);
-        (final_state(&m), r.total_insts)
+        // Through the timing model, whose RT fills do the composing.
+        let mut sim = Simulator::new(SimConfig::default(), m);
+        let r = sim.run(u64::MAX).unwrap();
+        assert!(r.halted);
+        assert!(r.stats.engine.composed_fills > 0);
+        (final_state(sim.machine()), r.stats.total_insts)
     };
 
     assert_eq!(run_eager.0, run_lazy.0, "states diverged");

@@ -4,14 +4,15 @@
 //! A machine on the default fast path (predecode table, expansion cache)
 //! and a twin on the slow path (byte-accurate fetch, live engine) step the
 //! same image one dynamic instruction at a time and must agree on every
-//! step report and on the engine statistics after every step. Both run a
-//! 512-entry direct-mapped RT and a two-entry PT, so sequences and
-//! patterns the cache holds keep getting evicted, and both go through the
-//! same scripted events: context switches, a runtime transparent install
-//! whose sequence takes a DISE-internal branch, a second one that
-//! overrides it for `addq` (so cached `addq` expansions go stale), and a
-//! runtime aware install. Every test also proves that it exercised what
-//! it claims to: cache hits, PT and RT misses, taken DISE branches.
+//! step report and on the engine statistics after every step. Each feeds
+//! its steps to a PT/RT model of a 512-entry direct-mapped RT and a
+//! two-entry PT, so sequences and patterns keep getting evicted, and
+//! both go through the same scripted events: context switches of the
+//! tables, a runtime transparent install whose sequence takes a
+//! DISE-internal branch, a second one that overrides it for `addq` (so
+//! cached `addq` expansions go stale), and a runtime aware install.
+//! Every test also proves that it exercised what it claims to: cache
+//! hits, PT and RT misses, taken DISE branches.
 
 use dise::acf::compress::{CompressionConfig, Compressor};
 use dise::acf::mfi::{Mfi, MfiVariant};
@@ -20,7 +21,7 @@ use dise::engine::{
     ReplacementSpec, RtOrganization, SeqRef,
 };
 use dise::isa::{Inst, Op, OpClass, Program, Reg};
-use dise::sim::{Machine, MachineConfig};
+use dise::sim::{DiseCacheModel, Machine, MachineConfig};
 use dise::workloads::{Benchmark, WorkloadConfig};
 
 fn workload(bench: Benchmark) -> Program {
@@ -67,8 +68,9 @@ struct Observed {
     dise_taken: u64,
 }
 
-/// Steps `fast` and `slow` in lockstep to halt. Every 5,000 steps both
-/// engines take a context switch; at step 7,000 both install a
+/// Steps `fast` and `slow` in lockstep to halt, each feeding its own
+/// PT/RT model. Every 5,000 steps both models take a context switch; at
+/// step 7,000 both engines install a
 /// transparent production for every integer ALU operation whose sequence
 /// takes a DISE branch, at step 9,500 a more specific identity production
 /// for `addq`, and at step 12,000 both run `aware_install`.
@@ -77,13 +79,14 @@ fn lockstep(
     mut slow: Machine,
     aware_install: impl Fn(&mut DiseEngine),
 ) -> Observed {
+    let mut fast_tables = DiseCacheModel::new(fast.engine().unwrap());
+    let mut slow_tables = DiseCacheModel::new(slow.engine().unwrap());
     let mut steps = 0u64;
     let mut dise_taken = 0u64;
     loop {
         if steps > 0 && steps.is_multiple_of(5_000) {
-            for m in [&mut fast, &mut slow] {
-                m.engine_mut().unwrap().context_switch();
-            }
+            fast_tables.context_switch();
+            slow_tables.context_switch();
         }
         let install = match steps {
             7_000 => Some((Pattern::opclass(OpClass::IntAlu), dise_branch_spec())),
@@ -106,12 +109,14 @@ fn lockstep(
         let sf = fast.step().unwrap();
         let ss = slow.step().unwrap();
         assert_eq!(sf, ss, "step {steps} diverged");
+        let Some(info) = sf else { break };
+        fast_tables.observe(&info, fast.engine().unwrap());
+        slow_tables.observe(&info, slow.engine().unwrap());
         assert_eq!(
-            fast.engine().unwrap().stats(),
-            slow.engine().unwrap().stats(),
+            fast_tables.engine_stats(fast.engine().unwrap()),
+            slow_tables.engine_stats(slow.engine().unwrap()),
             "engine stats diverged at step {steps}"
         );
-        let Some(info) = sf else { break };
         dise_taken += u64::from(info.dise_taken);
         steps += 1;
     }
@@ -125,11 +130,12 @@ fn lockstep(
         0,
         "the slow-path twin must never use the cache"
     );
+    let stats = fast_tables.engine_stats(engine);
     Observed {
         steps,
         cache_hits: engine.expansion_cache_hits(),
-        pt_misses: engine.stats().pt_misses,
-        rt_misses: engine.stats().rt_misses,
+        pt_misses: stats.pt_misses,
+        rt_misses: stats.rt_misses,
         dise_taken,
     }
 }

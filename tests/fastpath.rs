@@ -5,8 +5,8 @@
 //! runs the same workload with the fast path on (the default) and off
 //! (`MachineConfig::slow_path` + `EngineConfig::slow_path`) and demands
 //! *bit-identical* results — architectural state, retirement counts,
-//! cycle-level timing, engine statistics, and the executed instruction
-//! stream.
+//! cycle-level timing, engine statistics (the engine's own and the
+//! timing model's PT/RT misses), and the executed instruction stream.
 
 use dise::acf::compress::{CompressionConfig, Compressor};
 use dise::acf::mfi::{Mfi, MfiVariant};
@@ -58,7 +58,7 @@ fn mfi_timing_identical_fast_and_slow() {
         assert_eq!(
             fast.machine().engine().unwrap().stats(),
             slow.machine().engine().unwrap().stats(),
-            "{bench}: EngineStats diverged"
+            "{bench}: functional EngineStats diverged"
         );
         assert_eq!(
             final_state(fast.machine()),
@@ -72,7 +72,8 @@ fn mfi_timing_identical_fast_and_slow() {
 #[test]
 fn mfi_executed_stream_identical_fast_and_slow() {
     // Step both machines in lockstep and require the same dynamic
-    // instruction stream — PCs, DISEPCs, disassembly, and stall charges.
+    // instruction stream — PCs, DISEPCs, disassembly, and the engine
+    // references the timing model replays.
     let p = workload(Benchmark::Gzip);
     let mut fast = mfi_machine(&p, true);
     let mut slow = mfi_machine(&p, false);
@@ -93,8 +94,8 @@ fn mfi_executed_stream_identical_fast_and_slow() {
 #[test]
 fn compression_identical_fast_and_slow_with_finite_rt() {
     // A finite direct-mapped RT makes the LRU order observable through
-    // miss counts: a cache hit that failed to replay the RT touch would
-    // show up as diverging rt_misses / stall cycles here.
+    // miss counts: an engine reference missing from either machine's
+    // step stream would show up as diverging rt_misses / stall cycles.
     let p = workload(Benchmark::Parser);
     let c = Compressor::new(CompressionConfig::dise_full())
         .compress(&p)
@@ -115,12 +116,7 @@ fn compression_identical_fast_and_slow_with_finite_rt() {
     let rf = fast.run(u64::MAX).unwrap();
     let rs = slow.run(u64::MAX).unwrap();
     assert_eq!(rf, rs, "SimResult diverged");
-    let stats = fast.machine().engine().unwrap().stats();
-    assert_eq!(
-        stats,
-        slow.machine().engine().unwrap().stats(),
-        "EngineStats diverged"
-    );
+    let stats = rf.stats.engine;
     assert_eq!(final_state(fast.machine()), final_state(slow.machine()));
     // Engagement: the 16-entry RT really missed (about 15K times).
     assert!(
@@ -133,7 +129,8 @@ fn compression_identical_fast_and_slow_with_finite_rt() {
 #[test]
 fn interrupts_do_not_perturb_fast_path_identity() {
     // Interrupt mid-sequence every 97 steps: the re-fetch path must take
-    // the same cached decisions as the slow path's re-inspection.
+    // the same cached decisions as the slow path's re-inspection, and
+    // report the same resumed-fetch inspects.
     let p = workload(Benchmark::Vpr);
     let mut fast = mfi_machine(&p, true);
     let mut slow = mfi_machine(&p, false);
@@ -273,12 +270,7 @@ fn composition_identical_fast_and_slow_on_thrashing_rt() {
             let rf = fast.run(u64::MAX).unwrap();
             let rs = slow.run(u64::MAX).unwrap();
             assert_eq!(rf, rs, "{tag}: SimResult diverged");
-            let stats = fast.machine().engine().unwrap().stats();
-            assert_eq!(
-                stats,
-                slow.machine().engine().unwrap().stats(),
-                "{tag}: EngineStats diverged"
-            );
+            let stats = rf.stats.engine;
             assert_eq!(
                 final_state(fast.machine()),
                 final_state(slow.machine()),

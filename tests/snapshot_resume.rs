@@ -9,8 +9,9 @@
 //! snapshots taken mid-expansion while suspended inside a macro body.
 //! Final-state identity is judged on [`save_machine`] bytes, which cover
 //! registers, memory, the suspension `(PC, DISEPC)`, instruction
-//! counters and full engine state; timing runs additionally compare the
-//! name-sorted telemetry export. Seeds derive from
+//! counters and the engine's counters; timing runs additionally compare
+//! the name-sorted telemetry export and [`save_simulator`] bytes, which
+//! carry the PT/RT model. Seeds derive from
 //! `dise_workloads::fuzz::SEED_SNAPSHOT` (corpus documented there).
 
 use dise::acf::compress::{CompressionConfig, Compressor, SelectAlgo};
