@@ -105,19 +105,14 @@ fn bench_fast_path(c: &mut Criterion) {
             b.iter(|| black_box(engine.inspect_at(black_box(&store), store_pc)))
         });
 
-        // Steady-state replacement instantiation (cache hit / re-instantiate).
+        // Steady-state replacement fetch (µop handle read /
+        // re-instantiate).
         let mut engine = bound(config);
-        let Expansion::Expand { id, .. } = engine.inspect_at(&store, store_pc) else {
+        let (Expansion::Expand { id, .. }, handle) = engine.inspect_at(&store, store_pc) else {
             panic!("the store expands")
         };
         group.bench_function(&format!("instantiate/{path}"), |b| {
-            b.iter(|| {
-                black_box(
-                    engine
-                        .fetch_replacement_at(id, 0, &store, store_pc)
-                        .unwrap(),
-                )
-            })
+            b.iter(|| black_box(engine.fetch_uop(handle, id, 0, &store, store_pc).unwrap()))
         });
     }
     group.finish();

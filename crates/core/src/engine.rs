@@ -174,6 +174,40 @@ const SLOT_PASS: u32 = 1;
 /// `ExpCache::slots` tags from here up name entry `tag - SLOT_ENTRY`.
 const SLOT_ENTRY: u32 = 2;
 
+/// A cached expansion's µops, as [`DiseEngine::inspect_at`] hands them
+/// out: where the sequence starts in the expansion cache's µop buffer,
+/// and its length. [`DiseEngine::fetch_uop`] serves DISEPC `d` as one
+/// indexed read of `start + d` while `d < len`.
+///
+/// A handle is valid until the engine's next production install or
+/// [`DiseEngine::bind_text`], which clear the buffer: the holder must
+/// drop it (replace it with [`UopHandle::NONE`]) wherever the engine can
+/// change. Debug builds stamp handles with the cache's generation and
+/// panic on a stale one; release builds do not check.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UopHandle {
+    start: u32,
+    len: u8,
+    #[cfg(debug_assertions)]
+    generation: u32,
+}
+
+impl UopHandle {
+    /// No handle: every µop takes the live path. What slow-path engines,
+    /// PCs outside the bound text and pass-through outcomes get.
+    pub const NONE: UopHandle = UopHandle {
+        start: 0,
+        len: 0,
+        #[cfg(debug_assertions)]
+        generation: 0,
+    };
+
+    /// True if this handle serves no µop from the cache.
+    pub fn is_none(&self) -> bool {
+        self.len == 0
+    }
+}
+
 /// The PC-indexed expansion cache: what the instruction at each text PC
 /// expands to, and each replacement µop instantiated for it.
 ///
@@ -192,14 +226,18 @@ struct ExpCache {
     /// One tag per slot: [`SLOT_UNKNOWN`], [`SLOT_PASS`], or
     /// `SLOT_ENTRY + i` for `entries[i]`.
     slots: Vec<u32>,
-    /// `(id, len, start)`: the sequence a trigger PC expands to, and
-    /// where its `len` µops start in `uops`.
-    entries: Vec<(ReplacementId, u8, u32)>,
+    /// The sequence a trigger PC expands to, and its µops' handle.
+    entries: Vec<(ReplacementId, UopHandle)>,
     /// Instantiated µops, `len` per entry; `None` until first fetched.
     uops: Vec<Option<Inst>>,
-    /// Inspections and fetches served from the cache (diagnostics only;
-    /// not an [`EngineStats`] counter).
-    hits: u64,
+    /// Inspections served from the cache (diagnostics only; not an
+    /// [`EngineStats`] counter).
+    inspect_hits: u64,
+    /// µops served through a handle (diagnostics only).
+    uop_hits: u64,
+    /// Bumped by every clear, so debug builds can refuse stale handles.
+    #[cfg(debug_assertions)]
+    generation: u32,
 }
 
 impl ExpCache {
@@ -211,20 +249,15 @@ impl ExpCache {
         (off & 1 == 0 && ix < self.slots.len()).then_some(ix)
     }
 
-    /// The `uops` index of `(id, disepc)` for the trigger at `pc`, if the
-    /// cache holds an expansion of `id` there.
-    #[inline]
-    fn uop(&self, pc: u64, id: ReplacementId, disepc: u8) -> Option<usize> {
-        let tag = self.slots[self.slot(pc)?];
-        let &(eid, len, start) = self.entries.get(tag.checked_sub(SLOT_ENTRY)? as usize)?;
-        (eid == id && disepc < len).then_some(start as usize + disepc as usize)
-    }
-
     /// Drops every entry, keeping the binding.
     fn clear(&mut self) {
         self.slots.fill(SLOT_UNKNOWN);
         self.entries.clear();
         self.uops.clear();
+        #[cfg(debug_assertions)]
+        {
+            self.generation += 1;
+        }
     }
 }
 
@@ -314,26 +347,30 @@ impl DiseEngine {
 
     /// Binds the PC-indexed expansion cache to a text segment of `slots`
     /// two-byte slots starting at `text_base` (a predecode table's
-    /// geometry), dropping anything cached before. The PC-keyed entry
-    /// points ([`DiseEngine::inspect_at`],
-    /// [`DiseEngine::fetch_replacement_at`]) serve even PCs inside that
-    /// range from the cache; every other PC, and every PC of a slow-path
-    /// engine (which stays unbound), takes the live path.
+    /// geometry), dropping anything cached before and invalidating every
+    /// [`UopHandle`]. [`DiseEngine::inspect_at`] serves even PCs inside
+    /// that range from the cache; every other PC, and every PC of a
+    /// slow-path engine (which stays unbound), takes the live path.
     pub fn bind_text(&mut self, text_base: u64, slots: usize) {
         let slots = if self.config.fast_path { slots } else { 0 };
-        self.cache = ExpCache {
-            base: text_base,
-            slots: vec![SLOT_UNKNOWN; slots],
-            ..ExpCache::default()
-        };
+        self.cache.clear();
+        self.cache.base = text_base;
+        self.cache.slots = vec![SLOT_UNKNOWN; slots];
     }
 
-    /// Inspections and replacement fetches served from the PC-indexed
+    /// Inspections and replacement µops served from the PC-indexed
     /// expansion cache so far. A diagnostic for tests and benchmarks that
     /// must prove the cache engaged; it is not an [`EngineStats`]
     /// counter, so exported statistics do not depend on it.
     pub fn expansion_cache_hits(&self) -> u64 {
-        self.cache.hits
+        self.cache.inspect_hits + self.cache.uop_hits
+    }
+
+    /// The replacement µops among [`DiseEngine::expansion_cache_hits`]:
+    /// those [`DiseEngine::fetch_uop`] served through a handle from an
+    /// already instantiated entry.
+    pub fn uop_cache_hits(&self) -> u64 {
+        self.cache.uop_hits
     }
 
     /// The engine configuration.
@@ -453,44 +490,78 @@ impl DiseEngine {
     /// is served from the expansion cache with the same stats deltas:
     /// the outcome is a pure function of the instruction and the
     /// production set, and installs clear the cache.
-    pub fn inspect_at(&mut self, inst: &Inst, pc: u64) -> Expansion {
+    ///
+    /// An expansion at a cached PC also returns the handle of its µops
+    /// for [`DiseEngine::fetch_uop`]; every other outcome returns
+    /// [`UopHandle::NONE`].
+    #[inline(always)]
+    pub fn inspect_at(&mut self, inst: &Inst, pc: u64) -> (Expansion, UopHandle) {
         // Opcodes no rule covers resolve from the index alone — the same
         // answer `inspect` gives, and cheaper than a cache probe.
         if self.op_rules[inst.op.number() as usize].is_empty() {
             self.stats.inspected += 1;
-            return Expansion::None;
+            return (Expansion::None, UopHandle::NONE);
         }
         let Some(slot) = self.cache.slot(pc) else {
-            return self.inspect(inst);
+            return self.inspect_uncached(inst);
         };
         match self.cache.slots[slot] {
-            SLOT_UNKNOWN => {}
+            SLOT_UNKNOWN => self.inspect_and_cache(inst, slot),
             SLOT_PASS => {
                 self.stats.inspected += 1;
-                self.cache.hits += 1;
-                return Expansion::None;
+                self.cache.inspect_hits += 1;
+                (Expansion::None, UopHandle::NONE)
             }
             tag => {
-                let (id, len, _) = self.cache.entries[(tag - SLOT_ENTRY) as usize];
+                let (id, handle) = self.cache.entries[(tag - SLOT_ENTRY) as usize];
                 self.stats.inspected += 1;
                 self.stats.expansions += 1;
-                self.stats.replacement_insts += len as u64;
-                self.cache.hits += 1;
-                return Expansion::Expand { id, len };
+                self.stats.replacement_insts += handle.len as u64;
+                self.cache.inspect_hits += 1;
+                (
+                    Expansion::Expand {
+                        id,
+                        len: handle.len,
+                    },
+                    handle,
+                )
             }
         }
+    }
+
+    /// [`DiseEngine::inspect_at`] at a PC outside the cache (or on a
+    /// slow-path engine): the live path, with no handle.
+    #[cold]
+    fn inspect_uncached(&mut self, inst: &Inst) -> (Expansion, UopHandle) {
+        (self.inspect(inst), UopHandle::NONE)
+    }
+
+    /// [`DiseEngine::inspect_at`]'s first inspection of a cached slot:
+    /// the live path, whose outcome then fills the slot.
+    #[cold]
+    fn inspect_and_cache(&mut self, inst: &Inst, slot: usize) -> (Expansion, UopHandle) {
         let outcome = self.inspect(inst);
         let cache = &mut self.cache;
-        match outcome {
-            Expansion::None => cache.slots[slot] = SLOT_PASS,
-            Expansion::Expand { id, len } => {
-                cache.slots[slot] = SLOT_ENTRY + cache.entries.len() as u32;
-                cache.entries.push((id, len, cache.uops.len() as u32));
-                cache.uops.resize(cache.uops.len() + len as usize, None);
+        let handle = match outcome {
+            Expansion::None => {
+                cache.slots[slot] = SLOT_PASS;
+                UopHandle::NONE
             }
-            Expansion::Fault { .. } => {}
-        }
-        outcome
+            Expansion::Expand { id, len } => {
+                let handle = UopHandle {
+                    start: cache.uops.len() as u32,
+                    len,
+                    #[cfg(debug_assertions)]
+                    generation: cache.generation,
+                };
+                cache.slots[slot] = SLOT_ENTRY + cache.entries.len() as u32;
+                cache.entries.push((id, handle));
+                cache.uops.resize(cache.uops.len() + len as usize, None);
+                handle
+            }
+            Expansion::Fault { .. } => UopHandle::NONE,
+        };
+        (outcome, handle)
     }
 
     /// Produces the replacement instruction at `disepc` of sequence `id`,
@@ -514,30 +585,58 @@ impl DiseEngine {
             .instantiate(trigger, trigger_pc)
     }
 
-    /// [`DiseEngine::fetch_replacement`] for a trigger at text address
-    /// `trigger_pc`. Once the live path has instantiated `(id, disepc)`
-    /// for a trigger PC the expansion cache holds, later fetches return
-    /// the cached µop.
+    /// [`DiseEngine::fetch_replacement`] for an expansion that
+    /// [`DiseEngine::inspect_at`] began and handed `handle` for. While
+    /// `disepc` is inside the handle's sequence, the µop is one indexed
+    /// read of the expansion cache, instantiated through the live path on
+    /// its first fetch. Everything else — [`UopHandle::NONE`], or a DISE
+    /// branch past the sequence's end — takes the live path, with its
+    /// result or error.
+    ///
+    /// `handle` must have been returned since the last install or
+    /// [`DiseEngine::bind_text`] (see [`UopHandle`]).
     ///
     /// # Errors
     ///
     /// Same conditions as [`DiseEngine::fetch_replacement`].
-    pub fn fetch_replacement_at(
+    #[inline(always)]
+    pub fn fetch_uop(
         &mut self,
+        handle: UopHandle,
         id: ReplacementId,
         disepc: u8,
         trigger: &Inst,
         trigger_pc: u64,
     ) -> Result<Inst> {
-        let Some(uop) = self.cache.uop(trigger_pc, id, disepc) else {
-            return self.fetch_replacement(id, disepc, trigger, trigger_pc);
-        };
-        if let Some(inst) = self.cache.uops[uop] {
-            self.cache.hits += 1;
-            return Ok(inst);
+        if disepc < handle.len {
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                handle.generation, self.cache.generation,
+                "a µop handle outlived an install or rebind"
+            );
+            if let Some(inst) = self.cache.uops[handle.start as usize + disepc as usize] {
+                self.cache.uop_hits += 1;
+                return Ok(inst);
+            }
         }
+        self.fetch_uop_live(handle, id, disepc, trigger, trigger_pc)
+    }
+
+    /// [`DiseEngine::fetch_uop`] through the live path, filling the
+    /// handle's slot on a first fetch inside the sequence.
+    #[cold]
+    fn fetch_uop_live(
+        &mut self,
+        handle: UopHandle,
+        id: ReplacementId,
+        disepc: u8,
+        trigger: &Inst,
+        trigger_pc: u64,
+    ) -> Result<Inst> {
         let inst = self.fetch_replacement(id, disepc, trigger, trigger_pc)?;
-        self.cache.uops[uop] = Some(inst);
+        if disepc < handle.len {
+            self.cache.uops[handle.start as usize + disepc as usize] = Some(inst);
+        }
         Ok(inst)
     }
 
@@ -587,7 +686,7 @@ impl DiseEngine {
     /// Bookkeeping after an install: rebuilds the match index and drops
     /// everything derived from the old production set (cached outcomes
     /// may now expand differently, and an aware sequence may have
-    /// changed).
+    /// changed). Outstanding [`UopHandle`]s go stale.
     fn installed(&mut self, aware: Option<ReplacementId>) {
         self.op_rules = build_op_rules(self.controller.productions().rules());
         self.resolved.clear();
@@ -790,8 +889,9 @@ mod tests {
         assert_eq!(e.resolved_len(999), None);
     }
 
-    /// A cached engine (driven through the PC-keyed entry points) and a
-    /// slow-path engine (driven through the live ones), run in lockstep:
+    /// A cached engine (driven through `inspect_at` and µop handles) and
+    /// a slow-path engine (driven through the live entry points), run in
+    /// lockstep:
     /// every call must return the same outcome or µop, and leave the
     /// same statistics, on both.
     struct Lockstep {
@@ -813,7 +913,7 @@ mod tests {
         /// fetch every µop of an expansion in order. Returns the µops
         /// (just `inst` when it passes through).
         fn fetch(&mut self, pc: u64, inst: &Inst) -> Vec<Inst> {
-            let outcome = self.cached.inspect_at(inst, pc);
+            let (outcome, handle) = self.cached.inspect_at(inst, pc);
             assert_eq!(
                 outcome,
                 self.slow.inspect(inst),
@@ -827,7 +927,7 @@ mod tests {
             };
             (0..len)
                 .map(|d| {
-                    let uop = self.cached.fetch_replacement_at(id, d, inst, pc).unwrap();
+                    let uop = self.cached.fetch_uop(handle, id, d, inst, pc).unwrap();
                     assert_eq!(uop, self.slow.fetch_replacement(id, d, inst, pc).unwrap());
                     assert_eq!(self.cached.stats(), self.slow.stats());
                     uop
@@ -901,6 +1001,45 @@ mod tests {
             }
         }
         assert!(e.cached.expansion_cache_hits() > 0, "the cache never hit");
+        assert!(e.cached.uop_cache_hits() > 0, "no µop was served by handle");
+    }
+
+    #[test]
+    fn handles_serve_only_inside_the_sequence() {
+        let mut e = engine_with_store_rule(EngineConfig::default());
+        e.bind_text(TEXT_BASE, 4);
+        let st = i("stq r1, 0(r2)");
+        let (Expansion::Expand { id, len: 2 }, handle) = e.inspect_at(&st, TEXT_BASE) else {
+            panic!("the store expands")
+        };
+        assert!(!handle.is_none());
+        for round in 0..2 {
+            for d in 0..2 {
+                assert_eq!(
+                    e.fetch_uop(handle, id, d, &st, TEXT_BASE).unwrap(),
+                    e.fetch_replacement(id, d, &st, TEXT_BASE).unwrap()
+                );
+            }
+            assert_eq!(e.uop_cache_hits(), 2 * round, "filled on first fetch");
+        }
+        // A DISEPC past the end takes the live path and its error.
+        assert!(e.fetch_uop(handle, id, 2, &st, TEXT_BASE).is_err());
+        assert_eq!(e.uop_cache_hits(), 2);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outlived an install")]
+    fn debug_builds_refuse_stale_handles() {
+        let mut e = engine_with_store_rule(EngineConfig::default());
+        e.bind_text(TEXT_BASE, 4);
+        let st = i("stq r1, 0(r2)");
+        let (Expansion::Expand { id, .. }, handle) = e.inspect_at(&st, TEXT_BASE) else {
+            panic!("the store expands")
+        };
+        e.install_transparent(Pattern::opclass(OpClass::Load), two_inst_spec())
+            .unwrap();
+        let _ = e.fetch_uop(handle, id, 0, &st, TEXT_BASE);
     }
 
     #[test]
@@ -910,8 +1049,11 @@ mod tests {
         let st = i("stq r1, 0(r2)");
         // Odd, below-base and past-the-end PCs never index the cache.
         for pc in [TEXT_BASE + 1, TEXT_BASE - 4, TEXT_BASE + 8] {
-            assert!(matches!(e.inspect_at(&st, pc), Expansion::Expand { .. }));
-            assert!(matches!(e.inspect_at(&st, pc), Expansion::Expand { .. }));
+            for _ in 0..2 {
+                let (outcome, handle) = e.inspect_at(&st, pc);
+                assert!(matches!(outcome, Expansion::Expand { .. }));
+                assert!(handle.is_none(), "no handle outside the cache");
+            }
         }
         assert_eq!(e.expansion_cache_hits(), 0);
         // An in-range PC hits from its second fetch on.

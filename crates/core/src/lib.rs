@@ -74,7 +74,7 @@ pub mod production;
 pub mod spec;
 
 pub use controller::Controller;
-pub use engine::{DiseEngine, EngineConfig, EngineStats, Expansion, RtOrganization};
+pub use engine::{DiseEngine, EngineConfig, EngineStats, Expansion, RtOrganization, UopHandle};
 pub use fxhash::{FxHashMap, FxHasher};
 pub use pattern::{ImmPredicate, Pattern};
 pub use production::{Production, ProductionSet, ReplacementId, SeqRef};

@@ -21,6 +21,19 @@
 //! reinstalled aware sequence leaves the RT, and the pattern counters'
 //! active halves are recounted. [`DiseCacheModel::context_switch`]
 //! empties both tables.
+//!
+//! The simulator runs [`DiseCacheModel::observe`] once per retired step,
+//! inlined into its loop, so a hit costs about what a plain
+//! instruction's bookkeeping does. A set-indexed RT reference is one
+//! tag compare and one stamp store on a direct-mapped table, with the
+//! set mask computed at construction and no division at one
+//! instruction per entry. The perfect RT keeps one filled length per
+//! sequence (it is filled and dropped a whole sequence at a time) and a
+//! memo of the last sequence referenced, so only an expansion's first
+//! µop probes its map. Misses, PT fills and install replays stay out of
+//! line. Snapshots record the perfect RT as `(id, base, count)` blocks,
+//! as when it was keyed by block, and a restore rejects blocks that do
+//! not cover a sequence contiguously from DISEPC 0.
 
 use crate::machine::{DiseRef, StepInfo};
 use crate::snapshot::{Reader, Writer};
@@ -29,16 +42,23 @@ use dise_core::{DiseEngine, EngineConfig, EngineStats, FxHashMap, ReplacementId,
 use dise_isa::Op;
 
 /// RT placement and LRU state: a set-indexed cache or a perfect map.
-/// Keys are `(id, base DISEPC)` at block granularity; the model tracks
-/// which blocks are resident and how many instructions each holds, not
-/// the instructions themselves (the engine resolves those).
+/// The model tracks which blocks are resident and how many instructions
+/// each holds, not the instructions themselves (the engine resolves
+/// those).
 ///
-/// The cache keeps keys in one flat array (`assoc` slots per set) with
-/// a parallel array of LRU stamps: every reference that the move-to-MRU
-/// list formulation would rotate instead records the tick it happened
-/// at, and the fill victim is the minimum stamp in the set. Relative
-/// stamp order within a set is exactly list order, so hit/miss behavior
-/// is the list's — but a touch is one store instead of a memmove.
+/// The cache keys blocks by `(id, base DISEPC)` in one flat array
+/// (`assoc` slots per set) with a parallel array of LRU stamps: every
+/// reference that the move-to-MRU list formulation would rotate instead
+/// records the tick it happened at, and the fill victim is the minimum
+/// stamp in the set. Relative stamp order within a set is exactly list
+/// order, so hit/miss behavior is the list's — but a touch is one store
+/// instead of a memmove.
+///
+/// The perfect RT never evicts, is filled a whole sequence at a time and
+/// loses a whole sequence to an aware reinstall, so its resident blocks
+/// of sequence `id` always cover `0..len` for the length `len` it was
+/// filled at. It keys that length by `id`, and `(id, disepc)` is
+/// resident iff `disepc < len`.
 #[derive(Debug, Clone)]
 enum RtStore {
     Cache {
@@ -53,14 +73,20 @@ enum RtStore {
         /// Monotonic reference tick feeding `stamps`.
         clock: u64,
         num_sets: usize,
+        /// `num_sets - 1` when `num_sets` is a power of two (the
+        /// paper's geometries all are): the set index is then a mask.
+        set_mask: Option<usize>,
         assoc: usize,
         block: usize,
     },
     Perfect {
-        /// Resident blocks and their instruction counts. Fx-hashed: it
-        /// is probed on every replacement µop of a perfect-RT run, and
-        /// its keys are small and trusted.
-        map: FxHashMap<(ReplacementId, u8), u8>,
+        /// Each resident sequence's filled length. Fx-hashed: keys are
+        /// small and trusted.
+        lens: FxHashMap<ReplacementId, u8>,
+        /// The last sequence referenced or filled and its entry in
+        /// `lens`, so the µops after an expansion's first skip the map.
+        /// Cleared with the entry it mirrors.
+        last: Option<(ReplacementId, u8)>,
         block: usize,
     },
 }
@@ -79,12 +105,14 @@ impl RtStore {
             stamps: vec![0; num_sets * assoc],
             clock: 0,
             num_sets,
+            set_mask: num_sets.is_power_of_two().then(|| num_sets - 1),
             assoc,
             block,
         };
         match config.rt_org {
             RtOrganization::Perfect => RtStore::Perfect {
-                map: FxHashMap::default(),
+                lens: FxHashMap::default(),
+                last: None,
                 block,
             },
             RtOrganization::DirectMapped => cache((config.rt_entries / block).max(1), 1),
@@ -101,58 +129,95 @@ impl RtStore {
         }
     }
 
-    fn base_of(&self, disepc: u8) -> u8 {
-        let block = self.block() as u8;
-        // `block` is a runtime value, so the compiler cannot remove the
-        // division — and the ubiquitous 1-instruction-per-entry geometry
-        // would pay it on every RT reference.
-        if block == 1 {
-            disepc
-        } else {
-            disepc - disepc % block
+    /// Empties the table (a context switch), keeping its allocation.
+    fn clear(&mut self) {
+        match self {
+            RtStore::Cache {
+                keys,
+                stamps,
+                clock,
+                ..
+            } => {
+                keys.fill(0);
+                stamps.fill(0);
+                *clock = 0;
+            }
+            RtStore::Perfect { lens, last, .. } => {
+                lens.clear();
+                *last = None;
+            }
         }
     }
 
-    fn set_index(num_sets: usize, id: ReplacementId, base: u8) -> usize {
+    /// The first slot of the set holding block `base` of sequence `id`.
+    #[inline(always)]
+    fn set_start(
+        num_sets: usize,
+        set_mask: Option<usize>,
+        assoc: usize,
+        id: ReplacementId,
+        base: u8,
+    ) -> usize {
         let h = (id as usize).wrapping_mul(37).wrapping_add(base as usize);
-        // Every RT reference lands here. Power-of-two set counts (the
-        // paper's geometries all are) take the mask; the remainder is
-        // identical either way.
-        if num_sets.is_power_of_two() {
-            h & (num_sets - 1)
-        } else {
-            h % num_sets
-        }
+        // Every RT reference lands here; the remainder equals the mask
+        // where there is one.
+        let set = match set_mask {
+            Some(mask) => h & mask,
+            None => h % num_sets,
+        };
+        set * assoc
     }
 
     /// References `(id, disepc)`: if its block is resident and holds
     /// `disepc`, refreshes the block's LRU stamp and returns true;
     /// otherwise changes nothing and returns false.
-    #[inline]
+    #[inline(always)]
     fn touch(&mut self, id: ReplacementId, disepc: u8) -> bool {
-        let base = self.base_of(disepc);
-        let off = (disepc - base) as u64;
         match self {
-            RtStore::Perfect { map, .. } => map.get(&(id, base)).is_some_and(|&n| off < n as u64),
+            RtStore::Perfect { lens, last, .. } => match *last {
+                Some((lid, len)) if lid == id => disepc < len,
+                _ => match lens.get(&id) {
+                    Some(&len) => {
+                        *last = Some((id, len));
+                        disepc < len
+                    }
+                    None => false,
+                },
+            },
             RtStore::Cache {
                 keys,
                 stamps,
                 clock,
                 num_sets,
+                set_mask,
                 assoc,
-                ..
+                block,
             } => {
-                let s = Self::set_index(*num_sets, id, base) * *assoc;
+                // With one instruction per entry the block is the
+                // DISEPC itself; only larger blocks pay the division.
+                let (base, off) = if *block == 1 {
+                    (disepc, 0)
+                } else {
+                    let base = disepc - disepc % *block as u8;
+                    (base, disepc - base)
+                };
+                let s = Self::set_start(*num_sets, *set_mask, *assoc, id, base);
                 let tag = rt_tag(id, base);
-                for i in s..s + *assoc {
-                    let k = keys[i];
-                    if k & !0xFF == tag && k & 0xFF > off {
+                let hit = |k: u64| k & !0xFF == tag && k & 0xFF > off as u64;
+                // Direct-mapped: one slot, no loop.
+                let slot = if *assoc == 1 {
+                    hit(keys[s]).then_some(s)
+                } else {
+                    (s..s + *assoc).find(|&i| hit(keys[i]))
+                };
+                match slot {
+                    Some(i) => {
                         *clock += 1;
                         stamps[i] = *clock;
-                        return true;
+                        true
                     }
+                    None => false,
                 }
-                false
             }
         }
     }
@@ -161,17 +226,18 @@ impl RtStore {
     /// block tagged `(id, base of disepc)` if one is resident, whether or
     /// not it holds `disepc`.
     fn read_after_fill(&mut self, id: ReplacementId, disepc: u8) {
-        let base = self.base_of(disepc);
         if let RtStore::Cache {
             keys,
             stamps,
             clock,
             num_sets,
+            set_mask,
             assoc,
-            ..
+            block,
         } = self
         {
-            let s = Self::set_index(*num_sets, id, base) * *assoc;
+            let base = disepc - disepc % *block as u8;
+            let s = Self::set_start(*num_sets, *set_mask, *assoc, id, base);
             let tag = rt_tag(id, base);
             // The low-byte check keeps `id 0, base 0` (tag 0) from
             // matching empty slots: live keys always carry a nonzero
@@ -188,7 +254,12 @@ impl RtStore {
     /// Drops every block of sequence `id`.
     fn invalidate(&mut self, id: ReplacementId) {
         match self {
-            RtStore::Perfect { map, .. } => map.retain(|(eid, _), _| *eid != id),
+            RtStore::Perfect { lens, last, .. } => {
+                lens.remove(&id);
+                if last.is_some_and(|(lid, _)| lid == id) {
+                    *last = None;
+                }
+            }
             RtStore::Cache { keys, stamps, .. } => {
                 for i in 0..keys.len() {
                     if keys[i] != 0 && (keys[i] >> 16) as ReplacementId == id {
@@ -203,23 +274,26 @@ impl RtStore {
     /// Inserts a whole sequence of `len` instructions, one block entry
     /// per `block` instructions.
     fn insert_sequence(&mut self, id: ReplacementId, len: u8) {
-        let block = self.block();
-        for base in (0..len as usize).step_by(block) {
-            let count = block.min(len as usize - base) as u8;
-            let base = base as u8;
-            match self {
-                RtStore::Perfect { map, .. } => {
-                    map.insert((id, base), count);
+        match self {
+            RtStore::Perfect { lens, last, .. } => {
+                if len > 0 {
+                    lens.insert(id, len);
+                    *last = Some((id, len));
                 }
-                RtStore::Cache {
-                    keys,
-                    stamps,
-                    clock,
-                    num_sets,
-                    assoc,
-                    ..
-                } => {
-                    let s = Self::set_index(*num_sets, id, base) * *assoc;
+            }
+            RtStore::Cache {
+                keys,
+                stamps,
+                clock,
+                num_sets,
+                set_mask,
+                assoc,
+                block,
+            } => {
+                for base in (0..len as usize).step_by(*block) {
+                    let count = (*block).min(len as usize - base) as u8;
+                    let base = base as u8;
+                    let s = Self::set_start(*num_sets, *set_mask, *assoc, id, base);
                     let tag = rt_tag(id, base);
                     // Slot choice, in the order the list formulation
                     // implies: the same tag if present (replace), else
@@ -240,6 +314,23 @@ impl RtStore {
                 }
             }
         }
+    }
+
+    /// The perfect RT's resident blocks as `(id, base, count)`, sorted:
+    /// the form snapshots record.
+    fn perfect_blocks(
+        lens: &FxHashMap<ReplacementId, u8>,
+        block: usize,
+    ) -> Vec<(ReplacementId, u8, u8)> {
+        let mut ids: Vec<_> = lens.iter().map(|(&id, &len)| (id, len)).collect();
+        ids.sort_unstable();
+        ids.into_iter()
+            .flat_map(|(id, len)| {
+                (0..len as usize)
+                    .step_by(block)
+                    .map(move |base| (id, base as u8, block.min(len as usize - base) as u8))
+            })
+            .collect()
     }
 }
 
@@ -297,6 +388,7 @@ impl DiseCacheModel {
     }
 
     /// Replays installs the engine logged since the last call.
+    #[cold]
     fn sync(&mut self, engine: &DiseEngine) {
         for &aware in &engine.installs()[self.installs_seen..] {
             if let Some(id) = aware {
@@ -309,8 +401,10 @@ impl DiseCacheModel {
 
     /// Replays the engine references of one retired step and returns the
     /// miss stall it costs (0 on hits). `engine` is the engine that made
-    /// them.
-    #[inline]
+    /// them. Inlined into the simulator's loop: every step with an
+    /// engine reference runs it; misses and install replays stay out of
+    /// line.
+    #[inline(always)]
     pub fn observe(&mut self, info: &StepInfo, engine: &DiseEngine) -> u64 {
         if engine.installs().len() != self.installs_seen {
             self.sync(engine);
@@ -340,7 +434,7 @@ impl DiseCacheModel {
     /// An inspect's pattern-counter check for `op`: fills the PT until
     /// every rule covering `op` is resident, one miss (and
     /// re-inspection) per fill.
-    #[inline]
+    #[inline(always)]
     fn check_pt(&mut self, op: Op, engine: &DiseEngine) -> u64 {
         let n = op.number() as usize;
         let mut stall = 0;
@@ -410,7 +504,7 @@ impl DiseCacheModel {
         for c in &mut self.counters {
             c.1 = 0;
         }
-        self.rt = RtStore::new(&self.config);
+        self.rt.clear();
     }
 
     /// The full engine counters: `engine`'s functional counts, with the
@@ -465,12 +559,13 @@ impl DiseCacheModel {
                 }
                 w.u64(order.len() as u64);
             }
-            RtStore::Perfect { map, .. } => {
-                let mut resident: Vec<_> = map.iter().map(|(&k, &n)| (k, n)).collect();
-                resident.sort_unstable();
+            RtStore::Perfect { lens, block, .. } => {
+                // Written as `(id, base, count)` blocks in key order,
+                // the layout of a perfect RT keyed by block.
+                let resident = RtStore::perfect_blocks(lens, *block);
                 w.u8(1);
                 w.u64(resident.len() as u64);
-                for ((id, base), count) in resident {
+                for (id, base, count) in resident {
                     w.u32(id);
                     w.u8(base);
                     w.u8(count);
@@ -567,11 +662,26 @@ impl DiseCacheModel {
                 }
                 *clock = r.u64()?;
             }
-            (RtStore::Perfect { map, .. }, 1) => {
+            (RtStore::Perfect { lens, .. }, 1) => {
+                // A sequence's blocks must cover it contiguously from 0,
+                // as a whole-sequence fill leaves them: every block but
+                // the last full.
+                let mut blocks = Vec::new();
                 for _ in 0..r.len_prefix(6)? {
                     let (id, base, count) = (r.u32()?, r.u8()?, r.u8()?);
                     check_key(id, base, count)?;
-                    map.insert((id, base), count);
+                    blocks.push((id, base, count));
+                }
+                blocks.sort_unstable();
+                for &(id, base, count) in &blocks {
+                    let filled = lens.get(&id).copied().unwrap_or(0);
+                    if base != filled || !(filled as usize).is_multiple_of(block) {
+                        return Err(corrupt(format!(
+                            "perfect-RT block of R{id} at base {base} (count {count}) does \
+                             not continue its sequence's blocks, which cover 0..{filled}"
+                        )));
+                    }
+                    lens.insert(id, filled + count);
                 }
             }
             (_, tag @ (0 | 1)) => {
@@ -984,30 +1094,53 @@ mod tests {
             "{msg}"
         );
 
-        // A perfect-RT base not aligned to the block size.
-        let blocked = EngineConfig {
-            rt_block: 2,
-            ..small.perfect_rt()
-        };
-        let mut e = engine_with_store_rule(blocked);
-        let mut bad = DiseCacheModel::new(&e);
-        fetch(&mut e, &mut bad, &"stq r1, 0(r2)".parse().unwrap());
-        let RtStore::Perfect { map, .. } = &mut bad.rt else {
-            unreachable!("a perfect RT is a map")
-        };
-        let (&(id, _), &count) = map.iter().next().unwrap();
-        map.clear();
-        map.insert((id, 1), count);
-        let mut w = Writer::new();
-        bad.save_state(&mut w, &e);
-        let bytes = w.into_bytes();
-        let msg = DiseCacheModel::read_state(&mut Reader::new(&bytes), &e)
-            .unwrap_err()
-            .to_string();
-        assert!(
-            msg.contains("base 1") && msg.contains("not a block"),
-            "{msg}"
+        // Perfect-RT sections: a base off the block grid, and blocks
+        // that do not cover a sequence contiguously from 0.
+        for (rt_block, blocks, want) in [
+            (2, &[(0, 1, 1)][..], "not a block"),
+            (1, &[(0, 1, 1)], "does not continue"),
+            (1, &[(0, 0, 1), (0, 2, 1)], "does not continue"),
+            (1, &[(0, 0, 1), (0, 0, 1)], "does not continue"),
+            (2, &[(0, 0, 1), (0, 2, 1)], "does not continue"),
+        ] {
+            let mut e = DiseEngine::new(EngineConfig {
+                rt_block,
+                ..small.perfect_rt()
+            });
+            let id = e.install_aware(Op::Cw0, 0, aware_spec(3)).unwrap();
+            let blocks: Vec<_> = blocks.iter().map(|&(_, b, n)| (id, b, n)).collect();
+            let msg = DiseCacheModel::read_state(&mut Reader::new(&perfect_section(&blocks)), &e)
+                .unwrap_err()
+                .to_string();
+            assert!(msg.contains(want), "block {rt_block}, {blocks:?}: {msg}");
+        }
+        let mut e = DiseEngine::new(small.perfect_rt());
+        let id = e.install_aware(Op::Cw0, 0, aware_spec(3)).unwrap();
+        let whole = perfect_section(&[(id, 2, 1), (id, 0, 1), (id, 1, 1)]);
+        let model = DiseCacheModel::read_state(&mut Reader::new(&whole), &e).unwrap();
+        assert_eq!(
+            model.rt.contents(),
+            vec![vec![(id, 0, 1), (id, 1, 1), (id, 2, 1)]]
         );
+    }
+
+    /// A [`DiseCacheModel::save_state`] section with an empty PT, zero
+    /// miss counts and a perfect RT of the given `(id, base, count)`
+    /// blocks, in the given order.
+    fn perfect_section(blocks: &[(ReplacementId, u8, u8)]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u64(0);
+        w.u8(1);
+        w.u64(blocks.len() as u64);
+        for &(id, base, count) in blocks {
+            w.u32(id);
+            w.u8(base);
+            w.u8(count);
+        }
+        for _ in 0..5 {
+            w.u64(0);
+        }
+        w.into_bytes()
     }
 
     /// The list formulation the stamped RT claims to equal: per set, the
@@ -1109,11 +1242,7 @@ mod tests {
         /// [`RefRt::contents`] for the stamped store.
         fn contents(&self) -> Vec<Vec<(ReplacementId, u8, u8)>> {
             match self {
-                RtStore::Perfect { map, .. } => {
-                    let mut all: Vec<_> = map.iter().map(|(&(i, b), &n)| (i, b, n)).collect();
-                    all.sort_unstable();
-                    vec![all]
-                }
+                RtStore::Perfect { lens, block, .. } => vec![RtStore::perfect_blocks(lens, *block)],
                 RtStore::Cache {
                     keys,
                     stamps,
@@ -1196,7 +1325,7 @@ mod tests {
                         }
                         _ => {
                             evictions += reference.evictions;
-                            rt = RtStore::new(&config);
+                            rt.clear();
                             reference = RefRt::new(&config);
                         }
                     }
@@ -1214,6 +1343,122 @@ mod tests {
             }
         }
         assert_eq!(checked, 4 * 3 * 3000);
+    }
+
+    /// The perfect RT as it was keyed before it kept one length per
+    /// sequence: one entry per resident `(id, base)` block, holding the
+    /// block's instruction count.
+    struct BlockMapRt {
+        map: std::collections::HashMap<(ReplacementId, u8), u8>,
+        block: u8,
+    }
+
+    impl BlockMapRt {
+        fn touch(&self, id: ReplacementId, disepc: u8) -> bool {
+            let base = disepc / self.block * self.block;
+            self.map
+                .get(&(id, base))
+                .is_some_and(|&n| disepc - base < n)
+        }
+
+        fn insert_sequence(&mut self, id: ReplacementId, len: u8) {
+            for base in (0..len).step_by(self.block as usize) {
+                self.map.insert((id, base), self.block.min(len - base));
+            }
+        }
+
+        fn blocks(&self) -> Vec<(ReplacementId, u8, u8)> {
+            let mut all: Vec<_> = self.map.iter().map(|(&(i, b), &n)| (i, b, n)).collect();
+            all.sort_unstable();
+            all
+        }
+    }
+
+    /// The sequence-keyed perfect RT and its last-sequence memo against
+    /// [`BlockMapRt`], at one and two instructions per block, under
+    /// random references, fills, aware invalidations, context switches
+    /// and snapshot round trips: same hit/miss answers and the same
+    /// resident blocks after every operation. Half the operations go to
+    /// the sequence referenced last, so the memo is hit, and a memo that
+    /// outlived its entry (an invalidation or a switch) answers wrong
+    /// within a few operations. Each round trip must re-save the bytes
+    /// it read.
+    #[test]
+    fn perfect_rt_matches_a_block_keyed_map() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_9e4f);
+        for rt_block in [1u32, 2] {
+            let mut engine = DiseEngine::new(EngineConfig {
+                rt_block,
+                ..EngineConfig::default().perfect_rt()
+            });
+            let seqs: Vec<(ReplacementId, u8)> = (0..6u16)
+                .map(|tag| {
+                    let len = rng.gen_range(1..=7usize);
+                    let id = engine.install_aware(Op::Cw0, tag, aware_spec(len)).unwrap();
+                    (id, len as u8)
+                })
+                .collect();
+            let mut model = DiseCacheModel::new(&engine);
+            let mut reference = BlockMapRt {
+                map: Default::default(),
+                block: rt_block as u8,
+            };
+            let (mut last, mut hits, mut misses, mut trips) = (0, 0u64, 0u64, 0u64);
+            for op in 0..4000 {
+                let k = if rng.gen_bool_fair() {
+                    last
+                } else {
+                    rng.gen_range(0..seqs.len())
+                };
+                let (id, len) = seqs[k];
+                let ctx = format!("block {rt_block} op {op} R{id}");
+                match rng.gen_range(0..100) {
+                    // References, one past the end included.
+                    0..=59 => {
+                        let disepc = rng.gen_range(0..=len);
+                        let hit = model.rt.touch(id, disepc);
+                        assert_eq!(hit, reference.touch(id, disepc), "{ctx}: touch {disepc}");
+                        if hit {
+                            hits += 1;
+                        } else if disepc < len {
+                            misses += 1;
+                            model.rt.insert_sequence(id, len);
+                            model.rt.read_after_fill(id, disepc);
+                            reference.insert_sequence(id, len);
+                        }
+                        last = k;
+                    }
+                    60..=79 => {
+                        model.rt.insert_sequence(id, len);
+                        reference.insert_sequence(id, len);
+                        last = k;
+                    }
+                    80..=91 => {
+                        model.rt.invalidate(id);
+                        reference.map.retain(|&(i, _), _| i != id);
+                    }
+                    92..=96 => {
+                        model.context_switch();
+                        reference.map.clear();
+                    }
+                    _ => {
+                        let (bytes, restored) = round_trip(&model, &engine);
+                        model = restored.unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                        assert_eq!(round_trip(&model, &engine).0, bytes, "{ctx}: re-save");
+                        trips += 1;
+                    }
+                }
+                assert_eq!(
+                    model.rt.contents(),
+                    vec![reference.blocks()],
+                    "{ctx}: contents"
+                );
+            }
+            assert!(
+                hits > 500 && misses > 200 && trips > 50,
+                "block {rt_block}: {hits} hits, {misses} misses, {trips} round trips"
+            );
+        }
     }
 
     /// The PT and pattern counters against a linear MRU list of rule

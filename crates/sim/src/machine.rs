@@ -20,7 +20,7 @@
 
 use crate::mem::Memory;
 use crate::{Result, SimError};
-use dise_core::{DiseEngine, Expansion, ReplacementId};
+use dise_core::{DiseEngine, Expansion, ReplacementId, UopHandle};
 use dise_isa::{Inst, Op, OpClass, Predecode, Program, Reg, TextItem};
 
 /// The dictionary of a dedicated hardware decompressor: entry `i` is the
@@ -246,6 +246,10 @@ enum ExpState {
         id: dise_core::ReplacementId,
         len: u8,
         trigger: Inst,
+        /// The expansion cache's handle on the sequence's µops, or
+        /// [`UopHandle::NONE`]. Dropped wherever the engine can change
+        /// (see [`Machine::drop_uop_handle`]); never snapshotted.
+        handle: UopHandle,
     },
     /// A dedicated-decompressor expansion in progress (dictionary index).
     Dedicated { ix: u16 },
@@ -338,6 +342,7 @@ impl Machine {
             .as_ref()
             .map_or((0, 0), |pd| (pd.text_base(), pd.slot_count()));
         engine.bind_text(base, slots);
+        self.drop_uop_handle();
         self.engine = Some(engine);
     }
 
@@ -351,9 +356,24 @@ impl Machine {
         self.engine.as_ref()
     }
 
-    /// Mutable access to the attached engine (e.g. to reset statistics).
+    /// Mutable access to the attached engine (e.g. to reset statistics,
+    /// or to install productions). An expansion in flight finishes on
+    /// the engine's live path.
     pub fn engine_mut(&mut self) -> Option<&mut DiseEngine> {
+        self.drop_uop_handle();
         self.engine.as_mut()
+    }
+
+    /// Detaches the in-flight expansion from the engine's expansion
+    /// cache. A production install clears that cache, so a handle
+    /// carried across one would read another sequence's µops. Called
+    /// wherever the engine can change (`engine_mut`, `attach_engine`;
+    /// `apply_state` installs an expansion restored without one), so the
+    /// per-µop read needs no generation check.
+    fn drop_uop_handle(&mut self) {
+        if let Some(ExpState::Dise { handle, .. }) = &mut self.exp {
+            *handle = UopHandle::NONE;
+        }
     }
 
     /// Serializes the machine's mutable state (see [`crate::snapshot`]).
@@ -388,7 +408,9 @@ impl Machine {
         // one behind, so no snapshot records it.
         match &self.exp {
             None => w.u8(0),
-            Some(ExpState::Dise { id, len, trigger }) => {
+            Some(ExpState::Dise {
+                id, len, trigger, ..
+            }) => {
                 w.u8(2);
                 w.u32(*id);
                 w.u8(*len);
@@ -499,7 +521,12 @@ impl Machine {
                 if r.bool()? {
                     r.u32()?;
                 }
-                Some(ExpState::Dise { id, len, trigger })
+                Some(ExpState::Dise {
+                    id,
+                    len,
+                    trigger,
+                    handle: UopHandle::NONE,
+                })
             }
             3 => {
                 let ix = r.u32()?;
@@ -540,7 +567,8 @@ impl Machine {
         })
     }
 
-    /// Installs a parsed state.
+    /// Installs a parsed state. A restored expansion carries no
+    /// [`UopHandle`]: it finishes on the engine's live path.
     pub(crate) fn apply_state(&mut self, state: MachineState) {
         if let Some(stats) = state.engine {
             self.engine
@@ -629,7 +657,7 @@ impl Machine {
     /// Executes one dynamic instruction, filling a caller-owned report in
     /// place. Returns `false` once halted (leaving `out` untouched).
     ///
-    /// Timing-oriented variant of [`Machine::step`]: the ~90-byte
+    /// Timing-oriented variant of [`Machine::step`]: the 80-byte
     /// [`StepInfo`] is written straight into the caller's slot instead of
     /// being moved through `Result<Option<StepInfo>>` on every retired
     /// instruction — the cycle-level simulator's oracle loop reuses one
@@ -660,63 +688,78 @@ impl Machine {
         if self.halted {
             return Ok(false);
         }
-        if self.exp.is_some() {
-            return self.step_expansion::<INFO>(out, false, false, None);
-        }
-        // A fetch: it begins a new application item unless it re-fetches
-        // an interrupted sequence to resume at DISEPC > 0.
-        let first_of_fetch = self.disepc == 0;
-        // Fast path: the predecoded text table. Misses (no table, or an
-        // undecodable/out-of-range PC) fall back to the byte-accurate
-        // `fetch`, which either succeeds identically or produces the
-        // exact architectural error.
-        let item = match self.predecode.as_ref().and_then(|p| p.get(self.pc)) {
-            Some(item) => item,
-            None => self.program.fetch(self.pc)?,
-        };
-        let inst = match item {
-            TextItem::Inst(inst) => inst,
-            TextItem::Short(ix) => {
-                if self.dedicated.as_ref().is_none_or(|d| d.get(ix).is_none()) {
-                    return Err(SimError::BadShortCodeword {
-                        pc: self.pc,
-                        index: ix,
-                    });
+        // What the fetch that begins an expansion knows about it, or
+        // nothing for the later steps of one. Every expansion step then
+        // goes through the one `step_expansion` below, so its body is
+        // inlined once.
+        let (first_of_fetch, expanded, inspected) = if self.exp.is_some() {
+            (false, false, None)
+        } else {
+            // A fetch: it begins a new application item unless it
+            // re-fetches an interrupted sequence to resume at DISEPC > 0.
+            let first_of_fetch = self.disepc == 0;
+            // Fast path: the predecoded text table. Misses (no table, or
+            // an undecodable/out-of-range PC) fall back to the
+            // byte-accurate `fetch`, which either succeeds identically or
+            // produces the exact architectural error.
+            let item = match self.predecode.as_ref().and_then(|p| p.get(self.pc)) {
+                Some(item) => item,
+                None => self.program.fetch(self.pc)?,
+            };
+            match item {
+                TextItem::Short(ix) => {
+                    if self.dedicated.as_ref().is_none_or(|d| d.get(ix).is_none()) {
+                        return Err(SimError::BadShortCodeword {
+                            pc: self.pc,
+                            index: ix,
+                        });
+                    }
+                    self.exp = Some(ExpState::Dedicated { ix });
+                    (first_of_fetch, false, None)
                 }
-                self.exp = Some(ExpState::Dedicated { ix });
-                return self.step_expansion::<INFO>(out, first_of_fetch, false, None);
+                // A fetch that fell back to `Program::fetch` is at an odd
+                // PC (even ones either predecode or fail to fetch), or on
+                // a machine without a predecode table, whose engine stays
+                // unbound. `inspect_at` takes the live path for both and
+                // hands out no µop handle.
+                TextItem::Inst(inst) => {
+                    match self.engine.as_mut().map(|e| e.inspect_at(&inst, self.pc)) {
+                        Some((Expansion::Expand { id, len }, handle)) => {
+                            self.exp = Some(ExpState::Dise {
+                                id,
+                                len,
+                                trigger: inst,
+                                handle,
+                            });
+                            (first_of_fetch, self.disepc == 0, Some(inst.op))
+                        }
+                        Some((Expansion::Fault { .. }, _)) => {
+                            return Err(SimError::UnexpandedCodeword { pc: self.pc })
+                        }
+                        outcome => {
+                            let dise = match outcome {
+                                Some(_) => DiseRef::Pass,
+                                None => DiseRef::None,
+                            };
+                            return self.step_unexpanded::<INFO>(out, inst, first_of_fetch, dise);
+                        }
+                    }
+                }
             }
         };
-        let mut dise = DiseRef::None;
-        if let Some(engine) = self.engine.as_mut() {
-            // A fetch that fell back to `Program::fetch` is at an odd PC
-            // (even ones either predecode or fail to fetch), or on a
-            // machine without a predecode table, whose engine stays
-            // unbound. The engine's PC-keyed entry points take the live
-            // path for both.
-            match engine.inspect_at(&inst, self.pc) {
-                Expansion::Fault { .. } => {
-                    return Err(SimError::UnexpandedCodeword { pc: self.pc })
-                }
-                Expansion::None => dise = DiseRef::Pass,
-                Expansion::Expand { id, len } => {
-                    let expanded = self.disepc == 0;
-                    self.exp = Some(ExpState::Dise {
-                        id,
-                        len,
-                        trigger: inst,
-                    });
-                    return self.step_expansion::<INFO>(
-                        out,
-                        first_of_fetch,
-                        expanded,
-                        Some(inst.op),
-                    );
-                }
-            }
-        }
+        self.step_expansion::<INFO>(out, first_of_fetch, expanded, inspected)
+    }
 
-        // Unexpanded: execute and advance in place.
+    /// Executes and retires a fetched instruction that did not expand,
+    /// and advances past it.
+    #[inline(always)]
+    fn step_unexpanded<const INFO: bool>(
+        &mut self,
+        out: &mut StepInfo,
+        inst: Inst,
+        first_of_fetch: bool,
+        dise: DiseRef,
+    ) -> Result<bool> {
         let (ctrl, mem_addr, taken) = self.exec(inst, 4);
         if ctrl == Ctrl::Fault {
             return Err(SimError::UnexpandedCodeword { pc: self.pc });
@@ -766,7 +809,9 @@ impl Machine {
     /// (a DISE replacement sequence or a dedicated dictionary entry).
     /// `first_of_fetch`, `expanded` and `inspected` (the trigger's
     /// opcode) describe the fetch that began it when this is that
-    /// fetch's step, and are `false`/`false`/`None` otherwise.
+    /// fetch's step, and are `false`/`false`/`None` otherwise. Inlined
+    /// into `step_inner`: every replacement µop runs it.
+    #[inline(always)]
     fn step_expansion<const INFO: bool>(
         &mut self,
         out: &mut StepInfo,
@@ -776,9 +821,14 @@ impl Machine {
     ) -> Result<bool> {
         let exp = self.exp.as_ref().expect("an expansion is in flight");
         let (inst, len, fetch_size, trigger_inst, dise) = match *exp {
-            ExpState::Dise { id, len, trigger } => {
+            ExpState::Dise {
+                id,
+                len,
+                trigger,
+                handle,
+            } => {
                 let engine = self.engine.as_mut().expect("Dise expansion needs engine");
-                let inst = engine.fetch_replacement_at(id, self.disepc, &trigger, self.pc)?;
+                let inst = engine.fetch_uop(handle, id, self.disepc, &trigger, self.pc)?;
                 (inst, len, 4u64, Some(trigger), DiseRef::Uop { id, inspected })
             }
             ExpState::Dedicated { ix } => {
@@ -1413,6 +1463,260 @@ mod tests {
         assert!(s3.mem_addr.is_some());
         let s4 = m.step().unwrap().unwrap(); // halt: inspected, not expanded
         assert_eq!(s4.dise, DiseRef::Pass);
+    }
+
+    /// Whether `m` holds a µop handle for an expansion in flight.
+    fn live_handle(m: &Machine) -> bool {
+        matches!(&m.exp, Some(ExpState::Dise { handle, .. }) if !handle.is_none())
+    }
+
+    /// A fast-path machine (predecode table, expansion cache, µop
+    /// handles) and its slow-path twin over the same image and
+    /// productions, each feeding its own PT/RT model.
+    struct Twins {
+        fast: Machine,
+        slow: Machine,
+        models: [crate::DiseCacheModel; 2],
+    }
+
+    impl Twins {
+        fn new(p: &Program, set: dise_core::ProductionSet) -> Twins {
+            let build = |mconfig: MachineConfig, econfig: EngineConfig| {
+                let mut m = Machine::with_config(p, mconfig);
+                m.set_reg(Reg::R2, Program::segment_base(Program::DATA_SEGMENT));
+                m.attach_engine(DiseEngine::with_productions(econfig, set.clone()).unwrap());
+                m
+            };
+            let fast = build(MachineConfig::default(), EngineConfig::default());
+            let slow = build(
+                MachineConfig::default().slow_path(),
+                EngineConfig::default().slow_path(),
+            );
+            let models = [&fast, &slow].map(|m| crate::DiseCacheModel::new(m.engine().unwrap()));
+            Twins { fast, slow, models }
+        }
+
+        /// Steps both machines once and requires the same step report or
+        /// error, registers and `engine.*` counters. Returns the report.
+        fn step(&mut self) -> std::result::Result<Option<StepInfo>, String> {
+            let (rf, rs) = (self.fast.step(), self.slow.step());
+            assert_eq!(format!("{rf:?}"), format!("{rs:?}"), "step outcome");
+            for (m, model) in [&self.fast, &self.slow].into_iter().zip(&mut self.models) {
+                if let Ok(Some(info)) = &rf {
+                    model.observe(info, m.engine().unwrap());
+                }
+            }
+            self.assert_agree();
+            rf.map_err(|e| e.to_string())
+        }
+
+        /// Steps both to halt (or their shared error).
+        fn finish(&mut self) -> std::result::Result<(), String> {
+            for _ in 0..1000 {
+                if self.step()?.is_none() {
+                    return Ok(());
+                }
+            }
+            panic!("no halt within 1000 steps");
+        }
+
+        fn assert_agree(&self) {
+            assert_eq!(self.fast.pc(), self.slow.pc(), "PC:DISEPC");
+            assert_eq!(self.fast.regs, self.slow.regs, "registers");
+            let stats = |i: usize, m: &Machine| self.models[i].engine_stats(m.engine().unwrap());
+            assert_eq!(stats(0, &self.fast), stats(1, &self.slow), "engine stats");
+        }
+
+        /// Applies `f` to both machines' engines.
+        fn on_engines(&mut self, f: impl Fn(&mut DiseEngine)) {
+            for m in [&mut self.fast, &mut self.slow] {
+                f(m.engine_mut().unwrap());
+            }
+            assert!(!live_handle(&self.fast), "engine_mut() left a live handle");
+        }
+    }
+
+    /// `cw r1, r2, r3 #0; halt`, with aware sequence 0 given by `seq`.
+    fn aware_twins(seq: &str) -> (Twins, dise_core::ReplacementId) {
+        let p = Program::from_insts(
+            Program::segment_base(Program::TEXT_SEGMENT),
+            &[Inst::codeword(Op::Cw0, 1, 2, 3, 0), Inst::halt()],
+        )
+        .unwrap();
+        let mut set = dise_core::ProductionSet::new();
+        let id = set
+            .add_aware(Op::Cw0, 0, dsl::parse_sequence(seq).unwrap())
+            .unwrap();
+        (Twins::new(&p, set), id)
+    }
+
+    const FOUR_LDAS: &str = "lda r4, 1(r4)\nlda r5, 1(r5)\nlda r6, 1(r6)\nlda r7, 1(r7)";
+
+    #[test]
+    fn handles_engage_and_serve_the_sequence() {
+        let (mut t, _) = aware_twins(FOUR_LDAS);
+        // The first expansion fills the µops; a second run reads them
+        // back by handle, also after an interrupt mid-sequence.
+        t.step().unwrap();
+        assert!(
+            live_handle(&t.fast),
+            "an expansion at a cached PC holds a handle"
+        );
+        assert!(!live_handle(&t.slow), "the slow twin never does");
+        t.finish().unwrap();
+        assert_eq!(t.fast.engine().unwrap().uop_cache_hits(), 0);
+        let entry = t.fast.program().entry;
+        t.fast.set_pc(entry);
+        t.slow.set_pc(entry);
+        t.step().unwrap();
+        t.step().unwrap();
+        t.fast.interrupt();
+        t.slow.interrupt();
+        t.finish().unwrap();
+        assert_eq!(t.fast.engine().unwrap().uop_cache_hits(), 4);
+        assert_eq!(t.fast.reg(Reg::r(7)), 2);
+        assert_eq!(t.slow.engine().unwrap().expansion_cache_hits(), 0);
+    }
+
+    #[test]
+    fn aware_reinstall_between_uops_takes_the_new_sequence() {
+        // Same length, new contents: a stale handle would read the
+        // old µops (or, with the cache cleared, none at all).
+        let (mut t, id) = aware_twins(FOUR_LDAS);
+        t.step().unwrap();
+        t.on_engines(|e| {
+            let seq = "lda r8, 1(r8)\nlda r9, 1(r9)\nlda r10, 1(r10)\nlda r11, 1(r11)";
+            assert_eq!(
+                e.install_aware(Op::Cw0, 0, dsl::parse_sequence(seq).unwrap())
+                    .unwrap(),
+                id
+            );
+        });
+        t.finish().unwrap();
+        assert_eq!(t.fast.reg(Reg::r(4)), 1);
+        assert_eq!(t.fast.reg(Reg::r(9)), 1, "the reinstalled sequence ran");
+        // Shorter: the resumed DISEPC now lies past the end, and both
+        // machines report the live path's error.
+        let (mut t, _) = aware_twins(FOUR_LDAS);
+        t.step().unwrap();
+        t.step().unwrap();
+        t.on_engines(|e| {
+            e.install_aware(Op::Cw0, 0, dsl::parse_sequence("nop\nnop").unwrap())
+                .unwrap();
+        });
+        assert!(t.step().is_err());
+    }
+
+    #[test]
+    fn transparent_install_between_uops_keeps_the_expansion() {
+        let p = asm("stq r1, 0(r2)\nldq r3, 0(r2)\nhalt\nerror: halt");
+        let mut t = Twins::new(
+            &p,
+            mfi_engine(p.symbol("error").unwrap())
+                .controller()
+                .productions()
+                .clone(),
+        );
+        t.fast.set_reg(Reg::dr(2), Program::DATA_SEGMENT);
+        t.slow.set_reg(Reg::dr(2), Program::DATA_SEGMENT);
+        t.step().unwrap();
+        t.on_engines(|e| {
+            e.install_transparent(
+                dise_core::Pattern::opclass(OpClass::Store),
+                dise_core::ReplacementSpec::identity(),
+            )
+            .unwrap();
+        });
+        t.finish().unwrap();
+    }
+
+    #[test]
+    fn dise_branch_past_the_end_takes_the_live_path() {
+        // The taken branch jumps to @3; a reinstall then leaves @3 at the
+        // end of a three-µop sequence.
+        let (mut t, _) = aware_twins("lda r4, 1(r4)\nbeq.d r31, @3\nlda r5, 1(r5)\nlda r6, 1(r6)");
+        t.step().unwrap();
+        let branch = t.step().unwrap().unwrap();
+        assert!(branch.dise_taken);
+        assert_eq!(t.fast.pc().1, 3);
+        t.on_engines(|e| {
+            e.install_aware(Op::Cw0, 0, dsl::parse_sequence("nop\nnop\nnop").unwrap())
+                .unwrap();
+        });
+        assert!(t.step().is_err());
+    }
+
+    #[test]
+    fn interrupt_then_shrink_resumes_past_the_end_on_the_live_path() {
+        // The resume re-inspects and gets a fresh handle for the new,
+        // shorter sequence: the length guard must send DISEPC 3 to the
+        // live path rather than index past the handle.
+        let (mut t, _) = aware_twins(FOUR_LDAS);
+        for _ in 0..3 {
+            t.step().unwrap();
+        }
+        t.fast.interrupt();
+        t.slow.interrupt();
+        t.on_engines(|e| {
+            e.install_aware(Op::Cw0, 0, dsl::parse_sequence("nop\nnop").unwrap())
+                .unwrap();
+        });
+        assert!(t.step().is_err());
+        // An interrupt within the new sequence resumes by handle.
+        let (mut t, _) = aware_twins(FOUR_LDAS);
+        t.step().unwrap();
+        t.step().unwrap();
+        t.fast.interrupt();
+        t.slow.interrupt();
+        t.step().unwrap();
+        assert!(
+            live_handle(&t.fast),
+            "the resume re-inspected at a cached PC"
+        );
+        t.finish().unwrap();
+    }
+
+    #[test]
+    fn restore_mid_expansion_finishes_on_the_live_path() {
+        let (mut t, _) = aware_twins(FOUR_LDAS);
+        t.step().unwrap();
+        let bytes = crate::snapshot::save_machine(&t.fast);
+        assert_eq!(
+            bytes,
+            crate::snapshot::save_machine(&t.slow),
+            "handles are not saved"
+        );
+        let (mut restored, _) = aware_twins(FOUR_LDAS);
+        // Warm the restore target's cache first, so a handle carried
+        // over would have something to read.
+        restored.finish().unwrap();
+        for m in [&mut restored.fast, &mut restored.slow] {
+            crate::snapshot::restore_machine(m, &bytes).unwrap();
+        }
+        assert!(
+            !live_handle(&restored.fast),
+            "apply_state left a live handle"
+        );
+        restored.models = [&restored.fast, &restored.slow]
+            .map(|m| crate::DiseCacheModel::new(m.engine().unwrap()));
+        restored.finish().unwrap();
+        t.finish().unwrap();
+        assert_eq!(restored.fast.regs, t.fast.regs);
+    }
+
+    #[test]
+    fn attaching_an_engine_drops_the_handle() {
+        let (mut t, _) = aware_twins(FOUR_LDAS);
+        t.step().unwrap();
+        assert!(live_handle(&t.fast));
+        let set = t.fast.engine().unwrap().controller().productions().clone();
+        t.fast
+            .attach_engine(DiseEngine::with_productions(EngineConfig::default(), set).unwrap());
+        assert!(!live_handle(&t.fast), "attach_engine left a live handle");
+        // The rebound engine's cache is empty; the expansion in flight
+        // finishes on its live path.
+        while t.fast.step().unwrap().is_some() {}
+        assert_eq!(t.fast.reg(Reg::r(7)), 1);
     }
 
     /// [`StepInfo`] is the per-instruction hand-off from the functional

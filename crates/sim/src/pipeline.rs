@@ -1060,7 +1060,9 @@ impl Simulator {
     }
 
     /// Replays a step's engine references against the PT/RT model and
-    /// returns the miss stall.
+    /// returns the miss stall. Inlined into `account`, with the model's
+    /// hit path.
+    #[inline(always)]
     fn dise_stall(&mut self, info: &StepInfo) -> u64 {
         match (self.dise.as_mut(), self.machine.engine()) {
             (Some(model), Some(engine)) => model.observe(info, engine),

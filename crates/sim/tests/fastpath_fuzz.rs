@@ -213,9 +213,15 @@ fn fuzz_one(seed: u64, econfig: EngineConfig) {
     );
 
     // The comparison proves nothing unless the engine actually expanded,
-    // and, on a finite RT, actually evicted and refilled sequences.
+    // the fast machine's expansion cache served some of it, and, on a
+    // finite RT, the model actually evicted and refilled sequences.
     let stats = fast.stats();
     assert!(stats.expansions > 0, "seed {seed}: nothing ever expanded");
+    assert!(
+        fast.m.engine().unwrap().expansion_cache_hits() > 0,
+        "seed {seed}: the expansion cache never hit"
+    );
+    assert_eq!(slow.m.engine().unwrap().expansion_cache_hits(), 0);
     if econfig.rt_org != RtOrganization::Perfect {
         assert!(stats.rt_misses > 0, "seed {seed}: the finite RT never missed");
     }

@@ -4,8 +4,9 @@
 #
 #   build   — release build (the smoke sweep runs the release binaries)
 #   test    — full workspace test suite (unit + integration +
-#             determinism + differential fast-path tests)
-#   clippy  — all targets, warnings denied
+#             determinism + differential fast-path tests, every crate)
+#   clippy  — every crate, all targets, warnings denied
+#   benches — the criterion microbenchmarks build (not run)
 #   smoke   — run_figures.sh --smoke: every figure binary end-to-end on
 #             a tiny budget, including the stats-JSON byte-stability
 #             check (jobs 1 vs 8, warm vs cold cell cache)
@@ -48,10 +49,15 @@ echo "== ci: build ($(date)) =="
 cargo build --release --workspace
 
 echo "== ci: test ($(date)) =="
-cargo test -q
+# --workspace: a bare `cargo test` at the root tests only the root
+# `dise` package, not the crates' unit tests and integration suites.
+cargo test --workspace -q
 
 echo "== ci: clippy ($(date)) =="
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== ci: benches build ($(date)) =="
+cargo bench --workspace --no-run
 
 echo "== ci: smoke figures ($(date)) =="
 ./run_figures.sh --smoke
@@ -128,7 +134,7 @@ cargo test --release -q -p dise-bench --test sim_golden
 echo "== ci: snapshot resume ($(date)) =="
 # The differential snapshot fuzz suite, release-only: the two big
 # scenario × RT-organization matrices are `ignore`d under
-# debug_assertions (the tier-1 `cargo test -q` above), so this is the
+# debug_assertions (the workspace test stage above), so this is the
 # gate that actually runs them.
 cargo test --release -q --test snapshot_resume
 # Harness checkpointing: unit tests (slicing neutrality, file

@@ -12,7 +12,8 @@
 //! DISE-internal branch, a second one that overrides it for `addq` (so
 //! cached `addq` expansions go stale), and a runtime aware install.
 //! Every test also proves that it exercised what it claims to: cache
-//! hits, PT and RT misses, taken DISE branches.
+//! hits, replacement µops served through µop handles, PT and RT misses,
+//! taken DISE branches.
 
 use dise::acf::compress::{CompressionConfig, Compressor};
 use dise::acf::mfi::{Mfi, MfiVariant};
@@ -21,7 +22,7 @@ use dise::engine::{
     ReplacementSpec, RtOrganization, SeqRef,
 };
 use dise::isa::{Inst, Op, OpClass, Program, Reg};
-use dise::sim::{DiseCacheModel, Machine, MachineConfig};
+use dise::sim::{DiseCacheModel, DiseRef, Machine, MachineConfig};
 use dise::workloads::{Benchmark, WorkloadConfig};
 
 fn workload(bench: Benchmark) -> Program {
@@ -63,6 +64,10 @@ fn dise_branch_spec() -> ReplacementSpec {
 struct Observed {
     steps: u64,
     cache_hits: u64,
+    /// Replacement µops retired, and how many of them the engine served
+    /// through a µop handle from an already instantiated entry.
+    uops: u64,
+    uop_hits: u64,
     pt_misses: u64,
     rt_misses: u64,
     dise_taken: u64,
@@ -83,6 +88,7 @@ fn lockstep(
     let mut slow_tables = DiseCacheModel::new(slow.engine().unwrap());
     let mut steps = 0u64;
     let mut dise_taken = 0u64;
+    let mut uops = 0u64;
     loop {
         if steps > 0 && steps.is_multiple_of(5_000) {
             fast_tables.context_switch();
@@ -118,6 +124,7 @@ fn lockstep(
             "engine stats diverged at step {steps}"
         );
         dise_taken += u64::from(info.dise_taken);
+        uops += u64::from(matches!(info.dise, DiseRef::Uop { .. }));
         steps += 1;
     }
     assert!(fast.halted() && slow.halted());
@@ -134,6 +141,8 @@ fn lockstep(
     Observed {
         steps,
         cache_hits: engine.expansion_cache_hits(),
+        uops,
+        uop_hits: engine.uop_cache_hits(),
         pt_misses: stats.pt_misses,
         rt_misses: stats.rt_misses,
         dise_taken,
@@ -143,12 +152,22 @@ fn lockstep(
 /// The engagement every lockstep run must show. The hit and PT-miss
 /// floors sit well below what the runs measure (over 90,000 hits and
 /// 9,000 PT misses each), so they only fail if a path stopped running.
+/// At least three quarters of the replacement µops must come through a
+/// µop handle (both runs measure 82%): only the first fetch of each µop
+/// after an install, and expansions an install caught in flight, take
+/// the live path.
 fn assert_engaged(what: &str, o: &Observed, rt_floor: u64) {
     assert!(o.steps > 12_000, "{what}: halted before every event ran");
     assert!(
         o.cache_hits > 10_000,
         "{what}: only {} cache hits",
         o.cache_hits
+    );
+    assert!(
+        o.uop_hits * 4 > o.uops * 3,
+        "{what}: only {} of {} replacement µops served by handle",
+        o.uop_hits,
+        o.uops
     );
     assert!(
         o.pt_misses > 1_000,

@@ -197,7 +197,7 @@ fn every_text_pc_round_trips_through_the_expansion_cache() {
     for round in 0..3 {
         for (pc, inst) in &insts {
             assert_eq!(
-                fast.inspect_at(inst, *pc),
+                fast.inspect_at(inst, *pc).0,
                 slow.inspect(inst),
                 "round {round}: {inst} at {pc:#x}"
             );
