@@ -33,9 +33,13 @@
 //!   non-conflicting cover for the chosen entry set, refined by a
 //!   prune/grow fixpoint over the dictionary itself.
 //!
-//! `DISE_ACF_SELECT=v1|v2` picks the process-wide default the named
-//! constructors use; [`CompressionConfig::with_select`] pins it per
-//! configuration.
+//! The named constructors select v2; [`CompressionConfig::with_select`]
+//! pins either algorithm per configuration.
+//!
+//! Both algorithms consider only shapes that could pay for their
+//! dictionary entry with every occurrence planted (`Compressor::may_pay`);
+//! neither can ever select any other shape,
+//! so the filter changes no output.
 //!
 //! Both algorithms start from one **window table**: every in-block window
 //! of `1..=max_seq_len` instructions is canonicalized once and interned
@@ -59,7 +63,7 @@ use dise_isa::reloc::{NewItem, Relocator};
 use dise_isa::{Cfg, Inst, Op, OpClass, Program, TextItem};
 use dise_sim::telemetry::StatsRegistry;
 use dise_sim::DedicatedDict;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Which codeword-selection algorithm [`Compressor::compress`] runs. See
 /// the module docs.
@@ -71,36 +75,6 @@ pub enum SelectAlgo {
     /// Frequency-filtered candidates + LPM occurrence index + per-block
     /// DP cover with dictionary prune/grow refinement.
     V2,
-}
-
-/// Parses a `DISE_ACF_SELECT` setting: `"v1"` selects the single-pass
-/// greedy algorithm, `"v2"` the DP-cover algorithm.
-///
-/// # Errors
-///
-/// Any other value is rejected with an actionable message.
-pub fn parse_select(v: &str) -> std::result::Result<SelectAlgo, String> {
-    match v {
-        "v1" => Ok(SelectAlgo::V1),
-        "v2" => Ok(SelectAlgo::V2),
-        _ => Err(format!(
-            "DISE_ACF_SELECT must be \"v1\" or \"v2\", got {v:?}; unset it to use the default (v2)"
-        )),
-    }
-}
-
-/// The process-wide `DISE_ACF_SELECT` default (read once). Panics with
-/// the [`parse_select`] message on an invalid setting — a silently
-/// ignored typo would miscredit every compression ratio after it.
-fn select_env() -> SelectAlgo {
-    static ENV_SELECT: std::sync::OnceLock<SelectAlgo> = std::sync::OnceLock::new();
-    *ENV_SELECT.get_or_init(|| match std::env::var("DISE_ACF_SELECT") {
-        Ok(v) => match parse_select(&v) {
-            Ok(algo) => algo,
-            Err(why) => panic!("{why}"),
-        },
-        Err(_) => SelectAlgo::V2,
-    })
 }
 
 /// Compressor configuration. Use the named constructors for the paper's
@@ -131,8 +105,8 @@ pub struct CompressionConfig {
     /// Maximum dictionary entries. Checked against
     /// [`CompressionConfig::entry_cap`] at compression time.
     pub max_entries: usize,
-    /// Codeword-selection algorithm (named constructors default from
-    /// `DISE_ACF_SELECT`).
+    /// Codeword-selection algorithm (the named constructors use
+    /// [`SelectAlgo::V2`]).
     pub select: SelectAlgo,
 }
 
@@ -151,7 +125,7 @@ impl CompressionConfig {
             allow_jumps: false,
             entry_bytes_per_inst: 4,
             max_entries: 2048,
-            select: select_env(),
+            select: SelectAlgo::V2,
         }
     }
 
@@ -202,7 +176,7 @@ impl CompressionConfig {
     }
 
     /// This configuration with an explicit selection algorithm (the named
-    /// constructors default to the `DISE_ACF_SELECT` setting).
+    /// constructors use [`SelectAlgo::V2`]).
     pub fn with_select(self, select: SelectAlgo) -> CompressionConfig {
         CompressionConfig { select, ..self }
     }
@@ -368,6 +342,79 @@ type BlockCover = (i64, Vec<(usize, u32, u32)>);
 /// Marks the empty shape prefix and an unassigned shape slot.
 const NONE: u32 = u32::MAX;
 
+/// A window spec packed into two words for interning: the immediate's
+/// value, and everything else. Injective on the specs [`Canon::spec`]
+/// builds (templated, literal opcode, literal or parameter registers, no
+/// DISE branch).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SpecKey(u64, u64);
+
+impl SpecKey {
+    fn of(spec: &InstSpec) -> SpecKey {
+        let InstSpec::Templated {
+            op: OpDirective::Literal(op),
+            ra,
+            rb,
+            rc,
+            imm,
+            uses_lit,
+            dise_branch: false,
+        } = spec
+        else {
+            unreachable!("window specs are templated with a literal opcode: {spec}")
+        };
+        let reg = |r: &RegDirective| match *r {
+            RegDirective::Literal(r) => r.index() as u64,
+            RegDirective::Param(slot) => 0x80 | u64::from(slot),
+            _ => unreachable!("window specs name registers or parameters"),
+        };
+        // The immediate's kind, and its value or directive fields.
+        let (kind, value) = match *imm {
+            ImmDirective::Literal(v) => (0, v as u64),
+            ImmDirective::AbsTarget(t) => (1, t),
+            ImmDirective::Param {
+                slot,
+                shift,
+                signed,
+            } => (
+                2,
+                u64::from(slot) | u64::from(shift) << 8 | u64::from(signed) << 16,
+            ),
+            ImmDirective::Param2 {
+                lo,
+                hi,
+                shift,
+                signed,
+            } => (
+                3,
+                u64::from(lo)
+                    | u64::from(hi) << 8
+                    | u64::from(shift) << 16
+                    | u64::from(signed) << 24,
+            ),
+            _ => unreachable!("window specs use literal, target or parameter immediates"),
+        };
+        let fields = kind
+            | reg(ra) << 8
+            | reg(rb) << 16
+            | reg(rc) << 24
+            | u64::from(*uses_lit) << 32
+            | (*op as u64) << 40;
+        SpecKey(value, fields)
+    }
+}
+
+impl std::hash::Hash for SpecKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        // `FxHasher` multiplies without a final mix, so its low bits (the
+        // bucket index) only see the low bits of what it is fed. Feed it
+        // one word in which every input bit already reaches the low bits.
+        let h = (self.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ self.1)
+            .wrapping_mul(0xff51_afd7_ed55_8ccd);
+        state.write_u64(h ^ h >> 32);
+    }
+}
+
 /// Every in-block window of `1..=max_seq_len` instructions, canonicalized
 /// once and interned to a dense shape id. Everything downstream — the
 /// candidate filter and the occurrence index — works on ids.
@@ -383,7 +430,7 @@ struct WindowTable {
     last: Vec<u32>,
     /// Distinct instruction specs.
     specs: Vec<InstSpec>,
-    spec_ids: FxHashMap<InstSpec, u32>,
+    spec_ids: FxHashMap<SpecKey, u32>,
     children: FxHashMap<(u32, u32), u32>,
     /// Occurrences per shape id, and every occurrence with its shape id
     /// in window order. Windows shorter than `min_seq_len` are interned
@@ -400,7 +447,7 @@ impl WindowTable {
     /// The shape `prefix` extended by `spec`, interned.
     fn child(&mut self, prefix: u32, spec: &InstSpec) -> u32 {
         let next_spec = self.specs.len() as u32;
-        let spec_id = *self.spec_ids.entry(spec.clone()).or_insert(next_spec);
+        let spec_id = *self.spec_ids.entry(SpecKey::of(spec)).or_insert(next_spec);
         if spec_id == next_spec {
             self.specs.push(spec.clone());
         }
@@ -423,6 +470,118 @@ impl WindowTable {
         }
         specs.reverse();
         specs
+    }
+}
+
+/// The LPM occurrence index, in compressed-sparse-row form, and a
+/// per-block weighted-interval DP over it whose scratch is sized once to
+/// the largest block and reused by every call.
+struct CoverDp {
+    /// Each basic block's first instruction and length, in flat order.
+    blocks: Vec<(usize, usize)>,
+    /// The candidate matches starting at instruction `i` are
+    /// `matches[match_off[i]..match_off[i + 1]]`, as (length, shape id),
+    /// longest (lowest sid) first.
+    match_off: Vec<u32>,
+    matches: Vec<(u32, u32)>,
+    /// Codeword size in bytes.
+    cw: i64,
+    /// Best saving from each block position on, and the match taken
+    /// there (sid [`NONE`] for none).
+    best: Vec<i64>,
+    take: Vec<(u32, u32)>,
+}
+
+impl CoverDp {
+    fn new(
+        graph: &Cfg,
+        shape_list: &[(Vec<InstSpec>, ShapeData)],
+        num_insts: usize,
+        cw: i64,
+    ) -> CoverDp {
+        let mut match_off = vec![0u32; num_insts + 1];
+        for (_, d) in shape_list {
+            for inst in &d.instances {
+                match_off[inst.start + 1] += 1;
+            }
+        }
+        for i in 0..num_insts {
+            match_off[i + 1] += match_off[i];
+        }
+        // Filling in sid order keeps each position's matches longest first.
+        let mut fill = match_off.clone();
+        let mut matches = vec![(0, NONE); match_off[num_insts] as usize];
+        for (sid, (_, d)) in shape_list.iter().enumerate() {
+            for inst in &d.instances {
+                matches[fill[inst.start] as usize] = (d.len as u32, sid as u32);
+                fill[inst.start] += 1;
+            }
+        }
+        let mut blocks = Vec::with_capacity(graph.blocks.len());
+        let mut base = 0usize;
+        for b in &graph.blocks {
+            blocks.push((base, b.insts.len()));
+            base += b.insts.len();
+        }
+        let longest = blocks.iter().map(|&(_, n)| n).max().unwrap_or(0);
+        CoverDp {
+            blocks,
+            match_off,
+            matches,
+            cw,
+            best: vec![0; longest + 1],
+            take: vec![(0, NONE); longest],
+        }
+    }
+
+    /// Code bytes saved by planting one codeword over `len` instructions.
+    fn save(&self, len: u32) -> i64 {
+        len as i64 * 4 - self.cw
+    }
+
+    /// Optimal non-conflicting cover of block `bi` by the active entries,
+    /// maximizing code bytes saved. Ties prefer fewer codewords, then
+    /// longer/more frequent shapes. Appends the placed instances to `out`
+    /// as (position, length, shape id) and returns the saving.
+    fn block(&mut self, bi: usize, active: &[bool], out: &mut Vec<(usize, u32, u32)>) -> i64 {
+        let (s, n) = self.blocks[bi];
+        self.best[n] = 0;
+        for i in (0..n).rev() {
+            let mut best = self.best[i + 1];
+            let mut take = (0, NONE);
+            let at = self.match_off[s + i] as usize..self.match_off[s + i + 1] as usize;
+            for &(len, sid) in &self.matches[at] {
+                if !active[sid as usize] || i + len as usize > n {
+                    continue;
+                }
+                let v = self.save(len) + self.best[i + len as usize];
+                if v > best {
+                    best = v;
+                    take = (len, sid);
+                }
+            }
+            self.best[i] = best;
+            self.take[i] = take;
+        }
+        let mut i = 0usize;
+        while i < n {
+            let (len, sid) = self.take[i];
+            if sid == NONE {
+                i += 1;
+            } else {
+                out.push((s + i, len, sid));
+                i += len as usize;
+            }
+        }
+        self.best[0]
+    }
+
+    /// The whole program's cover under the active entries, into `out`.
+    fn cover(&mut self, active: &[bool], out: &mut Vec<(usize, u32, u32)>) {
+        out.clear();
+        for bi in 0..self.blocks.len() {
+            self.block(bi, active, out);
+        }
     }
 }
 
@@ -459,31 +618,27 @@ impl Compressor {
             )));
         }
         let graph = Cfg::build(program)?;
-        let insts: Vec<(u64, Inst)> = graph
-            .blocks
-            .iter()
-            .flat_map(|b| b.insts.iter().copied())
-            .collect();
+        let num_insts: usize = graph.blocks.iter().map(|b| b.insts.len()).sum();
 
         let (shape_list, selected) = match cfg.select {
-            SelectAlgo::V1 => self.select_v1(&graph, insts.len()),
-            SelectAlgo::V2 => self.select_v2(&graph, &insts),
+            SelectAlgo::V1 => self.select_v1(&graph, num_insts),
+            SelectAlgo::V2 => self.select_v2(&graph, num_insts),
         };
 
         // ---- emission ---------------------------------------------------
-        let mut starts: HashMap<usize, (u16, Instance, usize)> = HashMap::new();
+        let mut starts: Vec<Option<(u16, Instance, usize)>> = vec![None; num_insts];
         for (tag, sid, taken) in &selected {
             let len = shape_list[*sid].1.len;
             for inst in taken {
-                starts.insert(inst.start, (*tag, *inst, len));
+                starts[inst.start] = Some((*tag, *inst, len));
             }
         }
         let mut relocator = Relocator::new(program)?;
         let mut span_ordinal = 0usize;
         let mut codeword_spans: Vec<(usize, u16, Instance)> = Vec::new();
         let mut i = 0usize;
-        while i < insts.len() {
-            if let Some((tag, inst, len)) = starts.get(&i).copied() {
+        while i < num_insts {
+            if let Some((tag, inst, len)) = starts[i] {
                 let item = if cfg.two_byte_codewords {
                     TextItem::Short(tag)
                 } else {
@@ -685,37 +840,62 @@ impl Compressor {
         table
     }
 
-    /// The table's shapes that occur, at least `min_count` times, ordered
+    /// Whether a shape of `len` instructions occurring `count` times could
+    /// pay for its dictionary entry: the code bytes it saves with every
+    /// occurrence planted must exceed the entry's cost. A shape that
+    /// fails this has no positive greedy profit (which only falls as text
+    /// is claimed) and never pays in v2's local search, so no selection
+    /// ever picks it.
+    fn may_pay(&self, count: u32, len: usize) -> bool {
+        let cfg = &self.config;
+        let len = len as u64;
+        u64::from(count) * (4 * len - cfg.cw_bytes()) > len * cfg.entry_bytes_per_inst
+    }
+
+    /// The table's candidate shapes: those that occur at least
+    /// `min_count` times and [`Compressor::may_pay`]. They are ordered
     /// deterministically (longest, then most frequent, then earliest — a
-    /// unique key, as no two shapes share a first window) so dictionaries
-    /// reproduce byte-for-byte. Selection indexes shapes by position in
-    /// this list.
-    fn sorted_shape_list(table: &WindowTable, min_count: u32) -> Vec<(Vec<InstSpec>, ShapeData)> {
+    /// unique key, as no two shapes share a first window) so
+    /// dictionaries reproduce byte-for-byte. Selection indexes shapes by
+    /// position in this list. Consumes the table, so its maps are freed
+    /// before selection runs.
+    fn sorted_shape_list(
+        &self,
+        table: WindowTable,
+        min_count: u32,
+    ) -> Vec<(Vec<InstSpec>, ShapeData)> {
+        // Trie depth is the shape length; a parent is interned before
+        // its children.
+        let mut len = vec![0usize; table.num_shapes()];
+        for id in 0..len.len() {
+            let parent = table.parent[id];
+            len[id] = if parent == NONE { 1 } else { len[parent as usize] + 1 };
+        }
+        // Sort keys of the candidates, seen at their first occurrence.
         let mut slot = vec![NONE; table.num_shapes()];
-        let mut shape_list: Vec<(Vec<InstSpec>, ShapeData)> = Vec::new();
-        for (id, &count) in table.counts.iter().enumerate() {
-            if count > 0 && count >= min_count {
-                slot[id] = shape_list.len() as u32;
-                let specs = table.specs_of(id as u32);
-                let data = ShapeData {
-                    len: specs.len(),
-                    instances: Vec::with_capacity(count as usize),
-                };
-                shape_list.push((specs, data));
+        let mut keys: Vec<(usize, u32, u64, u32)> = Vec::new();
+        for &(id, instance) in &table.instances {
+            let (i, count) = (id as usize, table.counts[id as usize]);
+            if slot[i] == NONE && count >= min_count && self.may_pay(count, len[i]) {
+                slot[i] = 0; // seen; the real slot is set after the sort
+                keys.push((usize::MAX - len[i], u32::MAX - count, instance.pc, id));
             }
+        }
+        keys.sort_unstable();
+        let mut shape_list = Vec::with_capacity(keys.len());
+        for &(_, _, _, id) in &keys {
+            slot[id as usize] = shape_list.len() as u32;
+            let data = ShapeData {
+                len: len[id as usize],
+                instances: Vec::with_capacity(table.counts[id as usize] as usize),
+            };
+            shape_list.push((table.specs_of(id), data));
         }
         for &(id, instance) in &table.instances {
             if let Some(data) = shape_list.get_mut(slot[id as usize] as usize) {
                 data.1.instances.push(instance);
             }
         }
-        shape_list.sort_by_key(|(_, d)| {
-            (
-                usize::MAX - d.len,
-                usize::MAX - d.instances.len(),
-                d.instances[0].pc,
-            )
-        });
         shape_list
     }
 
@@ -803,7 +983,7 @@ impl Compressor {
     /// v1 selection: full window enumeration, then one greedy pass. Tags
     /// follow selection order.
     fn select_v1(&self, graph: &Cfg, num_insts: usize) -> Selection {
-        let shape_list = Self::sorted_shape_list(&self.window_table(graph), 1);
+        let shape_list = self.sorted_shape_list(self.window_table(graph), 1);
         let mut claimed = vec![false; num_insts];
         let skip = vec![false; shape_list.len()];
         let selected = self
@@ -815,80 +995,26 @@ impl Compressor {
         (shape_list, selected)
     }
 
-    /// v2 selection. Candidates are every shape with at least two
-    /// occurrences (a superset of every shape v1 can profitably pick — a
-    /// single-occurrence entry never pays for itself); every
-    /// candidate occurrence is indexed per position, longest first; entry
+    /// v2 selection. Candidates are the shapes with at least two
+    /// occurrences that [`Compressor::may_pay`]; every candidate
+    /// occurrence is indexed per position, longest first; entry
     /// choice starts from the greedy solution and is refined by a
     /// prune/grow fixpoint, with a per-block weighted-interval dynamic
     /// program choosing the best non-conflicting cover each round. Tags
     /// follow first planted position.
-    fn select_v2(&self, graph: &Cfg, insts: &[(u64, Inst)]) -> Selection {
+    fn select_v2(&self, graph: &Cfg, num_insts: usize) -> Selection {
         let cfg = &self.config;
-        let num_insts = insts.len();
-        let table = self.window_table(graph);
-        let shape_list = Self::sorted_shape_list(&table, 2);
-
-        // LPM occurrence index: every candidate match, keyed by start
-        // position, longest (lowest sid) first.
-        let mut matches_at: Vec<Vec<(u32, u32)>> = vec![Vec::new(); num_insts];
-        for (sid, (_, d)) in shape_list.iter().enumerate() {
-            for inst in &d.instances {
-                matches_at[inst.start].push((d.len as u32, sid as u32));
-            }
-        }
-        let mut block_ranges = Vec::with_capacity(graph.blocks.len());
-        let mut base = 0usize;
-        for b in &graph.blocks {
-            block_ranges.push((base, b.insts.len()));
-            base += b.insts.len();
-        }
-
-        let cw = cfg.cw_bytes() as i64;
-        let save = |len: u32| len as i64 * 4 - cw;
-        // Optimal non-conflicting cover of one block by the active
-        // entries (weighted-interval DP, maximizing code bytes saved).
-        // Ties prefer fewer codewords, then longer/more frequent shapes.
-        let dp_block = |bi: usize, active: &[bool]| -> BlockCover {
-            let (s, n) = block_ranges[bi];
-            let mut best = vec![0i64; n + 1];
-            let mut take: Vec<Option<(u32, u32)>> = vec![None; n];
-            for i in (0..n).rev() {
-                best[i] = best[i + 1];
-                for &(len, sid) in &matches_at[s + i] {
-                    if !active[sid as usize] || i + len as usize > n {
-                        continue;
-                    }
-                    let v = save(len) + best[i + len as usize];
-                    if v > best[i] {
-                        best[i] = v;
-                        take[i] = Some((len, sid));
-                    }
-                }
-            }
-            let mut cover = Vec::new();
-            let mut i = 0usize;
-            while i < n {
-                if let Some((len, sid)) = take[i] {
-                    cover.push((s + i, len, sid));
-                    i += len as usize;
-                } else {
-                    i += 1;
-                }
-            }
-            (best[0], cover)
-        };
-        let dp_cover = |active: &[bool]| -> Vec<(usize, u32, u32)> {
-            (0..block_ranges.len())
-                .flat_map(|bi| dp_block(bi, active).1)
-                .collect()
-        };
+        let shape_list = self.sorted_shape_list(self.window_table(graph), 2);
+        let mut dp = CoverDp::new(graph, &shape_list, num_insts, cfg.cw_bytes() as i64);
+        let num_blocks = graph.blocks.len();
 
         // Seed with the greedy solution, then refine: prune entries whose
         // DP-realized saving no longer pays their dictionary cost (the
         // cover re-routes their text to the survivors), and when stable,
         // spend leftover budget on shapes profitable against the residual.
         let budget = cfg.max_entries;
+        let entry_cost =
+            |sid: usize| shape_list[sid].1.len as i64 * cfg.entry_bytes_per_inst as i64;
         let mut active = vec![false; shape_list.len()];
         {
             let mut claimed = vec![false; num_insts];
@@ -898,16 +1024,17 @@ impl Compressor {
             }
         }
         let mut retired = vec![false; shape_list.len()];
-        let mut cover = dp_cover(&active);
+        let mut cover = Vec::new();
+        dp.cover(&active, &mut cover);
+        let mut realized = vec![0i64; shape_list.len()];
         for _round in 0..16 {
-            let mut realized = vec![0i64; shape_list.len()];
+            realized.fill(0);
             for &(_, len, sid) in &cover {
-                realized[sid as usize] += save(len);
+                realized[sid as usize] += dp.save(len);
             }
             let mut changed = false;
             for (sid, a) in active.iter_mut().enumerate() {
-                let cost = shape_list[sid].1.len as i64 * cfg.entry_bytes_per_inst as i64;
-                if *a && realized[sid] <= cost {
+                if *a && realized[sid] <= entry_cost(sid) {
                     *a = false;
                     retired[sid] = true; // never re-grown: guarantees progress
                     changed = true;
@@ -933,7 +1060,7 @@ impl Compressor {
             if !changed {
                 break;
             }
-            cover = dp_cover(&active);
+            dp.cover(&active, &mut cover);
         }
         drop(cover);
 
@@ -947,19 +1074,20 @@ impl Compressor {
         // survivors for less than its dictionary cost. Every committed
         // flip strictly raises the integer objective, so the search
         // cannot cycle (the pass cap is a safety net).
-        let entry_cost =
-            |sid: usize| shape_list[sid].1.len as i64 * cfg.entry_bytes_per_inst as i64;
         let mut blocks_of: Vec<Vec<usize>> = vec![Vec::new(); shape_list.len()];
         for (sid, (_, d)) in shape_list.iter().enumerate() {
             for inst in &d.instances {
-                let bi = block_ranges.partition_point(|&(s, n)| s + n <= inst.start);
+                let bi = dp.blocks.partition_point(|&(s, n)| s + n <= inst.start);
                 if blocks_of[sid].last() != Some(&bi) {
                     blocks_of[sid].push(bi);
                 }
             }
         }
-        let mut covers: Vec<BlockCover> = (0..block_ranges.len())
-            .map(|bi| dp_block(bi, &active))
+        let mut covers: Vec<BlockCover> = (0..num_blocks)
+            .map(|bi| {
+                let mut c = Vec::new();
+                (dp.block(bi, &active, &mut c), c)
+            })
             .collect();
         let mut uses: Vec<i64> = vec![0; shape_list.len()];
         for (_, c) in &covers {
@@ -972,10 +1100,13 @@ impl Compressor {
         // zeroed again as each trial reads it back).
         let mut delta_uses: Vec<i64> = vec![0; shape_list.len()];
         let mut touched: Vec<u32> = Vec::new();
+        // One trial's re-covered blocks as (block, saving, end of its
+        // placements in `trial_cover`), all placements in one buffer.
+        let mut trial: Vec<(usize, i64, usize)> = Vec::new();
+        let mut trial_cover: Vec<(usize, u32, u32)> = Vec::new();
         for _pass in 0..8 {
             let mut improved = false;
             for sid in 0..shape_list.len() {
-                let d = &shape_list[sid].1;
                 if blocks_of[sid].is_empty() {
                     continue;
                 }
@@ -985,27 +1116,25 @@ impl Compressor {
                     active[sid] = false;
                     continue;
                 }
-                if !active[sid]
-                    && save(d.len as u32) * d.instances.len() as i64 <= entry_cost(sid)
-                {
-                    continue; // cannot pay for itself even unopposed
-                }
+                // Every candidate may pay unopposed, so each inactive one
+                // is worth a trial.
                 active[sid] = !active[sid];
-                let trial: Vec<(usize, BlockCover)> = blocks_of[sid]
-                    .iter()
-                    .map(|&bi| (bi, dp_block(bi, &active)))
-                    .collect();
+                trial.clear();
+                trial_cover.clear();
                 let mut delta = 0i64;
-                for (bi, (v, c)) in &trial {
-                    delta += v - covers[*bi].0;
-                    for &(_, _, s2) in &covers[*bi].1 {
+                for &bi in &blocks_of[sid] {
+                    let from = trial_cover.len();
+                    let v = dp.block(bi, &active, &mut trial_cover);
+                    delta += v - covers[bi].0;
+                    for &(_, _, s2) in &covers[bi].1 {
                         delta_uses[s2 as usize] -= 1;
                         touched.push(s2);
                     }
-                    for &(_, _, s2) in c {
+                    for &(_, _, s2) in &trial_cover[from..] {
                         delta_uses[s2 as usize] += 1;
                         touched.push(s2);
                     }
+                    trial.push((bi, v, trial_cover.len()));
                 }
                 let mut used_delta = 0i64;
                 for s2 in touched.drain(..) {
@@ -1021,14 +1150,20 @@ impl Compressor {
                     }
                 }
                 if delta > 0 && used_now + used_delta <= budget as i64 {
-                    for (bi, bc) in trial {
-                        for &(_, _, s2) in &covers[bi].1 {
+                    let mut from = 0;
+                    for &(bi, v, to) in &trial {
+                        let placed = &trial_cover[from..to];
+                        from = to;
+                        let (value, c) = &mut covers[bi];
+                        for &(_, _, s2) in c.iter() {
                             uses[s2 as usize] -= 1;
                         }
-                        for &(_, _, s2) in &bc.1 {
+                        for &(_, _, s2) in placed {
                             uses[s2 as usize] += 1;
                         }
-                        covers[bi] = bc;
+                        *value = v;
+                        c.clear();
+                        c.extend_from_slice(placed);
                     }
                     used_now += used_delta;
                     improved = true;
@@ -1497,14 +1632,65 @@ mod tests {
         assert!(s.arena_occupancy() > 0.0 && s.arena_occupancy() <= 1.0);
     }
 
+    fn assemble(listing: &str) -> Program {
+        Assembler::new(Program::segment_base(Program::TEXT_SEGMENT))
+            .assemble(listing)
+            .unwrap()
+    }
+
     #[test]
-    fn select_env_parses_strictly() {
-        assert_eq!(parse_select("v1"), Ok(SelectAlgo::V1));
-        assert_eq!(parse_select("v2"), Ok(SelectAlgo::V2));
-        for bad in ["", "V1", "v3", "on"] {
-            let err = parse_select(bad).unwrap_err();
-            assert!(err.contains("DISE_ACF_SELECT"), "{err}");
-            assert!(err.contains("default (v2)"), "{err}");
+    fn v1_plants_a_unique_sequence_that_pays_for_its_entry() {
+        // One eight-instruction sequence that occurs once. With 2-byte
+        // entry instructions its entry (16 bytes) costs less than the 28
+        // code bytes a codeword saves, so the candidate rule must keep
+        // it even though it never repeats.
+        let mut listing = String::new();
+        for i in 1..=8 {
+            listing.push_str(&format!("lda r{i}, {}(r31)\n", 100 + i));
+        }
+        listing.push_str("halt");
+        let p = assemble(&listing);
+        let config = CompressionConfig {
+            entry_bytes_per_inst: 2,
+            ..CompressionConfig::dise_unparameterized()
+        };
+        let v1 = Compressor::new(config.with_select(SelectAlgo::V1))
+            .compress(&p)
+            .unwrap();
+        assert_eq!((v1.stats.entries, v1.stats.instances), (1, 1));
+        assert_eq!(v1.stats.insts_removed, 8);
+        // v2 keeps its two-occurrence rule on top of the bound.
+        let v2 = Compressor::new(config.with_select(SelectAlgo::V2))
+            .compress(&p)
+            .unwrap();
+        assert_eq!(v2.stats.entries, 0);
+    }
+
+    #[test]
+    fn a_pair_seen_twice_cannot_pay_for_a_wide_entry() {
+        // Two occurrences of a two-instruction shape save 2 × (8 − 4) = 8
+        // code bytes; its 8-byte-per-instruction entry costs 16.
+        let pair = "addq r1, r2, r3\nsubq r4, r5, r6\n";
+        let p = assemble(&format!(
+            "{pair}lda r9, 100(r31)\n{pair}lda r10, 200(r31)\nhalt"
+        ));
+        for select in [SelectAlgo::V1, SelectAlgo::V2] {
+            let config = CompressionConfig::dise_wide_entries().with_select(select);
+            let c = Compressor::new(config).compress(&p).unwrap();
+            assert_eq!(c.stats.entries, 0, "{select:?}");
+            assert_eq!(c.program.text, p.text, "{select:?}");
+        }
+        // Four occurrences only break even, which is not a candidate
+        // (selection never plants a shape that saves nothing net).
+        let wide = Compressor::new(CompressionConfig::dise_wide_entries());
+        assert!(!wide.may_pay(4, 2));
+        assert!(wide.may_pay(5, 2));
+        // Five occurrences save 20 bytes and do pay.
+        let p = assemble(&format!("{}halt", pair.repeat(5)));
+        for select in [SelectAlgo::V1, SelectAlgo::V2] {
+            let config = CompressionConfig::dise_wide_entries().with_select(select);
+            let c = Compressor::new(config).compress(&p).unwrap();
+            assert!(c.stats.entries > 0, "{select:?}");
         }
     }
 

@@ -46,7 +46,7 @@ pub mod trace;
 pub mod watch;
 
 pub use compress::{
-    parse_select, CompressedProgram, CompressionConfig, CompressionStats, Compressor, SelectAlgo,
+    CompressedProgram, CompressionConfig, CompressionStats, Compressor, SelectAlgo,
 };
 pub use dsm::Dsm;
 pub use monitor::JumpMonitor;

@@ -12,8 +12,7 @@ use crate::{compress, format_table, Sweep};
 /// Top panel: static compression ratio (code, and code+dictionary) over
 /// the six-configuration feature walk, plus the DP-cover (v2)
 /// selection on the full configuration. The walk pins v1 selection and
-/// the last column pins v2, so the table is byte-stable regardless of
-/// `DISE_ACF_SELECT`.
+/// the last column pins v2.
 pub fn ratio(sweep: &Sweep) -> String {
     let configs: [(&str, CompressionConfig); 7] = [
         ("dedicated", CompressionConfig::dedicated().with_select(SelectAlgo::V1)),
