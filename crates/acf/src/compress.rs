@@ -41,14 +41,17 @@
 //! neither can ever select any other shape,
 //! so the filter changes no output.
 //!
-//! Both algorithms start from one **window table**: every in-block window
-//! of `1..=max_seq_len` instructions is canonicalized once and interned
-//! to a dense shape id. Windows grow one instruction at a time, and
+//! Both algorithms start from one **window table**: the in-block windows
+//! of `1..=max_seq_len` instructions are canonicalized once and interned
+//! to a dense shape id. Windows grow one instruction per level, and
 //! parameter slots are assigned left to right, so a grown window interns
 //! as a trie child of its prefix in one small-key lookup; only a window
 //! ending in a short branch (whose fused displacement reserves two slots
-//! up front) is re-canonicalized whole. Building the table is
-//! O(n · `max_seq_len`) for `n` instructions.
+//! up front) is re-canonicalized whole. A window is grown only if its
+//! shape occurred at least as often as a candidate must (twice for v2,
+//! once for v1): a longer shape never occurs more often than its prefix,
+//! so pruning the rest loses no candidate. Building the table is
+//! O(n · `max_seq_len`) for `n` instructions, and v2 grows far fewer.
 //!
 //! Selection is a pure function of the program and the configuration:
 //! text, dictionary, tags and statistics reproduce byte for byte
@@ -324,7 +327,7 @@ struct Instance {
     branch_target: Option<u64>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 struct ShapeData {
     len: usize,
     /// Every occurrence, in start order.
@@ -415,8 +418,9 @@ impl std::hash::Hash for SpecKey {
     }
 }
 
-/// Every in-block window of `1..=max_seq_len` instructions, canonicalized
-/// once and interned to a dense shape id. Everything downstream — the
+/// The in-block windows of `1..=max_seq_len` instructions that can become
+/// candidates (see [`Compressor::window_table`]), each canonicalized once
+/// and interned to a dense shape id. Everything downstream — the
 /// candidate filter and the occurrence index — works on ids.
 ///
 /// Shapes form a trie: shape `id` is shape `parent[id]` ([`NONE`] for the
@@ -424,6 +428,7 @@ impl std::hash::Hash for SpecKey {
 /// one instruction longer than an interned one is a single small-key
 /// lookup, and only the shapes selection keeps are ever materialized as
 /// spec vectors.
+#[derive(Default)]
 struct WindowTable {
     parent: Vec<u32>,
     /// Each shape's last instruction spec, as an index into `specs`.
@@ -432,9 +437,11 @@ struct WindowTable {
     specs: Vec<InstSpec>,
     spec_ids: FxHashMap<SpecKey, u32>,
     children: FxHashMap<(u32, u32), u32>,
-    /// Occurrences per shape id, and every occurrence with its shape id
-    /// in window order. Windows shorter than `min_seq_len` are interned
-    /// (they are the trie prefixes of longer ones) but not recorded.
+    /// Occurrences per shape id, and the occurrences of every shape seen
+    /// at least `min_count` times with their shape id, shortest shapes
+    /// first and in start order per length. Windows shorter than
+    /// `min_seq_len` are interned (they are the trie prefixes of longer
+    /// ones) but not recorded.
     counts: Vec<u32>,
     instances: Vec<(u32, Instance)>,
 }
@@ -762,30 +769,116 @@ impl Compressor {
         })
     }
 
-    /// Canonicalizes every in-block window of `1..=max_seq_len`
-    /// instructions once, interning each compressible one to a dense shape
-    /// id.
+    /// Canonicalizes the in-block windows of `1..=max_seq_len`
+    /// instructions that can become candidates, interning each one to a
+    /// dense shape id.
     ///
-    /// Windows are grown one instruction at a time from each start.
-    /// Parameter slots are assigned left to right, so a grown window's
-    /// specs are its prefix's plus one and it interns as a trie child of
-    /// its prefix. The one exception is a window ending in a short branch,
-    /// whose fused displacement reserves two slots up front and reshuffles
-    /// the prefix: it is canonicalized whole by [`Compressor::shape_of`]
-    /// and interned along its full path (a branch ends its block, so this
-    /// is at most one window per start).
-    fn window_table(&self, graph: &Cfg) -> WindowTable {
+    /// Windows grow one level (one instruction) at a time: every
+    /// length-1 window is interned, and a length-`L` window is grown only
+    /// from a length-`L−1` one whose shape occurred at least `min_count`
+    /// times at the previous level. Parameter slots are assigned left to
+    /// right, so a grown window's specs are its prefix's plus one and it
+    /// interns as a trie child of its prefix. The one exception is a
+    /// window ending in a short branch, whose fused displacement reserves
+    /// two slots up front and reshuffles the prefix: it is canonicalized
+    /// whole by [`Compressor::shape_of`] and interned along its full path
+    /// (a branch ends its block, so it is never grown further).
+    ///
+    /// The pruning is exact: a shape never occurs more often than its
+    /// windows' grown prefix, and windows ending in a short branch with
+    /// equal whole shapes have equal grown prefixes (every value equal to
+    /// the slot-0 value canonicalizes to `Param(0)` in both, and every
+    /// other value is a literal of the whole shape). So every occurrence
+    /// of a shape seen `min_count` times is enumerated. Occurrences are
+    /// recorded only for those shapes, level by level and in start order
+    /// within a level; with `min_count` 1 every window is kept.
+    fn window_table(&self, graph: &Cfg, min_count: u32) -> WindowTable {
+        let cfg = &self.config;
+        let mut table = WindowTable::default();
+        // The level-1 frontier: every instruction starts a window.
+        let mut bases = Vec::with_capacity(graph.blocks.len());
+        let mut frontier = Vec::new();
+        let mut idx_base = 0usize;
+        for (bi, block) in graph.blocks.iter().enumerate() {
+            bases.push(idx_base);
+            idx_base += block.insts.len();
+            frontier.extend((0..block.insts.len() as u32).map(|start| Growing {
+                block: bi as u32,
+                start,
+                id: NONE,
+                canon: Canon::default(),
+            }));
+        }
+        let mut specs = Vec::with_capacity(cfg.max_seq_len);
+        let mut grown: Vec<(Growing, Instance)> = Vec::with_capacity(frontier.len());
+        for len in 1..=cfg.max_seq_len {
+            grown.clear();
+            for mut w in frontier.drain(..) {
+                let insts = &graph.blocks[w.block as usize].insts;
+                let start = w.start as usize;
+                let Some(window) = insts.get(start..start + len) else {
+                    continue;
+                };
+                // Growing a window never makes it eligible again: drop it
+                // once the new instruction cannot end a window or the old
+                // last one cannot sit inside one.
+                if !self.eligible(&window[len - 1].1, true)
+                    || (len > 1 && !self.eligible(&window[len - 2].1, false))
+                {
+                    continue;
+                }
+                let idx = bases[w.block as usize] + start;
+                let term = Terminal::of(window);
+                let (id, instance) = if let Terminal::Short { .. } = term {
+                    let instance = self
+                        .shape_of(window, idx, &mut specs)
+                        .expect("eligible window");
+                    let id = specs.iter().fold(NONE, |id, spec| table.child(id, spec));
+                    (id, instance)
+                } else {
+                    let spec = w.canon.spec(cfg.parameterize, &window[len - 1].1, term.imm());
+                    let id = table.child(w.id, &spec);
+                    let instance = Instance {
+                        start: idx,
+                        pc: window[0].0,
+                        params: w.canon.params,
+                        branch_target: None,
+                    };
+                    #[cfg(debug_assertions)]
+                    {
+                        let whole = self.shape_of(window, idx, &mut specs);
+                        assert_eq!(whole, Some(instance), "grown window instance");
+                        assert_eq!(specs, table.specs_of(id), "grown window specs");
+                    }
+                    (id, instance)
+                };
+                table.counts[id as usize] += 1;
+                w.id = id;
+                grown.push((w, instance));
+            }
+            // The level's counts are final: keep the windows whose shape
+            // can still become a candidate.
+            for &(w, instance) in &grown {
+                if table.counts[w.id as usize] >= min_count {
+                    if len >= cfg.min_seq_len {
+                        table.instances.push((w.id, instance));
+                    }
+                    frontier.push(w);
+                }
+            }
+        }
+        table
+    }
+
+    /// The reference model of [`Compressor::window_table`]: every
+    /// in-block window of `1..=max_seq_len` instructions, grown from each
+    /// start in turn and interned without pruning, every occurrence
+    /// recorded in window order.
+    #[cfg(test)]
+    fn window_table_reference(&self, graph: &Cfg) -> WindowTable {
         let cfg = &self.config;
         let max_len = cfg.max_seq_len;
-        let mut table = WindowTable {
-            parent: Vec::new(),
-            last: Vec::new(),
-            specs: Vec::new(),
-            spec_ids: FxHashMap::default(),
-            children: FxHashMap::default(),
-            counts: Vec::new(),
-            instances: Vec::new(),
-        };
+        let mut table = WindowTable::default();
         let mut specs = Vec::with_capacity(max_len);
         let mut idx_base = 0usize;
         for block in &graph.blocks {
@@ -820,12 +913,6 @@ impl Compressor {
                             params: canon.params,
                             branch_target: None,
                         };
-                        #[cfg(debug_assertions)]
-                        {
-                            let whole = self.shape_of(window, idx, &mut specs);
-                            assert_eq!(whole, Some(instance), "grown window instance");
-                            assert_eq!(specs, table.specs_of(id), "grown window specs");
-                        }
                         prefix = id;
                         (id, instance)
                     };
@@ -983,7 +1070,7 @@ impl Compressor {
     /// v1 selection: full window enumeration, then one greedy pass. Tags
     /// follow selection order.
     fn select_v1(&self, graph: &Cfg, num_insts: usize) -> Selection {
-        let shape_list = self.sorted_shape_list(self.window_table(graph), 1);
+        let shape_list = self.sorted_shape_list(self.window_table(graph, 1), 1);
         let mut claimed = vec![false; num_insts];
         let skip = vec![false; shape_list.len()];
         let selected = self
@@ -1004,7 +1091,7 @@ impl Compressor {
     /// follow first planted position.
     fn select_v2(&self, graph: &Cfg, num_insts: usize) -> Selection {
         let cfg = &self.config;
-        let shape_list = self.sorted_shape_list(self.window_table(graph), 2);
+        let shape_list = self.sorted_shape_list(self.window_table(graph, 2), 2);
         let mut dp = CoverDp::new(graph, &shape_list, num_insts, cfg.cw_bytes() as i64);
         let num_blocks = graph.blocks.len();
 
@@ -1337,6 +1424,18 @@ impl Terminal {
     }
 }
 
+/// A window being grown one instruction per level of
+/// [`Compressor::window_table`]: its block, its first instruction there,
+/// its shape so far ([`NONE`] before the first level) and the
+/// canonicalization state that extends it.
+#[derive(Debug, Clone, Copy)]
+struct Growing {
+    block: u32,
+    start: u32,
+    id: u32,
+    canon: Canon,
+}
+
 /// Canonicalization state of a window built left to right: the codeword
 /// parameters so far and the register or immediate each assigned slot
 /// abstracts.
@@ -1345,7 +1444,8 @@ struct Canon {
     params: [u8; 3],
     used: [bool; 3],
     reg_slots: [Option<dise_isa::Reg>; 3],
-    imm_slots: [Option<i64>; 3],
+    /// Parameterized immediates lie in `-16..=31`.
+    imm_slots: [Option<i8>; 3],
 }
 
 impl Canon {
@@ -1414,11 +1514,12 @@ impl Canon {
         if !(lo..=hi).contains(&inst.imm) {
             return ImmDirective::Literal(inst.imm);
         }
-        let slot = match self.imm_slots.iter().position(|s| *s == Some(inst.imm)) {
+        let imm = inst.imm as i8;
+        let slot = match self.imm_slots.iter().position(|s| *s == Some(imm)) {
             Some(slot) => slot as u8,
             None => match self.alloc() {
                 Some(slot) => {
-                    self.imm_slots[slot as usize] = Some(inst.imm);
+                    self.imm_slots[slot as usize] = Some(imm);
                     self.params[slot as usize] = (inst.imm & 31) as u8;
                     slot
                 }
@@ -1439,6 +1540,7 @@ mod tests {
     use dise_core::EngineConfig;
     use dise_isa::{Assembler, Reg};
     use dise_sim::Machine;
+    use dise_workloads::{Benchmark, WorkloadConfig};
 
     /// A program with lots of redundancy: the same address-compute/load/
     /// compare idiom repeated with different registers (Figure 4's shape).
@@ -1735,5 +1837,126 @@ mod tests {
         );
         // Registry names sort so `acf.*` merges ahead of `sim.*` blocks.
         assert!(r.entries().windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    /// Checks the level-pruned window table against the unpruned
+    /// reference on `benches` (seeds 0–2, tiny workloads) under three
+    /// Figure 7 configurations: v2's candidate list is identical (specs,
+    /// lengths, instances in order), v1's threshold interns every shape
+    /// the reference does and yields the same list, and v2's interns
+    /// strictly fewer, so the comparison proves that pruning ran.
+    fn check_pruned_table(benches: &[Benchmark]) {
+        let configs = [
+            ("dedicated", CompressionConfig::dedicated()),
+            ("dise_parameterized", CompressionConfig::dise_parameterized()),
+            ("dise_full", CompressionConfig::dise_full()),
+        ];
+        for &bench in benches {
+            for seed in 0..3 {
+                let program = bench.build(&WorkloadConfig {
+                    seed,
+                    ..WorkloadConfig::tiny()
+                });
+                let graph = Cfg::build(&program).unwrap();
+                for (name, config) in configs {
+                    let what = format!("{} seed {seed} {name}", bench.name());
+                    let c = Compressor::new(config);
+                    let reference = c.window_table_reference(&graph);
+                    let v1 = c.window_table(&graph, 1);
+                    let v2 = c.window_table(&graph, 2);
+                    assert_eq!(v1.num_shapes(), reference.num_shapes(), "v1 shapes: {what}");
+                    assert!(
+                        v2.num_shapes() < reference.num_shapes(),
+                        "v2 table interned {} of {} shapes: {what}",
+                        v2.num_shapes(),
+                        reference.num_shapes()
+                    );
+                    let expected = c.sorted_shape_list(reference, 2);
+                    assert_eq!(c.sorted_shape_list(v2, 2), expected, "v2 list: {what}");
+                    let expected = c.sorted_shape_list(c.window_table_reference(&graph), 1);
+                    assert_eq!(c.sorted_shape_list(v1, 1), expected, "v1 list: {what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_window_table_matches_reference_on_one_benchmark() {
+        check_pruned_table(&[Benchmark::Mcf]);
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow unoptimized; ci.sh runs it under --release"
+    )]
+    fn pruned_window_table_matches_reference_on_every_benchmark() {
+        check_pruned_table(&Benchmark::ALL);
+    }
+
+    /// The shape ids of the short-branch windows `table` recorded, in
+    /// start order.
+    fn short_branch_ids(table: &WindowTable) -> Vec<u32> {
+        let mut ids: Vec<(usize, u32)> = table
+            .instances
+            .iter()
+            .filter(|(_, inst)| inst.branch_target.is_some())
+            .map(|(id, inst)| (inst.start, *id))
+            .collect();
+        ids.sort_unstable();
+        ids.into_iter().map(|(_, id)| id).collect()
+    }
+
+    /// Two one-block windows, each an `addq` and a short `beq`.
+    fn short_branch_pair(listing: &str) -> (Compressor, Cfg) {
+        let graph = Cfg::build(&assemble(listing)).unwrap();
+        assert_eq!(graph.blocks[0].insts.len(), 2, "{listing}");
+        assert_eq!(graph.blocks[1].insts.len(), 2, "{listing}");
+        (Compressor::new(CompressionConfig::dise_full()), graph)
+    }
+
+    /// The canonical specs of the first `len` instructions of block `bi`.
+    fn block_shape(c: &Compressor, graph: &Cfg, bi: usize, len: usize) -> Vec<InstSpec> {
+        let mut specs = Vec::new();
+        c.shape_of(&graph.blocks[bi].insts[..len], 0, &mut specs)
+            .expect("compressible window");
+        specs
+    }
+
+    #[test]
+    fn short_branch_windows_with_equal_shapes_share_their_grown_prefix() {
+        // The branch's displacement reserves slots 1 and 2, so slot 0 is
+        // the whole shape's only parameter: a register (r1 vs r5), then a
+        // small immediate (#5 vs #7).
+        for listing in [
+            "addq r1, r2, r3\n beq r1, a\n a: addq r5, r2, r3\n beq r5, b\n b: halt",
+            "addq r2, #5, r3\n beq r3, a\n a: addq r2, #7, r3\n beq r3, b\n b: halt",
+        ] {
+            let (c, graph) = short_branch_pair(listing);
+            let whole = |bi| block_shape(&c, &graph, bi, 2);
+            let prefix = |bi| block_shape(&c, &graph, bi, 1);
+            assert_eq!(whole(0), whole(1), "whole shapes: {listing}");
+            assert_eq!(prefix(0), prefix(1), "grown prefixes: {listing}");
+            // So v2's table grows both windows past their prefix and
+            // records them under one shape.
+            let ids = short_branch_ids(&c.window_table(&graph, 2));
+            assert_eq!(ids.len(), 2, "{listing}");
+            assert_eq!(ids[0], ids[1], "{listing}");
+        }
+    }
+
+    #[test]
+    fn a_later_literal_equal_to_slot_zero_separates_short_branch_shapes() {
+        // The whole shapes differ only where the second window reuses r1,
+        // the slot-0 register, for values the first keeps literal (r3).
+        let listing = "addq r1, r2, r3\n beq r3, a\n a: addq r1, r2, r1\n beq r1, b\n b: halt";
+        let (c, graph) = short_branch_pair(listing);
+        assert_ne!(block_shape(&c, &graph, 0, 2), block_shape(&c, &graph, 1, 2));
+        assert_ne!(block_shape(&c, &graph, 0, 1), block_shape(&c, &graph, 1, 1));
+        let ids = short_branch_ids(&c.window_table(&graph, 1));
+        assert_eq!(ids.len(), 2);
+        assert_ne!(ids[0], ids[1]);
+        // Seen once each, neither is recorded at v2's threshold.
+        assert!(short_branch_ids(&c.window_table(&graph, 2)).is_empty());
     }
 }

@@ -40,10 +40,24 @@ impl TextItem {
 
     /// Serializes the item to bytes.
     pub fn to_bytes(&self) -> Result<Vec<u8>> {
+        let mut bytes = Vec::with_capacity(4);
+        self.write_to(&mut bytes)?;
+        Ok(bytes)
+    }
+
+    /// Appends the item's bytes to `text`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the instruction is unencodable.
+    pub fn write_to(&self, text: &mut Vec<u8>) -> Result<()> {
         match self {
-            TextItem::Inst(i) => Ok(i.encode()?.to_be_bytes().to_vec()),
-            TextItem::Short(ix) => Ok(crate::encode::encode_short_codeword(*ix).to_vec()),
+            TextItem::Inst(i) => text.extend_from_slice(&i.encode()?.to_be_bytes()),
+            TextItem::Short(ix) => {
+                text.extend_from_slice(&crate::encode::encode_short_codeword(*ix))
+            }
         }
+        Ok(())
     }
 }
 
@@ -135,7 +149,7 @@ impl Program {
     pub fn from_items(text_base: u64, items: &[TextItem]) -> Result<Program> {
         let mut text = Vec::with_capacity(items.len() * 4);
         for it in items {
-            text.extend_from_slice(&it.to_bytes()?);
+            it.write_to(&mut text)?;
         }
         Ok(Program {
             text_base,

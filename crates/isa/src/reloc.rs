@@ -76,11 +76,6 @@ impl NewItem {
     }
 }
 
-struct Span {
-    old_start: u64,
-    items: Vec<NewItem>,
-}
-
 /// Relocating program transformer. See the module docs for the protocol.
 pub struct Relocator<'a> {
     original: &'a Program,
@@ -88,7 +83,11 @@ pub struct Relocator<'a> {
     insts: Vec<(u64, Inst)>,
     /// Index into `insts` of the next instruction not yet covered by a span.
     cursor: usize,
-    spans: Vec<Span>,
+    /// Every span's new items, spans in program order.
+    items: Vec<NewItem>,
+    /// Per span: its first original address and the end of its items in
+    /// `items` (each span's items start where the previous one's end).
+    spans: Vec<(u64, usize)>,
     tail: Vec<NewItem>,
 }
 
@@ -139,6 +138,7 @@ impl<'a> Relocator<'a> {
             original,
             insts,
             cursor: 0,
+            items: Vec::new(),
             spans: Vec::new(),
             tail: Vec::new(),
         })
@@ -162,6 +162,11 @@ impl<'a> Relocator<'a> {
     ///
     /// Fails if `old_len` is zero or runs past the end of the program.
     pub fn replace(&mut self, old_len: usize, items: Vec<NewItem>) -> Result<()> {
+        self.cover(old_len, items)
+    }
+
+    /// [`Relocator::replace`] for any sequence of items.
+    fn cover(&mut self, old_len: usize, items: impl IntoIterator<Item = NewItem>) -> Result<()> {
         if old_len == 0 {
             return Err(IsaError::Reloc("span must cover at least one instruction".into()));
         }
@@ -169,10 +174,8 @@ impl<'a> Relocator<'a> {
             return Err(IsaError::Reloc("span runs past end of program".into()));
         }
         let old_start = self.insts[self.cursor].0;
-        self.spans.push(Span {
-            old_start,
-            items,
-        });
+        self.items.extend(items);
+        self.spans.push((old_start, self.items.len()));
         self.cursor += old_len;
         Ok(())
     }
@@ -194,7 +197,7 @@ impl<'a> Relocator<'a> {
         } else {
             NewItem::inst(inst)
         };
-        self.replace(1, vec![item])
+        self.cover(1, [item])
     }
 
     /// Keeps all remaining original instructions unchanged.
@@ -239,13 +242,15 @@ impl<'a> Relocator<'a> {
             }
             Ok(())
         };
-        for span in &self.spans {
-            old_to_new.insert(span.old_start, pc);
-            for ni in &span.items {
+        let mut begin = 0;
+        for &(old_start, end) in &self.spans {
+            old_to_new.insert(old_start, pc);
+            for ni in &self.items[begin..end] {
                 define(&ni.label, pc)?;
                 item_addrs.push(pc);
                 pc += ni.item.size();
             }
+            begin = end;
         }
         for ni in &self.tail {
             define(&ni.label, pc)?;
@@ -269,12 +274,8 @@ impl<'a> Relocator<'a> {
                     .ok_or_else(|| IsaError::UndefinedLabel(l.clone())),
             }
         };
-        let mut text = Vec::new();
-        let all_items = self
-            .spans
-            .iter_mut()
-            .flat_map(|s| s.items.iter_mut())
-            .chain(self.tail.iter_mut());
+        let mut text = Vec::with_capacity((pc - base) as usize);
+        let all_items = self.items.iter_mut().chain(self.tail.iter_mut());
         for (idx, ni) in all_items.enumerate() {
             let addr = item_addrs[idx];
             if let Some(target) = &ni.target {
@@ -301,17 +302,16 @@ impl<'a> Relocator<'a> {
                     )));
                 }
             }
-            text.extend_from_slice(&ni.item.to_bytes()?);
+            ni.item.write_to(&mut text)?;
         }
 
         // Remap entry and symbols.
-        let mut program = self.original.clone();
-        program.text = text;
-        program.entry = *old_to_new.get(&self.original.entry).ok_or_else(|| {
+        let original = self.original;
+        let entry = *old_to_new.get(&original.entry).ok_or_else(|| {
             IsaError::Reloc("entry point is inside a replaced sequence".into())
         })?;
         let mut symbols = BTreeMap::new();
-        for (name, addr) in &self.original.symbols {
+        for (name, addr) in &original.symbols {
             if let Some(new) = old_to_new.get(addr) {
                 symbols.insert(name.clone(), *new);
             }
@@ -319,7 +319,15 @@ impl<'a> Relocator<'a> {
         for (name, addr) in &labels {
             symbols.insert(name.clone(), *addr);
         }
-        program.symbols = symbols;
+        let program = Program {
+            text_base: original.text_base,
+            text,
+            entry,
+            data_base: original.data_base,
+            data_size: original.data_size,
+            data_init: original.data_init.clone(),
+            symbols,
+        };
         Ok(RelocOutput {
             program,
             old_to_new,

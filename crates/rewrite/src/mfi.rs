@@ -153,12 +153,12 @@ impl RewriteMfi {
                 CODE_SEGMENT_REG,
             )),
         ];
-        let insts: Vec<(u64, Inst)> = r.insts().to_vec();
-        for (i, (pc, inst)) in insts.iter().enumerate() {
+        for i in 0..r.insts().len() {
+            let (pc, inst) = r.insts()[i];
             let unsafe_mem = inst.op.class().is_mem();
             let unsafe_jump =
                 inst.op.class() == OpClass::IndirectJump && !self.skip_ijumps;
-            let mut items = if *pc == program.entry {
+            let mut items = if pc == program.entry {
                 prologue.clone()
             } else {
                 Vec::new()
@@ -181,7 +181,6 @@ impl RewriteMfi {
             } else {
                 // Re-append the original instruction (branches keep their
                 // retargeting).
-                let (pc, inst) = insts[i];
                 let original = if inst.op.format() == dise_isa::op::Format::Branch {
                     let old_target = (pc + 4).wrapping_add_signed(inst.imm);
                     NewItem::branch(inst, NewTarget::OldAddr(old_target))

@@ -169,16 +169,15 @@ impl Cache {
         for i in 1..len {
             if ways[i] == tag {
                 // Move the hit way to MRU, sliding the younger ways down.
-                ways[..=i].rotate_right(1);
+                push_mru(&mut ways[..=i], tag);
                 return true;
             }
         }
         self.stats.misses += 1;
-        // Fill at MRU; the rotate evicts the LRU way once the set is full.
+        // Fill at MRU; the shift evicts the LRU way once the set is full.
         // Either way the probed line ends up MRU (see `hit_mru`).
         let new_len = (len + 1).min(self.assoc);
-        ways[..new_len].rotate_right(1);
-        ways[0] = tag;
+        push_mru(&mut ways[..new_len], tag);
         self.lens[set_ix] = new_len as u32;
         false
     }
@@ -253,6 +252,17 @@ impl Cache {
             self.tags[set * self.assoc..][..ways.len()].copy_from_slice(&ways);
         }
         self.stats = state.stats;
+    }
+}
+
+/// Puts `tag` at way 0 of `ways` and shifts every other way one place
+/// older, dropping the last. A carried swap rather than `rotate_right`,
+/// which compiles to a libc `memmove` call on every reorder.
+#[inline]
+fn push_mru(ways: &mut [u64], tag: u64) {
+    let mut carry = tag;
+    for way in ways {
+        carry = std::mem::replace(way, carry);
     }
 }
 

@@ -21,7 +21,8 @@
 #             scripts/fig7_smoke_golden.json cell for cell
 #   golden  — the full selection golden-digest matrix under --release
 #             (byte-identical compressor output, every Figure 7
-#             configuration × v1/v2; `ignore`d in debug builds)
+#             configuration × v1/v2; `ignore`d in debug builds), and the
+#             pruned-window-table differential on every benchmark
 #   sim golden — the full timing-statistics golden-digest matrix under
 #             --release (every exported counter of 168 Figure 6/7/8
 #             cells byte-identical; `ignore`d in debug builds)
@@ -121,6 +122,9 @@ echo "== ci: selection golden digests ($(date)) =="
 # one-benchmark subset) and runs here under --release. No `--ignored`:
 # release builds do not ignore it, so that flag would select nothing.
 cargo test --release -q -p dise-acf --test select_golden
+# The prefix-pruned window table against its unpruned reference model
+# on every benchmark (same debug/release split; debug runs cover one).
+cargo test --release -q -p dise-acf --lib pruned_window_table
 
 echo "== ci: simulation golden digests ($(date)) =="
 # The timing model is byte-stable: digests of every exported counter for
