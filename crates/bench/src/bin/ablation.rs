@@ -20,37 +20,15 @@
 //! event ring and deadlock watchdog (dump on anomaly); `--stats-json
 //! PATH` exports every cell's stats-registry snapshot as JSON.
 use dise_bench::figures::ablation;
-use dise_bench::Sweep;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let stats_out = dise_bench::parse_telemetry_args(&mut args);
-    let all = args.is_empty();
-    let want = |p: &str| all || args.iter().any(|a| a == p);
-    let sweep = Sweep::from_env();
-    // Root spans (inert without a DISE_OBS_SINK session): one top-level
-    // trace bar per panel, cells and phases nested underneath.
-    if want("mfi") {
-        let _s = dise_obs::span::enter("figure", "ablation_mfi");
-        print!("{}", ablation::mfi(&sweep));
-    }
-    if want("rtmiss") {
-        let _s = dise_obs::span::enter("figure", "ablation_rtmiss");
-        print!("{}", ablation::rtmiss(&sweep));
-    }
-    if want("ctx") {
-        let _s = dise_obs::span::enter("figure", "ablation_ctx");
-        print!("{}", ablation::ctx(&sweep));
-    }
-    if want("rtblock") {
-        let _s = dise_obs::span::enter("figure", "ablation_rtblock");
-        print!("{}", ablation::rtblock(&sweep));
-    }
-    if let Some(path) = stats_out {
-        if let Err(why) = dise_bench::write_stats_json(&path, &sweep.stats_json()) {
-            eprintln!("{why}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote {}", path.display());
-    }
+    dise_bench::figure_main(
+        "ablation",
+        &[
+            ("mfi", ablation::mfi),
+            ("rtmiss", ablation::rtmiss),
+            ("ctx", ablation::ctx),
+            ("rtblock", ablation::rtblock),
+        ],
+    );
 }

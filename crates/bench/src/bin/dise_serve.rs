@@ -628,7 +628,10 @@ fn main() {
         );
     }
     let daemon = Arc::new(Daemon {
-        sweep: Sweep::from_env(),
+        sweep: Sweep::from_env().unwrap_or_else(|why| {
+            eprintln!("{why}");
+            std::process::exit(2);
+        }),
         session: session_for(&opts),
         heartbeat_ms: opts.heartbeat_ms,
         stats: StatsLog::default(),

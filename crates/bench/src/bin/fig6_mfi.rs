@@ -20,34 +20,14 @@
 //! event ring and deadlock watchdog (dump on anomaly); `--stats-json
 //! PATH` exports every cell's stats-registry snapshot as JSON.
 use dise_bench::figures::fig6;
-use dise_bench::Sweep;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let stats_out = dise_bench::parse_telemetry_args(&mut args);
-    let all = args.is_empty();
-    let want = |p: &str| all || args.iter().any(|a| a == p);
-    let sweep = Sweep::from_env();
-    // Root spans (inert without a DISE_OBS_SINK session): each panel is
-    // one top-level bar in an exported Perfetto trace, with its cells
-    // and phases nested underneath.
-    if want("top") {
-        let _s = dise_obs::span::enter("figure", "fig6_top");
-        print!("{}", fig6::top(&sweep));
-    }
-    if want("cache") {
-        let _s = dise_obs::span::enter("figure", "fig6_cache");
-        print!("{}", fig6::cache(&sweep));
-    }
-    if want("width") {
-        let _s = dise_obs::span::enter("figure", "fig6_width");
-        print!("{}", fig6::width(&sweep));
-    }
-    if let Some(path) = stats_out {
-        if let Err(why) = dise_bench::write_stats_json(&path, &sweep.stats_json()) {
-            eprintln!("{why}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote {}", path.display());
-    }
+    dise_bench::figure_main(
+        "fig6",
+        &[
+            ("top", fig6::top),
+            ("cache", fig6::cache),
+            ("width", fig6::width),
+        ],
+    );
 }

@@ -19,33 +19,14 @@
 //! event ring and deadlock watchdog (dump on anomaly); `--stats-json
 //! PATH` exports every cell's stats-registry snapshot as JSON.
 use dise_bench::figures::fig7;
-use dise_bench::Sweep;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let stats_out = dise_bench::parse_telemetry_args(&mut args);
-    let all = args.is_empty();
-    let want = |p: &str| all || args.iter().any(|a| a == p);
-    let sweep = Sweep::from_env();
-    // Root spans (inert without a DISE_OBS_SINK session): one top-level
-    // trace bar per panel, cells and phases nested underneath.
-    if want("ratio") {
-        let _s = dise_obs::span::enter("figure", "fig7_ratio");
-        print!("{}", fig7::ratio(&sweep));
-    }
-    if want("perf") {
-        let _s = dise_obs::span::enter("figure", "fig7_perf");
-        print!("{}", fig7::perf(&sweep));
-    }
-    if want("rt") {
-        let _s = dise_obs::span::enter("figure", "fig7_rt");
-        print!("{}", fig7::rt(&sweep));
-    }
-    if let Some(path) = stats_out {
-        if let Err(why) = dise_bench::write_stats_json(&path, &sweep.stats_json()) {
-            eprintln!("{why}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote {}", path.display());
-    }
+    dise_bench::figure_main(
+        "fig7",
+        &[
+            ("ratio", fig7::ratio),
+            ("perf", fig7::perf),
+            ("rt", fig7::rt),
+        ],
+    );
 }

@@ -3,14 +3,12 @@
 use std::sync::Arc;
 
 use dise_acf::compress::{CompressionConfig, SelectAlgo};
-use dise_acf::mfi::{Mfi, MfiVariant};
-use dise_core::{DiseEngine, EngineConfig, RtOrganization};
-use dise_isa::Program;
-use dise_sim::{DiseCacheModel, ExpansionCost, Machine, SimConfig};
-use dise_workloads::Benchmark;
+use dise_acf::mfi::MfiVariant;
+use dise_core::{EngineConfig, RtOrganization};
+use dise_sim::{DiseCacheModel, ExpansionCost, SimConfig};
 
-use super::{baseline_cell, cell_key, compressed_cell, dise_mfi_cell};
-use crate::{compress, format_table, mfi_productions, Cell, CellOutput, Sweep};
+use super::normalized_to_first;
+use crate::{format_table, Cell, CellOutput, Scenario, Sweep, Workload};
 
 /// Fault-isolation formulation × engine placement matrix.
 pub fn mfi(sweep: &Sweep) -> String {
@@ -23,27 +21,16 @@ pub fn mfi(sweep: &Sweep) -> String {
     let sim = SimConfig::default();
     let mut cells = Vec::new();
     for &bench in &sweep.benches {
-        let p = Arc::new(sweep.workload(bench));
-        cells.push(baseline_cell(sweep, bench, &p, sim));
+        let w = sweep.workload(bench);
+        cells.push(Scenario::baseline(&w, sim).cell());
         for variant in variants {
             for cost in costs {
-                cells.push(dise_mfi_cell(sweep, bench, &p, variant, cost, sim));
+                cells.push(Scenario::dise_mfi(&w, variant, cost, sim).cell());
             }
         }
     }
     let vals = sweep.run_cells(&cells);
-    let rows: Vec<(String, Vec<f64>)> = sweep
-        .benches
-        .iter()
-        .zip(vals.chunks(1 + variants.len() * costs.len()))
-        .map(|(bench, v)| {
-            let base = v[0][0];
-            (
-                bench.name().to_string(),
-                v[1..].iter().map(|c| c[0] / base).collect(),
-            )
-        })
-        .collect();
+    let rows = normalized_to_first(sweep, &vals, 1 + variants.len() * costs.len());
     format_table(
         "Ablation: MFI formulation x engine placement (normalized execution time)",
         &[
@@ -62,16 +49,9 @@ pub fn rtmiss(sweep: &Sweep) -> String {
     let sim = SimConfig::default().with_icache_size(Some(8 * 1024));
     let mut cells = Vec::new();
     for &bench in &sweep.benches {
-        let p = Arc::new(sweep.workload(bench));
-        let c = Arc::new(compress(&p, cc));
-        cells.push(compressed_cell(
-            sweep,
-            bench,
-            &c,
-            cc,
-            EngineConfig::default().perfect_rt(),
-            sim,
-        ));
+        let w = sweep.workload(bench);
+        let perfect = EngineConfig::default().perfect_rt();
+        cells.push(Scenario::compressed(&w, cc, perfect, sim).cell());
         for penalty in penalties {
             let engine = EngineConfig {
                 rt_entries: 512,
@@ -79,7 +59,7 @@ pub fn rtmiss(sweep: &Sweep) -> String {
                 miss_penalty: penalty,
                 ..EngineConfig::default()
             };
-            cells.push(compressed_cell(sweep, bench, &c, cc, engine, sim));
+            cells.push(Scenario::compressed(&w, cc, engine, sim).cell());
         }
     }
     let vals = sweep.run_cells(&cells);
@@ -93,24 +73,14 @@ pub fn rtmiss(sweep: &Sweep) -> String {
 
 /// Context-switch rate sensitivity: DISE stall cycles per 1K application
 /// instructions when the PT/RT are flushed every `interval` instructions.
-fn ctx_cell(sweep: &Sweep, bench: Benchmark, p: &Arc<Program>, interval: u64) -> Cell {
-    let key = cell_key(
-        sweep,
+fn ctx_cell(w: &Arc<Workload>, interval: u64) -> Cell {
+    let key = w.cell_key(
         "ctxswitch",
-        bench,
         &format!("interval={interval},engine={:?}", EngineConfig::default()),
     );
-    let p = Arc::clone(p);
+    let mfi = Scenario::dise_mfi(w, MfiVariant::Dise3, ExpansionCost::Free, SimConfig::default());
     Cell::new(key, move || {
-        let mut m = Machine::load(&p);
-        m.attach_engine(
-            DiseEngine::with_productions(
-                EngineConfig::default(),
-                mfi_productions(&p, MfiVariant::Dise3),
-            )
-            .unwrap(),
-        );
-        Mfi::init_machine(&mut m);
+        let mut m = mfi.machine(true);
         // A functional run feeding the PT/RT model directly: only the
         // tables' stall cycles are measured, not the pipeline.
         let mut tables = DiseCacheModel::new(m.engine().unwrap());
@@ -146,9 +116,9 @@ pub fn ctx(sweep: &Sweep) -> String {
     let intervals = [100_000u64, 10_000, 1_000];
     let mut cells = Vec::new();
     for &bench in &sweep.benches {
-        let p = Arc::new(sweep.workload(bench));
+        let w = sweep.workload(bench);
         for interval in intervals {
-            cells.push(ctx_cell(sweep, bench, &p, interval));
+            cells.push(ctx_cell(&w, interval));
         }
     }
     let vals = sweep.run_cells(&cells);
@@ -172,16 +142,9 @@ pub fn rtblock(sweep: &Sweep) -> String {
     let sim = SimConfig::default().with_icache_size(Some(8 * 1024));
     let mut cells = Vec::new();
     for &bench in &sweep.benches {
-        let p = Arc::new(sweep.workload(bench));
-        let c = Arc::new(compress(&p, cc));
-        cells.push(compressed_cell(
-            sweep,
-            bench,
-            &c,
-            cc,
-            EngineConfig::default().perfect_rt(),
-            sim,
-        ));
+        let w = sweep.workload(bench);
+        let perfect = EngineConfig::default().perfect_rt();
+        cells.push(Scenario::compressed(&w, cc, perfect, sim).cell());
         for block in blocks {
             let engine = EngineConfig {
                 rt_entries: 512,
@@ -189,7 +152,7 @@ pub fn rtblock(sweep: &Sweep) -> String {
                 rt_block: block,
                 ..EngineConfig::default()
             };
-            cells.push(compressed_cell(sweep, bench, &c, cc, engine, sim));
+            cells.push(Scenario::compressed(&w, cc, engine, sim).cell());
         }
     }
     let vals = sweep.run_cells(&cells);
@@ -199,20 +162,4 @@ pub fn rtblock(sweep: &Sweep) -> String {
         &["blk-1", "blk-2", "blk-4", "blk-8"],
         &rows,
     )
-}
-
-/// Rows of `chunk[1..] / chunk[0]` per benchmark.
-fn normalized_to_first(sweep: &Sweep, vals: &[Vec<f64>], chunk: usize) -> Vec<(String, Vec<f64>)> {
-    sweep
-        .benches
-        .iter()
-        .zip(vals.chunks(chunk))
-        .map(|(bench, v)| {
-            let base = v[0][0];
-            (
-                bench.name().to_string(),
-                v[1..].iter().map(|c| c[0] / base).collect(),
-            )
-        })
-        .collect()
 }

@@ -5,8 +5,8 @@ use std::sync::Arc;
 use dise_acf::mfi::MfiVariant;
 use dise_sim::{ExpansionCost, SimConfig};
 
-use super::{baseline_cell, dise_mfi_cell, rewrite_mfi_cell};
-use crate::{format_table, Sweep};
+use super::normalized_to_first;
+use crate::{format_table, Cell, Scenario, Sweep, Workload};
 
 /// Top panel: normalized execution time on the baseline machine for
 /// rewriting, DISE4 (free), DISE +stall, DISE +pipe, DISE3 (free).
@@ -14,31 +14,9 @@ pub fn top(sweep: &Sweep) -> String {
     let sim = SimConfig::default();
     let mut cells = Vec::new();
     for &bench in &sweep.benches {
-        let p = Arc::new(sweep.workload(bench));
-        cells.push(baseline_cell(sweep, bench, &p, sim));
-        cells.push(rewrite_mfi_cell(sweep, bench, &p, sim));
-        for (variant, cost) in [
-            (MfiVariant::Dise4, ExpansionCost::Free),
-            (MfiVariant::Dise3, ExpansionCost::StallPerExpansion),
-            (MfiVariant::Dise3, ExpansionCost::ExtraStage),
-            (MfiVariant::Dise3, ExpansionCost::Free),
-        ] {
-            cells.push(dise_mfi_cell(sweep, bench, &p, variant, cost, sim));
-        }
+        cells.extend(top_column(&sweep.workload(bench), sim));
     }
-    let vals = sweep.run_cells(&cells);
-    let rows: Vec<(String, Vec<f64>)> = sweep
-        .benches
-        .iter()
-        .zip(vals.chunks(6))
-        .map(|(bench, v)| {
-            let base = v[0][0];
-            (
-                bench.name().to_string(),
-                v[1..].iter().map(|c| c[0] / base).collect(),
-            )
-        })
-        .collect();
+    let rows = normalized_to_first(sweep, &sweep.run_cells(&cells), 6);
     format_table(
         "Figure 6 (top): MFI, normalized execution time",
         &["rewrite", "DISE4", "+stall", "+pipe", "DISE3"],
@@ -46,94 +24,69 @@ pub fn top(sweep: &Sweep) -> String {
     )
 }
 
+/// One benchmark's top-panel cells: the baseline, then rewriting, DISE4,
+/// DISE3 +stall, DISE3 +pipe and DISE3.
+pub fn top_column(w: &Arc<Workload>, sim: SimConfig) -> Vec<Cell> {
+    let mut cells = vec![
+        Scenario::baseline(w, sim).cell(),
+        Scenario::rewrite_mfi(w, sim).cell(),
+    ];
+    for (variant, cost) in [
+        (MfiVariant::Dise4, ExpansionCost::Free),
+        (MfiVariant::Dise3, ExpansionCost::StallPerExpansion),
+        (MfiVariant::Dise3, ExpansionCost::ExtraStage),
+        (MfiVariant::Dise3, ExpansionCost::Free),
+    ] {
+        cells.push(Scenario::dise_mfi(w, variant, cost, sim).cell());
+    }
+    cells
+}
+
 /// Middle panel: DISE3 vs. rewriting across I-cache sizes, normalized per
 /// size to the MFI-free run.
 pub fn cache(sweep: &Sweep) -> String {
-    let sizes = [
-        Some(8 * 1024),
-        Some(32 * 1024),
-        Some(128 * 1024),
-        None,
-    ];
-    let mut cells = Vec::new();
-    for &bench in &sweep.benches {
-        let p = Arc::new(sweep.workload(bench));
-        for size in sizes {
-            let sim = SimConfig::default().with_icache_size(size);
-            cells.push(baseline_cell(sweep, bench, &p, sim));
-            cells.push(dise_mfi_cell(
-                sweep,
-                bench,
-                &p,
-                MfiVariant::Dise3,
-                ExpansionCost::Free,
-                sim,
-            ));
-            cells.push(rewrite_mfi_cell(sweep, bench, &p, sim));
-        }
-    }
-    let vals = sweep.run_cells(&cells);
-    let rows: Vec<(String, Vec<f64>)> = sweep
-        .benches
-        .iter()
-        .zip(vals.chunks(3 * sizes.len()))
-        .map(|(bench, v)| {
-            let mut row = Vec::new();
-            for t in v.chunks(3) {
-                let base = t[0][0];
-                row.push(t[1][0] / base);
-                row.push(t[2][0] / base);
-            }
-            (bench.name().to_string(), row)
-        })
-        .collect();
-    format_table(
+    let sizes = [Some(8 * 1024), Some(32 * 1024), Some(128 * 1024), None];
+    let sims = sizes.map(|size| SimConfig::default().with_icache_size(size));
+    dise3_vs_rewrite(
+        sweep,
+        &sims,
         "Figure 6 (middle): MFI across I-cache sizes (DISE3 | rewrite per size)",
-        &[
-            "D-8K", "R-8K", "D-32K", "R-32K", "D-128K", "R-128K", "D-inf", "R-inf",
-        ],
-        &rows,
+        &["D-8K", "R-8K", "D-32K", "R-32K", "D-128K", "R-128K", "D-inf", "R-inf"],
     )
 }
 
 /// Bottom panel: DISE3 vs. rewriting across processor widths at 32KB I$.
 pub fn width(sweep: &Sweep) -> String {
-    let widths = [2u64, 4, 8, 16];
+    let sims = [2u64, 4, 8, 16].map(|width| SimConfig::default().with_width(width));
+    dise3_vs_rewrite(
+        sweep,
+        &sims,
+        "Figure 6 (bottom): MFI across processor widths (DISE3 | rewrite per width)",
+        &["D-2", "R-2", "D-4", "R-4", "D-8", "R-8", "D-16", "R-16"],
+    )
+}
+
+/// DISE3 and rewriting on each machine in `sims`, each normalized to the
+/// MFI-free run on the same machine.
+fn dise3_vs_rewrite(sweep: &Sweep, sims: &[SimConfig], title: &str, header: &[&str]) -> String {
     let mut cells = Vec::new();
     for &bench in &sweep.benches {
-        let p = Arc::new(sweep.workload(bench));
-        for w in widths {
-            let sim = SimConfig::default().with_width(w);
-            cells.push(baseline_cell(sweep, bench, &p, sim));
-            cells.push(dise_mfi_cell(
-                sweep,
-                bench,
-                &p,
-                MfiVariant::Dise3,
-                ExpansionCost::Free,
-                sim,
-            ));
-            cells.push(rewrite_mfi_cell(sweep, bench, &p, sim));
+        let w = sweep.workload(bench);
+        for &sim in sims {
+            cells.push(Scenario::baseline(&w, sim).cell());
+            cells.push(Scenario::dise_mfi(&w, MfiVariant::Dise3, ExpansionCost::Free, sim).cell());
+            cells.push(Scenario::rewrite_mfi(&w, sim).cell());
         }
     }
     let vals = sweep.run_cells(&cells);
     let rows: Vec<(String, Vec<f64>)> = sweep
         .benches
         .iter()
-        .zip(vals.chunks(3 * widths.len()))
+        .zip(vals.chunks(3 * sims.len()))
         .map(|(bench, v)| {
-            let mut row = Vec::new();
-            for t in v.chunks(3) {
-                let base = t[0][0];
-                row.push(t[1][0] / base);
-                row.push(t[2][0] / base);
-            }
-            (bench.name().to_string(), row)
+            let row = v.chunks(3).flat_map(|t| [t[1][0] / t[0][0], t[2][0] / t[0][0]]);
+            (bench.name().to_string(), row.collect())
         })
         .collect();
-    format_table(
-        "Figure 6 (bottom): MFI across processor widths (DISE3 | rewrite per width)",
-        &["D-2", "R-2", "D-4", "R-4", "D-8", "R-8", "D-16", "R-16"],
-        &rows,
-    )
+    format_table(title, header, &rows)
 }

@@ -6,8 +6,9 @@ use dise_acf::compress::{CompressionConfig, SelectAlgo};
 use dise_core::{EngineConfig, RtOrganization};
 use dise_sim::SimConfig;
 
-use super::{baseline_cell, compressed_cell, ratio_cell};
-use crate::{compress, format_table, Sweep};
+use super::normalized_to_first;
+use crate::scenario::Recipe;
+use crate::{compress, format_table, registry_pairs, Cell, CellOutput, Scenario, Sweep};
 
 /// Top panel: static compression ratio (code, and code+dictionary) over
 /// the six-configuration feature walk, plus the DP-cover (v2)
@@ -25,9 +26,19 @@ pub fn ratio(sweep: &Sweep) -> String {
     ];
     let mut cells = Vec::new();
     for &bench in &sweep.benches {
-        let p = Arc::new(sweep.workload(bench));
+        let w = sweep.workload(bench);
         for (_, cc) in configs {
-            cells.push(ratio_cell(sweep, bench, &p, cc));
+            // A static measurement: the cell compresses, but simulates
+            // nothing.
+            let key = w.cell_key("compress_ratio", &format!("cc={cc:?}"));
+            let w = Arc::clone(&w);
+            cells.push(Cell::new(key, move || {
+                let c = compress(w.image(Recipe::Plain).program(), cc);
+                CellOutput {
+                    values: vec![c.stats.code_ratio(), c.stats.total_ratio()],
+                    stats: registry_pairs(&c.stats.registry()),
+                }
+            }));
         }
     }
     let vals = sweep.run_cells(&cells);
@@ -67,21 +78,14 @@ pub fn perf(sweep: &Sweep) -> String {
         None,
     ];
     let cc = CompressionConfig::dise_full().with_select(SelectAlgo::V2);
+    let perfect = EngineConfig::default().perfect_rt();
     let mut cells = Vec::new();
     for &bench in &sweep.benches {
-        let p = Arc::new(sweep.workload(bench));
-        let c = Arc::new(compress(&p, cc));
+        let w = sweep.workload(bench);
         for size in sizes {
             let sim = SimConfig::default().with_icache_size(size);
-            cells.push(baseline_cell(sweep, bench, &p, sim));
-            cells.push(compressed_cell(
-                sweep,
-                bench,
-                &c,
-                cc,
-                EngineConfig::default().perfect_rt(),
-                sim,
-            ));
+            cells.push(Scenario::baseline(&w, sim).cell());
+            cells.push(Scenario::compressed(&w, cc, perfect, sim).cell());
         }
     }
     let vals = sweep.run_cells(&cells);
@@ -123,38 +127,19 @@ pub fn rt(sweep: &Sweep) -> String {
     let sim = SimConfig::default().with_icache_size(Some(8 * 1024));
     let mut cells = Vec::new();
     for &bench in &sweep.benches {
-        let p = Arc::new(sweep.workload(bench));
-        let c = Arc::new(compress(&p, cc));
-        cells.push(compressed_cell(
-            sweep,
-            bench,
-            &c,
-            cc,
-            EngineConfig::default().perfect_rt(),
-            sim,
-        ));
+        let w = sweep.workload(bench);
+        let perfect = EngineConfig::default().perfect_rt();
+        cells.push(Scenario::compressed(&w, cc, perfect, sim).cell());
         for (_, entries, org) in configs {
             let engine = EngineConfig {
                 rt_entries: entries.max(1),
                 rt_org: org,
                 ..EngineConfig::default()
             };
-            cells.push(compressed_cell(sweep, bench, &c, cc, engine, sim));
+            cells.push(Scenario::compressed(&w, cc, engine, sim).cell());
         }
     }
-    let vals = sweep.run_cells(&cells);
-    let rows: Vec<(String, Vec<f64>)> = sweep
-        .benches
-        .iter()
-        .zip(vals.chunks(1 + configs.len()))
-        .map(|(bench, v)| {
-            let perfect = v[0][0];
-            (
-                bench.name().to_string(),
-                v[1..].iter().map(|c| c[0] / perfect).collect(),
-            )
-        })
-        .collect();
+    let rows = normalized_to_first(sweep, &sweep.run_cells(&cells), 1 + configs.len());
     format_table(
         "Figure 7 (bottom): execution time vs RT configuration (normalized to perfect RT, 8KB I$)",
         &["512-DM", "512-2w", "2K-DM", "2K-2w", "perfect"],

@@ -1,4 +1,4 @@
-//! Figure sweep bodies, expressed as flat [`Cell`] lists.
+//! Figure sweep bodies, expressed as flat [`crate::Cell`] lists.
 //!
 //! Each panel function builds every (benchmark × config) cell up front,
 //! fans the whole list across the sweep's worker pool **once** (so slow
@@ -6,188 +6,39 @@
 //! order-stable results. The table strings are byte-identical across job
 //! counts and cache warmth — `tests/determinism.rs` asserts it.
 //!
-//! Cell keys spell out everything a result depends on: the workload
-//! fingerprint, the kind of run, and the `Debug` forms of every relevant
-//! configuration. Identical runs shared between panels (e.g. the default
-//! baseline of Figure 6 top and the 32KB baseline of its cache panel, or
-//! the DISE3/DISE4 points shared between Figure 6 and the ablation
-//! matrix) therefore collapse to one cache entry.
+//! Each simulating cell is a [`crate::Scenario`], whose key spells out
+//! everything a result depends on: the workload fingerprint, the kind of
+//! run, and the `Debug` forms of every relevant configuration. A panel
+//! makes one [`crate::Workload`] per benchmark, so each image is built at
+//! most once, by the first cell that misses the cache. Identical runs
+//! shared between panels (e.g. the default baseline of Figure 6 top and
+//! the 32KB baseline of its cache panel, or the DISE3/DISE4 points shared
+//! between Figure 6 and the ablation matrix) therefore collapse to one
+//! cache entry.
 
 pub mod ablation;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 
-use std::sync::Arc;
+use crate::Sweep;
 
-use dise_acf::compress::{CompressedProgram, CompressionConfig};
-use dise_acf::mfi::MfiVariant;
-use dise_core::EngineConfig;
-use dise_isa::Program;
-use dise_sim::{ExpansionCost, SimConfig};
-use dise_workloads::{Benchmark, WorkloadConfig};
-
-use crate::cache::{CellOutput, CACHE_VERSION};
-use crate::{registry_pairs, stat_pairs, Cell, Sweep};
-
-/// Merges a run's simulation stats with the static `acf.compress.*`
-/// counters of the compressed program it executed, name-sorted so the
-/// snapshot stays byte-stable.
-fn with_compress_stats(
-    mut pairs: Vec<(String, f64)>,
-    c: &CompressedProgram,
-) -> Vec<(String, f64)> {
-    pairs.extend(registry_pairs(&c.stats.registry()));
-    pairs.sort_by(|a, b| a.0.cmp(&b.0));
-    pairs
-}
-
-/// The content-address key for one cell: version, run kind, workload
-/// identity, and the configuration detail string.
-pub(crate) fn cell_key(sweep: &Sweep, kind: &str, bench: Benchmark, detail: &str) -> String {
-    format!(
-        "v{CACHE_VERSION}|{kind}|{}|{}|{detail}",
-        bench.name(),
-        WorkloadConfig::default()
-            .with_dyn_insts(sweep.dyn_insts)
-            .fingerprint(),
-    )
-}
-
-/// Cycles of a bare (ACF-free) run.
-pub(crate) fn baseline_cell(
+/// Rows of `chunk[1..] / chunk[0]` per benchmark.
+pub(crate) fn normalized_to_first(
     sweep: &Sweep,
-    bench: Benchmark,
-    p: &Arc<Program>,
-    sim: SimConfig,
-) -> Cell {
-    let key = cell_key(sweep, "baseline", bench, &format!("sim={sim:?}"));
-    let fuel = sweep.fuel();
-    let p = Arc::clone(p);
-    Cell::new(key, move || {
-        let stats = crate::run_baseline(&p, sim, fuel);
-        CellOutput {
-            values: vec![stats.cycles as f64],
-            stats: stat_pairs(&stats),
-        }
-    })
-}
-
-/// Cycles under DISE memory fault isolation.
-pub(crate) fn dise_mfi_cell(
-    sweep: &Sweep,
-    bench: Benchmark,
-    p: &Arc<Program>,
-    variant: MfiVariant,
-    cost: ExpansionCost,
-    sim: SimConfig,
-) -> Cell {
-    let key = cell_key(
-        sweep,
-        "dise_mfi",
-        bench,
-        &format!("variant={variant:?},cost={cost:?},engine={:?},sim={sim:?}", EngineConfig::default()),
-    );
-    let fuel = sweep.fuel();
-    let p = Arc::clone(p);
-    Cell::new(key, move || {
-        let stats = crate::run_dise_mfi(&p, variant, cost, sim, fuel);
-        CellOutput {
-            values: vec![stats.cycles as f64],
-            stats: stat_pairs(&stats),
-        }
-    })
-}
-
-/// Cycles under binary-rewriting memory fault isolation.
-pub(crate) fn rewrite_mfi_cell(
-    sweep: &Sweep,
-    bench: Benchmark,
-    p: &Arc<Program>,
-    sim: SimConfig,
-) -> Cell {
-    let key = cell_key(sweep, "rewrite_mfi", bench, &format!("sim={sim:?}"));
-    let fuel = sweep.fuel();
-    let p = Arc::clone(p);
-    Cell::new(key, move || {
-        let stats = crate::run_rewrite_mfi(&p, sim, fuel);
-        CellOutput {
-            values: vec![stats.cycles as f64],
-            stats: stat_pairs(&stats),
-        }
-    })
-}
-
-/// `[code_ratio, total_ratio]` of compressing under `cc`.
-pub(crate) fn ratio_cell(
-    sweep: &Sweep,
-    bench: Benchmark,
-    p: &Arc<Program>,
-    cc: CompressionConfig,
-) -> Cell {
-    let key = cell_key(sweep, "compress_ratio", bench, &format!("cc={cc:?}"));
-    let p = Arc::clone(p);
-    Cell::new(key, move || {
-        let c = crate::compress(&p, cc);
-        CellOutput {
-            values: vec![c.stats.code_ratio(), c.stats.total_ratio()],
-            stats: registry_pairs(&c.stats.registry()),
-        }
-    })
-}
-
-/// Cycles of a DISE-compressed run. `cc` names the compression
-/// configuration that produced `c` (part of the key, since
-/// [`CompressedProgram`] does not carry it).
-pub(crate) fn compressed_cell(
-    sweep: &Sweep,
-    bench: Benchmark,
-    c: &Arc<CompressedProgram>,
-    cc: CompressionConfig,
-    engine: EngineConfig,
-    sim: SimConfig,
-) -> Cell {
-    let key = cell_key(
-        sweep,
-        "compressed",
-        bench,
-        &format!("cc={cc:?},engine={engine:?},sim={sim:?}"),
-    );
-    let fuel = sweep.fuel();
-    let c = Arc::clone(c);
-    Cell::new(key, move || {
-        let stats = crate::run_compressed(&c, engine, sim, fuel);
-        CellOutput {
-            values: vec![stats.cycles as f64],
-            stats: with_compress_stats(stat_pairs(&stats), &c),
-        }
-    })
-}
-
-/// Cycles of the DISE+DISE composition (decompression with MFI inlined,
-/// eagerly or in the RT miss handler).
-pub(crate) fn composed_cell(
-    sweep: &Sweep,
-    bench: Benchmark,
-    c: &Arc<CompressedProgram>,
-    cc: CompressionConfig,
-    engine: EngineConfig,
-    sim: SimConfig,
-    eager: bool,
-) -> Cell {
-    let key = cell_key(
-        sweep,
-        "composed",
-        bench,
-        &format!("eager={eager},cc={cc:?},engine={engine:?},sim={sim:?}"),
-    );
-    let fuel = sweep.fuel();
-    let c = Arc::clone(c);
-    Cell::new(key, move || {
-        let stats = crate::run_composed_dise(&c, engine, sim, eager, fuel);
-        CellOutput {
-            values: vec![stats.cycles as f64],
-            stats: with_compress_stats(stat_pairs(&stats), &c),
-        }
-    })
+    vals: &[Vec<f64>],
+    chunk: usize,
+) -> Vec<(String, Vec<f64>)> {
+    sweep
+        .benches
+        .iter()
+        .zip(vals.chunks(chunk))
+        .map(|(bench, v)| {
+            let base = v[0][0];
+            (
+                bench.name().to_string(),
+                v[1..].iter().map(|c| c[0] / base).collect(),
+            )
+        })
+        .collect()
 }

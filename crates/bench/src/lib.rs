@@ -15,12 +15,13 @@
 //!   (`rt`).
 //!
 //! Each prints the same rows/series the paper's figures plot. The sweep
-//! bodies live in [`figures`]; the binaries are argument-parsing shells.
+//! bodies live in [`figures`]; each binary is one [`figure_main`] call.
 //!
 //! ## Sweep execution model
 //!
 //! A sweep is a flat list of [`Cell`]s — one independent, deterministic
-//! computation each (typically a single simulator run). Cells fan out
+//! computation each (typically a single simulator run of a
+//! [`Scenario`], which also renders the cell's key). Cells fan out
 //! across a [`Pool`] of `DISE_BENCH_JOBS` workers (default: available
 //! parallelism) and land in a content-addressed [`CellCache`] under
 //! `results/cache/` (`DISE_BENCH_CACHE` overrides; `off` disables), so
@@ -31,55 +32,63 @@
 //! The dynamic instruction budget per run defaults to 1M application
 //! instructions and can be overridden with the `DISE_BENCH_DYN`
 //! environment variable; `DISE_BENCH_FILTER=gcc,mcf` restricts the
-//! benchmark set.
+//! benchmark set. A malformed value is an error, never a silent default.
 
 pub mod cache;
 pub mod checkpoint;
 pub mod figures;
 pub mod pool;
+pub mod scenario;
 pub mod serve;
 
 pub use cache::{CellCache, CellOutput};
 pub use pool::Pool;
+pub use scenario::{
+    run, run_baseline, run_composed_dise, run_compressed, run_dise_mfi, Scenario, Workload,
+};
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use dise_acf::compress::{CompressedProgram, CompressionConfig, Compressor};
-use dise_acf::mfi::{Mfi, MfiVariant};
-use dise_core::{compose, Controller, DiseEngine, EngineConfig, ProductionSet};
 use dise_isa::Program;
-use dise_rewrite::RewriteMfi;
-use dise_sim::{ExpansionCost, Machine, MachineConfig, SimConfig, SimStats, Simulator};
+use dise_sim::{SimConfig, SimStats};
 use dise_workloads::{Benchmark, WorkloadConfig};
 
 /// Default dynamic application-instruction budget per run.
 pub const DEFAULT_DYN: u64 = 1_000_000;
 
 /// Reads the per-run dynamic budget (env `DISE_BENCH_DYN`).
-pub fn dyn_budget() -> u64 {
-    std::env::var("DISE_BENCH_DYN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_DYN)
-}
-
-/// The benchmark set, honoring `DISE_BENCH_FILTER`.
-pub fn benchmarks() -> Vec<Benchmark> {
-    match std::env::var("DISE_BENCH_FILTER") {
-        Ok(filter) => filter
-            .split(',')
-            .filter_map(|f| Benchmark::from_name(f.trim()))
-            .collect(),
-        Err(_) => Benchmark::ALL.to_vec(),
+fn dyn_budget() -> Result<u64, String> {
+    match std::env::var("DISE_BENCH_DYN") {
+        Ok(v) => match v.trim().parse::<u64>() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!(
+                "DISE_BENCH_DYN must be a positive integer (dynamic instructions per run), got {v:?}"
+            )),
+        },
+        Err(_) => Ok(DEFAULT_DYN),
     }
 }
 
-/// Generates the workload program for a benchmark at the env-configured
-/// budget (see [`Sweep::workload`] for the context-driven form).
-pub fn workload(bench: Benchmark) -> Program {
-    bench.build(&WorkloadConfig::default().with_dyn_insts(dyn_budget()))
+/// The benchmark set, honoring `DISE_BENCH_FILTER`.
+fn benchmarks() -> Result<Vec<Benchmark>, String> {
+    let Ok(filter) = std::env::var("DISE_BENCH_FILTER") else {
+        return Ok(Benchmark::ALL.to_vec());
+    };
+    filter
+        .split(',')
+        .map(|f| {
+            Benchmark::from_name(f.trim()).ok_or_else(|| {
+                let known: Vec<&str> = Benchmark::ALL.iter().map(|b| b.name()).collect();
+                format!(
+                    "DISE_BENCH_FILTER names unknown benchmark {f:?}: expected a comma-separated list of {}",
+                    known.join(", ")
+                )
+            })
+        })
+        .collect()
 }
 
 /// Simulation fuel for a given application budget: a generous multiple so
@@ -187,17 +196,13 @@ pub fn apply_telemetry(config: SimConfig) -> SimConfig {
 /// `dise_obs::init_from_env`) so every harness binary exports records
 /// without per-binary wiring.
 ///
-/// Panics with a usage message on malformed values.
+/// Exits 2 with a one-line usage message on malformed values.
 pub fn parse_telemetry_args(args: &mut Vec<String>) -> Option<PathBuf> {
     fn ring(v: &str) -> usize {
-        parse_trace_last(v).unwrap_or_else(|why| {
-            eprintln!("{why}");
-            std::process::exit(2);
-        })
+        parse_trace_last(v).unwrap_or_else(|why| usage_error(&why))
     }
     if let Err(e) = dise_obs::init_from_env() {
-        eprintln!("invalid DISE_OBS_SINK: {e}");
-        std::process::exit(2);
+        usage_error(&format!("invalid DISE_OBS_SINK: {e}"));
     }
     let mut opts = TelemetryOpts::default();
     let mut stats_out = None;
@@ -214,14 +219,18 @@ pub fn parse_telemetry_args(args: &mut Vec<String>) -> Option<PathBuf> {
             opts.watchdog = DEFAULT_WATCHDOG;
         } else if a == "--trace-last" {
             i += 1;
-            let v = old.get(i).expect("--trace-last wants a value");
+            let v = old
+                .get(i)
+                .unwrap_or_else(|| usage_error("--trace-last wants a value: --trace-last N"));
             opts.trace_last = ring(v);
             opts.watchdog = DEFAULT_WATCHDOG;
         } else if let Some(p) = a.strip_prefix("--stats-json=") {
             stats_out = Some(PathBuf::from(p));
         } else if a == "--stats-json" {
             i += 1;
-            let p = old.get(i).expect("--stats-json wants a path");
+            let p = old
+                .get(i)
+                .unwrap_or_else(|| usage_error("--stats-json wants a path: --stats-json PATH"));
             stats_out = Some(PathBuf::from(p));
         } else if a == "--shadow" {
             opts.shadow = true;
@@ -235,6 +244,50 @@ pub fn parse_telemetry_args(args: &mut Vec<String>) -> Option<PathBuf> {
         set_telemetry(opts);
     }
     stats_out
+}
+
+/// Bad command-line or environment input: print `why` as one line and
+/// exit 2.
+fn usage_error(why: &str) -> ! {
+    eprintln!("{why}");
+    std::process::exit(2);
+}
+
+/// A figure panel: runs its cells and renders its table.
+pub type Panel = fn(&Sweep) -> String;
+
+/// The `main` every figure binary shares. It parses the telemetry
+/// flags, then checks the panel names and the `DISE_BENCH_*` environment
+/// before any cell runs: bad input exits 2 with one line on stderr. It
+/// prints the named panels (all by default) in `panels` order, each under
+/// a root span `{figure}_{panel}`, and writes `--stats-json`.
+pub fn figure_main(figure: &str, panels: &[(&str, Panel)]) {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let stats_out = parse_telemetry_args(&mut args);
+    let names: Vec<&str> = panels.iter().map(|(name, _)| *name).collect();
+    if let Some(bad) = args.iter().find(|a| !names.contains(&a.as_str())) {
+        usage_error(&format!(
+            "unknown {figure} panel {bad:?}: expected any of {}",
+            names.join(", ")
+        ));
+    }
+    let sweep = Sweep::from_env().unwrap_or_else(|why| usage_error(&why));
+    for (name, panel) in panels {
+        if args.is_empty() || args.iter().any(|a| a == name) {
+            // Root span (inert without a DISE_OBS_SINK session): one
+            // top-level trace bar per panel, cells and phases nested
+            // underneath.
+            let _s = dise_obs::span::enter("figure", &format!("{figure}_{name}"));
+            print!("{}", panel(&sweep));
+        }
+    }
+    if let Some(path) = stats_out {
+        if let Err(why) = write_stats_json(&path, &sweep.stats_json()) {
+            eprintln!("{why}");
+            std::process::exit(1);
+        }
+        eprintln!("wrote {}", path.display());
+    }
 }
 
 /// Flattens a run's stats registry into the `(name, value)` pairs a
@@ -359,19 +412,19 @@ impl Sweep {
 
     /// A sweep configured from `DISE_BENCH_DYN`, `DISE_BENCH_FILTER`,
     /// `DISE_BENCH_JOBS` and `DISE_BENCH_CACHE`.
-    pub fn from_env() -> Sweep {
-        Sweep::new(dyn_budget(), benchmarks(), Pool::from_env(), CellCache::from_env())
+    ///
+    /// # Errors
+    ///
+    /// A one-line message naming the variable, its bad value and the
+    /// accepted form.
+    pub fn from_env() -> Result<Sweep, String> {
+        Ok(Sweep::new(dyn_budget()?, benchmarks()?, Pool::from_env()?, CellCache::from_env()))
     }
 
-    /// Generates the workload program for a benchmark at this sweep's
-    /// budget.
-    pub fn workload(&self, bench: Benchmark) -> Program {
-        bench.build(&WorkloadConfig::default().with_dyn_insts(self.dyn_insts))
-    }
-
-    /// This sweep's per-run simulation fuel.
-    pub fn fuel(&self) -> u64 {
-        fuel_for(self.dyn_insts)
+    /// A benchmark's workload at this sweep's budget; its images are
+    /// built on first use.
+    pub fn workload(&self, bench: Benchmark) -> Arc<Workload> {
+        Workload::new(bench, WorkloadConfig::default().with_dyn_insts(self.dyn_insts))
     }
 
     /// Runs every cell (through the cache, across the pool) and returns
@@ -435,199 +488,9 @@ fn audit_snapshot_neutrality(cell: &Cell, out: &CellOutput) {
     );
 }
 
-/// When `--shadow` is armed, attaches a slow-path shadow oracle built by
-/// `build` to `sim`. The builder must mirror the primary machine's
-/// construction exactly (same program, engine productions, register
-/// init) but on the byte-accurate slow path, so the lockstep comparison
-/// cross-checks the fast path (predecode, expansion cache) against the
-/// reference engine on every retired instruction. The same
-/// builder is handed to [`checkpoint::run_sim_replay`], which uses it to
-/// arm a shadow during anomaly replay even when `--shadow` is off.
-fn maybe_attach_shadow(sim: &mut Simulator, build: checkpoint::ShadowBuilder<'_>) {
-    if telemetry().shadow {
-        sim.attach_shadow(build());
-    }
-}
-
-/// Runs a bare program (no ACFs).
-pub fn run_baseline(program: &Program, config: SimConfig, fuel: u64) -> SimStats {
-    let machine = {
-        let _t = dise_obs::profile::scope("predecode");
-        let _s = dise_obs::span::enter("phase", "predecode");
-        Machine::load(program)
-    };
-    let mut sim = Simulator::new(apply_telemetry(config), machine);
-    let shadow = || Machine::with_config(program, MachineConfig::default().slow_path());
-    maybe_attach_shadow(&mut sim, &shadow);
-    let _t = dise_obs::profile::scope("timing_run");
-    let _s = dise_obs::span::enter("phase", "timing_run");
-    checkpoint::run_sim_replay(&mut sim, fuel, Some(&shadow)).expect("baseline run").stats
-}
-
-/// Builds the MFI production set for `program` (error handler at its
-/// `mfi_error` symbol).
-pub fn mfi_productions(program: &Program, variant: MfiVariant) -> ProductionSet {
-    Mfi::new(variant)
-        .with_error_handler(program.symbol("mfi_error").expect("workloads define mfi_error"))
-        .productions()
-        .expect("MFI productions build")
-}
-
-/// Runs a program under DISE memory fault isolation.
-pub fn run_dise_mfi(
-    program: &Program,
-    variant: MfiVariant,
-    cost: ExpansionCost,
-    config: SimConfig,
-    fuel: u64,
-) -> SimStats {
-    let mut m = {
-        let _t = dise_obs::profile::scope("predecode");
-        let _s = dise_obs::span::enter("phase", "predecode");
-        Machine::load(program)
-    };
-    {
-        let _t = dise_obs::profile::scope("engine_setup");
-        let _s = dise_obs::span::enter("phase", "engine_setup");
-        m.attach_engine(
-            DiseEngine::with_productions(
-                EngineConfig::default(),
-                mfi_productions(program, variant),
-            )
-            .expect("engine"),
-        );
-        Mfi::init_machine(&mut m);
-    }
-    let mut sim = Simulator::new(apply_telemetry(config.with_expansion_cost(cost)), m);
-    let shadow = || {
-        let mut s = Machine::with_config(program, MachineConfig::default().slow_path());
-        s.attach_engine(
-            DiseEngine::with_productions(
-                EngineConfig::default().slow_path(),
-                mfi_productions(program, variant),
-            )
-            .expect("engine"),
-        );
-        Mfi::init_machine(&mut s);
-        s
-    };
-    maybe_attach_shadow(&mut sim, &shadow);
-    let _t = dise_obs::profile::scope("timing_run");
-    let _s = dise_obs::span::enter("phase", "timing_run");
-    checkpoint::run_sim_replay(&mut sim, fuel, Some(&shadow)).expect("DISE MFI run").stats
-}
-
-/// Runs a program under binary-rewriting memory fault isolation.
-pub fn run_rewrite_mfi(program: &Program, config: SimConfig, fuel: u64) -> SimStats {
-    let rewritten = RewriteMfi::new().rewrite(program).expect("rewrite").program;
-    let machine = {
-        let _t = dise_obs::profile::scope("predecode");
-        let _s = dise_obs::span::enter("phase", "predecode");
-        Machine::load(&rewritten)
-    };
-    let mut sim = Simulator::new(apply_telemetry(config), machine);
-    let shadow = || Machine::with_config(&rewritten, MachineConfig::default().slow_path());
-    maybe_attach_shadow(&mut sim, &shadow);
-    let _t = dise_obs::profile::scope("timing_run");
-    let _s = dise_obs::span::enter("phase", "timing_run");
-    checkpoint::run_sim_replay(&mut sim, fuel, Some(&shadow)).expect("rewrite MFI run").stats
-}
-
 /// Compresses a program under a Figure 7 configuration.
 pub fn compress(program: &Program, config: CompressionConfig) -> CompressedProgram {
     Compressor::new(config).compress(program).expect("compression")
-}
-
-/// Runs a compressed program with its decompressor attached.
-pub fn run_compressed(
-    compressed: &CompressedProgram,
-    engine_config: EngineConfig,
-    config: SimConfig,
-    fuel: u64,
-) -> SimStats {
-    let mut m = {
-        let _t = dise_obs::profile::scope("predecode");
-        let _s = dise_obs::span::enter("phase", "predecode");
-        Machine::load(&compressed.program)
-    };
-    {
-        let _t = dise_obs::profile::scope("engine_setup");
-        let _s = dise_obs::span::enter("phase", "engine_setup");
-        compressed
-            .attach(&mut m, engine_config)
-            .expect("attach decompressor");
-    }
-    let mut sim = Simulator::new(apply_telemetry(config), m);
-    let shadow = || {
-        let mut s =
-            Machine::with_config(&compressed.program, MachineConfig::default().slow_path());
-        compressed
-            .attach(&mut s, engine_config.slow_path())
-            .expect("attach decompressor");
-        s
-    };
-    maybe_attach_shadow(&mut sim, &shadow);
-    let _t = dise_obs::profile::scope("timing_run");
-    let _s = dise_obs::span::enter("phase", "timing_run");
-    checkpoint::run_sim_replay(&mut sim, fuel, Some(&shadow)).expect("compressed run").stats
-}
-
-/// Runs the full DISE+DISE composition: a compressed program whose aware
-/// decompression sequences get transparent MFI inlined *at RT-miss time*
-/// (§3.3/§4.3). With `eager`, the composition is instead performed up
-/// front (productions composed in software; misses stay 30 cycles).
-pub fn run_composed_dise(
-    compressed: &CompressedProgram,
-    engine_config: EngineConfig,
-    config: SimConfig,
-    eager: bool,
-    fuel: u64,
-) -> SimStats {
-    let aware = compressed
-        .productions
-        .clone()
-        .expect("DISE compression produces productions");
-    let mfi = mfi_productions(&compressed.program, MfiVariant::Dise3);
-    let build_engine = |engine_config: EngineConfig| {
-        if eager {
-            let composed = compose::compose_nested(&mfi, &aware).expect("eager composition");
-            DiseEngine::with_productions(engine_config, composed).expect("engine")
-        } else {
-            let controller = Controller::new({
-                // The engine must also apply MFI to uncompressed
-                // instructions, so the active set holds both ACFs; only
-                // aware fills compose.
-                let mut set = mfi.clone();
-                set.absorb(&aware).expect("absorb aware productions");
-                set
-            })
-            .with_inline_on_fill(mfi.clone());
-            DiseEngine::with_controller(engine_config, controller)
-        }
-    };
-    let mut m = {
-        let _t = dise_obs::profile::scope("predecode");
-        let _s = dise_obs::span::enter("phase", "predecode");
-        Machine::load(&compressed.program)
-    };
-    {
-        let _t = dise_obs::profile::scope("engine_setup");
-        let _s = dise_obs::span::enter("phase", "engine_setup");
-        m.attach_engine(build_engine(engine_config));
-        Mfi::init_machine(&mut m);
-    }
-    let mut sim = Simulator::new(apply_telemetry(config), m);
-    let shadow = || {
-        let mut s =
-            Machine::with_config(&compressed.program, MachineConfig::default().slow_path());
-        s.attach_engine(build_engine(engine_config.slow_path()));
-        Mfi::init_machine(&mut s);
-        s
-    };
-    maybe_attach_shadow(&mut sim, &shadow);
-    let _t = dise_obs::profile::scope("timing_run");
-    let _s = dise_obs::span::enter("phase", "timing_run");
-    checkpoint::run_sim_replay(&mut sim, fuel, Some(&shadow)).expect("composed run").stats
 }
 
 /// Formats one table row.
@@ -664,11 +527,6 @@ pub fn format_table(title: &str, header: &[&str], rows: &[(String, Vec<f64>)]) -
         out.push('\n');
     }
     out
-}
-
-/// Prints a table with a geometric-mean footer.
-pub fn print_table(title: &str, header: &[&str], rows: &[(String, Vec<f64>)]) {
-    print!("{}", format_table(title, header, rows));
 }
 
 #[cfg(test)]

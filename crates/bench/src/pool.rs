@@ -46,15 +46,15 @@ impl Pool {
     /// (rejected loudly if invalid — see [`Pool::parse_jobs`]), otherwise
     /// the machine's available parallelism.
     ///
-    /// # Panics
+    /// # Errors
     ///
     /// If `DISE_BENCH_JOBS` is set but is not a positive integer.
-    pub fn from_env() -> Pool {
+    pub fn from_env() -> Result<Pool, String> {
         let jobs = match std::env::var("DISE_BENCH_JOBS") {
-            Ok(v) => Pool::parse_jobs(&v).unwrap_or_else(|why| panic!("{why}")),
+            Ok(v) => Pool::parse_jobs(&v)?,
             Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
         };
-        Pool::new(jobs)
+        Ok(Pool::new(jobs))
     }
 
     /// The worker count.

@@ -72,9 +72,8 @@ use dise_obs::Session;
 use dise_sim::{ExpansionCost, Log2Histogram, SimConfig};
 use dise_workloads::Benchmark;
 
-use crate::figures::{baseline_cell, dise_mfi_cell, rewrite_mfi_cell};
 use crate::pool::RunObserver;
-use crate::{Cell, Sweep};
+use crate::{Cell, Scenario, Sweep};
 
 /// Default admission bound for the daemon's [`JobQueue`].
 pub const DEFAULT_QUEUE_BOUND: usize = 16;
@@ -106,35 +105,15 @@ pub fn parse_job(sweep: &Sweep, line: &str) -> Result<Job, String> {
         format!("unknown benchmark {bench_name:?}: known benchmarks are {known:?}")
     })?;
     let sim = SimConfig::default();
-    let p = Arc::new(sweep.workload(bench));
+    let w = sweep.workload(bench);
     let cells = match kind {
-        "baseline" => vec![baseline_cell(sweep, bench, &p, sim)],
-        "mfi" => vec![dise_mfi_cell(
-            sweep,
-            bench,
-            &p,
-            MfiVariant::Dise4,
-            ExpansionCost::Free,
-            sim,
-        )],
-        "rewrite" => vec![rewrite_mfi_cell(sweep, bench, &p, sim)],
-        // The full Figure-6-top column for one benchmark, in the same
-        // order fig6::top builds it.
-        "fig6_top" => {
-            let mut cells = vec![
-                baseline_cell(sweep, bench, &p, sim),
-                rewrite_mfi_cell(sweep, bench, &p, sim),
-            ];
-            for (variant, cost) in [
-                (MfiVariant::Dise4, ExpansionCost::Free),
-                (MfiVariant::Dise3, ExpansionCost::StallPerExpansion),
-                (MfiVariant::Dise3, ExpansionCost::ExtraStage),
-                (MfiVariant::Dise3, ExpansionCost::Free),
-            ] {
-                cells.push(dise_mfi_cell(sweep, bench, &p, variant, cost, sim));
-            }
-            cells
+        "baseline" => vec![Scenario::baseline(&w, sim).cell()],
+        "mfi" => {
+            vec![Scenario::dise_mfi(&w, MfiVariant::Dise4, ExpansionCost::Free, sim).cell()]
         }
+        "rewrite" => vec![Scenario::rewrite_mfi(&w, sim).cell()],
+        // The full Figure-6-top column for one benchmark.
+        "fig6_top" => crate::figures::fig6::top_column(&w, sim),
         other => return Err(format!("unknown job kind {other:?}: {usage}")),
     };
     Ok(Job {

@@ -1,6 +1,6 @@
 //! Smoke test for the `--shadow` lockstep oracle: with shadow checking
-//! armed, every run-helper scenario must complete divergence-free (a
-//! divergence panics the helper with `SimError::Anomaly`).
+//! armed, every kind of scenario must complete divergence-free (a
+//! divergence panics `run` with `SimError::Anomaly`).
 //!
 //! This lives in its own test binary because [`dise_bench::set_telemetry`]
 //! is a process-global first-call-wins latch: arming `shadow` here would
@@ -8,10 +8,7 @@
 
 use dise_acf::compress::CompressionConfig;
 use dise_acf::mfi::MfiVariant;
-use dise_bench::{
-    compress, fuel_for, run_baseline, run_composed_dise, run_compressed, run_dise_mfi,
-    run_rewrite_mfi, set_telemetry, telemetry, TelemetryOpts,
-};
+use dise_bench::{fuel_for, run, set_telemetry, telemetry, Scenario, TelemetryOpts, Workload};
 use dise_core::EngineConfig;
 use dise_sim::{ExpansionCost, SimConfig};
 use dise_workloads::{Benchmark, WorkloadConfig};
@@ -22,32 +19,40 @@ fn shadow_oracle_runs_divergence_free() {
         shadow: true,
         ..TelemetryOpts::default()
     });
-    assert!(telemetry().shadow, "this binary must own the telemetry latch");
-    let program = Benchmark::Gcc.build(&WorkloadConfig::default().with_dyn_insts(5_000));
+    assert!(
+        telemetry().shadow,
+        "this binary must own the telemetry latch"
+    );
+    let w = Workload::new(
+        Benchmark::Gcc,
+        WorkloadConfig::default().with_dyn_insts(5_000),
+    );
     let fuel = fuel_for(5_000);
     let config = SimConfig::default();
+    let cc = CompressionConfig::dise_full();
+    let engine = EngineConfig::default();
 
-    // Every helper attaches a slow-path oracle when shadow is armed; a
+    // Every run attaches a slow-path oracle when shadow is armed; a
     // fast-path/slow-path (or shared/private frontend) divergence on any
-    // retired instruction would abort the run and fail the expect inside.
-    let base = run_baseline(&program, config, fuel);
-    assert!(base.cycles > 0);
-    let mfi = run_dise_mfi(&program, MfiVariant::Dise3, ExpansionCost::Free, config, fuel);
-    assert!(mfi.cycles > 0);
-    let rewrite = run_rewrite_mfi(&program, config, fuel);
-    assert!(rewrite.cycles > 0);
-
-    let compressed = compress(&program, CompressionConfig::dise_full());
-    let comp = run_compressed(&compressed, EngineConfig::default(), config, fuel);
-    assert!(comp.cycles > 0);
-    let composed = run_composed_dise(&compressed, EngineConfig::default(), config, false, fuel);
-    assert!(composed.cycles > 0);
-    let eager = run_composed_dise(&compressed, EngineConfig::default(), config, true, fuel);
-    assert!(eager.cycles > 0);
+    // retired instruction would abort the run and panic inside `run`.
+    let mfi = Scenario::dise_mfi(&w, MfiVariant::Dise3, ExpansionCost::Free, config);
+    for scenario in [
+        Scenario::baseline(&w, config),
+        mfi.clone(),
+        Scenario::rewrite_mfi(&w, config),
+        Scenario::compressed(&w, cc, engine, config),
+        Scenario::composed(&w, cc, engine, config, false),
+        Scenario::composed(&w, cc, engine, config, true),
+    ] {
+        assert!(run(&scenario, fuel).cycles > 0, "{}", scenario.key());
+    }
 
     // Shadowed runs stay deterministic (shadowing never perturbs the
     // primary's stats; cross-process identity with unshadowed runs is
     // covered by the ci.sh `--shadow` smoke cell against the warm cache).
-    let again = run_dise_mfi(&program, MfiVariant::Dise3, ExpansionCost::Free, config, fuel);
-    assert_eq!(mfi, again, "shadowed run must be deterministic");
+    assert_eq!(
+        run(&mfi, fuel),
+        run(&mfi, fuel),
+        "shadowed run must be deterministic"
+    );
 }

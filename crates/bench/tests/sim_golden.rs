@@ -23,10 +23,7 @@
 
 use dise_acf::compress::{CompressionConfig, SelectAlgo};
 use dise_acf::mfi::MfiVariant;
-use dise_bench::{
-    compress, fuel_for, run_baseline, run_composed_dise, run_compressed, run_dise_mfi,
-    run_rewrite_mfi, stat_pairs,
-};
+use dise_bench::{fuel_for, run, stat_pairs, Scenario, Workload};
 use dise_core::{EngineConfig, RtOrganization};
 use dise_sim::{ExpansionCost, SimConfig, SimStats};
 use dise_workloads::{Benchmark, WorkloadConfig};
@@ -62,43 +59,24 @@ fn rt_512_dm() -> EngineConfig {
 
 /// Runs one cell and returns its exported counters.
 fn run_cell(bench: Benchmark, kind: &str, icache: Option<u64>) -> Vec<(String, f64)> {
-    let program = bench.build(&WorkloadConfig::default().with_dyn_insts(DYN_INSTS));
-    let fuel = fuel_for(DYN_INSTS);
+    let w = Workload::new(bench, WorkloadConfig::default().with_dyn_insts(DYN_INSTS));
     let sim = SimConfig::default().with_icache_size(icache);
     let dise_v2 = CompressionConfig::dise_full().with_select(SelectAlgo::V2);
-    let stats: SimStats = match kind {
-        "baseline" => run_baseline(&program, sim, fuel),
-        "rewrite" => run_rewrite_mfi(&program, sim, fuel),
-        "dise4" => run_dise_mfi(&program, MfiVariant::Dise4, ExpansionCost::Free, sim, fuel),
-        "dise3_stall" => run_dise_mfi(
-            &program,
-            MfiVariant::Dise3,
-            ExpansionCost::StallPerExpansion,
-            sim,
-            fuel,
-        ),
-        "dise3_pipe" => run_dise_mfi(
-            &program,
-            MfiVariant::Dise3,
-            ExpansionCost::ExtraStage,
-            sim,
-            fuel,
-        ),
-        "v2" => run_compressed(&compress(&program, dise_v2), rt_512_dm(), sim, fuel),
-        "dedicated" => run_compressed(
-            &compress(&program, CompressionConfig::dedicated()),
-            rt_512_dm(),
-            sim,
-            fuel,
-        ),
-        "composed_eager" => {
-            run_composed_dise(&compress(&program, dise_v2), rt_512_dm(), sim, true, fuel)
+    let scenario = match kind {
+        "baseline" => Scenario::baseline(&w, sim),
+        "rewrite" => Scenario::rewrite_mfi(&w, sim),
+        "dise4" => Scenario::dise_mfi(&w, MfiVariant::Dise4, ExpansionCost::Free, sim),
+        "dise3_stall" => {
+            Scenario::dise_mfi(&w, MfiVariant::Dise3, ExpansionCost::StallPerExpansion, sim)
         }
-        "composed_lazy" => {
-            run_composed_dise(&compress(&program, dise_v2), rt_512_dm(), sim, false, fuel)
-        }
+        "dise3_pipe" => Scenario::dise_mfi(&w, MfiVariant::Dise3, ExpansionCost::ExtraStage, sim),
+        "v2" => Scenario::compressed(&w, dise_v2, rt_512_dm(), sim),
+        "dedicated" => Scenario::compressed(&w, CompressionConfig::dedicated(), rt_512_dm(), sim),
+        "composed_eager" => Scenario::composed(&w, dise_v2, rt_512_dm(), sim, true),
+        "composed_lazy" => Scenario::composed(&w, dise_v2, rt_512_dm(), sim, false),
         _ => unreachable!("unknown run kind {kind}"),
     };
+    let stats: SimStats = run(&scenario, fuel_for(DYN_INSTS));
     stat_pairs(&stats)
 }
 

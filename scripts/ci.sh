@@ -6,7 +6,6 @@
 #   test    — full workspace test suite (unit + integration +
 #             determinism + differential fast-path tests, every crate)
 #   clippy  — every crate, all targets, warnings denied
-#   benches — the criterion microbenchmarks build (not run)
 #   smoke   — run_figures.sh --smoke: every figure binary end-to-end on
 #             a tiny budget, including the stats-JSON byte-stability
 #             check (jobs 1 vs 8, warm vs cold cell cache)
@@ -56,9 +55,6 @@ cargo test --workspace -q
 
 echo "== ci: clippy ($(date)) =="
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "== ci: benches build ($(date)) =="
-cargo bench --workspace --no-run
 
 echo "== ci: smoke figures ($(date)) =="
 ./run_figures.sh --smoke
