@@ -657,7 +657,7 @@ impl Compressor {
                         tag,
                     ))
                 };
-                relocator.replace(len, vec![NewItem::plain(item)])?;
+                relocator.replace(len, [NewItem::plain(item)])?;
                 if inst.branch_target.is_some() {
                     codeword_spans.push((span_ordinal, tag, inst));
                 }

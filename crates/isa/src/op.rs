@@ -112,8 +112,10 @@ macro_rules! define_ops {
     ($( $variant:ident = ($num:expr, $mnem:expr, $fmt:ident, $class:ident) ),+ $(,)?) => {
         /// An opcode. Each opcode owns a distinct 6-bit primary opcode number
         /// (there is no secondary function field in this simplified
-        /// encoding).
+        /// encoding). Its discriminant (`op as u8`) is its position in
+        /// [`Op::ALL`].
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        #[repr(u8)]
         pub enum Op {
             $(
                 #[doc = concat!("`", $mnem, "`")]
@@ -122,7 +124,7 @@ macro_rules! define_ops {
         }
 
         impl Op {
-            /// Every opcode, in opcode-number order.
+            /// Every opcode, in declaration order: `Op::ALL[op as usize] == op`.
             pub const ALL: &'static [Op] = &[ $(Op::$variant),+ ];
 
             /// The 6-bit primary opcode number used in the encoding.
@@ -150,6 +152,19 @@ macro_rules! define_ops {
             pub fn from_number(n: u8) -> Option<Op> {
                 match n {
                     $( $num => Some(Op::$variant), )+
+                    _ => None,
+                }
+            }
+
+            /// The opcode whose discriminant (`op as u8`) is `d`. The
+            /// arms map each discriminant to itself, so this compiles to
+            /// one range check: the predecode table's unpack relies on it.
+            #[inline(always)]
+            #[allow(non_upper_case_globals)]
+            pub(crate) const fn from_discriminant(d: u8) -> Option<Op> {
+                $( const $variant: u8 = Op::$variant as u8; )+
+                match d {
+                    $( $variant => Some(Op::$variant), )+
                     _ => None,
                 }
             }
@@ -258,6 +273,16 @@ mod tests {
             assert!(op.number() < 62, "{op} uses a reserved escape number");
             assert!(seen.insert(op.number()), "duplicate number for {op}");
         }
+    }
+
+    #[test]
+    fn discriminants_round_trip() {
+        for (i, &op) in Op::ALL.iter().enumerate() {
+            assert_eq!(op as usize, i, "{op} is not at its discriminant");
+            assert_eq!(Op::from_discriminant(op as u8), Some(op));
+        }
+        assert_eq!(Op::from_discriminant(Op::ALL.len() as u8), None);
+        assert_eq!(Op::from_discriminant(u8::MAX), None);
     }
 
     #[test]

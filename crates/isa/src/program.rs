@@ -7,6 +7,8 @@
 
 use crate::encode::{decode_short_codeword, is_short_codeword_byte};
 use crate::inst::Inst;
+use crate::op::Op;
+use crate::reg::Reg;
 use crate::{IsaError, Result};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -259,6 +261,9 @@ impl Program {
 /// bytes and the text base is aligned, so every PC real control flow can
 /// produce is even — indexing by `offset / 2` halves the table (it is the
 /// simulator's hottest data structure, so density is cache locality).
+/// Every even offset is modelled, not just item starts: a branch may land
+/// inside an item, and its bytes may decode there. Each slot is one
+/// packed 8-byte word, half what an `Option<TextItem>` takes.
 /// Built once at load time; the byte-accurate [`Program::fetch`] stays the
 /// source of truth — odd PCs and offsets whose bytes do not decode return
 /// `None`, and callers fall back to `fetch` for the exact item or error.
@@ -269,33 +274,98 @@ impl Program {
 pub struct Predecode {
     text_base: u64,
     text_len: usize,
-    items: Vec<Option<TextItem>>,
+    slots: Vec<u64>,
+}
+
+/// Slot tag of an even offset whose bytes do not decode. Instruction slots
+/// are tagged with their opcode's discriminant, which is below
+/// [`Op::ALL`]`.len()`.
+const TAG_NONE: u8 = 0xFF;
+/// Slot tag of a 2-byte dedicated-decompressor codeword; the immediate
+/// field holds its dictionary index.
+const TAG_SHORT: u8 = 0xFE;
+const USES_LIT: u64 = 1 << 26;
+const DISE_BRANCH: u64 = 1 << 27;
+
+/// The item that decodes at byte offset `off` of `text`, if any.
+fn decode_at(text: &[u8], off: usize) -> Option<TextItem> {
+    let first = text[off];
+    if is_short_codeword_byte(first) {
+        let second = *text.get(off + 1)?;
+        let ix = decode_short_codeword([first, second]).expect("escape byte checked");
+        Some(TextItem::Short(ix))
+    } else {
+        let quad: [u8; 4] = text.get(off..off + 4)?.try_into().ok()?;
+        Inst::decode(u32::from_be_bytes(quad))
+            .ok()
+            .map(TextItem::Inst)
+    }
+}
+
+/// Packs a predecoded item into one slot word (high bits first):
+///
+/// ```text
+/// [imm:32][0:4][dise_branch:1][uses_lit:1][rc:6][rb:6][ra:6][tag:8]
+/// ```
+///
+/// `tag` is the opcode's discriminant, [`TAG_SHORT`] (with the codeword's
+/// index as `imm`) or [`TAG_NONE`]. Decoded immediates are at most 21
+/// bits, so 32 always hold them.
+fn pack(item: Option<TextItem>) -> u64 {
+    match item {
+        None => u64::from(TAG_NONE),
+        Some(TextItem::Short(ix)) => u64::from(TAG_SHORT) | u64::from(ix) << 32,
+        Some(TextItem::Inst(i)) => {
+            debug_assert!(
+                i32::try_from(i.imm).is_ok(),
+                "{i}: immediate does not fit a predecode slot"
+            );
+            let reg = |r: Reg, at: u32| (r.index() as u64) << at;
+            u64::from(i.op as u8)
+                | reg(i.ra, 8)
+                | reg(i.rb, 14)
+                | reg(i.rc, 20)
+                | if i.uses_lit { USES_LIT } else { 0 }
+                | if i.dise_branch { DISE_BRANCH } else { 0 }
+                | u64::from(i.imm as i32 as u32) << 32
+        }
+    }
+}
+
+/// Inverse of [`pack`]. No table lookup and no bounds check: the opcode
+/// comes back through a range check on its discriminant, the registers
+/// through a mask.
+#[inline(always)]
+fn unpack(w: u64) -> Option<TextItem> {
+    let tag = w as u8;
+    let imm = (w >> 32) as i32 as i64;
+    let Some(op) = Op::from_discriminant(tag) else {
+        return (tag == TAG_SHORT).then_some(TextItem::Short(imm as u16));
+    };
+    let reg = |at: u32| Reg::from_index_unchecked((w >> at) as u8 & 0x3F);
+    Some(TextItem::Inst(Inst {
+        op,
+        ra: reg(8),
+        rb: reg(14),
+        rc: reg(20),
+        imm,
+        uses_lit: w & USES_LIT != 0,
+        dise_branch: w & DISE_BRANCH != 0,
+    }))
 }
 
 impl Predecode {
     /// Decodes every even byte offset of `program`'s text segment.
     pub fn build(program: &Program) -> Predecode {
         let text = &program.text;
-        let items = (0..text.len())
+        let slots = (0..text.len())
             .step_by(2)
-            .map(|off| {
-                let first = text[off];
-                if is_short_codeword_byte(first) {
-                    let second = *text.get(off + 1)?;
-                    let ix = decode_short_codeword([first, second]).expect("escape byte checked");
-                    Some(TextItem::Short(ix))
-                } else {
-                    let quad: [u8; 4] = text.get(off..off + 4)?.try_into().ok()?;
-                    Inst::decode(u32::from_be_bytes(quad))
-                        .ok()
-                        .map(TextItem::Inst)
-                }
-            })
+            .map(|off| pack(decode_at(text, off)))
             .collect();
         Predecode {
             text_base: program.text_base,
             text_len: text.len(),
-            items,
+            slots,
         }
     }
 
@@ -308,7 +378,7 @@ impl Predecode {
         if off & 1 != 0 {
             return None;
         }
-        *self.items.get(off / 2)?
+        unpack(*self.slots.get(off / 2)?)
     }
 
     /// True if this table was built over a text segment with the same base
@@ -330,12 +400,12 @@ impl Predecode {
     /// Number of slots: one per even byte offset of the text segment
     /// (slot `(pc - text_base) / 2` holds the item at `pc`).
     pub fn slot_count(&self) -> usize {
-        self.items.len()
+        self.slots.len()
     }
 
     /// Number of even byte offsets holding a decodable item.
     pub fn decodable_offsets(&self) -> usize {
-        self.items.iter().filter(|i| i.is_some()).count()
+        self.slots.iter().filter(|&&w| w as u8 != TAG_NONE).count()
     }
 }
 
@@ -371,8 +441,6 @@ impl Iterator for ProgramIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::Op;
-    use crate::reg::Reg;
 
     fn small_program() -> Program {
         Program::from_insts(
@@ -495,10 +563,40 @@ mod tests {
     }
 
     #[test]
-    fn predecode_slot_is_sixteen_bytes() {
+    fn predecode_slot_is_eight_bytes() {
         // The table holds one slot per even text byte and is probed on
-        // every fetch, so its density is the fetch path's cache footprint.
-        assert_eq!(std::mem::size_of::<Option<TextItem>>(), 16);
+        // every fetch, so its density is the fetch path's cache footprint
+        // and, for rewritten images, a large share of a process's memory.
+        let pd = small_program().predecode();
+        assert_eq!(std::mem::size_of_val(&pd.slots[0]), 8);
+    }
+
+    #[test]
+    fn predecode_holds_every_immediate_extreme() {
+        // Each field at both ends of its encodable range, including the
+        // sign bit of every signed immediate: the slot's 32-bit immediate
+        // and 6-bit register fields must carry them all unchanged.
+        let items = [
+            TextItem::Inst(Inst::mem(Op::Ldq, Reg::R1, Reg::ZERO, -32768)),
+            TextItem::Inst(Inst::mem(Op::Stq, Reg::ZERO, Reg::SP, 32767)),
+            TextItem::Inst(Inst::branch(Op::Bsr, Reg::RA, -(1 << 20))),
+            TextItem::Inst(Inst::branch(Op::Bne, Reg::ZERO, (1 << 20) - 1)),
+            TextItem::Inst(Inst::alu_ri(Op::Sll, Reg::ZERO, 0, Reg::ZERO)),
+            TextItem::Inst(Inst::alu_ri(Op::Srl, Reg::R7, 255, Reg::R8)),
+            TextItem::Inst(Inst::codeword(Op::Cw3, 31, 31, 31, crate::inst::MAX_TAG)),
+            TextItem::Inst(Inst::codeword(Op::Cw0, 0, 0, 0, 0)),
+            TextItem::Short(crate::encode::MAX_SHORT_INDEX),
+            TextItem::Short(0),
+            TextItem::Inst(Inst::halt()),
+        ];
+        let p = Program::from_items(0x1000_0000, &items).unwrap();
+        let pd = p.predecode();
+        for entry in p.iter() {
+            let (pc, item) = entry.unwrap();
+            assert_eq!(pd.get(pc), Some(item), "pc {pc:#x}");
+            assert_eq!(pd.get(pc), p.fetch(pc).ok(), "pc {pc:#x}");
+        }
+        assert_eq!(p.items().unwrap().len(), items.len());
     }
 
     #[test]

@@ -86,6 +86,14 @@ impl Reg {
         Reg(idx)
     }
 
+    /// [`Reg::from_index`] without the range check, for the predecode
+    /// table's unpack, whose indices were range-checked when packed.
+    #[inline(always)]
+    pub(crate) const fn from_index_unchecked(idx: u8) -> Reg {
+        debug_assert!(idx < NUM_REGS as u8);
+        Reg(idx)
+    }
+
     /// The raw machine-file index (0–47).
     pub const fn index(self) -> usize {
         self.0 as usize

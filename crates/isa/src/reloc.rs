@@ -21,7 +21,8 @@ use crate::inst::Inst;
 use crate::op::Format;
 use crate::program::{Program, TextItem};
 use crate::{IsaError, Result};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
 
 /// How a new branch item's displacement should be resolved after layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,7 +30,7 @@ pub enum NewTarget {
     /// Patch the branch to reach the new address of this original address.
     OldAddr(u64),
     /// Patch the branch to reach the item labeled with this name.
-    Label(String),
+    Label(Cow<'static, str>),
 }
 
 /// One item of replacement text, with optional label definition and branch
@@ -39,7 +40,7 @@ pub struct NewItem {
     /// The text item to emit.
     pub item: TextItem,
     /// Defines a label at this item's final address.
-    pub label: Option<String>,
+    pub label: Option<Cow<'static, str>>,
     /// For branch instructions: how to compute the displacement.
     pub target: Option<NewTarget>,
 }
@@ -70,11 +71,25 @@ impl NewItem {
     }
 
     /// Attaches a label definition to this item.
-    pub fn with_label(mut self, label: impl Into<String>) -> NewItem {
+    pub fn with_label(mut self, label: impl Into<Cow<'static, str>>) -> NewItem {
         self.label = Some(label.into());
         self
     }
 }
+
+/// A [`NewItem`] as the relocator holds it: the item plus its target
+/// packed in one word, 24 bytes. Few items carry a label or a label
+/// target, so those live in side lists instead of in every item.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    item: TextItem,
+    /// [`NO_TARGET`]; an old address below [`SIDE_TARGET`]; or
+    /// `SIDE_TARGET | i` for entry `i` of [`Relocator::side_targets`].
+    target: u64,
+}
+
+const NO_TARGET: u64 = u64::MAX;
+const SIDE_TARGET: u64 = 1 << 63;
 
 /// Relocating program transformer. See the module docs for the protocol.
 pub struct Relocator<'a> {
@@ -84,11 +99,20 @@ pub struct Relocator<'a> {
     /// Index into `insts` of the next instruction not yet covered by a span.
     cursor: usize,
     /// Every span's new items, spans in program order.
-    items: Vec<NewItem>,
+    items: Vec<Slot>,
     /// Per span: its first original address and the end of its items in
     /// `items` (each span's items start where the previous one's end).
     spans: Vec<(u64, usize)>,
-    tail: Vec<NewItem>,
+    tail: Vec<Slot>,
+    /// Label definitions: the index in `items` (or, for `tail_labels`, in
+    /// `tail`) of the labeled item, in emission order.
+    labels: Vec<(usize, Cow<'static, str>)>,
+    tail_labels: Vec<(usize, Cow<'static, str>)>,
+    /// Targets that do not pack into a slot: each label once, and any old
+    /// address at or above [`SIDE_TARGET`].
+    side_targets: Vec<NewTarget>,
+    /// Index in `side_targets` of each label target.
+    label_ids: HashMap<Cow<'static, str>, u64>,
 }
 
 impl std::fmt::Debug for Relocator<'_> {
@@ -122,7 +146,7 @@ impl<'a> Relocator<'a> {
     ///
     /// Fails if the original contains short codewords or undecodable bytes.
     pub fn new(original: &'a Program) -> Result<Relocator<'a>> {
-        let mut insts = Vec::new();
+        let mut insts = Vec::with_capacity(original.text.len() / 4);
         for entry in original.iter() {
             let (pc, item) = entry?;
             match item {
@@ -134,13 +158,18 @@ impl<'a> Relocator<'a> {
                 }
             }
         }
+        let n = insts.len();
         Ok(Relocator {
             original,
             insts,
             cursor: 0,
-            items: Vec::new(),
-            spans: Vec::new(),
+            items: Vec::with_capacity(n),
+            spans: Vec::with_capacity(n),
             tail: Vec::new(),
+            labels: Vec::new(),
+            tail_labels: Vec::new(),
+            side_targets: Vec::new(),
+            label_ids: HashMap::new(),
         })
     }
 
@@ -161,12 +190,11 @@ impl<'a> Relocator<'a> {
     /// # Errors
     ///
     /// Fails if `old_len` is zero or runs past the end of the program.
-    pub fn replace(&mut self, old_len: usize, items: Vec<NewItem>) -> Result<()> {
-        self.cover(old_len, items)
-    }
-
-    /// [`Relocator::replace`] for any sequence of items.
-    fn cover(&mut self, old_len: usize, items: impl IntoIterator<Item = NewItem>) -> Result<()> {
+    pub fn replace(
+        &mut self,
+        old_len: usize,
+        items: impl IntoIterator<Item = NewItem>,
+    ) -> Result<()> {
         if old_len == 0 {
             return Err(IsaError::Reloc("span must cover at least one instruction".into()));
         }
@@ -174,10 +202,48 @@ impl<'a> Relocator<'a> {
             return Err(IsaError::Reloc("span runs past end of program".into()));
         }
         let old_start = self.insts[self.cursor].0;
-        self.items.extend(items);
+        for ni in items {
+            let slot = self.slot(ni, false);
+            self.items.push(slot);
+        }
         self.spans.push((old_start, self.items.len()));
         self.cursor += old_len;
         Ok(())
+    }
+
+    /// Packs `ni` into a slot, recording its label definition (at the next
+    /// index of `tail` when `in_tail`, else of `items`) and any target that
+    /// does not fit the slot's word.
+    fn slot(&mut self, ni: NewItem, in_tail: bool) -> Slot {
+        if let Some(label) = ni.label {
+            let (at, defs) = if in_tail {
+                (self.tail.len(), &mut self.tail_labels)
+            } else {
+                (self.items.len(), &mut self.labels)
+            };
+            defs.push((at, label));
+        }
+        let target = match ni.target {
+            None => NO_TARGET,
+            Some(NewTarget::OldAddr(a)) if a < SIDE_TARGET => a,
+            Some(NewTarget::Label(l)) => match self.label_ids.get(&l) {
+                Some(&id) => SIDE_TARGET | id,
+                None => {
+                    let id = self.side_targets.len() as u64;
+                    self.label_ids.insert(l.clone(), id);
+                    self.side_targets.push(NewTarget::Label(l));
+                    SIDE_TARGET | id
+                }
+            },
+            Some(far) => {
+                self.side_targets.push(far);
+                SIDE_TARGET | (self.side_targets.len() - 1) as u64
+            }
+        };
+        Slot {
+            item: ni.item,
+            target,
+        }
     }
 
     /// Keeps the next original instruction unchanged. PC-relative branches
@@ -197,7 +263,7 @@ impl<'a> Relocator<'a> {
         } else {
             NewItem::inst(inst)
         };
-        self.cover(1, [item])
+        self.replace(1, [item])
     }
 
     /// Keeps all remaining original instructions unchanged.
@@ -210,8 +276,11 @@ impl<'a> Relocator<'a> {
 
     /// Appends items after the last original instruction (e.g. an error
     /// handler block).
-    pub fn append_tail(&mut self, items: Vec<NewItem>) {
-        self.tail.extend(items);
+    pub fn append_tail(&mut self, items: impl IntoIterator<Item = NewItem>) {
+        for ni in items {
+            let slot = self.slot(ni, true);
+            self.tail.push(slot);
+        }
     }
 
     /// Lays out the new program, patches branches, and remaps symbols.
@@ -221,7 +290,7 @@ impl<'a> Relocator<'a> {
     /// Fails if original instructions remain uncovered, a branch targets the
     /// interior of a replaced span, a label is undefined or doubly defined,
     /// or a patched displacement overflows its field.
-    pub fn finish(mut self) -> Result<RelocOutput> {
+    pub fn finish(self) -> Result<RelocOutput> {
         if self.cursor != self.insts.len() {
             return Err(IsaError::Reloc(format!(
                 "{} original instructions left uncovered",
@@ -232,55 +301,58 @@ impl<'a> Relocator<'a> {
         let base = self.original.text_base;
         let mut pc = base;
         let mut old_to_new = BTreeMap::new();
-        let mut labels: BTreeMap<String, u64> = BTreeMap::new();
-        let mut item_addrs = Vec::new();
-        let mut define = |label: &Option<String>, at: u64| -> Result<()> {
-            if let Some(l) = label {
-                if labels.insert(l.clone(), at).is_some() {
-                    return Err(IsaError::Reloc(format!("label `{l}` defined twice")));
-                }
-            }
-            Ok(())
-        };
+        let mut item_addrs = Vec::with_capacity(self.items.len() + self.tail.len());
         let mut begin = 0;
         for &(old_start, end) in &self.spans {
             old_to_new.insert(old_start, pc);
-            for ni in &self.items[begin..end] {
-                define(&ni.label, pc)?;
+            for slot in &self.items[begin..end] {
                 item_addrs.push(pc);
-                pc += ni.item.size();
+                pc += slot.item.size();
             }
             begin = end;
         }
-        for ni in &self.tail {
-            define(&ni.label, pc)?;
+        for slot in &self.tail {
             item_addrs.push(pc);
-            pc += ni.item.size();
+            pc += slot.item.size();
         }
         // The one-past-the-end address maps too (a branch may target it).
         old_to_new.insert(self.original.text_end(), pc);
+        let tail_start = self.items.len();
+        let mut labels: BTreeMap<&str, u64> = BTreeMap::new();
+        let defs = (self.labels.iter().map(|(at, l)| (*at, l)))
+            .chain(self.tail_labels.iter().map(|(at, l)| (tail_start + at, l)));
+        for (at, label) in defs {
+            if labels.insert(label, item_addrs[at]).is_some() {
+                return Err(IsaError::Reloc(format!("label `{label}` defined twice")));
+            }
+        }
 
         // Pass 2: patch branch displacements and serialize.
-        let resolve = |t: &NewTarget| -> Result<u64> {
-            match t {
-                NewTarget::OldAddr(a) => old_to_new.get(a).copied().ok_or_else(|| {
-                    IsaError::Reloc(format!(
-                        "branch targets {a:#x}, which is inside a replaced sequence"
-                    ))
-                }),
+        let resolve_old = |a: u64| -> Result<u64> {
+            old_to_new.get(&a).copied().ok_or_else(|| {
+                IsaError::Reloc(format!(
+                    "branch targets {a:#x}, which is inside a replaced sequence"
+                ))
+            })
+        };
+        let resolve = |word: u64| -> Result<u64> {
+            if word < SIDE_TARGET {
+                return resolve_old(word);
+            }
+            match &self.side_targets[(word & !SIDE_TARGET) as usize] {
+                NewTarget::OldAddr(a) => resolve_old(*a),
                 NewTarget::Label(l) => labels
-                    .get(l)
+                    .get(l.as_ref())
                     .copied()
-                    .ok_or_else(|| IsaError::UndefinedLabel(l.clone())),
+                    .ok_or_else(|| IsaError::UndefinedLabel(l.to_string())),
             }
         };
         let mut text = Vec::with_capacity((pc - base) as usize);
-        let all_items = self.items.iter_mut().chain(self.tail.iter_mut());
-        for (idx, ni) in all_items.enumerate() {
-            let addr = item_addrs[idx];
-            if let Some(target) = &ni.target {
-                let new_target = resolve(target)?;
-                let TextItem::Inst(inst) = &mut ni.item else {
+        for (slot, &addr) in self.items.iter().chain(&self.tail).zip(&item_addrs) {
+            let mut item = slot.item;
+            if slot.target != NO_TARGET {
+                let new_target = resolve(slot.target)?;
+                let TextItem::Inst(inst) = &mut item else {
                     return Err(IsaError::Reloc("retarget on a non-instruction".into()));
                 };
                 if inst.op.format() != Format::Branch {
@@ -302,7 +374,7 @@ impl<'a> Relocator<'a> {
                     )));
                 }
             }
-            ni.item.write_to(&mut text)?;
+            item.write_to(&mut text)?;
         }
 
         // Remap entry and symbols.
@@ -316,8 +388,8 @@ impl<'a> Relocator<'a> {
                 symbols.insert(name.clone(), *new);
             }
         }
-        for (name, addr) in &labels {
-            symbols.insert(name.clone(), *addr);
+        for (name, addr) in labels {
+            symbols.insert(name.to_string(), addr);
         }
         let program = Program {
             text_base: original.text_base,
@@ -487,6 +559,107 @@ mod tests {
             }
             other => panic!("expected IsaError::Reloc, got {other:?}"),
         }
+    }
+
+    /// `stq r1, 0(r2); halt` with the store guarded by a `bne` to `label`.
+    fn guarded(label: NewTarget) -> (Program, Vec<NewItem>) {
+        let p = program("stq r1, 0(r2)\nhalt");
+        let stq = p.fetch(0x1000).unwrap();
+        let items = vec![
+            NewItem::branch(Inst::branch(Op::Bne, Reg::r(28), 0), label),
+            NewItem::plain(stq),
+        ];
+        (p, items)
+    }
+
+    #[test]
+    fn label_defined_twice_is_an_error() {
+        let (p, items) = guarded(NewTarget::Label("error".into()));
+        let mut r = Relocator::new(&p).unwrap();
+        let mut items = items;
+        items[1] = items[1].clone().with_label("error");
+        r.replace(1, items).unwrap();
+        r.keep_rest().unwrap();
+        r.append_tail([NewItem::inst(Inst::halt()).with_label("error")]);
+        match r.finish() {
+            Err(IsaError::Reloc(why)) => assert_eq!(why, "label `error` defined twice"),
+            other => panic!("expected a duplicate-label error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn undefined_label_is_an_error() {
+        let (p, items) = guarded(NewTarget::Label("nowhere".into()));
+        let mut r = Relocator::new(&p).unwrap();
+        r.replace(1, items).unwrap();
+        r.keep_rest().unwrap();
+        assert_eq!(
+            r.finish().unwrap_err(),
+            IsaError::UndefinedLabel("nowhere".into())
+        );
+    }
+
+    #[test]
+    fn labels_resolve_across_spans_and_tail() {
+        // `error` is defined in the tail and referenced from a span and
+        // from the tail; `retry` is defined in a span and referenced from
+        // the tail. The owned `String` label resolves like a static one.
+        let (p, items) = guarded(NewTarget::Label(String::from("error").into()));
+        let mut r = Relocator::new(&p).unwrap();
+        let mut items = items;
+        items[0] = items[0].clone().with_label(String::from("retry"));
+        r.replace(1, items).unwrap();
+        r.keep_rest().unwrap();
+        r.append_tail([
+            NewItem::branch(
+                Inst::branch(Op::Beq, Reg::R1, 0),
+                NewTarget::Label("error".into()),
+            ),
+            NewItem::branch(
+                Inst::branch(Op::Br, Reg::ZERO, 0),
+                NewTarget::Label("retry".into()),
+            ),
+            NewItem::inst(Inst::halt()).with_label("error"),
+        ]);
+        let out = r.finish().unwrap();
+        assert_eq!(out.program.symbol("retry"), Some(0x1000));
+        assert_eq!(out.program.symbol("error"), Some(0x1014));
+        assert_eq!(
+            out.item_addrs,
+            [0x1000, 0x1004, 0x1008, 0x100C, 0x1010, 0x1014]
+        );
+        let target = |at: u64| {
+            let TextItem::Inst(b) = out.program.fetch(at).unwrap() else {
+                panic!()
+            };
+            (at + 4).wrapping_add_signed(b.imm)
+        };
+        assert_eq!(target(0x1000), 0x1014);
+        assert_eq!(target(0x100C), 0x1014);
+        assert_eq!(target(0x1010), 0x1000);
+    }
+
+    #[test]
+    fn unpackable_old_address_reports_like_any_other() {
+        // An old address with its top bit set does not fit a slot's
+        // target word; it takes the side list and fails the same way.
+        let (p, items) = guarded(NewTarget::OldAddr(u64::MAX - 3));
+        let mut r = Relocator::new(&p).unwrap();
+        r.replace(1, items).unwrap();
+        r.keep_rest().unwrap();
+        match r.finish() {
+            Err(IsaError::Reloc(why)) => assert_eq!(
+                why,
+                "branch targets 0xfffffffffffffffc, which is inside a replaced sequence"
+            ),
+            other => panic!("expected a relocation error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn slot_is_at_most_twenty_four_bytes() {
+        // A rewrite holds one slot per emitted item (about 50K for gcc).
+        assert!(std::mem::size_of::<Slot>() <= 24);
     }
 
     #[test]

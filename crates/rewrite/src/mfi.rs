@@ -37,6 +37,9 @@ pub const SCRATCH_REG: Reg = Reg::r(28);
 /// Scavenged register holding the legal data-segment identifier.
 pub const DATA_SEGMENT_REG: Reg = Reg::r(29);
 
+/// The error block's label; every check branches to it.
+const ERROR_LABEL: &str = "mfi_error";
+
 /// Static statistics of a rewrite.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RewriteStats {
@@ -103,7 +106,7 @@ impl RewriteMfi {
     /// register-allocation diversity a real rewriter's scavenging
     /// produces. (Uniform check sequences would be unrealistically easy
     /// for an *unparameterized* dictionary compressor to fold.)
-    fn check_seq(rs: Reg, segment_reg: Reg, site: u64) -> Vec<NewItem> {
+    fn check_seq(rs: Reg, segment_reg: Reg, site: u64) -> [NewItem; 4] {
         let (copy, scratch) = if site & 1 == 0 {
             (COPY_REG, SCRATCH_REG)
         } else {
@@ -114,7 +117,7 @@ impl RewriteMfi {
         } else {
             (segment_reg, scratch)
         };
-        vec![
+        [
             NewItem::inst(Inst::alu_rr(Op::Bis, rs, rs, copy)),
             NewItem::inst(Inst::alu_ri(
                 Op::Srl,
@@ -125,7 +128,7 @@ impl RewriteMfi {
             NewItem::inst(Inst::alu_rr(Op::Cmpeq, cmp_a, cmp_b, scratch)),
             NewItem::branch(
                 Inst::branch(Op::Beq, scratch, 0),
-                NewTarget::Label("mfi_error".into()),
+                NewTarget::Label(ERROR_LABEL.into()),
             ),
         ]
     }
@@ -143,7 +146,7 @@ impl RewriteMfi {
         // Prologue: initialize the scavenged segment registers. Attached to
         // the span of the instruction at the program's *entry point* (the
         // entry still maps to the span start, so it runs first).
-        let prologue = vec![
+        let prologue = [
             NewItem::inst(Inst::li(
                 Program::segment_of(program.data_base) as i16,
                 DATA_SEGMENT_REG,
@@ -158,25 +161,21 @@ impl RewriteMfi {
             let unsafe_mem = inst.op.class().is_mem();
             let unsafe_jump =
                 inst.op.class() == OpClass::IndirectJump && !self.skip_ijumps;
-            let mut items = if pc == program.entry {
-                prologue.clone()
-            } else {
-                Vec::new()
-            };
-            if unsafe_mem || unsafe_jump {
+            let at_entry = pc == program.entry;
+            let check = (unsafe_mem || unsafe_jump).then(|| {
                 checked += 1;
                 let segment_reg = if unsafe_mem {
                     DATA_SEGMENT_REG
                 } else {
                     CODE_SEGMENT_REG
                 };
-                items.extend(Self::check_seq(
+                Self::check_seq(
                     inst.rs().expect("memory/jump ops have an address register"),
                     segment_reg,
                     checked,
-                ));
-            }
-            if items.is_empty() {
+                )
+            });
+            if !at_entry && check.is_none() {
                 r.keep()?;
             } else {
                 // Re-append the original instruction (branches keep their
@@ -187,13 +186,18 @@ impl RewriteMfi {
                 } else {
                     NewItem::inst(inst)
                 };
-                items.push(original);
-                r.replace(1, items)?;
+                let prologue = prologue.iter().filter(|_| at_entry).cloned();
+                r.replace(
+                    1,
+                    prologue
+                        .chain(check.into_iter().flatten())
+                        .chain([original]),
+                )?;
             }
         }
         // Error block: record the violation and halt.
-        r.append_tail(vec![
-            NewItem::inst(Inst::li(1, SCRATCH_REG)).with_label("mfi_error"),
+        r.append_tail([
+            NewItem::inst(Inst::li(1, SCRATCH_REG)).with_label(ERROR_LABEL),
             NewItem::inst(Inst::halt()),
         ]);
         let out = r.finish()?;

@@ -1727,4 +1727,14 @@ mod tests {
         assert!(std::mem::size_of::<StepInfo>() <= 80);
         assert!(std::mem::size_of::<DiseRef>() <= 8);
     }
+
+    /// [`Inst`] rides in every [`StepInfo`], expansion-cache µop and
+    /// unpacked predecode slot; it stays two words. (The predecode slot
+    /// and the relocator's item are private to `dise-isa` and pinned
+    /// there: 8 and at most 24 bytes.)
+    #[test]
+    fn inst_stays_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Inst>(), 16);
+        assert_eq!(std::mem::size_of::<TextItem>(), 16);
+    }
 }

@@ -3,6 +3,8 @@
 # command. Run from anywhere; everything executes at the repo root.
 #
 #   build   — release build (the smoke sweep runs the release binaries)
+#   perfbench build — compile-only: the stand-alone benchmark package
+#             builds against the library APIs it calls
 #   test    — full workspace test suite (unit + integration +
 #             determinism + differential fast-path tests, every crate)
 #   clippy  — every crate, all targets, warnings denied
@@ -47,6 +49,12 @@ echo "== ci: build ($(date)) =="
 # `cargo build` stops at the root crate and leaves the bench binaries
 # the smoke sweep runs stale.
 cargo build --release --workspace
+
+echo "== ci: perfbench build ($(date)) =="
+# perfbench/ is its own package (an empty [workspace]), so the workspace
+# build above never compiles it; a library API change that breaks the
+# benchmark would otherwise surface only when the benchmark runs.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== ci: test ($(date)) =="
 # --workspace: a bare `cargo test` at the root tests only the root
