@@ -1,11 +1,12 @@
 //! Scenarios: each figure cell's configuration as data.
 //!
 //! A [`Scenario`] is one of the paper's configurations (§4.1–4.3): a
-//! benchmark's workload, turned into an image by a [`Recipe`], run under
-//! an [`Acf`] on an engine and a machine. That one description renders
-//! the cell's cache key ([`Scenario::key`]), builds its machine
-//! ([`Scenario::machine`]`(true)`) and builds the slow-path shadow oracle
-//! (`machine(false)`), so the three cannot drift apart.
+//! benchmark's workload, turned into an image by a recipe (plain,
+//! rewritten, compressed), run under an ACF on an engine and a machine.
+//! That one description renders the cell's cache key
+//! ([`Scenario::key`]), builds its machine ([`Scenario::machine`]`(true)`)
+//! and builds the slow-path shadow oracle (`machine(false)`), so the
+//! three cannot drift apart.
 
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -459,17 +460,16 @@ fn attacher<'a>(image: &'a Image<'_>, acf: Acf) -> Option<Box<Attach<'a>>> {
 }
 
 /// A machine loaded with `image` and `attach`ed, on the fast path or on
-/// the slow path (machine and engine both).
+/// the slow path (which leaves the engine unbound).
 fn build(
     image: &Image<'_>,
     attach: Option<&Attach<'_>>,
     engine: EngineConfig,
     fast: bool,
 ) -> Machine {
-    let (config, engine) = if fast {
-        (MachineConfig::default(), engine)
-    } else {
-        (MachineConfig::default().slow_path(), engine.slow_path())
+    let config = MachineConfig {
+        fast_path: fast,
+        ..MachineConfig::default()
     };
     let mut m = Machine::with_config(image.program(), config);
     if let Some(attach) = attach {
@@ -517,10 +517,10 @@ mod tests {
         let cases = [
             (Scenario::baseline(&w, sim), "v3|baseline|bzip2|dyn=500000,seed=0|sim=SimConfig { width: 4, frontend_depth: 10, rob_size: 128, rs_size: 80, mem: MemoryHierarchyConfig { icache: CacheConfig { size: Some(32768), assoc: 2, line: 64 }, dcache: CacheConfig { size: Some(32768), assoc: 2, line: 64 }, l2: CacheConfig { size: Some(1048576), assoc: 4, line: 64 }, l1_latency: 1, l2_latency: 12, mem_latency: 100 }, bpred: BpredConfig { gshare_bits: 14, btb_entries: 2048, ras_depth: 16 }, expansion_cost: Free }"),
             (Scenario::rewrite_mfi(&w, sim8k), "v3|rewrite_mfi|bzip2|dyn=500000,seed=0|sim=SimConfig { width: 4, frontend_depth: 10, rob_size: 128, rs_size: 80, mem: MemoryHierarchyConfig { icache: CacheConfig { size: Some(8192), assoc: 2, line: 64 }, dcache: CacheConfig { size: Some(32768), assoc: 2, line: 64 }, l2: CacheConfig { size: Some(1048576), assoc: 4, line: 64 }, l1_latency: 1, l2_latency: 12, mem_latency: 100 }, bpred: BpredConfig { gshare_bits: 14, btb_entries: 2048, ras_depth: 16 }, expansion_cost: Free }"),
-            (Scenario::dise_mfi(&w, MfiVariant::Dise3, stall, sim), "v3|dise_mfi|bzip2|dyn=500000,seed=0|variant=Dise3,cost=StallPerExpansion,engine=EngineConfig { pt_entries: 32, rt_entries: 2048, rt_org: SetAssociative(2), rt_block: 1, miss_penalty: 30, compose_penalty: 150, fast_path: true },sim=SimConfig { width: 4, frontend_depth: 10, rob_size: 128, rs_size: 80, mem: MemoryHierarchyConfig { icache: CacheConfig { size: Some(32768), assoc: 2, line: 64 }, dcache: CacheConfig { size: Some(32768), assoc: 2, line: 64 }, l2: CacheConfig { size: Some(1048576), assoc: 4, line: 64 }, l1_latency: 1, l2_latency: 12, mem_latency: 100 }, bpred: BpredConfig { gshare_bits: 14, btb_entries: 2048, ras_depth: 16 }, expansion_cost: Free }"),
-            (Scenario::compressed(&w, v2, rt512(RtOrganization::DirectMapped), sim8k), "v3|compressed|bzip2|dyn=500000,seed=0|cc=CompressionConfig { cw_op: Cw0, two_byte_codewords: false, min_seq_len: 2, max_seq_len: 8, parameterize: true, compress_branches: true, allow_jumps: true, entry_bytes_per_inst: 8, max_entries: 2048, select: V2 },engine=EngineConfig { pt_entries: 32, rt_entries: 512, rt_org: DirectMapped, rt_block: 1, miss_penalty: 30, compose_penalty: 150, fast_path: true },sim=SimConfig { width: 4, frontend_depth: 10, rob_size: 128, rs_size: 80, mem: MemoryHierarchyConfig { icache: CacheConfig { size: Some(8192), assoc: 2, line: 64 }, dcache: CacheConfig { size: Some(32768), assoc: 2, line: 64 }, l2: CacheConfig { size: Some(1048576), assoc: 4, line: 64 }, l1_latency: 1, l2_latency: 12, mem_latency: 100 }, bpred: BpredConfig { gshare_bits: 14, btb_entries: 2048, ras_depth: 16 }, expansion_cost: Free }"),
-            (Scenario::composed(&w, v2, rt512(RtOrganization::SetAssociative(2)), sim8k, false), "v3|composed|bzip2|dyn=500000,seed=0|eager=false,cc=CompressionConfig { cw_op: Cw0, two_byte_codewords: false, min_seq_len: 2, max_seq_len: 8, parameterize: true, compress_branches: true, allow_jumps: true, entry_bytes_per_inst: 8, max_entries: 2048, select: V2 },engine=EngineConfig { pt_entries: 32, rt_entries: 512, rt_org: SetAssociative(2), rt_block: 1, miss_penalty: 30, compose_penalty: 150, fast_path: true },sim=SimConfig { width: 4, frontend_depth: 10, rob_size: 128, rs_size: 80, mem: MemoryHierarchyConfig { icache: CacheConfig { size: Some(8192), assoc: 2, line: 64 }, dcache: CacheConfig { size: Some(32768), assoc: 2, line: 64 }, l2: CacheConfig { size: Some(1048576), assoc: 4, line: 64 }, l1_latency: 1, l2_latency: 12, mem_latency: 100 }, bpred: BpredConfig { gshare_bits: 14, btb_entries: 2048, ras_depth: 16 }, expansion_cost: Free }"),
-            (Scenario::rewrite_compress(&w, true, perfect, sim.with_icache_size(Some(128 * 1024))), "v3|rewrite_compress|bzip2|dyn=500000,seed=0|dedicated=true,cc=CompressionConfig { cw_op: Cw0, two_byte_codewords: false, min_seq_len: 2, max_seq_len: 8, parameterize: true, compress_branches: true, allow_jumps: true, entry_bytes_per_inst: 8, max_entries: 2048, select: V2 },engine=EngineConfig { pt_entries: 32, rt_entries: 2048, rt_org: Perfect, rt_block: 1, miss_penalty: 30, compose_penalty: 150, fast_path: true },sim=SimConfig { width: 4, frontend_depth: 10, rob_size: 128, rs_size: 80, mem: MemoryHierarchyConfig { icache: CacheConfig { size: Some(131072), assoc: 2, line: 64 }, dcache: CacheConfig { size: Some(32768), assoc: 2, line: 64 }, l2: CacheConfig { size: Some(1048576), assoc: 4, line: 64 }, l1_latency: 1, l2_latency: 12, mem_latency: 100 }, bpred: BpredConfig { gshare_bits: 14, btb_entries: 2048, ras_depth: 16 }, expansion_cost: Free }"),
+            (Scenario::dise_mfi(&w, MfiVariant::Dise3, stall, sim), "v3|dise_mfi|bzip2|dyn=500000,seed=0|variant=Dise3,cost=StallPerExpansion,engine=EngineConfig { pt_entries: 32, rt_entries: 2048, rt_org: SetAssociative(2), rt_block: 1, miss_penalty: 30, compose_penalty: 150 },sim=SimConfig { width: 4, frontend_depth: 10, rob_size: 128, rs_size: 80, mem: MemoryHierarchyConfig { icache: CacheConfig { size: Some(32768), assoc: 2, line: 64 }, dcache: CacheConfig { size: Some(32768), assoc: 2, line: 64 }, l2: CacheConfig { size: Some(1048576), assoc: 4, line: 64 }, l1_latency: 1, l2_latency: 12, mem_latency: 100 }, bpred: BpredConfig { gshare_bits: 14, btb_entries: 2048, ras_depth: 16 }, expansion_cost: Free }"),
+            (Scenario::compressed(&w, v2, rt512(RtOrganization::DirectMapped), sim8k), "v3|compressed|bzip2|dyn=500000,seed=0|cc=CompressionConfig { cw_op: Cw0, two_byte_codewords: false, min_seq_len: 2, max_seq_len: 8, parameterize: true, compress_branches: true, allow_jumps: true, entry_bytes_per_inst: 8, max_entries: 2048, select: V2 },engine=EngineConfig { pt_entries: 32, rt_entries: 512, rt_org: DirectMapped, rt_block: 1, miss_penalty: 30, compose_penalty: 150 },sim=SimConfig { width: 4, frontend_depth: 10, rob_size: 128, rs_size: 80, mem: MemoryHierarchyConfig { icache: CacheConfig { size: Some(8192), assoc: 2, line: 64 }, dcache: CacheConfig { size: Some(32768), assoc: 2, line: 64 }, l2: CacheConfig { size: Some(1048576), assoc: 4, line: 64 }, l1_latency: 1, l2_latency: 12, mem_latency: 100 }, bpred: BpredConfig { gshare_bits: 14, btb_entries: 2048, ras_depth: 16 }, expansion_cost: Free }"),
+            (Scenario::composed(&w, v2, rt512(RtOrganization::SetAssociative(2)), sim8k, false), "v3|composed|bzip2|dyn=500000,seed=0|eager=false,cc=CompressionConfig { cw_op: Cw0, two_byte_codewords: false, min_seq_len: 2, max_seq_len: 8, parameterize: true, compress_branches: true, allow_jumps: true, entry_bytes_per_inst: 8, max_entries: 2048, select: V2 },engine=EngineConfig { pt_entries: 32, rt_entries: 512, rt_org: SetAssociative(2), rt_block: 1, miss_penalty: 30, compose_penalty: 150 },sim=SimConfig { width: 4, frontend_depth: 10, rob_size: 128, rs_size: 80, mem: MemoryHierarchyConfig { icache: CacheConfig { size: Some(8192), assoc: 2, line: 64 }, dcache: CacheConfig { size: Some(32768), assoc: 2, line: 64 }, l2: CacheConfig { size: Some(1048576), assoc: 4, line: 64 }, l1_latency: 1, l2_latency: 12, mem_latency: 100 }, bpred: BpredConfig { gshare_bits: 14, btb_entries: 2048, ras_depth: 16 }, expansion_cost: Free }"),
+            (Scenario::rewrite_compress(&w, true, perfect, sim.with_icache_size(Some(128 * 1024))), "v3|rewrite_compress|bzip2|dyn=500000,seed=0|dedicated=true,cc=CompressionConfig { cw_op: Cw0, two_byte_codewords: false, min_seq_len: 2, max_seq_len: 8, parameterize: true, compress_branches: true, allow_jumps: true, entry_bytes_per_inst: 8, max_entries: 2048, select: V2 },engine=EngineConfig { pt_entries: 32, rt_entries: 2048, rt_org: Perfect, rt_block: 1, miss_penalty: 30, compose_penalty: 150 },sim=SimConfig { width: 4, frontend_depth: 10, rob_size: 128, rs_size: 80, mem: MemoryHierarchyConfig { icache: CacheConfig { size: Some(131072), assoc: 2, line: 64 }, dcache: CacheConfig { size: Some(32768), assoc: 2, line: 64 }, l2: CacheConfig { size: Some(1048576), assoc: 4, line: 64 }, l1_latency: 1, l2_latency: 12, mem_latency: 100 }, bpred: BpredConfig { gshare_bits: 14, btb_entries: 2048, ras_depth: 16 }, expansion_cost: Free }"),
         ];
         for (scenario, key) in cases {
             assert_eq!(scenario.key(), key);

@@ -1,9 +1,10 @@
 //! The sweep service behind `dise_serve`: parses cell jobs, queues them
-//! across concurrent clients, fans each across the harness [`Pool`], and
-//! narrates progress both through the installed observability session
-//! (per-cell start/done events, periodic heartbeats, per-cell
-//! delta-encoded `metrics` records — all tagged with the job's `id`) and
-//! back to the submitting client as a streamed line protocol.
+//! across concurrent clients, fans each across the harness
+//! [`Pool`](crate::Pool), and narrates progress both through the
+//! installed observability session (per-cell start/done events, periodic
+//! heartbeats, per-cell delta-encoded `metrics` records — all tagged with
+//! the job's `id`) and back to the submitting client as a streamed line
+//! protocol.
 //!
 //! A *job* is one line of text:
 //!

@@ -1,14 +1,11 @@
-//! Differential conformance suite for the process-wide predecode arena:
-//! the same fig6/fig7/fig8 smoke cell set, run with shared predecode
-//! tables and with forced-private construction, must produce
-//! byte-identical figure tables and stats-JSON exports — at jobs 1 and 8
-//! each.
+//! Conformance suite for the process-wide predecode arena: the same
+//! fig6/fig7/fig8 smoke cell set, run at jobs 1 and 8 over shared
+//! predecode tables, must produce byte-identical figure tables and
+//! stats-JSON exports, and the sweep must both build tables and share
+//! them.
 //!
-//! One `#[test]` on purpose: the arena switch (`arena::set_share_enabled`)
-//! is process-global, so interleaving with a concurrently running sweep
-//! would let a "private" sweep hand out shared tables (harmless for
-//! results — that is the point — but it would void what this test
-//! certifies).
+//! One `#[test]` on purpose: the arena's counters are process-global, so
+//! a concurrently running sweep would blur what this test measures.
 
 use dise_bench::figures::{fig6, fig7, fig8};
 use dise_bench::{CellCache, Pool, Sweep};
@@ -34,10 +31,9 @@ fn panels(jobs: usize) -> (String, String, String, String) {
 }
 
 #[test]
-fn shared_arena_is_byte_identical_to_private_construction() {
-    // Shared-arena runs, serial and fanned out.
+fn shared_arena_sweeps_are_byte_identical_across_jobs() {
     arena::clear();
-    let shared_j1 = panels(1);
+    let j1 = panels(1);
     let after_j1 = arena::stats();
     assert!(
         after_j1.predecode_builds > 0,
@@ -47,30 +43,9 @@ fn shared_arena_is_byte_identical_to_private_construction() {
         after_j1.predecode_hits > 0,
         "machines over the same image must share predecode: {after_j1:?}"
     );
-    let shared_j8 = panels(8);
-
-    // Forced-private runs: every machine decodes its own table.
-    arena::set_share_enabled(false);
-    let before_private = arena::stats();
-    let private_j1 = panels(1);
-    let private_j8 = panels(8);
-    assert_eq!(
-        arena::stats(),
-        before_private,
-        "forced-private sweeps must not touch the arena"
-    );
-    arena::set_share_enabled(true);
-
-    for (name, shared, private) in [
-        ("jobs=1", &shared_j1, &private_j1),
-        ("jobs=8", &shared_j8, &private_j8),
-    ] {
-        assert_eq!(shared.0, private.0, "fig6 top diverged ({name})");
-        assert_eq!(shared.1, private.1, "fig7 rt diverged ({name})");
-        assert_eq!(shared.2, private.2, "fig8 rt diverged ({name})");
-        assert_eq!(shared.3, private.3, "stats JSON diverged ({name})");
-    }
-    // And the fan-out itself is deterministic in both modes.
-    assert_eq!(shared_j1, shared_j8, "shared sweep diverged across jobs");
-    assert_eq!(private_j1, private_j8, "private sweep diverged across jobs");
+    let j8 = panels(8);
+    assert_eq!(j1.0, j8.0, "fig6 top diverged across jobs");
+    assert_eq!(j1.1, j8.1, "fig7 rt diverged across jobs");
+    assert_eq!(j1.2, j8.2, "fig8 rt diverged across jobs");
+    assert_eq!(j1.3, j8.3, "stats JSON diverged across jobs");
 }

@@ -1,7 +1,9 @@
 //! The shadow oracle a scenario builds, `machine(false)`, proves that it
 //! compares: it runs in lockstep with `machine(true)` on every scenario
 //! kind and retires exactly what the primary retires, and a shadow built
-//! from a different scenario diverges.
+//! from a different scenario diverges. Where an engine is attached, the
+//! lockstep compared the engine's live path against its expansion cache:
+//! the shadow's engine served nothing from the cache, the primary's did.
 
 use dise_acf::compress::{CompressionConfig, SelectAlgo};
 use dise_acf::mfi::MfiVariant;
@@ -30,6 +32,7 @@ fn every_scenario_kind_runs_in_lockstep_with_its_shadow() {
     let sim = dise_sim::SimConfig::default();
     let cc = CompressionConfig::dise_full().with_select(SelectAlgo::V2);
     let rt = EngineConfig::default();
+    let mut engines = 0;
     for s in [
         Scenario::baseline(&w, sim),
         Scenario::rewrite_mfi(&w, sim),
@@ -51,7 +54,21 @@ fn every_scenario_kind_runs_in_lockstep_with_its_shadow() {
             retired,
             "{key}: shadow retired a different stream"
         );
+        if let Some(engine) = run.machine().engine() {
+            engines += 1;
+            let live = shadow.engine().expect("the shadow carries the engine");
+            assert_eq!(
+                live.expansion_cache_hits(),
+                0,
+                "{key}: the shadow used the cache"
+            );
+            assert!(
+                engine.expansion_cache_hits() > 0,
+                "{key}: the primary never hit its cache"
+            );
+        }
     }
+    assert_eq!(engines, 5, "every DISE kind carries an engine");
 }
 
 #[test]

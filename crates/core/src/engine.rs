@@ -16,10 +16,9 @@
 //! RT miss costs a pipeline flush and a stall but never changes what
 //! commits, so their residency is timing state: `dise_sim`'s
 //! `DiseCacheModel` replays the engine's references against them.
-//! [`EngineConfig`] carries both: the table geometry and miss penalties
-//! the timing model reads, and the `fast_path` switch this engine reads.
-//! The engine records production installs in a log
-//! ([`DiseEngine::installs`]) for the timing model to replay.
+//! [`EngineConfig`] carries their geometry and miss penalties, which
+//! only the timing model reads. The engine records production installs
+//! in a log ([`DiseEngine::installs`]) for the timing model to replay.
 
 use crate::controller::Controller;
 use crate::fxhash::FxHashMap;
@@ -42,9 +41,10 @@ pub enum RtOrganization {
 /// DISE engine configuration. Defaults are the paper's: 32 PT entries, a
 /// 2K-entry 2-way RT, 30-cycle misses, 150-cycle composing misses.
 ///
-/// Every field but `fast_path` describes the physical PT/RT, which the
-/// timing simulator models; the functional engine reads only
-/// `fast_path`.
+/// Every field describes the physical PT/RT, which the timing simulator
+/// models; the functional engine reads none of them. Whether the engine
+/// serves fetches from its PC-indexed expansion cache is the machine's
+/// choice (see [`DiseEngine::bind_text`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Pattern-table capacity in pattern entries.
@@ -64,15 +64,6 @@ pub struct EngineConfig {
     /// Pipeline stall charged for an RT miss whose handler must compose
     /// productions (transparent-into-aware inlining, §3.3/§4.3).
     pub compose_penalty: u64,
-    /// Enables the host-side frontend fast path: the per-opcode match
-    /// index and the PC-indexed expansion cache (see
-    /// [`DiseEngine::inspect_at`]). Purely a simulation-speed knob —
-    /// every outcome, µop and [`EngineStats`] counter is bit-identical
-    /// either way: the engine is a pure function of the production set,
-    /// so cache entries stay valid until a production install clears
-    /// them. Off reproduces the original linear-scan decode path; the
-    /// `--shadow` oracle runs it.
-    pub fast_path: bool,
 }
 
 impl Default for EngineConfig {
@@ -84,7 +75,6 @@ impl Default for EngineConfig {
             rt_block: 1,
             miss_penalty: 30,
             compose_penalty: 150,
-            fast_path: true,
         }
     }
 }
@@ -94,12 +84,6 @@ impl EngineConfig {
     /// Figure 7 middle / Figure 8 top.
     pub fn perfect_rt(mut self) -> EngineConfig {
         self.rt_org = RtOrganization::Perfect;
-        self
-    }
-
-    /// Disables the frontend fast path (see [`EngineConfig::fast_path`]).
-    pub fn slow_path(mut self) -> EngineConfig {
-        self.fast_path = false;
         self
     }
 }
@@ -193,7 +177,7 @@ pub struct UopHandle {
 }
 
 impl UopHandle {
-    /// No handle: every µop takes the live path. What slow-path engines,
+    /// No handle: every µop takes the live path. What unbound engines,
     /// PCs outside the bound text and pass-through outcomes get.
     pub const NONE: UopHandle = UopHandle {
         start: 0,
@@ -349,10 +333,11 @@ impl DiseEngine {
     /// two-byte slots starting at `text_base` (a predecode table's
     /// geometry), dropping anything cached before and invalidating every
     /// [`UopHandle`]. [`DiseEngine::inspect_at`] serves even PCs inside
-    /// that range from the cache; every other PC, and every PC of a
-    /// slow-path engine (which stays unbound), takes the live path.
+    /// that range from the cache; every other PC takes the live path, so
+    /// an engine bound to no slots (or never bound) runs the live path
+    /// for every fetch. The machine decides: a fast-path `Machine` binds
+    /// its predecode table's geometry, a slow-path one binds nothing.
     pub fn bind_text(&mut self, text_base: u64, slots: usize) {
-        let slots = if self.config.fast_path { slots } else { 0 };
         self.cache.clear();
         self.cache.base = text_base;
         self.cache.slots = vec![SLOT_UNKNOWN; slots];
@@ -453,26 +438,11 @@ impl DiseEngine {
     /// sequence the instruction expands to.
     pub fn inspect(&mut self, inst: &Inst) -> Expansion {
         self.stats.inspected += 1;
-        let id = if self.config.fast_path {
-            // Only the rules covering the opcode can match, and the
-            // winning key includes the rule index, so this picks the
-            // same rule as the full scan.
-            let rules = self.controller.productions().rules();
-            self.op_rules[inst.op.number() as usize]
-                .iter()
-                .map(|&i| (i, &rules[i]))
-                .filter(|(_, r)| r.pattern.matches(inst))
-                .max_by_key(|(i, r)| (r.priority, r.pattern.specificity(), usize::MAX - *i))
-                .map(|(_, rule)| match rule.seq {
-                    crate::production::SeqRef::Fixed(id) => id,
-                    crate::production::SeqRef::FromTag { base } => {
-                        base + inst.codeword_tag() as u32
-                    }
-                })
-        } else {
-            self.controller.productions().lookup(inst)
-        };
-        let Some(id) = id else {
+        // Only the rules covering the opcode can match, and the winning
+        // key includes the rule index, so this picks the same rule as
+        // `ProductionSet::lookup`'s scan of every rule.
+        let candidates = self.op_rules[inst.op.number() as usize].iter().copied();
+        let Some(id) = self.controller.productions().select(inst, candidates) else {
             return Expansion::None;
         };
         let Ok(resolved) = self.resolve(id) else {
@@ -529,8 +499,8 @@ impl DiseEngine {
         }
     }
 
-    /// [`DiseEngine::inspect_at`] at a PC outside the cache (or on a
-    /// slow-path engine): the live path, with no handle.
+    /// [`DiseEngine::inspect_at`] at a PC outside the cache (or on an
+    /// unbound engine): the live path, with no handle.
     #[cold]
     fn inspect_uncached(&mut self, inst: &Inst) -> (Expansion, UopHandle) {
         (self.inspect(inst), UopHandle::NONE)
@@ -803,20 +773,32 @@ mod tests {
             ReplacementSpec::identity(),
         )
         .unwrap();
-        for config in [EngineConfig::default(), EngineConfig::default().slow_path()] {
-            let mut e = DiseEngine::with_productions(config, set.clone()).unwrap();
-            assert!(
-                matches!(
-                    e.inspect(&i("stq r1, 0(r30)")),
-                    Expansion::Expand { len: 1, .. }
-                ),
-                "identity expansion should win"
+        let mut e = DiseEngine::with_productions(EngineConfig::default(), set.clone()).unwrap();
+        for (s, want) in [("stq r1, 0(r30)", 1), ("stq r1, 0(r2)", 2)] {
+            let inst = i(s);
+            let Expansion::Expand { id, len } = e.inspect(&inst) else {
+                panic!("{s} expands")
+            };
+            assert_eq!(len, want, "{s}: the most specific rule wins");
+            assert_eq!(
+                Some(id),
+                set.lookup(&inst),
+                "{s}: the engine selects as lookup does"
             );
-            assert!(matches!(
-                e.inspect(&i("stq r1, 0(r2)")),
-                Expansion::Expand { len: 2, .. }
-            ));
         }
+    }
+
+    #[test]
+    fn rules_covering_indexes_classes_and_opcodes() {
+        let mut set = ProductionSet::new();
+        set.add_transparent(Pattern::opclass(OpClass::Load), ReplacementSpec::identity())
+            .unwrap();
+        set.add_transparent(Pattern::opcode(Op::Ldq), ReplacementSpec::identity())
+            .unwrap();
+        let e = DiseEngine::with_productions(EngineConfig::default(), set).unwrap();
+        assert_eq!(e.rules_covering(Op::Ldq), &[0, 1]);
+        assert_eq!(e.rules_covering(Op::Ldl), &[0]);
+        assert!(e.rules_covering(Op::Stq).is_empty());
     }
 
     #[test]
@@ -890,7 +872,7 @@ mod tests {
     }
 
     /// A cached engine (driven through `inspect_at` and µop handles) and
-    /// a slow-path engine (driven through the live entry points), run in
+    /// an unbound engine (driven through the live entry points), run in
     /// lockstep:
     /// every call must return the same outcome or µop, and leave the
     /// same statistics, on both.
@@ -905,7 +887,7 @@ mod tests {
         fn new(config: EngineConfig, set: ProductionSet, text_slots: usize) -> Lockstep {
             let mut cached = DiseEngine::with_productions(config, set.clone()).unwrap();
             cached.bind_text(TEXT_BASE, text_slots);
-            let slow = DiseEngine::with_productions(config.slow_path(), set).unwrap();
+            let slow = DiseEngine::with_productions(config, set).unwrap();
             Lockstep { cached, slow }
         }
 
@@ -1060,13 +1042,13 @@ mod tests {
         let _ = e.inspect_at(&st, TEXT_BASE + 4);
         let _ = e.inspect_at(&st, TEXT_BASE + 4);
         assert_eq!(e.expansion_cache_hits(), 1);
-        // A slow-path engine never binds.
-        let mut slow = engine_with_store_rule(EngineConfig::default().slow_path());
-        slow.bind_text(TEXT_BASE, 4);
+        // An engine bound to no slots serves every PC live.
+        let mut unbound = engine_with_store_rule(EngineConfig::default());
+        unbound.bind_text(TEXT_BASE, 0);
         for _ in 0..4 {
-            let _ = slow.inspect_at(&st, TEXT_BASE);
+            let _ = unbound.inspect_at(&st, TEXT_BASE);
         }
-        assert_eq!(slow.expansion_cache_hits(), 0);
+        assert_eq!(unbound.expansion_cache_hits(), 0);
     }
 
     #[test]

@@ -248,31 +248,35 @@ impl ProductionSet {
     /// identifier for this instruction, if any. Ties go to the
     /// earliest-installed rule.
     ///
-    /// This is the *functional* semantics; the finite-PT model in
-    /// [`crate::engine`] produces the same answer modulo miss events.
+    /// This is the *functional* semantics; the engine selects through
+    /// [`ProductionSet::select`] too, among the rules covering the opcode.
     pub fn lookup(&self, inst: &Inst) -> Option<ReplacementId> {
-        self.rules
-            .iter()
-            .enumerate()
+        self.select(inst, 0..self.rules.len())
+    }
+
+    /// [`ProductionSet::lookup`] among the rules numbered `candidates`:
+    /// the matching candidate with the highest (priority, specificity)
+    /// wins, ties going to the earliest installed rule. The winner is the
+    /// same for any candidate list that holds every matching rule, which
+    /// is how the engine selects among the rules covering an opcode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a candidate is not a rule index.
+    pub fn select(
+        &self,
+        inst: &Inst,
+        candidates: impl IntoIterator<Item = usize>,
+    ) -> Option<ReplacementId> {
+        candidates
+            .into_iter()
+            .map(|i| (i, &self.rules[i]))
             .filter(|(_, p)| p.pattern.matches(inst))
-            // Highest (priority, specificity) wins; ties go to the earliest
-            // installed rule.
-            .max_by_key(|(i, p)| {
-                (p.priority, p.pattern.specificity(), usize::MAX - *i)
-            })
+            .max_by_key(|(i, p)| (p.priority, p.pattern.specificity(), usize::MAX - *i))
             .map(|(_, p)| match p.seq {
                 SeqRef::Fixed(id) => id,
                 SeqRef::FromTag { base } => base + inst.codeword_tag() as u32,
             })
-    }
-
-    /// All rules whose pattern could match opcode `op`, used for per-opcode
-    /// PT fills (paper §2.3).
-    pub fn rules_for_opcode(&self, op: Op) -> Vec<&Production> {
-        self.rules
-            .iter()
-            .filter(|p| p.pattern.opcodes().contains(&op))
-            .collect()
     }
 
     /// Merges another set's rules and sequences into this one, remapping the
@@ -372,6 +376,22 @@ mod tests {
         assert_eq!(set.lookup(&i("ldq r1, 0(r7)")), Some(work));
         assert_eq!(set.lookup(&i("ldq r1, 0(r30)")), Some(ident));
         assert_eq!(set.lookup(&i("stq r1, 0(r30)")), None);
+        // An exact duplicate never wins: ties go to the earliest rule.
+        let sp_load = Pattern::opclass(OpClass::Load).with_rs(Reg::SP);
+        set.add_transparent(sp_load, ReplacementSpec::identity())
+            .unwrap();
+        assert_eq!(set.lookup(&i("ldq r1, 0(r30)")), Some(ident));
+        // Priority goes before specificity; `select` picks among the
+        // candidates it is given.
+        let urgent = set
+            .add_transparent_prioritized(
+                Pattern::opclass(OpClass::Load),
+                ReplacementSpec::identity(),
+                1,
+            )
+            .unwrap();
+        assert_eq!(set.lookup(&i("ldq r1, 0(r30)")), Some(urgent));
+        assert_eq!(set.select(&i("ldq r1, 0(r30)"), 0..3), Some(ident));
     }
 
     #[test]
@@ -424,21 +444,6 @@ mod tests {
             .add_aware(Op::Cw1, 5, ReplacementSpec::identity())
             .unwrap();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn rules_for_opcode() {
-        let mut set = ProductionSet::new();
-        set.add_transparent(
-            Pattern::opclass(OpClass::Load),
-            ReplacementSpec::identity(),
-        )
-        .unwrap();
-        set.add_transparent(Pattern::opcode(Op::Ldq), ReplacementSpec::identity())
-            .unwrap();
-        assert_eq!(set.rules_for_opcode(Op::Ldq).len(), 2);
-        assert_eq!(set.rules_for_opcode(Op::Ldl).len(), 1);
-        assert_eq!(set.rules_for_opcode(Op::Stq).len(), 0);
     }
 
     #[test]

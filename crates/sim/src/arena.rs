@@ -12,15 +12,13 @@
 //!
 //! Keying is by content fingerprint — the program's text base and bytes
 //! — so distinct `Program` clones of the same image share, while any
-//! difference gets its own entry. Sharing can be disabled for
-//! differential testing via [`set_share_enabled`]. The module also owns
-//! the content fingerprints the snapshot format records.
+//! difference gets its own entry. The module also owns the content
+//! fingerprints the snapshot format records.
 
 use dise_core::Controller;
 use dise_isa::{Predecode, Program};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Counters describing arena traffic since process start (or the last
@@ -43,23 +41,6 @@ struct Registry {
 fn registry() -> &'static Mutex<Registry> {
     static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
     REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
-}
-
-/// Runtime switch for the arena. Exists for the differential conformance
-/// suite, which must run shared and forced-private sweeps in one process.
-static SHARE: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables arena sharing at run time. Disabling does not
-/// evict existing entries; it only makes subsequent requests build
-/// private copies.
-pub fn set_share_enabled(enabled: bool) {
-    SHARE.store(enabled, Ordering::SeqCst);
-}
-
-/// Whether arena sharing is currently active: on by default, off after
-/// [`set_share_enabled`]`(false)`.
-pub fn share_enabled() -> bool {
-    SHARE.load(Ordering::SeqCst)
 }
 
 /// A snapshot of the arena's traffic counters.
@@ -144,12 +125,8 @@ pub(crate) fn debug_fingerprint<T: std::fmt::Debug>(value: &T) -> u64 {
     w.0
 }
 
-/// The predecode table for `program`'s image: shared from the arena when
-/// sharing is enabled, freshly built otherwise.
+/// The predecode table for `program`'s image, shared from the arena.
 pub fn predecode_for(program: &Program) -> Arc<Predecode> {
-    if !share_enabled() {
-        return Arc::new(program.predecode());
-    }
     let key = program_fingerprint(program);
     let mut reg = registry().lock().expect("arena lock");
     // `covers` guards the (astronomically unlikely) fingerprint collision:
@@ -183,13 +160,12 @@ mod tests {
             .unwrap()
     }
 
-    /// Serializes the tests in this module: one toggles the process-wide
-    /// share switch and the other reaps, and each would see the other's
-    /// side effects if interleaved.
+    /// Serializes the tests in this module: one reaps, and the other
+    /// would see its side effects if interleaved.
     static ARENA_TEST_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
-    fn arena_shares_by_content_and_respects_the_switch() {
+    fn arena_shares_by_content() {
         let _serial = ARENA_TEST_LOCK.lock().unwrap();
         // Other tests in this binary hit the arena concurrently, so only
         // pointer identity and counter *deltas* (monotonic inequalities)
@@ -206,11 +182,6 @@ mod tests {
 
         let after = stats();
         assert!(after.predecode_hits > before.predecode_hits);
-
-        set_share_enabled(false);
-        let d = predecode_for(&p);
-        assert!(!Arc::ptr_eq(&a, &d), "disabled arena builds privately");
-        set_share_enabled(true);
     }
 
     #[test]

@@ -348,7 +348,7 @@ impl MemoryHierarchy {
     /// Instruction fetch of `len` bytes at `addr`: returns total latency.
     ///
     /// A fetch inside the line probed last counts one I-cache access and
-    /// hits without probing (see [`Cache::hit_mru`]). Any other
+    /// hits without probing (see `Cache::hit_mru`). Any other
     /// single-line fetch probes its line directly; a fetch straddling
     /// lines probes each in address order.
     pub fn ifetch(&mut self, addr: u64, len: u64) -> u64 {

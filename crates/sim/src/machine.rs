@@ -91,10 +91,13 @@ impl DedicatedDict {
 pub struct MachineConfig {
     /// Stack size in bytes; SP starts at the top of the stack segment.
     pub stack_size: u64,
-    /// Use the predecoded-text fast path (and, when an engine is attached,
-    /// its PC-indexed expansion cache). Purely a
-    /// simulation-speed knob: results, statistics, and error behavior are
-    /// bit-identical with it off.
+    /// The functional layer's one speed switch: use the predecoded-text
+    /// fast path and, when an engine is attached, bind its PC-indexed
+    /// expansion cache. Off, every fetch goes through the byte-accurate
+    /// `Program::fetch` and every inspection and µop through the engine's
+    /// live resolve-and-instantiate path: the reference the `--shadow`
+    /// oracle runs. Results, statistics, and error behavior are
+    /// bit-identical either way.
     pub fast_path: bool,
 }
 
@@ -108,8 +111,8 @@ impl Default for MachineConfig {
 }
 
 impl MachineConfig {
-    /// Disables the fast path (predecode + expansion cache) — used by
-    /// differential tests and honest baseline measurements.
+    /// Disables the fast path (predecode + expansion cache): the
+    /// reference machine of the differential tests and the shadow oracle.
     pub fn slow_path(mut self) -> MachineConfig {
         self.fast_path = false;
         self
@@ -335,7 +338,8 @@ impl Machine {
     /// Attaches a DISE engine; every subsequently fetched instruction is
     /// inspected by it. With the fast path on, the engine's expansion
     /// cache is bound to this machine's text segment, one entry per
-    /// predecode slot (see [`DiseEngine::bind_text`]).
+    /// predecode slot (see [`DiseEngine::bind_text`]); with it off, the
+    /// engine is left bound to nothing and serves every fetch live.
     pub fn attach_engine(&mut self, mut engine: DiseEngine) {
         let (base, slots) = self
             .predecode
@@ -594,7 +598,7 @@ impl Machine {
     }
 
     /// Writes a register (writes to the zero register are discarded:
-    /// they land in [`ZERO_SINK`], which nothing reads).
+    /// they land in a padding slot that nothing reads).
     #[inline]
     pub fn set_reg(&mut self, r: Reg, value: u64) {
         let i = r.index();
@@ -651,7 +655,7 @@ impl Machine {
     /// Fails on fetch errors, unexpandable codewords, or engine errors.
     pub fn step(&mut self) -> Result<Option<StepInfo>> {
         let mut out = StepInfo::default();
-        Ok(self.step_inner::<true>(&mut out)?.then_some(out))
+        Ok(self.step_into(&mut out)?.then_some(out))
     }
 
     /// Executes one dynamic instruction, filling a caller-owned report in
@@ -663,28 +667,16 @@ impl Machine {
     /// instruction — the cycle-level simulator's oracle loop reuses one
     /// slot for an entire run.
     ///
+    /// An unexpanded instruction goes fetch → execute → advance within
+    /// this call and never touches `exp`. Only an expansion is parked
+    /// there, for the steps that retire the rest of its sequence.
+    /// Inlined into each caller's loop, so the report is filled in place.
+    ///
     /// # Errors
     ///
     /// Fails on fetch errors, unexpandable codewords, or engine errors.
     #[inline(always)]
     pub fn step_into(&mut self, out: &mut StepInfo) -> Result<bool> {
-        self.step_inner::<true>(out)
-    }
-
-    /// The step body, monomorphized on whether the caller wants a
-    /// [`StepInfo`]. [`Machine::run`] only needs halt/continue, so its
-    /// instantiation drops the report assembly (and everything feeding
-    /// only it) at compile time; execution is otherwise identical.
-    /// Returns `false` once halted; `out` is filled iff `INFO` and a step
-    /// retired.
-    ///
-    /// An unexpanded instruction goes fetch → execute → advance within
-    /// this call and never touches `exp`. Only an expansion is parked
-    /// there, for the steps that retire the rest of its sequence.
-    /// Inlined into each caller's loop (`run`, and through `step_into`
-    /// the timing simulator's), so the report is filled in place.
-    #[inline(always)]
-    fn step_inner<const INFO: bool>(&mut self, out: &mut StepInfo) -> Result<bool> {
         if self.halted {
             return Ok(false);
         }
@@ -741,19 +733,19 @@ impl Machine {
                                 Some(_) => DiseRef::Pass,
                                 None => DiseRef::None,
                             };
-                            return self.step_unexpanded::<INFO>(out, inst, first_of_fetch, dise);
+                            return self.step_unexpanded(out, inst, first_of_fetch, dise);
                         }
                     }
                 }
             }
         };
-        self.step_expansion::<INFO>(out, first_of_fetch, expanded, inspected)
+        self.step_expansion(out, first_of_fetch, expanded, inspected)
     }
 
     /// Executes and retires a fetched instruction that did not expand,
     /// and advances past it.
     #[inline(always)]
-    fn step_unexpanded<const INFO: bool>(
+    fn step_unexpanded(
         &mut self,
         out: &mut StepInfo,
         inst: Inst,
@@ -766,27 +758,25 @@ impl Machine {
         }
         self.total_insts += 1;
         self.app_insts += u64::from(first_of_fetch);
-        if INFO {
-            *out = StepInfo {
-                pc: self.pc,
-                disepc: self.disepc,
-                inst,
-                is_replacement: false,
-                first_of_fetch,
-                fetch_size: 4,
-                expansion_len: 1,
-                expanded: false,
-                taken,
-                target: match ctrl {
-                    Ctrl::AppJump(t) => Some(t),
-                    _ => None,
-                },
-                dise_taken: matches!(ctrl, Ctrl::DiseJump(_)),
-                predicted: true,
-                mem_addr,
-                dise,
-            };
-        }
+        *out = StepInfo {
+            pc: self.pc,
+            disepc: self.disepc,
+            inst,
+            is_replacement: false,
+            first_of_fetch,
+            fetch_size: 4,
+            expansion_len: 1,
+            expanded: false,
+            taken,
+            target: match ctrl {
+                Ctrl::AppJump(t) => Some(t),
+                _ => None,
+            },
+            dise_taken: matches!(ctrl, Ctrl::DiseJump(_)),
+            predicted: true,
+            mem_addr,
+            dise,
+        };
         match ctrl {
             Ctrl::Next => {
                 self.pc += 4;
@@ -810,9 +800,9 @@ impl Machine {
     /// `first_of_fetch`, `expanded` and `inspected` (the trigger's
     /// opcode) describe the fetch that began it when this is that
     /// fetch's step, and are `false`/`false`/`None` otherwise. Inlined
-    /// into `step_inner`: every replacement µop runs it.
+    /// into `step_into`: every replacement µop runs it.
     #[inline(always)]
-    fn step_expansion<const INFO: bool>(
+    fn step_expansion(
         &mut self,
         out: &mut StepInfo,
         first_of_fetch: bool,
@@ -856,27 +846,25 @@ impl Machine {
         // address — this is what makes compressed sequence-terminating
         // branches predictable). Sequence-internal branches are never
         // predicted (§2.2): taken ones redirect, untaken ones are free.
-        if INFO {
-            *out = StepInfo {
-                pc: self.pc,
-                disepc: self.disepc,
-                inst,
-                is_replacement: len > 1,
-                first_of_fetch,
-                fetch_size,
-                expansion_len: len,
-                expanded,
-                taken,
-                target: match ctrl {
-                    Ctrl::AppJump(t) => Some(t),
-                    _ => None,
-                },
-                dise_taken: matches!(ctrl, Ctrl::DiseJump(_)),
-                predicted: trigger_inst == Some(inst) || self.disepc + 1 == len,
-                mem_addr,
-                dise,
-            };
-        }
+        *out = StepInfo {
+            pc: self.pc,
+            disepc: self.disepc,
+            inst,
+            is_replacement: len > 1,
+            first_of_fetch,
+            fetch_size,
+            expansion_len: len,
+            expanded,
+            taken,
+            target: match ctrl {
+                Ctrl::AppJump(t) => Some(t),
+                _ => None,
+            },
+            dise_taken: matches!(ctrl, Ctrl::DiseJump(_)),
+            predicted: trigger_inst == Some(inst) || self.disepc + 1 == len,
+            mem_addr,
+            dise,
+        };
 
         // Advance (PC, DISEPC).
         match ctrl {
@@ -926,7 +914,7 @@ impl Machine {
             if fuel == 0 {
                 return Err(SimError::OutOfFuel);
             }
-            if self.step_inner::<false>(&mut out)? {
+            if self.step_into(&mut out)? {
                 fuel -= 1;
             }
         }
@@ -1481,17 +1469,15 @@ mod tests {
 
     impl Twins {
         fn new(p: &Program, set: dise_core::ProductionSet) -> Twins {
-            let build = |mconfig: MachineConfig, econfig: EngineConfig| {
+            let build = |mconfig: MachineConfig| {
                 let mut m = Machine::with_config(p, mconfig);
                 m.set_reg(Reg::R2, Program::segment_base(Program::DATA_SEGMENT));
-                m.attach_engine(DiseEngine::with_productions(econfig, set.clone()).unwrap());
+                let engine = DiseEngine::with_productions(EngineConfig::default(), set.clone());
+                m.attach_engine(engine.unwrap());
                 m
             };
-            let fast = build(MachineConfig::default(), EngineConfig::default());
-            let slow = build(
-                MachineConfig::default().slow_path(),
-                EngineConfig::default().slow_path(),
-            );
+            let fast = build(MachineConfig::default());
+            let slow = build(MachineConfig::default().slow_path());
             let models = [&fast, &slow].map(|m| crate::DiseCacheModel::new(m.engine().unwrap()));
             Twins { fast, slow, models }
         }

@@ -867,7 +867,7 @@ impl Simulator {
     }
 
     /// Detaches and returns the shadow oracle. A restore drops any
-    /// attached shadow (see [`Simulator::apply_state`]); callers that
+    /// attached shadow (see `Simulator::apply_state`); callers that
     /// want to keep it across a restore take it out first and re-attach
     /// after resetting its state.
     pub fn take_shadow(&mut self) -> Option<Machine> {

@@ -255,9 +255,8 @@ pub fn save_machine(m: &Machine) -> Vec<u8> {
 /// bytes into `m`, which the caller must have constructed exactly as for
 /// a fresh run of the same scenario: same program, same attached engine
 /// (same production set and engine configuration), same dedicated
-/// dictionary. The functional speed knobs (`MachineConfig::fast_path`,
-/// `EngineConfig::fast_path`, frontend sharing) may differ — they are
-/// bit-identity-neutral by construction.
+/// dictionary. The functional speed switch (`MachineConfig::fast_path`)
+/// may differ — it is bit-identity-neutral by construction.
 ///
 /// # Errors
 ///

@@ -75,15 +75,13 @@ impl Observed {
 }
 
 /// Builds one machine over `p` with a freshly seeded production set.
-/// `slow` selects the reference interpreter (no predecode, no engine
-/// fast path).
+/// `slow` selects the reference interpreter (no predecode, and an
+/// unbound engine that serves every fetch live).
 fn machine(p: &Program, econfig: EngineConfig, rng: &mut StdRng, slow: bool) -> Machine {
-    let mconfig = if slow {
-        MachineConfig::default().slow_path()
-    } else {
-        MachineConfig::default()
+    let mconfig = MachineConfig {
+        fast_path: !slow,
+        ..MachineConfig::default()
     };
-    let econfig = if slow { econfig.slow_path() } else { econfig };
     let mut engine = DiseEngine::new(econfig);
     engine
         .install_transparent(Pattern::opclass(OpClass::Store), store_spec())

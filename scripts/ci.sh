@@ -8,12 +8,14 @@
 #   test    — full workspace test suite (unit + integration +
 #             determinism + differential fast-path tests, every crate)
 #   clippy  — every crate, all targets, warnings denied
+#   rustdoc — every crate's docs, warnings denied (a link to a deleted
+#             or private item fails)
 #   smoke   — run_figures.sh --smoke: every figure binary end-to-end on
 #             a tiny budget, including the stats-JSON byte-stability
 #             check (jobs 1 vs 8, warm vs cold cell cache)
-#   arena   — the predecode-arena differential suite (shared predecode
-#             tables vs forced-private construction, byte-identical at
-#             jobs 1/8, with arena hits asserted)
+#   arena   — the predecode-arena suite (shared predecode tables,
+#             byte-identical at jobs 1/8, with arena builds and hits
+#             asserted)
 #   shadow  — fig6 MFI cells and the fig8 RT panel with the --shadow
 #             lockstep oracle armed (cache off: warm cells skip
 #             simulation and prove nothing), plus an RT-miss engagement
@@ -64,10 +66,13 @@ cargo test --workspace -q
 echo "== ci: clippy ($(date)) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== ci: rustdoc ($(date)) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== ci: smoke figures ($(date)) =="
 ./run_figures.sh --smoke
 
-echo "== ci: predecode-arena differential ($(date)) =="
+echo "== ci: predecode arena ($(date)) =="
 cargo test -q -p dise-bench --test predecode_arena
 
 echo "== ci: shadow smoke cell ($(date)) =="

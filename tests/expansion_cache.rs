@@ -189,16 +189,15 @@ fn mfi_image_cached_engine_matches_slow_engine_in_lockstep() {
         .with_error_handler(p.symbol("mfi_error").unwrap())
         .productions()
         .unwrap();
-    let machine = |mconfig: MachineConfig, econfig: EngineConfig| {
+    let machine = |mconfig: MachineConfig| {
         let mut m = Machine::with_config(&p, mconfig);
-        m.attach_engine(DiseEngine::with_productions(econfig, set.clone()).unwrap());
+        m.attach_engine(DiseEngine::with_productions(thrashing_config(), set.clone()).unwrap());
         Mfi::init_machine(&mut m);
         m
     };
-    let config = thrashing_config();
     let o = lockstep(
-        machine(MachineConfig::default(), config),
-        machine(MachineConfig::default().slow_path(), config.slow_path()),
+        machine(MachineConfig::default()),
+        machine(MachineConfig::default().slow_path()),
         // The image holds no codewords: the install only has to clear
         // the cache without changing what executes.
         |e| {
@@ -235,15 +234,14 @@ fn compressed_image_cached_engine_matches_slow_engine_in_lockstep() {
         .map(|(id, s)| (id, s.clone()))
         .expect("a dictionary entry");
     let tag = u16::try_from(id - base).unwrap();
-    let machine = |mconfig: MachineConfig, econfig: EngineConfig| {
+    let machine = |mconfig: MachineConfig| {
         let mut m = Machine::with_config(&c.program, mconfig);
-        m.attach_engine(DiseEngine::with_productions(econfig, set.clone()).unwrap());
+        m.attach_engine(DiseEngine::with_productions(thrashing_config(), set.clone()).unwrap());
         m
     };
-    let config = thrashing_config();
     let o = lockstep(
-        machine(MachineConfig::default(), config),
-        machine(MachineConfig::default().slow_path(), config.slow_path()),
+        machine(MachineConfig::default()),
+        machine(MachineConfig::default().slow_path()),
         |e| {
             assert_eq!(e.install_aware(cw_op, tag, spec.clone()).unwrap(), id);
         },

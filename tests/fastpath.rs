@@ -1,16 +1,18 @@
 //! Differential tests for the frontend fast path.
 //!
-//! The predecode table, the per-opcode PT index, and the engine's
-//! PC-indexed expansion cache are pure simulation-speed devices: every test here
-//! runs the same workload with the fast path on (the default) and off
-//! (`MachineConfig::slow_path` + `EngineConfig::slow_path`) and demands
-//! *bit-identical* results — architectural state, retirement counts,
-//! cycle-level timing, engine statistics (the engine's own and the
-//! timing model's PT/RT misses), and the executed instruction stream.
+//! The predecode table and the engine's PC-indexed expansion cache are
+//! pure simulation-speed devices, and `MachineConfig::fast_path` is the
+//! one switch for both: a slow-path machine fetches through the
+//! byte-accurate `Program::fetch` and leaves its engine unbound, so every
+//! inspection and µop takes the live path. Every test here runs the same
+//! workload on a default machine and on `MachineConfig::slow_path` and
+//! demands *bit-identical* results — architectural state, retirement
+//! counts, cycle-level timing, engine statistics (the engine's own and
+//! the timing model's PT/RT misses), and the executed instruction stream.
 
 use dise::acf::compress::{CompressionConfig, Compressor};
 use dise::acf::mfi::{Mfi, MfiVariant};
-use dise::engine::{Controller, DiseEngine, EngineConfig, RtOrganization};
+use dise::engine::{Controller, DiseEngine, EngineConfig, Expansion, RtOrganization};
 use dise::isa::{Inst, Program, Reg};
 use dise::sim::{Machine, MachineConfig, SimConfig, Simulator};
 use dise::workloads::{Benchmark, WorkloadConfig};
@@ -23,25 +25,22 @@ fn final_state(m: &Machine) -> Vec<u64> {
     (0..32).map(|i| m.reg(Reg::r(i))).collect()
 }
 
-/// An MFI-protected machine over `p`, fast path on or off in *both* the
-/// machine (predecode) and the engine (index + expansion cache).
+/// A machine config with the fast path on or off.
+fn mconfig(fast: bool) -> MachineConfig {
+    MachineConfig {
+        fast_path: fast,
+        ..MachineConfig::default()
+    }
+}
+
+/// An MFI-protected machine over `p`, fast path on or off.
 fn mfi_machine(p: &Program, fast: bool) -> Machine {
-    let mconfig = if fast {
-        MachineConfig::default()
-    } else {
-        MachineConfig::default().slow_path()
-    };
-    let econfig = if fast {
-        EngineConfig::default()
-    } else {
-        EngineConfig::default().slow_path()
-    };
-    let mut m = Machine::with_config(p, mconfig);
+    let mut m = Machine::with_config(p, mconfig(fast));
     let set = Mfi::new(MfiVariant::Dise3)
         .with_error_handler(p.symbol("mfi_error").unwrap())
         .productions()
         .unwrap();
-    m.attach_engine(DiseEngine::with_productions(econfig, set).unwrap());
+    m.attach_engine(DiseEngine::with_productions(EngineConfig::default(), set).unwrap());
     Mfi::init_machine(&mut m);
     m
 }
@@ -109,7 +108,7 @@ fn compression_identical_fast_and_slow_with_finite_rt() {
     let mut fast = Machine::load(&c.program);
     c.attach(&mut fast, econfig).unwrap();
     let mut slow = Machine::with_config(&c.program, MachineConfig::default().slow_path());
-    c.attach(&mut slow, econfig.slow_path()).unwrap();
+    c.attach(&mut slow, econfig).unwrap();
 
     let mut fast = Simulator::new(SimConfig::default(), fast);
     let mut slow = Simulator::new(SimConfig::default(), slow);
@@ -174,8 +173,8 @@ fn predecode_fallback_handles_undecodable_pc_identically() {
 fn every_text_pc_round_trips_through_the_expansion_cache() {
     // Every instruction of the image inspected at its own PC, three
     // times over: the cache, filled on the first pass and hit on the
-    // next two, must agree with the slow engine's live match at every
-    // PC and opcode.
+    // next two, must agree with an unbound engine's live match and with
+    // the production set's full-scan lookup at every PC and opcode.
     let p = workload(Benchmark::Twolf);
     let set = Mfi::new(MfiVariant::Dise3)
         .with_error_handler(p.symbol("mfi_error").unwrap())
@@ -184,7 +183,7 @@ fn every_text_pc_round_trips_through_the_expansion_cache() {
     let mut fast = DiseEngine::with_productions(EngineConfig::default(), set.clone()).unwrap();
     let pd = p.predecode();
     fast.bind_text(pd.text_base(), pd.slot_count());
-    let mut slow = DiseEngine::with_productions(EngineConfig::default().slow_path(), set).unwrap();
+    let mut slow = DiseEngine::with_productions(EngineConfig::default(), set.clone()).unwrap();
     let insts: Vec<(u64, Inst)> = p
         .items()
         .unwrap()
@@ -196,11 +195,17 @@ fn every_text_pc_round_trips_through_the_expansion_cache() {
         .collect();
     for round in 0..3 {
         for (pc, inst) in &insts {
+            let outcome = fast.inspect_at(inst, *pc).0;
             assert_eq!(
-                fast.inspect_at(inst, *pc).0,
+                outcome,
                 slow.inspect(inst),
                 "round {round}: {inst} at {pc:#x}"
             );
+            let id = match outcome {
+                Expansion::Expand { id, .. } => Some(id),
+                _ => None,
+            };
+            assert_eq!(id, set.lookup(inst), "{inst} at {pc:#x}");
         }
     }
     assert_eq!(fast.stats(), slow.stats());
@@ -210,7 +215,7 @@ fn every_text_pc_round_trips_through_the_expansion_cache() {
 /// A DISE+DISE machine: `c`'s aware decompression productions with DISE3
 /// MFI composed in, either eagerly (composed up front in software) or
 /// lazily (the controller inlines MFI into each aware sequence at RT-fill
-/// time), fast path on or off in both the machine and the engine.
+/// time), fast path on or off.
 fn composed_machine(
     c: &dise::acf::compress::CompressedProgram,
     econfig: EngineConfig,
@@ -222,11 +227,6 @@ fn composed_machine(
         .with_error_handler(c.program.symbol("mfi_error").unwrap())
         .productions()
         .unwrap();
-    let (mconfig, econfig) = if fast {
-        (MachineConfig::default(), econfig)
-    } else {
-        (MachineConfig::default().slow_path(), econfig.slow_path())
-    };
     let engine = if eager {
         let composed = dise::engine::compose::compose_nested(&mfi, &aware).unwrap();
         DiseEngine::with_productions(econfig, composed).unwrap()
@@ -236,7 +236,7 @@ fn composed_machine(
         let controller = Controller::new(active).with_inline_on_fill(mfi);
         DiseEngine::with_controller(econfig, controller)
     };
-    let mut m = Machine::with_config(&c.program, mconfig);
+    let mut m = Machine::with_config(&c.program, mconfig(fast));
     m.attach_engine(engine);
     Mfi::init_machine(&mut m);
     m

@@ -10,7 +10,9 @@
 //! be replayed under a debugger by re-running the loop.
 
 use dise::acf::compress::{CompressionConfig, Compressor};
-use dise::engine::{DiseEngine, EngineConfig, ImmPredicate, Pattern, RtOrganization};
+use dise::engine::{
+    DiseEngine, EngineConfig, Expansion, ImmPredicate, Pattern, RtOrganization, SeqRef,
+};
 use dise::isa::{Inst, OpClass, Program, Reg};
 use dise::sim::{Machine, SimConfig, Simulator};
 use dise_workloads::fuzz::{arb_program, encodable_inst, pick, SEED_PROPS};
@@ -192,27 +194,130 @@ fn rt_capacity_never_changes_results() {
     }
 }
 
+/// The rule sets the engine-selection property runs over: DISE3 MFI;
+/// the lazily composed MFI ∪ aware-decompression set of Figure 8 (MFI
+/// inlined into aware sequences at fill time); and a hand-built set of
+/// `FromTag` codeword rules overlapping transparent rules of several
+/// priorities and specificities, with an exact duplicate to exercise the
+/// earliest-installed tie-break. Each comes with instructions that hit
+/// its rules, besides the fuzzed ones.
+fn selection_cases() -> Vec<(&'static str, DiseEngine, Vec<Inst>)> {
+    use dise::acf::mfi::{Mfi, MfiVariant};
+    use dise::engine::{Controller, ProductionSet, ReplacementSpec};
+    use dise::isa::Op;
+    use dise::workloads::{Benchmark, WorkloadConfig};
+
+    let config = EngineConfig::default();
+    let mfi = |handler| {
+        Mfi::new(MfiVariant::Dise3)
+            .with_error_handler(handler)
+            .productions()
+            .unwrap()
+    };
+    let text = |p: &Program| -> Vec<Inst> {
+        p.items()
+            .unwrap()
+            .into_iter()
+            .filter_map(|(_, item)| match item {
+                dise::isa::TextItem::Inst(i) => Some(i),
+                dise::isa::TextItem::Short(_) => None,
+            })
+            .collect()
+    };
+
+    let plain = DiseEngine::with_productions(config, mfi(0x7000)).unwrap();
+
+    let p = Benchmark::Mcf.build(&WorkloadConfig::tiny().with_dyn_insts(20_000));
+    let c = Compressor::new(CompressionConfig::dise_full())
+        .compress(&p)
+        .unwrap();
+    let outer = mfi(c.program.symbol("mfi_error").unwrap());
+    let mut active = outer.clone();
+    active.absorb(c.productions.as_ref().unwrap()).unwrap();
+    let lazy = Controller::new(active).with_inline_on_fill(outer);
+    let lazy = DiseEngine::with_controller(config, lazy);
+
+    let mut set = ProductionSet::new();
+    let id = ReplacementSpec::identity;
+    for tag in 0..8 {
+        set.add_aware(Op::Cw0, tag, id()).unwrap();
+        set.add_aware(Op::Cw1, tag, id()).unwrap();
+    }
+    set.set_codeword_priority(Op::Cw1, 2);
+    set.add_transparent(Pattern::opcode(Op::Cw0).with_rs(Reg::r(1)), id())
+        .unwrap();
+    set.add_transparent_prioritized(Pattern::opcode(Op::Cw1), id(), 1)
+        .unwrap();
+    set.add_transparent(Pattern::opclass(OpClass::Store), id())
+        .unwrap();
+    set.add_transparent(Pattern::opclass(OpClass::Store).with_rs(Reg::SP), id())
+        .unwrap();
+    set.add_transparent_prioritized(Pattern::opclass(OpClass::Store), id(), 1)
+        .unwrap();
+    set.add_transparent(Pattern::opclass(OpClass::Load), id())
+        .unwrap();
+    set.add_transparent(Pattern::opclass(OpClass::Load), id())
+        .unwrap();
+    set.add_transparent(
+        Pattern::opclass(OpClass::Load).with_imm(ImmPredicate::Negative),
+        id(),
+    )
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(FUZZ_SEED ^ 8);
+    let codewords = (0..256)
+        .map(|_| {
+            let op = pick(&mut rng, &[Op::Cw0, Op::Cw1]);
+            let param = |rng: &mut StdRng| rng.gen_range(0..4u8);
+            let (a, b, c) = (param(&mut rng), param(&mut rng), param(&mut rng));
+            Inst::codeword(op, a, b, c, rng.gen_range(0..12u16))
+        })
+        .collect();
+    let overlapping = DiseEngine::with_productions(config, set).unwrap();
+
+    vec![
+        ("mfi", plain, Vec::new()),
+        ("lazily composed", lazy, text(&c.program)),
+        ("overlapping", overlapping, codewords),
+    ]
+}
+
 /// The engine's per-opcode indexed match agrees with the architectural
-/// production lookup on every instruction.
+/// production lookup on every instruction, and the per-opcode index
+/// holds every rule that matches.
 #[test]
 fn engine_matches_architectural_semantics() {
-    let set = dise::acf::mfi::Mfi::new(dise::acf::mfi::MfiVariant::Dise3)
-        .with_error_handler(0x7000)
-        .productions()
-        .unwrap();
     let mut rng = StdRng::seed_from_u64(FUZZ_SEED ^ 7);
-    for case in 0..512 {
-        let inst = encodable_inst(&mut rng);
-        let arch = set.lookup(&inst);
-        let mut engine =
-            DiseEngine::with_productions(EngineConfig::default(), set.clone()).unwrap();
-        let outcome = engine.inspect(&inst);
-        match (arch, outcome) {
-            (Some(id), dise::engine::Expansion::Expand { id: got, .. }) => {
-                assert_eq!(id, got, "case {case}: {inst}")
+    for (name, mut engine, hits) in selection_cases() {
+        let fuzzed: Vec<Inst> = (0..512).map(|_| encodable_inst(&mut rng)).collect();
+        let (mut expanded, mut by_tag) = (0, 0);
+        for (case, inst) in fuzzed.iter().chain(&hits).enumerate() {
+            let set = engine.controller().productions();
+            let want = set.lookup(inst);
+            let covering = engine.rules_covering(inst.op);
+            for (i, rule) in set.rules().iter().enumerate() {
+                if rule.pattern.matches(inst) {
+                    assert!(
+                        covering.contains(&i),
+                        "{name} case {case}: {inst} matches rule {i}, not indexed under {:?}",
+                        inst.op
+                    );
+                }
             }
-            (None, dise::engine::Expansion::None) => {}
-            (a, o) => panic!("case {case}: {inst}: architectural {a:?} vs engine {o:?}"),
+            let got = match engine.inspect(inst) {
+                Expansion::Expand { id, .. } | Expansion::Fault { id } => Some(id),
+                Expansion::None => None,
+            };
+            assert_eq!(got, want, "{name} case {case}: {inst}");
+            expanded += usize::from(got.is_some());
+            by_tag += usize::from(got.is_some() && inst.op.is_codeword());
+        }
+        assert!(expanded > 0, "{name}: no instruction matched a rule");
+        let rules = engine.controller().productions().rules();
+        if rules
+            .iter()
+            .any(|r| matches!(r.seq, SeqRef::FromTag { .. }))
+        {
+            assert!(by_tag > 0, "{name}: no codeword matched a rule");
         }
     }
 }

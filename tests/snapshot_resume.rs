@@ -326,36 +326,10 @@ fn speed_knobs_are_snapshot_neutral() {
     assert!(matches!(interrupted.run(4_321), Err(SimError::OutOfFuel)));
     let snap = save_machine(&interrupted);
 
-    let mut slow = build(
-        Scenario::Mfi,
-        econfig.slow_path(),
-        MachineConfig::default().slow_path(),
-    );
+    let mut slow = build(Scenario::Mfi, econfig, MachineConfig::default().slow_path());
     restore_machine(&mut slow, &snap).unwrap();
     slow.run(u64::MAX).unwrap();
     assert_eq!(save_machine(&slow), ref_bytes, "slow-path twin diverged");
-}
-
-/// The predecode arena is likewise snapshot-neutral: a snapshot from a
-/// machine on a shared predecode table restores into a twin that decoded
-/// its own.
-#[test]
-fn shared_predecode_toggle_is_snapshot_neutral() {
-    let econfig = EngineConfig::default();
-    let mut reference = build(Scenario::Mfi, econfig, MachineConfig::default());
-    reference.run(u64::MAX).unwrap();
-    let ref_bytes = save_machine(&reference);
-
-    let mut interrupted = build(Scenario::Mfi, econfig, MachineConfig::default());
-    assert!(matches!(interrupted.run(2_468), Err(SimError::OutOfFuel)));
-    let snap = save_machine(&interrupted);
-
-    dise::sim::arena::set_share_enabled(false);
-    let mut unshared = build(Scenario::Mfi, econfig, MachineConfig::default());
-    dise::sim::arena::set_share_enabled(true);
-    restore_machine(&mut unshared, &snap).unwrap();
-    unshared.run(u64::MAX).unwrap();
-    assert_eq!(save_machine(&unshared), ref_bytes, "unshared twin diverged");
 }
 
 /// Every rejection path: wrong version, truncation, trailing bytes, kind

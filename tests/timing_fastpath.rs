@@ -4,9 +4,10 @@
 //! The timing model has one implementation. What it consumes — the
 //! functional [`Machine`]'s dynamic instruction stream and the DISE
 //! engine's expansions — has a fast path (predecode, expansion cache)
-//! and a byte-accurate slow path ([`MachineConfig::slow_path`] +
-//! [`EngineConfig::slow_path`]), the reference the `--shadow` oracle
-//! uses. Every test here runs the same workload through the same
+//! and a byte-accurate slow path ([`MachineConfig::slow_path`]: no
+//! predecode table, and an engine left unbound, so every inspection and
+//! µop takes the live path), the reference the `--shadow` oracle uses.
+//! Every test here runs the same workload through the same
 //! [`SimConfig`] with both and demands *bit-identical* [`SimResult`]s —
 //! cycles, every stall counter, engine statistics and the machine's
 //! architectural state. Every engine-attached scenario also asserts that
@@ -29,61 +30,36 @@ fn final_state(m: &Machine) -> Vec<u64> {
     (0..32).map(|i| m.reg(Reg::r(i))).collect()
 }
 
-/// The functional configuration under test: both fast paths, or both
-/// slow paths.
-#[derive(Clone, Copy)]
-struct Paths {
-    machine: MachineConfig,
-    engine: EngineConfig,
-}
-
-impl Paths {
-    /// Both fast paths on (`slow == false`) or both off, over `engine`.
-    fn new(slow: bool, engine: EngineConfig) -> Paths {
-        if slow {
-            Paths {
-                machine: MachineConfig::default().slow_path(),
-                engine: engine.slow_path(),
-            }
-        } else {
-            Paths {
-                machine: MachineConfig::default(),
-                engine,
-            }
-        }
-    }
-}
-
 /// An unmodified machine over `p`.
-fn baseline_machine(p: &Program, paths: Paths) -> Machine {
-    Machine::with_config(p, paths.machine)
+fn baseline_machine(p: &Program, mconfig: MachineConfig) -> Machine {
+    Machine::with_config(p, mconfig)
 }
 
 /// An MFI-protected machine over `p`.
-fn mfi_machine(p: &Program, paths: Paths) -> Machine {
-    let mut m = Machine::with_config(p, paths.machine);
+fn mfi_machine(p: &Program, mconfig: MachineConfig, engine: EngineConfig) -> Machine {
+    let mut m = Machine::with_config(p, mconfig);
     let set = Mfi::new(MfiVariant::Dise3)
         .with_error_handler(p.symbol("mfi_error").unwrap())
         .productions()
         .unwrap();
-    m.attach_engine(DiseEngine::with_productions(paths.engine, set).unwrap());
+    m.attach_engine(DiseEngine::with_productions(engine, set).unwrap());
     Mfi::init_machine(&mut m);
     m
 }
 
 /// A DISE-decompressing machine with a *finite* RT, so engine stalls and
 /// miss penalties flow through the timing model.
-fn compressed_machine(p: &Program, paths: Paths) -> Machine {
+fn compressed_machine(p: &Program, mconfig: MachineConfig, engine: EngineConfig) -> Machine {
     let c = Compressor::new(CompressionConfig::dise_full())
         .compress(p)
         .unwrap();
-    let mut m = Machine::with_config(&c.program, paths.machine);
-    c.attach(&mut m, paths.engine).unwrap();
+    let mut m = Machine::with_config(&c.program, mconfig);
+    c.attach(&mut m, engine).unwrap();
     m
 }
 
 /// Decompression with MFI composed in — the densest expansion stream.
-fn composed_machine(p: &Program, paths: Paths) -> Machine {
+fn composed_machine(p: &Program, mconfig: MachineConfig, engine: EngineConfig) -> Machine {
     let c = Compressor::new(CompressionConfig::dise_full())
         .compress(p)
         .unwrap();
@@ -93,24 +69,23 @@ fn composed_machine(p: &Program, paths: Paths) -> Machine {
         .productions()
         .unwrap();
     let composed = dise::engine::compose::compose_nested(&mfi, &aware).unwrap();
-    let mut m = Machine::with_config(&c.program, paths.machine);
-    m.attach_engine(DiseEngine::with_productions(paths.engine, composed).unwrap());
+    let mut m = Machine::with_config(&c.program, mconfig);
+    m.attach_engine(DiseEngine::with_productions(engine, composed).unwrap());
     Mfi::init_machine(&mut m);
     m
 }
 
-/// Runs `build(paths)` under `sim` with the functional fast paths on
-/// and off; both runs must agree bit-for-bit. Returns the engine
+/// Runs `build(machine config)` under `sim` with the functional fast
+/// path on and off; both runs must agree bit-for-bit. Returns the engine
 /// statistics (if an engine is attached) so callers can check that the
 /// path under test engaged.
 fn assert_paths_identical(
-    build: impl Fn(Paths) -> Machine,
-    engine: EngineConfig,
+    build: impl Fn(MachineConfig) -> Machine,
     sim: SimConfig,
     tag: &str,
 ) -> Option<EngineStats> {
-    let mut fast = Simulator::new(sim, build(Paths::new(false, engine)));
-    let mut slow = Simulator::new(sim, build(Paths::new(true, engine)));
+    let mut fast = Simulator::new(sim, build(MachineConfig::default()));
+    let mut slow = Simulator::new(sim, build(MachineConfig::default().slow_path()));
     let rf = fast.run(u64::MAX).unwrap();
     let rs = slow.run(u64::MAX).unwrap();
     assert_eq!(rf, rs, "{tag}: SimResult diverged between functional paths");
@@ -136,12 +111,11 @@ fn assert_paths_identical(
 /// [`assert_paths_identical`] for an engine-attached scenario, which
 /// must have expanded at least one instruction.
 fn assert_expanding_paths_identical(
-    build: impl Fn(Paths) -> Machine,
-    engine: EngineConfig,
+    build: impl Fn(MachineConfig) -> Machine,
     sim: SimConfig,
     tag: &str,
 ) -> EngineStats {
-    let stats = assert_paths_identical(build, engine, sim, tag).expect("engine attached");
+    let stats = assert_paths_identical(build, sim, tag).expect("engine attached");
     assert!(stats.expansions > 0, "{tag}: the engine never expanded");
     stats
 }
@@ -151,8 +125,7 @@ fn baseline_timing_identical_fast_and_slow() {
     for bench in [Benchmark::Mcf, Benchmark::Gcc, Benchmark::Crafty] {
         let p = workload(bench);
         assert_paths_identical(
-            |paths| baseline_machine(&p, paths),
-            EngineConfig::default(),
+            |m| baseline_machine(&p, m),
             SimConfig::default(),
             bench.name(),
         );
@@ -170,8 +143,7 @@ fn mfi_timing_identical_across_expansion_costs() {
         ExpansionCost::ExtraStage,
     ] {
         assert_expanding_paths_identical(
-            |paths| mfi_machine(&p, paths),
-            EngineConfig::default(),
+            |m| mfi_machine(&p, m, EngineConfig::default()),
             SimConfig::default().with_expansion_cost(cost),
             &format!("mfi/{cost:?}"),
         );
@@ -189,8 +161,7 @@ fn compressed_timing_identical_with_finite_rt() {
         ..EngineConfig::default()
     };
     let stats = assert_expanding_paths_identical(
-        |paths| compressed_machine(&p, paths),
-        engine,
+        |m| compressed_machine(&p, m, engine),
         SimConfig::default().with_icache_size(Some(8 * 1024)),
         "compressed/finite-rt",
     );
@@ -206,8 +177,7 @@ fn compressed_timing_identical_with_finite_rt() {
 fn composed_timing_identical_fast_and_slow() {
     let p = workload(Benchmark::Gcc);
     assert_expanding_paths_identical(
-        |paths| composed_machine(&p, paths),
-        EngineConfig::default(),
+        |m| composed_machine(&p, m, EngineConfig::default()),
         SimConfig::default(),
         "composed",
     );
@@ -227,8 +197,7 @@ fn tiny_windows_timing_identical_fast_and_slow() {
         ..SimConfig::default()
     };
     assert_expanding_paths_identical(
-        |paths| mfi_machine(&p, paths),
-        EngineConfig::default(),
+        |m| mfi_machine(&p, m, EngineConfig::default()),
         sim,
         "tiny-windows",
     );
