@@ -263,18 +263,13 @@ impl Mfi {
     /// identifiers and the sandboxing mask/base registers, so either
     /// variant (or a composition of both) works after one call.
     pub fn init_machine(machine: &mut dise_sim::Machine) {
-        let program = machine.program().clone();
-        machine.set_reg(SEGMENT_REG, Program::segment_of(program.data_base));
-        machine.set_reg(CODE_SEGMENT_REG, Program::segment_of(program.text_base));
+        let data = Program::segment_of(machine.program().data_base);
+        let code = Program::segment_of(machine.program().text_base);
+        machine.set_reg(SEGMENT_REG, data);
+        machine.set_reg(CODE_SEGMENT_REG, code);
         machine.set_reg(MASK_REG, !((1u64 << Program::SEGMENT_SHIFT) - 1));
-        machine.set_reg(
-            DATA_BASE_REG,
-            Program::segment_base(Program::segment_of(program.data_base)),
-        );
-        machine.set_reg(
-            CODE_BASE_REG,
-            Program::segment_base(Program::segment_of(program.text_base)),
-        );
+        machine.set_reg(DATA_BASE_REG, Program::segment_base(data));
+        machine.set_reg(CODE_BASE_REG, Program::segment_base(code));
     }
 }
 

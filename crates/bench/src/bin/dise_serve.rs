@@ -26,8 +26,8 @@
 //! Observability: per-cell heartbeats and completion events, per-cell
 //! stats as `metrics` records — all tagged with the job's `id` — plus
 //! anomaly reports through the installed sink, and a phase-profile
-//! snapshot plus an arena reap between jobs so a long-lived service
-//! does not grow monotonically.
+//! snapshot between jobs. A job's predecode tables die with its program
+//! images, so a long-lived service does not grow monotonically.
 //!
 //! Modes:
 //!
@@ -264,13 +264,9 @@ struct Daemon {
 }
 
 impl Daemon {
-    /// Between jobs the service sheds arena entries no live machine
-    /// references and exports the accumulated wall-clock phase
+    /// Between jobs the service exports the accumulated wall-clock phase
     /// profile (never part of per-cell stats — see DESIGN §11).
     fn after_job(&self) {
-        let reaped = dise_sim::arena::reap_unreferenced();
-        self.session
-            .event("-", "arena_reap", None, &[("reaped", reaped as f64)]);
         let profile = dise_obs::profile::snapshot();
         if !profile.is_empty() {
             self.session.metrics("harness.profile", &profile);

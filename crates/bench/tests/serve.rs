@@ -116,14 +116,13 @@ fn oneshot_smoke_replays_a_fig6_cell_with_byte_stable_metrics() {
     assert!(stdout.contains("ok baseline gzip (1 cells)"), "{stdout}");
 
     // The narration arrived: at least one heartbeat, the cell lifecycle,
-    // the job bracketing, the metrics snapshot, the arena reap.
+    // the job bracketing, the metrics snapshot.
     for needle in [
         "\"name\":\"heartbeat\"",
         "\"name\":\"cell_start\"",
         "\"name\":\"cell_done\"",
         "\"name\":\"job_start\"",
         "\"name\":\"job_done\"",
-        "\"name\":\"arena_reap\"",
         "\"kind\":\"metrics\"",
         "\"cell\":\"harness.profile\"",
     ] {

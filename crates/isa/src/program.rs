@@ -12,6 +12,7 @@ use crate::reg::Reg;
 use crate::{IsaError, Result};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// One item of a text stream: a full instruction or a 2-byte dedicated
 /// decompressor codeword.
@@ -79,6 +80,12 @@ impl fmt::Display for TextItem {
 /// segment lives in the segment selected by [`Program::TEXT_SEGMENT`], the
 /// data segment in [`Program::DATA_SEGMENT`]. Segment identifiers are a
 /// 64-bit address's bits above [`Program::SEGMENT_SHIFT`].
+///
+/// The image owns its predecode table ([`Program::shared_predecode`]),
+/// built on first use and freed with the image and every machine holding
+/// it. Edit `text` or `text_base` on a clone, never in place once a table
+/// exists: a clone starts without one, but only the base and length of
+/// an in-place edit are checked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     /// Base address of the text segment.
@@ -95,6 +102,34 @@ pub struct Program {
     pub data_init: Vec<u8>,
     /// Named addresses.
     pub symbols: BTreeMap<String, u64>,
+    pub(crate) predecode: PredecodeSlot,
+}
+
+/// The lazily built predecode table of one [`Program`]. Derived state, not
+/// part of the image's value: a clone starts empty (so a clone patched
+/// after its original's table was built never inherits it), every slot
+/// compares equal, and `Debug` elides the table.
+#[derive(Default)]
+pub(crate) struct PredecodeSlot(OnceLock<Arc<Predecode>>);
+
+impl Clone for PredecodeSlot {
+    fn clone(&self) -> Self {
+        PredecodeSlot::default()
+    }
+}
+
+impl PartialEq for PredecodeSlot {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for PredecodeSlot {}
+
+impl fmt::Debug for PredecodeSlot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("..")
+    }
 }
 
 impl Program {
@@ -139,6 +174,7 @@ impl Program {
             data_size: 1 << 20,
             data_init: Vec::new(),
             symbols: BTreeMap::new(),
+            predecode: Default::default(),
         })
     }
 
@@ -161,6 +197,7 @@ impl Program {
             data_size: 1 << 20,
             data_init: Vec::new(),
             symbols: BTreeMap::new(),
+            predecode: Default::default(),
         })
     }
 
@@ -212,6 +249,20 @@ impl Program {
     /// Builds a [`Predecode`] table for this program's text segment.
     pub fn predecode(&self) -> Predecode {
         Predecode::build(self)
+    }
+
+    /// This image's predecode table, built by the first call and shared by
+    /// every later one, from any thread. A table that no longer
+    /// [`covers`](Predecode::covers) the text (its base or length was
+    /// edited in place) is not handed out: the caller gets a private
+    /// build instead.
+    pub fn shared_predecode(&self) -> Arc<Predecode> {
+        let pd = self.predecode.0.get_or_init(|| Arc::new(self.predecode()));
+        if pd.covers(self) {
+            Arc::clone(pd)
+        } else {
+            Arc::new(self.predecode())
+        }
     }
 
     /// Iterates over `(pc, item)` pairs from the start of the text segment.
@@ -597,6 +648,68 @@ mod tests {
             assert_eq!(pd.get(pc), p.fetch(pc).ok(), "pc {pc:#x}");
         }
         assert_eq!(p.items().unwrap().len(), items.len());
+    }
+
+    /// Every even PC of `pd` decodes exactly as `p.fetch` does.
+    fn assert_decodes(pd: &Predecode, p: &Program) {
+        assert!(pd.covers(p));
+        for pc in (p.text_base..p.text_end()).step_by(2) {
+            assert_eq!(pd.get(pc), p.fetch(pc).ok(), "pc {pc:#x}");
+        }
+    }
+
+    #[test]
+    fn shared_predecode_is_built_once_and_shared_across_threads() {
+        let p = small_program();
+        let first = p.shared_predecode();
+        assert!(Arc::ptr_eq(&first, &p.shared_predecode()));
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..3).map(|_| s.spawn(|| p.shared_predecode())).collect();
+            for h in handles {
+                assert!(Arc::ptr_eq(&first, &h.join().unwrap()));
+            }
+        });
+        assert_decodes(&first, &p);
+    }
+
+    #[test]
+    fn patched_clone_gets_its_own_table() {
+        let p = small_program();
+        let original = p.shared_predecode();
+        // Same base and length, different bytes: `covers` alone could not
+        // tell the tables apart, so the clone must not inherit one.
+        let mut patched = p.clone();
+        patched.text[..4].copy_from_slice(&Inst::li(9, Reg::R2).encode().unwrap().to_be_bytes());
+        let table = patched.shared_predecode();
+        assert!(!Arc::ptr_eq(&original, &table));
+        assert_decodes(&table, &patched);
+        assert_decodes(&original, &p);
+        assert_ne!(table.get(p.text_base), original.get(p.text_base));
+    }
+
+    #[test]
+    fn uncovered_table_falls_back_to_a_private_build() {
+        let mut p = small_program();
+        let stale = p.shared_predecode();
+        p.text
+            .extend_from_slice(&Inst::nop().encode().unwrap().to_be_bytes());
+        let a = p.shared_predecode();
+        let b = p.shared_predecode();
+        assert!(
+            !Arc::ptr_eq(&stale, &a),
+            "the stale table is not handed out"
+        );
+        assert!(!Arc::ptr_eq(&a, &b), "each fallback build is private");
+        assert_decodes(&a, &p);
+    }
+
+    #[test]
+    fn the_table_is_not_part_of_the_image_value() {
+        let p = small_program();
+        let (clone, debug) = (p.clone(), format!("{p:?}"));
+        p.shared_predecode();
+        assert_eq!(p, clone);
+        assert_eq!(format!("{p:?}"), debug);
     }
 
     #[test]

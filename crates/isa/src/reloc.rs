@@ -399,6 +399,7 @@ impl<'a> Relocator<'a> {
             data_size: original.data_size,
             data_init: original.data_init.clone(),
             symbols,
+            predecode: Default::default(),
         };
         Ok(RelocOutput {
             program,

@@ -22,6 +22,7 @@ use crate::mem::Memory;
 use crate::{Result, SimError};
 use dise_core::{DiseEngine, Expansion, ReplacementId, UopHandle};
 use dise_isa::{Inst, Op, OpClass, Predecode, Program, Reg, TextItem};
+use std::sync::Arc;
 
 /// The dictionary of a dedicated hardware decompressor: entry `i` is the
 /// instruction sequence that a 2-byte codeword with index `i` expands to.
@@ -292,9 +293,10 @@ pub struct Machine {
     program: Program,
     /// Per-byte-offset decode of the text segment (`None` when the fast
     /// path is disabled). The program is immutable after load, so this
-    /// never goes stale; it is `Arc`-shared with every other machine in
-    /// the process simulating the same image (see [`crate::arena`]).
-    predecode: Option<std::sync::Arc<Predecode>>,
+    /// never goes stale; it is the loaded image's own table, `Arc`-shared
+    /// with every machine loaded from that image
+    /// ([`Program::shared_predecode`]).
+    predecode: Option<Arc<Predecode>>,
     pc: u64,
     disepc: u8,
     exp: Option<ExpState>,
@@ -330,7 +332,7 @@ impl Machine {
             halted: false,
             total_insts: 0,
             app_insts: 0,
-            predecode: config.fast_path.then(|| crate::arena::predecode_for(program)),
+            predecode: config.fast_path.then(|| program.shared_predecode()),
             program: program.clone(),
         }
     }
@@ -638,6 +640,12 @@ impl Machine {
     /// The loaded program.
     pub fn program(&self) -> &Program {
         &self.program
+    }
+
+    /// The predecode table this machine fetches through: its image's
+    /// shared table on the fast path, `None` on the slow path.
+    pub fn predecode(&self) -> Option<&Arc<Predecode>> {
+        self.predecode.as_ref()
     }
 
     /// Simulates an interrupt at the current `(PC, DISEPC)`: in-flight

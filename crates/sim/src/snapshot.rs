@@ -11,10 +11,10 @@
 //!
 //! Immutable state is **not** serialized. The program image, the
 //! production set, the dedicated dictionary and the timing configuration
-//! are recorded only as content fingerprints (the same FNV-1a
-//! fingerprints the predecode arena keys on — see [`crate::arena`]); the
-//! caller reconstructs the scenario exactly as it would for a fresh run
-//! and restore verifies the fingerprints before injecting anything.
+//! are recorded only as content fingerprints (FNV-1a, see
+//! [`crate::arena`]); the caller reconstructs the scenario exactly as it
+//! would for a fresh run and restore verifies the fingerprints before
+//! injecting anything.
 //! Caches of pure derived state — the predecode table and the engine's
 //! expansion cache — are not recorded: the restore target keeps its own,
 //! and both are bit-identity-neutral by construction.

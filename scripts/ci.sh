@@ -5,6 +5,9 @@
 #   build   — release build (the smoke sweep runs the release binaries)
 #   perfbench build — compile-only: the stand-alone benchmark package
 #             builds against the library APIs it calls
+#   perfbench run — one 1 s run per workload must report every cell
+#             correct (its invariants and the Figure 6 ordering) and
+#             none failed
 #   test    — full workspace test suite (unit + integration +
 #             determinism + differential fast-path tests, every crate)
 #   clippy  — every crate, all targets, warnings denied
@@ -13,9 +16,10 @@
 #   smoke   — run_figures.sh --smoke: every figure binary end-to-end on
 #             a tiny budget, including the stats-JSON byte-stability
 #             check (jobs 1 vs 8, warm vs cold cell cache)
-#   arena   — the predecode-arena suite (shared predecode tables,
-#             byte-identical at jobs 1/8, with arena builds and hits
-#             asserted)
+#   shared predecode — fig6/fig7/fig8 smoke panels byte-identical at
+#             jobs 1/8, where worker threads fetch through their image's
+#             one shared predecode table (that machines share it is
+#             asserted in crates/sim/tests/predecode_ownership.rs)
 #   shadow  — fig6 MFI cells and the fig8 RT panel with the --shadow
 #             lockstep oracle armed (cache off: warm cells skip
 #             simulation and prove nothing), plus an RT-miss engagement
@@ -58,6 +62,18 @@ echo "== ci: perfbench build ($(date)) =="
 # benchmark would otherwise surface only when the benchmark runs.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "== ci: perfbench run ($(date)) =="
+# The benchmark checks every cell's statistics against the invariants
+# its transformations must keep and each MFI pass against the Figure 6
+# ordering; its last stdout line is the verdict.
+for workload in mfi compress compose; do
+    verdict=$(cargo run --release --quiet --offline \
+        --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    echo "$verdict" | jq -e '.correct == true and .failed == 0' > /dev/null || {
+        echo "perfbench $workload failed its checks: $verdict"; exit 1; }
+done
+
 echo "== ci: test ($(date)) =="
 # --workspace: a bare `cargo test` at the root tests only the root
 # `dise` package, not the crates' unit tests and integration suites.
@@ -72,8 +88,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "== ci: smoke figures ($(date)) =="
 ./run_figures.sh --smoke
 
-echo "== ci: predecode arena ($(date)) =="
-cargo test -q -p dise-bench --test predecode_arena
+echo "== ci: shared predecode ($(date)) =="
+cargo test -q -p dise-bench --test shared_predecode
 
 echo "== ci: shadow smoke cell ($(date)) =="
 # Cache must be off: warm cells replay cached stats without simulating,
