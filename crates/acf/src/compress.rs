@@ -11,8 +11,8 @@
 //! * **PC-relative branch compression** — a sequence-terminating branch's
 //!   displacement becomes a fused two-parameter field, so two static
 //!   branches whose offsets diverge *after* compression still share an
-//!   entry; each planted codeword carries its own offset, patched after
-//!   final layout.
+//!   entry; each planted codeword carries its own offset, which the
+//!   relocator patches at final layout.
 //!
 //! Candidate sequences never straddle basic blocks (so no branch can
 //! target a replaced sequence's interior), and expansion is never
@@ -62,7 +62,7 @@ use crate::{AcfError, Result};
 use dise_core::{
     FxHashMap, ImmDirective, InstSpec, OpDirective, ProductionSet, RegDirective, ReplacementSpec,
 };
-use dise_isa::reloc::{NewItem, Relocator};
+use dise_isa::reloc::{NewItem, NewTarget, Relocator};
 use dise_isa::{Cfg, Inst, Op, OpClass, Program, TextItem};
 use dise_sim::telemetry::StatsRegistry;
 use dise_sim::DedicatedDict;
@@ -641,59 +641,29 @@ impl Compressor {
             }
         }
         let mut relocator = Relocator::new(program)?;
-        let mut span_ordinal = 0usize;
-        let mut codeword_spans: Vec<(usize, u16, Instance)> = Vec::new();
         let mut i = 0usize;
         while i < num_insts {
             if let Some((tag, inst, len)) = starts[i] {
                 let item = if cfg.two_byte_codewords {
-                    TextItem::Short(tag)
+                    NewItem::plain(TextItem::Short(tag))
                 } else {
-                    TextItem::Inst(Inst::codeword(
-                        cfg.cw_op,
-                        inst.params[0],
-                        inst.params[1],
-                        inst.params[2],
-                        tag,
-                    ))
+                    let [p1, p2, p3] = inst.params;
+                    let cw = Inst::codeword(cfg.cw_op, p1, p2, p3, tag);
+                    // The relocator re-points a parameterized branch
+                    // (parameters 2 and 3) at its target's new address.
+                    match inst.branch_target {
+                        Some(target) => NewItem::branch(cw, NewTarget::OldAddr(target)),
+                        None => NewItem::inst(cw),
+                    }
                 };
-                relocator.replace(len, [NewItem::plain(item)])?;
-                if inst.branch_target.is_some() {
-                    codeword_spans.push((span_ordinal, tag, inst));
-                }
+                relocator.replace(len, [item])?;
                 i += len;
             } else {
                 relocator.keep()?;
                 i += 1;
             }
-            span_ordinal += 1;
         }
         let out = relocator.finish()?;
-        let mut compressed = out.program;
-
-        // ---- patch parameterized branch offsets -------------------------
-        for (ordinal, tag, inst) in &codeword_spans {
-            let cw_addr = out.item_addrs[*ordinal];
-            let old_target = inst.branch_target.expect("recorded with targets only");
-            let new_target = *out.old_to_new.get(&old_target).ok_or_else(|| {
-                AcfError::Compress(format!(
-                    "compressed branch target {old_target:#x} no longer addressable"
-                ))
-            })?;
-            let disp = new_target as i64 - (cw_addr as i64 + 4);
-            if disp % 4 != 0 || !(-(1 << 11)..(1 << 11)).contains(&disp) {
-                return Err(AcfError::Compress(format!(
-                    "patched branch offset {disp} exceeds the two-parameter range"
-                )));
-            }
-            let d10 = ((disp >> 2) & 0x3FF) as u32;
-            let (p2, p3) = ((d10 & 31) as u8, ((d10 >> 5) & 31) as u8);
-            let word = Inst::codeword(cfg.cw_op, inst.params[0], p2, p3, *tag)
-                .encode()
-                .expect("codewords always encode");
-            let off = (cw_addr - compressed.text_base) as usize;
-            compressed.text[off..off + 4].copy_from_slice(&word.to_be_bytes());
-        }
 
         // ---- build the dictionary ---------------------------------------
         let mut productions = None;
@@ -753,7 +723,7 @@ impl Compressor {
             .sum();
         let stats = CompressionStats {
             original_text: program.text_size(),
-            compressed_text: compressed.text_size(),
+            compressed_text: out.program.text_size(),
             dictionary_bytes: dict_bytes,
             entries: selected.len(),
             instances,
@@ -762,7 +732,7 @@ impl Compressor {
             arena_uops,
         };
         Ok(CompressedProgram {
-            program: compressed,
+            program: out.program,
             productions,
             dictionary,
             stats,
@@ -1397,15 +1367,9 @@ impl Terminal {
         }
         let target = (pc + 4).wrapping_add_signed(inst.imm);
         let disp_from_cw = target as i64 - (window[0].0 as i64 + 4);
-        if (-(1 << 11)..(1 << 11)).contains(&disp_from_cw) && disp_from_cw % 4 == 0 {
-            let d10 = ((disp_from_cw >> 2) & 0x3FF) as u32;
-            Terminal::Short {
-                target,
-                lo: (d10 & 31) as u8,
-                hi: ((d10 >> 5) & 31) as u8,
-            }
-        } else {
-            Terminal::Abs(target)
+        match Inst::codeword_disp_params(disp_from_cw) {
+            Some([lo, hi]) => Terminal::Short { target, lo, hi },
+            None => Terminal::Abs(target),
         }
     }
 
@@ -1711,7 +1675,7 @@ mod tests {
             .unwrap();
         assert_eq!(c.stats.entries, 0);
         assert_eq!(c.stats.compressed_text, c.stats.original_text);
-        assert_eq!(c.program.text, p.text);
+        assert_eq!(c.program.text(), p.text());
     }
 
     #[test]
@@ -1780,7 +1744,7 @@ mod tests {
             let config = CompressionConfig::dise_wide_entries().with_select(select);
             let c = Compressor::new(config).compress(&p).unwrap();
             assert_eq!(c.stats.entries, 0, "{select:?}");
-            assert_eq!(c.program.text, p.text, "{select:?}");
+            assert_eq!(c.program.text(), p.text(), "{select:?}");
         }
         // Four occurrences only break even, which is not a candidate
         // (selection never plants a shape that saves nothing net).

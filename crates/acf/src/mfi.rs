@@ -263,8 +263,8 @@ impl Mfi {
     /// identifiers and the sandboxing mask/base registers, so either
     /// variant (or a composition of both) works after one call.
     pub fn init_machine(machine: &mut dise_sim::Machine) {
-        let data = Program::segment_of(machine.program().data_base);
-        let code = Program::segment_of(machine.program().text_base);
+        let data = Program::segment_of(machine.program().data_base());
+        let code = Program::segment_of(machine.program().text_base());
         machine.set_reg(SEGMENT_REG, data);
         machine.set_reg(CODE_SEGMENT_REG, code);
         machine.set_reg(MASK_REG, !((1u64 << Program::SEGMENT_SHIFT) - 1));

@@ -21,7 +21,7 @@ fn compression_is_deterministic() {
     let b = Compressor::new(CompressionConfig::dise_full())
         .compress(&p)
         .unwrap();
-    assert_eq!(a.program.text, b.program.text);
+    assert_eq!(a.program.text(), b.program.text());
     assert_eq!(a.stats, b.stats);
 }
 

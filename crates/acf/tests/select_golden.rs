@@ -61,7 +61,7 @@ fn line(bench: Benchmark, seed: u64, cfg: &str, algo: SelectAlgo) -> String {
     let digest = fnv1a(
         format!(
             "{:?}|{:?}|{:?}|{:?}",
-            c.program.text, c.productions, c.dictionary, c.stats
+            c.program.text(), c.productions, c.dictionary, c.stats
         )
         .as_bytes(),
     );

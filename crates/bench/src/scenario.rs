@@ -64,8 +64,8 @@ pub(crate) enum Acf {
 /// A built image: a program, or a compressed program together with
 /// whatever expands it again.
 pub(crate) enum Image<'a> {
-    /// An uncompressed program.
-    Program(Cow<'a, Program>),
+    /// An uncompressed program (a clone shares its text).
+    Program(Program),
     /// A compressed program.
     Compressed(Cow<'a, CompressedProgram>),
 }
@@ -137,11 +137,11 @@ impl Workload {
 
     fn build(&self, recipe: Recipe) -> Image<'static> {
         match recipe {
-            Recipe::Plain => Image::Program(Cow::Owned(self.bench.build(&self.config))),
+            Recipe::Plain => Image::Program(self.bench.build(&self.config)),
             Recipe::RewriteMfi => {
                 let plain = self.image(Recipe::Plain);
                 let rewritten = RewriteMfi::new().rewrite(plain.program()).expect("rewrite");
-                Image::Program(Cow::Owned(rewritten.program))
+                Image::Program(rewritten.program)
             }
             Recipe::Compress(cc) => Image::Compressed(Cow::Owned(compress(
                 self.image(Recipe::Plain).program(),
@@ -324,7 +324,7 @@ pub fn run(s: &Scenario, fuel: u64) -> SimStats {
 
 /// Runs a bare program (no ACFs).
 pub fn run_baseline(program: &Program, config: SimConfig, fuel: u64) -> SimStats {
-    let image = Image::Program(Cow::Borrowed(program));
+    let image = Image::Program(program.clone());
     run_image(&image, Acf::Baseline, EngineConfig::default(), config, fuel)
 }
 
@@ -336,7 +336,7 @@ pub fn run_dise_mfi(
     config: SimConfig,
     fuel: u64,
 ) -> SimStats {
-    let image = Image::Program(Cow::Borrowed(program));
+    let image = Image::Program(program.clone());
     run_image(
         &image,
         Acf::DiseMfi(variant, cost),

@@ -1,7 +1,7 @@
 //! Harness determinism: figure tables and stats-JSON exports must be
 //! byte-identical across worker counts and cache warmth.
 
-use dise_bench::figures::{fig6, fig7};
+use dise_bench::figures::{fig6, fig7, fig8};
 use dise_bench::{CellCache, Pool, Sweep};
 use dise_workloads::Benchmark;
 
@@ -17,7 +17,12 @@ fn sweep(jobs: usize, cache: CellCache) -> Sweep {
 #[test]
 fn tables_identical_across_job_counts() {
     // Uncached, so every job count actually simulates: the pool's ordered
-    // result collection is what is under test.
+    // result collection is what is under test. The panels cover a
+    // DISE-MFI sweep (fig6), an RT-configuration compression sweep (fig7)
+    // and a composed decompression+MFI sweep (fig8): transparent, aware
+    // and compose-on-fill engines plus the engineless baselines. At jobs
+    // 8 several worker threads load machines from one image at once and
+    // fetch through its one shared predecode table.
     let base = sweep(1, CellCache::disabled());
     let serial = fig6::top(&base);
     let serial_stats = base.stats_json();
@@ -25,16 +30,17 @@ fn tables_identical_across_job_counts() {
         serial_stats.contains("bpred.mispredicts") && serial_stats.contains("sim.cycles"),
         "stats export missing expected counters:\n{serial_stats}"
     );
-    for jobs in [2, 8] {
-        let par = sweep(jobs, CellCache::disabled());
-        let parallel = fig6::top(&par);
-        assert_eq!(serial, parallel, "fig6 top diverged at jobs={jobs}");
-        assert_eq!(
-            serial_stats,
-            par.stats_json(),
-            "stats JSON diverged at jobs={jobs}"
-        );
-    }
+    let par = sweep(2, CellCache::disabled());
+    assert_eq!(serial, fig6::top(&par), "fig6 top diverged at jobs=2");
+    assert_eq!(serial_stats, par.stats_json(), "stats JSON diverged at jobs=2");
+
+    let (serial_f7, serial_f8) = (fig7::rt(&base), fig8::rt(&base));
+    let serial_stats = base.stats_json();
+    let par = sweep(8, CellCache::disabled());
+    assert_eq!(serial, fig6::top(&par), "fig6 top diverged at jobs=8");
+    assert_eq!(serial_f7, fig7::rt(&par), "fig7 rt diverged at jobs=8");
+    assert_eq!(serial_f8, fig8::rt(&par), "fig8 rt diverged at jobs=8");
+    assert_eq!(serial_stats, par.stats_json(), "stats JSON diverged at jobs=8");
 }
 
 #[test]

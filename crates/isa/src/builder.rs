@@ -2,7 +2,7 @@
 
 use crate::inst::Inst;
 use crate::op::{Format, Op};
-use crate::program::Program;
+use crate::program::{encode_text, Image, Program, TextItem};
 use crate::reg::Reg;
 use crate::{IsaError, Result};
 use std::collections::BTreeMap;
@@ -142,27 +142,28 @@ impl ProgramBuilder {
             let disp = (target as i64 - (*idx as i64 + 1)) * 4;
             self.insts[*idx].imm = disp;
         }
-        let mut program = Program::from_insts(self.text_base, &self.insts)?;
+        let text = encode_text(self.insts.iter().copied().map(TextItem::Inst))?;
+        let mut image = Image::new(self.text_base, text);
         for (name, idx) in &self.labels {
-            program
+            image
                 .symbols
                 .insert(name.clone(), self.text_base + 4 * *idx as u64);
         }
         if let Some(label) = &self.entry_label {
-            program.entry = program
-                .symbol(label)
+            image.entry = *image
+                .symbols
+                .get(label)
                 .ok_or_else(|| IsaError::UndefinedLabel(label.clone()))?;
         }
-        program.data_size = self.data_size;
-        program.data_init = self.data_init;
-        Ok(program)
+        image.data_size = self.data_size;
+        image.data_init = self.data_init;
+        Ok(image.into())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::TextItem;
 
     #[test]
     fn backward_branch_resolution() {
@@ -205,7 +206,7 @@ mod tests {
         b.push(Inst::halt());
         b.entry("main");
         let p = b.finish().unwrap();
-        assert_eq!(p.entry, 0x2004);
+        assert_eq!(p.entry(), 0x2004);
     }
 
     #[test]

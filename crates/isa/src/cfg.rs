@@ -78,7 +78,7 @@ impl Cfg {
 
         let mut leaders = BTreeSet::new();
         let mut branch_targets = BTreeSet::new();
-        leaders.insert(program.entry);
+        leaders.insert(program.entry());
         if let Some((first, _)) = insts.first() {
             leaders.insert(*first);
         }

@@ -168,6 +168,19 @@ impl Inst {
         }
     }
 
+    /// The parameters 2 and 3 of a codeword whose replacement sequence
+    /// ends in a PC-relative branch `disp` bytes from the codeword's next
+    /// PC: `disp / 4` as ten signed bits, the low five in parameter 2 and
+    /// the high five in parameter 3. `None` unless `disp` is a multiple of
+    /// 4 within ±2 KiB.
+    pub fn codeword_disp_params(disp: i64) -> Option<[u8; 2]> {
+        if disp % 4 != 0 || !(-(1 << 11)..(1 << 11)).contains(&disp) {
+            return None;
+        }
+        let d10 = ((disp >> 2) & 0x3FF) as u16;
+        Some([(d10 & 31) as u8, (d10 >> 5) as u8])
+    }
+
     /// `nop`.
     pub fn nop() -> Inst {
         Inst {

@@ -11,15 +11,17 @@
 //! [`Relocator`] implements this once for both clients. The caller walks the
 //! original program describing, in order, *spans* of original instructions
 //! and the new [`TextItem`]s that replace them (an untouched instruction is
-//! a 1:1 span). New branch items may declare that they should be patched to
-//! reach the new location of an old address, or a symbolic label defined on
-//! another new item. `finish` lays out the new text, patches displacements,
-//! verifies that no surviving branch targets the interior of a replaced
-//! span, and returns the new program plus the old→new address map.
+//! a 1:1 span). New branch items — and codewords whose sequence ends in a
+//! branch — may declare that they should be patched to reach the new
+//! location of an old address, or a symbolic label defined on another new
+//! item. `finish` lays out the new text, patches displacements, verifies
+//! that no surviving branch targets the interior of a replaced span, and
+//! seals the new program; it also returns the old→new address map.
 
 use crate::inst::Inst;
 use crate::op::Format;
-use crate::program::{Program, TextItem};
+use crate::program::{Image, Program, TextItem};
+use crate::reg::Reg;
 use crate::{IsaError, Result};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
@@ -41,7 +43,8 @@ pub struct NewItem {
     pub item: TextItem,
     /// Defines a label at this item's final address.
     pub label: Option<Cow<'static, str>>,
-    /// For branch instructions: how to compute the displacement.
+    /// For branches and branching codewords: how to compute the
+    /// displacement.
     pub target: Option<NewTarget>,
 }
 
@@ -60,9 +63,12 @@ impl NewItem {
         NewItem::plain(TextItem::Inst(inst))
     }
 
-    /// A branch instruction that must be patched to reach `target`.
+    /// A branch instruction that must be patched to reach `target`, or a
+    /// codeword whose replacement sequence ends in a PC-relative branch
+    /// to `target` (patched into its parameters 2 and 3, see
+    /// [`Inst::codeword_disp_params`]).
     pub fn branch(inst: Inst, target: NewTarget) -> NewItem {
-        debug_assert_eq!(inst.op.format(), Format::Branch);
+        debug_assert!(matches!(inst.op.format(), Format::Branch | Format::Codeword));
         NewItem {
             item: TextItem::Inst(inst),
             label: None,
@@ -133,9 +139,6 @@ pub struct RelocOutput {
     /// instructions appear individually; addresses strictly inside a
     /// replaced span do not appear.
     pub old_to_new: BTreeMap<u64, u64>,
-    /// New address of every emitted item, in emission order (spans in
-    /// program order, then the tail).
-    pub item_addrs: Vec<u64>,
 }
 
 impl<'a> Relocator<'a> {
@@ -146,7 +149,7 @@ impl<'a> Relocator<'a> {
     ///
     /// Fails if the original contains short codewords or undecodable bytes.
     pub fn new(original: &'a Program) -> Result<Relocator<'a>> {
-        let mut insts = Vec::with_capacity(original.text.len() / 4);
+        let mut insts = Vec::with_capacity(original.text().len() / 4);
         for entry in original.iter() {
             let (pc, item) = entry?;
             match item {
@@ -298,7 +301,7 @@ impl<'a> Relocator<'a> {
             )));
         }
         // Pass 1: lay out addresses.
-        let base = self.original.text_base;
+        let base = self.original.text_base();
         let mut pc = base;
         let mut old_to_new = BTreeMap::new();
         let mut item_addrs = Vec::with_capacity(self.items.len() + self.tail.len());
@@ -355,12 +358,24 @@ impl<'a> Relocator<'a> {
                 let TextItem::Inst(inst) = &mut item else {
                     return Err(IsaError::Reloc("retarget on a non-instruction".into()));
                 };
-                if inst.op.format() != Format::Branch {
-                    return Err(IsaError::Reloc(format!(
-                        "retarget on non-branch `{inst}`"
-                    )));
+                let disp = new_target as i64 - (addr as i64 + 4);
+                match inst.op.format() {
+                    Format::Branch => inst.imm = disp,
+                    Format::Codeword => {
+                        let [p2, p3] = Inst::codeword_disp_params(disp).ok_or_else(|| {
+                            IsaError::Reloc(format!(
+                                "patched codeword at {addr:#x} cannot reach {new_target:#x}: \
+                                 displacement {disp} exceeds the two-parameter range"
+                            ))
+                        })?;
+                        (inst.rb, inst.rc) = (Reg::r(p2), Reg::r(p3));
+                    }
+                    _ => {
+                        return Err(IsaError::Reloc(format!(
+                            "retarget on non-branch `{inst}`"
+                        )))
+                    }
                 }
-                inst.imm = new_target as i64 - (addr as i64 + 4);
                 // Layout can stretch a displacement past the branch
                 // format's encodable range; surface that as a relocation
                 // failure (with the addresses involved) rather than the
@@ -369,8 +384,7 @@ impl<'a> Relocator<'a> {
                 if inst.validate().is_err() {
                     return Err(IsaError::Reloc(format!(
                         "patched branch at {addr:#x} cannot reach {new_target:#x}: \
-                         displacement {} overflows the branch immediate field",
-                        inst.imm
+                         displacement {disp} overflows the branch immediate field"
                     )));
                 }
             }
@@ -379,11 +393,11 @@ impl<'a> Relocator<'a> {
 
         // Remap entry and symbols.
         let original = self.original;
-        let entry = *old_to_new.get(&original.entry).ok_or_else(|| {
+        let entry = *old_to_new.get(&original.entry()).ok_or_else(|| {
             IsaError::Reloc("entry point is inside a replaced sequence".into())
         })?;
         let mut symbols = BTreeMap::new();
-        for (name, addr) in &original.symbols {
+        for (name, addr) in original.symbols() {
             if let Some(new) = old_to_new.get(addr) {
                 symbols.insert(name.clone(), *new);
             }
@@ -391,20 +405,18 @@ impl<'a> Relocator<'a> {
         for (name, addr) in labels {
             symbols.insert(name.to_string(), addr);
         }
-        let program = Program {
-            text_base: original.text_base,
-            text,
+        let program = Image {
             entry,
-            data_base: original.data_base,
-            data_size: original.data_size,
-            data_init: original.data_init.clone(),
+            data_base: original.data_base(),
+            data_size: original.data_size(),
+            data_init: original.data_init().to_vec(),
             symbols,
-            predecode: Default::default(),
-        };
+            ..Image::new(base, text)
+        }
+        .into();
         Ok(RelocOutput {
             program,
             old_to_new,
-            item_addrs,
         })
     }
 }
@@ -431,8 +443,8 @@ mod tests {
         let mut r = Relocator::new(&p).unwrap();
         r.keep_rest().unwrap();
         let out = r.finish().unwrap();
-        assert_eq!(out.program.text, p.text);
-        assert_eq!(out.program.entry, p.entry);
+        assert_eq!(out.program.text(), p.text());
+        assert_eq!(out.program.entry(), p.entry());
         assert_eq!(out.old_to_new.get(&0x1004), Some(&0x1004));
     }
 
@@ -625,10 +637,6 @@ mod tests {
         let out = r.finish().unwrap();
         assert_eq!(out.program.symbol("retry"), Some(0x1000));
         assert_eq!(out.program.symbol("error"), Some(0x1014));
-        assert_eq!(
-            out.item_addrs,
-            [0x1000, 0x1004, 0x1008, 0x100C, 0x1010, 0x1014]
-        );
         let target = |at: u64| {
             let TextItem::Inst(b) = out.program.fetch(at).unwrap() else {
                 panic!()
@@ -653,6 +661,34 @@ mod tests {
                 why,
                 "branch targets 0xfffffffffffffffc, which is inside a replaced sequence"
             ),
+            other => panic!("expected a relocation error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn codeword_branch_targets_pack_into_parameters_two_and_three() {
+        // A codeword replacing `addq; bne` must reach the halt after the
+        // span shrinks it by 4 bytes; one whose target lies past ±2 KiB
+        // cannot be parameterized.
+        let relocate = |nops: usize| {
+            let p = program(&format!("addq r1, r2, r3\nbne r3, 4\n{}halt", "nop\n".repeat(nops)));
+            let target = p.text_end() - 4;
+            let cw = Inst::codeword(Op::Cw0, 7, 0, 0, 5);
+            let mut r = Relocator::new(&p).unwrap();
+            r.replace(2, [NewItem::branch(cw, NewTarget::OldAddr(target))])
+                .unwrap();
+            r.keep_rest().unwrap();
+            r.finish()
+        };
+        let out = relocate(3).unwrap();
+        let TextItem::Inst(cw) = out.program.fetch(0x1000).unwrap() else {
+            panic!()
+        };
+        let [p2, p3] = Inst::codeword_disp_params(0x1010 - 0x1004).unwrap();
+        assert_eq!(cw.codeword_params(), [7, p2, p3]);
+        assert_eq!(cw.codeword_tag(), 5);
+        match relocate(600) {
+            Err(IsaError::Reloc(why)) => assert!(why.contains("two-parameter range"), "{why}"),
             other => panic!("expected a relocation error, got {other:?}"),
         }
     }

@@ -1,6 +1,6 @@
 //! Seeded fuzz round-trip of the whole frontend decode stack: assemble
 //! randomized operate/memory/branch/codeword/short mixes into a program
-//! image, build a standalone `Predecode` table, and assert it agrees with
+//! image, build its `Predecode` table, and assert it agrees with
 //! the byte-accurate cold decode (`Program::fetch`) at *every*
 //! byte-granular PC — including odd PCs, out-of-range PCs, and
 //! mid-instruction offsets whose bytes happen to decode (control can land
@@ -10,7 +10,7 @@
 //! the shared corpus in `dise_workloads::fuzz`, a printed case index on
 //! failure.
 
-use dise_isa::{Inst, Predecode, Program, TextItem};
+use dise_isa::{Inst, Program, TextItem};
 use dise_workloads::fuzz::{random_items, SEED_PREDECODE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,9 +26,8 @@ fn predecode_matches_cold_decode_at_every_pc() {
         let items = random_items(&mut rng);
         let base = 0x0400_0000u64 + u64::from(rng.gen_range(0..64u32)) * 2;
         let program = Program::from_items(base, &items).unwrap();
-        let pd = Predecode::build(&program);
-        assert!(pd.covers(&program), "case {case}");
-        let end = base + program.text.len() as u64;
+        let pd = program.predecode();
+        let end = program.text_end();
         for pc in (base.saturating_sub(2))..(end + 6) {
             let fast = pd.get(pc);
             if pc % 2 != 0 {
@@ -57,7 +56,7 @@ fn predecode_round_trips_item_starts() {
     for case in 0..128 {
         let items = random_items(&mut rng);
         let program = Program::from_items(0x0400_0000, &items).unwrap();
-        let pd = Predecode::build(&program);
+        let pd = program.predecode();
         let walked = program.items().unwrap_or_else(|e| {
             panic!("case {case}: assembled program must walk cleanly: {e}")
         });

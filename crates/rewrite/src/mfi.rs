@@ -148,11 +148,11 @@ impl RewriteMfi {
         // entry still maps to the span start, so it runs first).
         let prologue = [
             NewItem::inst(Inst::li(
-                Program::segment_of(program.data_base) as i16,
+                Program::segment_of(program.data_base()) as i16,
                 DATA_SEGMENT_REG,
             )),
             NewItem::inst(Inst::li(
-                Program::segment_of(program.text_base) as i16,
+                Program::segment_of(program.text_base()) as i16,
                 CODE_SEGMENT_REG,
             )),
         ];
@@ -161,7 +161,7 @@ impl RewriteMfi {
             let unsafe_mem = inst.op.class().is_mem();
             let unsafe_jump =
                 inst.op.class() == OpClass::IndirectJump && !self.skip_ijumps;
-            let at_entry = pc == program.entry;
+            let at_entry = pc == program.entry();
             let check = (unsafe_mem || unsafe_jump).then(|| {
                 checked += 1;
                 let segment_reg = if unsafe_mem {

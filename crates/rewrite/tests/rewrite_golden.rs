@@ -24,15 +24,15 @@ fn line(bench: Benchmark) -> String {
     let program = bench.build(&WorkloadConfig::tiny());
     let out = RewriteMfi::new().rewrite(&program).expect("rewrite");
     let p = &out.program;
-    let text = fnv1a(FNV_OFFSET, &p.text);
-    let symbols = p.symbols.iter().fold(FNV_OFFSET, |h, (name, addr)| {
+    let text = fnv1a(FNV_OFFSET, p.text());
+    let symbols = p.symbols().iter().fold(FNV_OFFSET, |h, (name, addr)| {
         fnv1a(fnv1a(h, name.as_bytes()), &addr.to_le_bytes())
     });
     format!(
         "{} {} {text:016x} {:#x} {symbols:016x}",
         bench.name(),
-        p.text.len(),
-        p.entry
+        p.text().len(),
+        p.entry()
     )
 }
 

@@ -1,7 +1,7 @@
 //! Content fingerprints of a machine's immutable inputs, which the
 //! snapshot format records instead of serializing them. The module holds
 //! no state: predecode tables belong to their images
-//! ([`Program::shared_predecode`]).
+//! ([`Program::predecode`]).
 
 use dise_core::Controller;
 use dise_isa::Program;
@@ -42,8 +42,8 @@ impl std::fmt::Write for FnvWriter {
 /// fingerprint to prove it is the same one.
 pub fn program_fingerprint(program: &Program) -> u64 {
     let mut h = FNV_OFFSET;
-    fnv1a(&mut h, &program.text_base.to_le_bytes());
-    fnv1a(&mut h, &program.text);
+    fnv1a(&mut h, &program.text_base().to_le_bytes());
+    fnv1a(&mut h, program.text());
     h
 }
 

@@ -17,9 +17,12 @@
 //!   dedicated-decompressor baseline).
 //! * [`Simulator`] — the cycle-level timing model, driven by the functional
 //!   machine as an oracle: a width-limited front end with an I-cache and a
-//!   gshare+BTB+RAS branch predictor, ROB/RS occupancy limits, per-class
-//!   execution latencies, store-to-load forwarding, and the three DISE
-//!   expansion cost models of Figure 6 ([`ExpansionCost`]).
+//!   gshare+BTB+RAS branch predictor, width-limited commit, ROB/RS
+//!   occupancy limits, per-class execution latencies, store-to-load
+//!   forwarding, and the three DISE expansion cost models of Figure 6
+//!   ([`ExpansionCost`]). Issue is unbounded (an instruction issues once
+//!   its operands are ready), with no functional-unit or D-cache-port
+//!   limits.
 //! * [`Cache`] — parameterized set-associative caches with an L2 behind
 //!   the L1s.
 //! * [`DiseCacheModel`] — the DISE engine's physical pattern and

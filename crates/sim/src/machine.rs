@@ -290,12 +290,12 @@ pub struct Machine {
     regs: [u64; 64],
     /// Data memory (text is fetched from the program image).
     pub mem: Memory,
+    /// The loaded image: a clone, so it shares the caller's text.
     program: Program,
     /// Per-byte-offset decode of the text segment (`None` when the fast
-    /// path is disabled). The program is immutable after load, so this
-    /// never goes stale; it is the loaded image's own table, `Arc`-shared
-    /// with every machine loaded from that image
-    /// ([`Program::shared_predecode`]).
+    /// path is disabled): the image's own table ([`Program::predecode`]),
+    /// `Arc`-shared with every machine loaded from that image and held
+    /// here so a fetch reaches it in one load.
     predecode: Option<Arc<Predecode>>,
     pc: u64,
     disepc: u8,
@@ -317,14 +317,14 @@ impl Machine {
     /// Loads a program with an explicit configuration.
     pub fn with_config(program: &Program, config: MachineConfig) -> Machine {
         let mut mem = Memory::new();
-        mem.store_bytes(program.data_base, &program.data_init);
+        mem.store_bytes(program.data_base(), program.data_init());
         let mut regs = [0u64; 64];
         regs[Reg::SP.index()] =
             Program::segment_base(Program::STACK_SEGMENT) + config.stack_size;
         Machine {
             regs,
             mem,
-            pc: program.entry,
+            pc: program.entry(),
             disepc: 0,
             exp: None,
             engine: None,
@@ -332,7 +332,7 @@ impl Machine {
             halted: false,
             total_insts: 0,
             app_insts: 0,
-            predecode: config.fast_path.then(|| program.shared_predecode()),
+            predecode: config.fast_path.then(|| Arc::clone(program.predecode())),
             program: program.clone(),
         }
     }
@@ -1559,7 +1559,7 @@ mod tests {
         assert!(!live_handle(&t.slow), "the slow twin never does");
         t.finish().unwrap();
         assert_eq!(t.fast.engine().unwrap().uop_cache_hits(), 0);
-        let entry = t.fast.program().entry;
+        let entry = t.fast.program().entry();
         t.fast.set_pc(entry);
         t.slow.set_pc(entry);
         t.step().unwrap();

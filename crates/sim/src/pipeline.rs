@@ -62,7 +62,10 @@ pub enum ExpansionCost {
 /// simulation result, are deliberately excluded from it.
 #[derive(Clone, Copy, PartialEq)]
 pub struct SimConfig {
-    /// Superscalar width (fetch/decode/issue/commit per cycle).
+    /// Superscalar width: instructions fetched and committed per cycle.
+    /// Issue is not bounded by it (an instruction issues once its operands
+    /// are ready), and there are no functional-unit or D-cache-port
+    /// limits.
     pub width: u64,
     /// Front-end depth in cycles from fetch to dispatch (12-stage pipeline
     /// ≈ 10 cycles of front end before the out-of-order core).
@@ -904,20 +907,25 @@ impl Simulator {
     /// and DISE engine (`engine.*`) counters, name-sorted. Callable
     /// mid-run (anomaly dumps use it) or after [`Simulator::run`].
     pub fn stats_registry(&self) -> StatsRegistry {
-        let mut snapshot = self.stats;
-        let (total, app) = self.machine.inst_counts();
-        snapshot.total_insts = total;
-        snapshot.app_insts = app;
-        snapshot.cycles = self.last_commit.max(1);
-        snapshot.icache = self.mem.icache_stats();
-        snapshot.dcache = self.mem.dcache_stats();
-        snapshot.l2 = self.mem.l2_stats();
-        snapshot.bpred = self.bpred.stats();
+        self.assembled_stats().registry()
+    }
+
+    /// The run's statistics so far: the pipeline's own counters plus the
+    /// instruction counts, cycles, caches, branch predictor and engine
+    /// read from their owners.
+    fn assembled_stats(&self) -> SimStats {
+        let mut stats = self.stats;
+        (stats.total_insts, stats.app_insts) = self.machine.inst_counts();
+        stats.cycles = self.last_commit.max(1);
+        stats.icache = self.mem.icache_stats();
+        stats.dcache = self.mem.dcache_stats();
+        stats.l2 = self.mem.l2_stats();
+        stats.bpred = self.bpred.stats();
         if let Some(engine) = self.engine_stats() {
-            snapshot.engine = engine;
-            snapshot.expansions = engine.expansions;
+            stats.engine = engine;
+            stats.expansions = engine.expansions;
         }
-        snapshot.registry()
+        stats
     }
 
     /// Builds, records and ships an anomaly report; returns the error
@@ -1031,18 +1039,7 @@ impl Simulator {
     }
 
     fn finish(&mut self, halted: bool) -> SimResult {
-        let (total, app) = self.machine.inst_counts();
-        self.stats.total_insts = total;
-        self.stats.app_insts = app;
-        self.stats.cycles = self.last_commit.max(1);
-        self.stats.icache = self.mem.icache_stats();
-        self.stats.dcache = self.mem.dcache_stats();
-        self.stats.l2 = self.mem.l2_stats();
-        self.stats.bpred = self.bpred.stats();
-        if let Some(engine) = self.engine_stats() {
-            self.stats.engine = engine;
-            self.stats.expansions = engine.expansions;
-        }
+        self.stats = self.assembled_stats();
         SimResult {
             stats: self.stats,
             halted,

@@ -1,9 +1,11 @@
-//! Predecode tables belong to the image they decode: every fast-path
-//! machine loaded from one `Program` shares that image's table, from any
-//! thread, and the table is freed once the image and those machines are
-//! gone. A patched clone or an image whose text no longer matches its
-//! table gets a table of its own, so sharing never changes what runs.
+//! Predecode tables belong to the image they decode: every clone of a
+//! `Program` and every fast-path machine loaded from one shares the
+//! image's text and its one table, from any thread, and the table is
+//! freed once the image, its clones and those machines are gone. Images
+//! cannot change after they are built, so an edited image is a new image
+//! with a table of its own.
 
+use dise_isa::reloc::{NewItem, Relocator};
 use dise_isa::{Assembler, Inst, Predecode, Program, Reg};
 use dise_sim::{Machine, MachineConfig};
 use std::sync::{Arc, Weak};
@@ -21,6 +23,14 @@ fn program() -> Program {
         .unwrap()
 }
 
+/// `p` relocated with its first instruction replaced by `first`.
+fn with_first(p: &Program, first: Inst) -> Program {
+    let mut r = Relocator::new(p).unwrap();
+    r.replace(1, [NewItem::inst(first)]).unwrap();
+    r.keep_rest().unwrap();
+    r.finish().unwrap().program
+}
+
 fn table(m: &Machine) -> &Arc<Predecode> {
     m.predecode()
         .expect("a fast-path machine has a predecode table")
@@ -28,8 +38,7 @@ fn table(m: &Machine) -> &Arc<Predecode> {
 
 /// `pd` decodes every even PC of `p` exactly as `Program::fetch` does.
 fn assert_decodes(pd: &Predecode, p: &Program) {
-    assert!(pd.covers(p));
-    for pc in (p.text_base..p.text_end()).step_by(2) {
+    for pc in (p.text_base()..p.text_end()).step_by(2) {
         assert_eq!(pd.get(pc), p.fetch(pc).ok(), "pc {pc:#x}");
     }
 }
@@ -54,49 +63,53 @@ fn machines_loaded_from_one_image_share_its_table() {
 }
 
 #[test]
-fn the_table_dies_with_its_image_and_machines() {
+fn a_clone_and_a_loaded_machine_share_the_text_and_the_table() {
+    let p = program();
+    let clone = p.clone();
+    let m = Machine::load(&p);
+    assert_eq!(clone.text().as_ptr(), p.text().as_ptr());
+    assert_eq!(m.program().text().as_ptr(), p.text().as_ptr());
+    assert!(Arc::ptr_eq(clone.predecode(), p.predecode()));
+    assert!(Arc::ptr_eq(table(&m), p.predecode()));
+    assert!(Arc::ptr_eq(m.program().predecode(), table(&m)));
+}
+
+#[test]
+fn the_table_dies_with_its_image_clones_and_machines() {
     let p = program();
     let m = Machine::load(&p);
     let weak: Weak<Predecode> = Arc::downgrade(table(&m));
+    let clone = p.clone();
     drop(p);
+    drop(m);
+    assert!(weak.upgrade().is_some(), "a live clone keeps its table");
+    let m = Machine::load(&clone);
+    drop(clone);
     assert!(weak.upgrade().is_some(), "a live machine keeps its table");
     drop(m);
     assert!(weak.upgrade().is_none(), "nothing else may hold the table");
 
+    // A rewritten image, as a figure cell builds and drops one.
     let p = program();
-    let weak = Arc::downgrade(table(&Machine::load(&p)));
+    let rewritten = with_first(&p, Inst::li(7, Reg::R2));
+    let weak = Arc::downgrade(table(&Machine::load(&rewritten)));
     assert!(weak.upgrade().is_some(), "a live image keeps its table");
-    drop(p);
-    assert!(weak.upgrade().is_none());
+    drop(rewritten);
+    assert!(weak.upgrade().is_none(), "its source image does not hold it");
 }
 
 #[test]
-fn a_clone_patched_after_the_build_gets_its_own_table() {
+fn an_image_built_with_a_patched_word_gets_its_own_table() {
     let p = program();
     let original = Machine::load(&p);
-    let mut patched = p.clone();
     // Same length and base: only the bytes differ.
-    let li = Inst::li(9, Reg::R2).encode().unwrap();
-    patched.text[..4].copy_from_slice(&li.to_be_bytes());
+    let patched = with_first(&p, Inst::li(9, Reg::R2));
+    assert_eq!(patched.text().len(), p.text().len());
+    assert_ne!(patched.text(), p.text());
     let mut m = Machine::load(&patched);
     assert!(!Arc::ptr_eq(table(&original), table(&m)));
     assert_decodes(table(&m), &patched);
+    assert_decodes(table(&original), &p);
     assert!(m.run(100).unwrap().halted);
     assert_eq!(m.reg(Reg::R2), 9, "the patched instruction ran");
-}
-
-#[test]
-fn an_uncovered_table_falls_back_to_a_private_build() {
-    let mut p = program();
-    let before = Machine::load(&p);
-    p.text
-        .extend_from_slice(&Inst::nop().encode().unwrap().to_be_bytes());
-    let a = Machine::load(&p);
-    let b = Machine::load(&p);
-    assert!(!Arc::ptr_eq(table(&before), table(&a)));
-    assert!(
-        !Arc::ptr_eq(table(&a), table(&b)),
-        "each fallback is private"
-    );
-    assert_decodes(table(&a), &p);
 }

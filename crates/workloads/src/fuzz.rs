@@ -173,9 +173,7 @@ pub fn arb_program(rng: &mut StdRng) -> Program {
     b.push(Inst::alu_ri(Op::Subq, Reg::r(20), 1, Reg::r(20)));
     b.branch_to(Op::Bne, Reg::r(20), "outer");
     b.push(Inst::halt());
-    let mut p = b.finish().unwrap();
-    p.entry = p.text_base;
-    p
+    b.finish().unwrap()
 }
 
 /// A randomized text segment: full instructions interleaved with 2-byte

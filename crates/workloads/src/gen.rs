@@ -295,7 +295,7 @@ mod tests {
     fn deterministic_generation() {
         let a = build(Benchmark::Mcf, &WorkloadConfig::tiny());
         let b = build(Benchmark::Mcf, &WorkloadConfig::tiny());
-        assert_eq!(a.text, b.text);
+        assert_eq!(a.text(), b.text());
         let c = build(
             Benchmark::Mcf,
             &WorkloadConfig {
@@ -303,7 +303,7 @@ mod tests {
                 ..WorkloadConfig::tiny()
             },
         );
-        assert_ne!(a.text, c.text, "different seeds give different programs");
+        assert_ne!(a.text(), c.text(), "different seeds give different programs");
     }
 
     #[test]
@@ -415,7 +415,7 @@ mod tests {
                 seed: 7,
                 ..WorkloadConfig::tiny()
             });
-            assert_ne!(a.text, b.text, "{bench}");
+            assert_ne!(a.text(), b.text(), "{bench}");
             let (sa, sb) = (a.text_size() as f64, b.text_size() as f64);
             assert!(
                 (sa / sb - 1.0).abs() < 0.5,

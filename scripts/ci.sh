@@ -9,17 +9,16 @@
 #             correct (its invariants and the Figure 6 ordering) and
 #             none failed
 #   test    — full workspace test suite (unit + integration +
-#             determinism + differential fast-path tests, every crate)
+#             determinism + differential fast-path tests, every crate;
+#             the determinism suite also runs the fig6/fig7/fig8 panels
+#             at jobs 1 and 8, where worker threads fetch through their
+#             image's one shared predecode table)
 #   clippy  — every crate, all targets, warnings denied
 #   rustdoc — every crate's docs, warnings denied (a link to a deleted
 #             or private item fails)
 #   smoke   — run_figures.sh --smoke: every figure binary end-to-end on
 #             a tiny budget, including the stats-JSON byte-stability
 #             check (jobs 1 vs 8, warm vs cold cell cache)
-#   shared predecode — fig6/fig7/fig8 smoke panels byte-identical at
-#             jobs 1/8, where worker threads fetch through their image's
-#             one shared predecode table (that machines share it is
-#             asserted in crates/sim/tests/predecode_ownership.rs)
 #   shadow  — fig6 MFI cells and the fig8 RT panel with the --shadow
 #             lockstep oracle armed (cache off: warm cells skip
 #             simulation and prove nothing), plus an RT-miss engagement
@@ -87,9 +86,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== ci: smoke figures ($(date)) =="
 ./run_figures.sh --smoke
-
-echo "== ci: shared predecode ($(date)) =="
-cargo test -q -p dise-bench --test shared_predecode
 
 echo "== ci: shadow smoke cell ($(date)) =="
 # Cache must be off: warm cells replay cached stats without simulating,

@@ -53,8 +53,8 @@ fn cmd_asm(args: &[String]) -> Result<(), String> {
     println!(
         "\n{} bytes of text, entry {:#x}, {} symbols",
         p.text_size(),
-        p.entry,
-        p.symbols.len()
+        p.entry(),
+        p.symbols().len()
     );
     Ok(())
 }
@@ -229,7 +229,7 @@ fn cmd_workload(args: &[String]) -> Result<(), String> {
         .transpose()?
         .unwrap_or(200_000);
     let p = bench.build(&WorkloadConfig::default().with_dyn_insts(dyn_insts));
-    println!("{bench}: {} bytes of text, entry {:#x}", p.text_size(), p.entry);
+    println!("{bench}: {} bytes of text, entry {:#x}", p.text_size(), p.entry());
     let mut m = Machine::load(&p);
     let r = m.run(u64::MAX).map_err(|e| e.to_string())?;
     println!("executes {} instructions and halts", r.app_insts);
