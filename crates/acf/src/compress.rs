@@ -48,10 +48,17 @@
 //! as a trie child of its prefix in one small-key lookup; only a window
 //! ending in a short branch (whose fused displacement reserves two slots
 //! up front) is re-canonicalized whole. A window is grown only if its
-//! shape occurred at least as often as a candidate must (twice for v2,
-//! once for v1): a longer shape never occurs more often than its prefix,
-//! so pruning the rest loses no candidate. Building the table is
-//! O(n · `max_seq_len`) for `n` instructions, and v2 grows far fewer.
+//! shape occurred at least as often as a candidate must: the fewest
+//! occurrences with which a shape of some candidate length could pay for
+//! its entry, and at least two for v2 (`Compressor::min_count`). A
+//! longer shape never occurs more often than its prefix, so pruning the
+//! rest loses no candidate. Building the table is O(n · `max_seq_len`)
+//! for `n` instructions, and it grows far fewer.
+//!
+//! Occurrences are held in flat arrays indexed by offset, each one a
+//! start index into the flat instruction list and its codeword
+//! parameters; the PC and a short branch's target are read back from the
+//! instruction list where they are needed.
 //!
 //! Selection is a pure function of the program and the configuration:
 //! text, dictionary, tags and statistics reproduce byte for byte
@@ -313,34 +320,83 @@ impl CompressedProgram {
     }
 }
 
-/// One occurrence of a shape in the original program.
+/// One occurrence of a shape in the original program: its first
+/// instruction, as an index into [`Text::insts`], and its codeword
+/// parameters. The PC and a short branch's target are read from the
+/// instruction list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Instance {
-    /// Index of the first instruction (into the flat instruction list).
-    start: usize,
-    /// PC of the first instruction.
-    pc: u64,
-    /// Codeword parameters.
+    start: u32,
     params: [u8; 3],
-    /// For branch-compressed shapes: the branch's original absolute
-    /// target.
-    branch_target: Option<u64>,
 }
 
+/// The program's instructions in address order, as (PC, instruction),
+/// and each basic block's first index and length. Blocks tile the list.
+struct Text {
+    insts: Vec<(u64, Inst)>,
+    blocks: Vec<(usize, usize)>,
+}
+
+impl Text {
+    fn new(program: &Program) -> Result<Text> {
+        let graph = Cfg::build(program)?;
+        let mut insts = Vec::with_capacity(graph.num_insts());
+        let mut blocks = Vec::with_capacity(graph.blocks.len());
+        for block in graph.blocks {
+            blocks.push((insts.len(), block.insts.len()));
+            insts.extend(block.insts);
+        }
+        Ok(Text { insts, blocks })
+    }
+}
+
+/// The candidate shapes in selection order (see
+/// [`Compressor::sorted_shape_list`]): each one's canonical specs, and
+/// its occurrences in start order, shape `sid`'s at
+/// `instances[inst_off[sid]..inst_off[sid + 1]]`.
 #[derive(Debug, Default, PartialEq, Eq)]
-struct ShapeData {
-    len: usize,
-    /// Every occurrence, in start order.
+struct Shapes {
+    specs: Vec<Vec<InstSpec>>,
+    inst_off: Vec<u32>,
     instances: Vec<Instance>,
 }
 
-/// A chosen dictionary: the canonical shape table plus, per selected
-/// entry, its tag and the claimed (non-overlapping) instances.
-type Selection = (Vec<(Vec<InstSpec>, ShapeData)>, Vec<(u16, usize, Vec<Instance>)>);
+impl Shapes {
+    fn count(&self) -> usize {
+        self.specs.len()
+    }
 
-/// One block's optimal cover under the active entry set: the realized
-/// byte savings and the placed instances as (position, length, shape id).
-type BlockCover = (i64, Vec<(usize, u32, u32)>);
+    fn len(&self, sid: usize) -> usize {
+        self.specs[sid].len()
+    }
+
+    fn instances(&self, sid: usize) -> &[Instance] {
+        &self.instances[self.inst_off[sid] as usize..self.inst_off[sid + 1] as usize]
+    }
+}
+
+/// A chosen dictionary: each entry's canonical specs in tag order, and
+/// every planted (non-overlapping) instance in start order with its
+/// entry's tag.
+struct Selection {
+    entries: Vec<Vec<InstSpec>>,
+    planted: Vec<(Instance, u16)>,
+}
+
+impl Selection {
+    /// The selection of shapes `sids` (in tag order); the other
+    /// candidates are freed.
+    fn new(mut shapes: Shapes, sids: &[usize], planted: Vec<(Instance, u16)>) -> Selection {
+        let entries = sids
+            .iter()
+            .map(|&sid| std::mem::take(&mut shapes.specs[sid]))
+            .collect();
+        Selection { entries, planted }
+    }
+}
+
+/// A cover placement: (position, length, shape id).
+type Placed = (u32, u32, u32);
 
 /// Marks the empty shape prefix and an unassigned shape slot.
 const NONE: u32 = u32::MAX;
@@ -483,9 +539,9 @@ impl WindowTable {
 /// The LPM occurrence index, in compressed-sparse-row form, and a
 /// per-block weighted-interval DP over it whose scratch is sized once to
 /// the largest block and reused by every call.
-struct CoverDp {
+struct CoverDp<'a> {
     /// Each basic block's first instruction and length, in flat order.
-    blocks: Vec<(usize, usize)>,
+    blocks: &'a [(usize, usize)],
     /// The candidate matches starting at instruction `i` are
     /// `matches[match_off[i]..match_off[i + 1]]`, as (length, shape id),
     /// longest (lowest sid) first.
@@ -499,18 +555,11 @@ struct CoverDp {
     take: Vec<(u32, u32)>,
 }
 
-impl CoverDp {
-    fn new(
-        graph: &Cfg,
-        shape_list: &[(Vec<InstSpec>, ShapeData)],
-        num_insts: usize,
-        cw: i64,
-    ) -> CoverDp {
+impl<'a> CoverDp<'a> {
+    fn new(blocks: &'a [(usize, usize)], shapes: &Shapes, num_insts: usize, cw: i64) -> Self {
         let mut match_off = vec![0u32; num_insts + 1];
-        for (_, d) in shape_list {
-            for inst in &d.instances {
-                match_off[inst.start + 1] += 1;
-            }
+        for inst in &shapes.instances {
+            match_off[inst.start as usize + 1] += 1;
         }
         for i in 0..num_insts {
             match_off[i + 1] += match_off[i];
@@ -518,17 +567,13 @@ impl CoverDp {
         // Filling in sid order keeps each position's matches longest first.
         let mut fill = match_off.clone();
         let mut matches = vec![(0, NONE); match_off[num_insts] as usize];
-        for (sid, (_, d)) in shape_list.iter().enumerate() {
-            for inst in &d.instances {
-                matches[fill[inst.start] as usize] = (d.len as u32, sid as u32);
-                fill[inst.start] += 1;
+        for sid in 0..shapes.count() {
+            let len = shapes.len(sid) as u32;
+            for inst in shapes.instances(sid) {
+                let at = &mut fill[inst.start as usize];
+                matches[*at as usize] = (len, sid as u32);
+                *at += 1;
             }
-        }
-        let mut blocks = Vec::with_capacity(graph.blocks.len());
-        let mut base = 0usize;
-        for b in &graph.blocks {
-            blocks.push((base, b.insts.len()));
-            base += b.insts.len();
         }
         let longest = blocks.iter().map(|&(_, n)| n).max().unwrap_or(0);
         CoverDp {
@@ -550,7 +595,7 @@ impl CoverDp {
     /// maximizing code bytes saved. Ties prefer fewer codewords, then
     /// longer/more frequent shapes. Appends the placed instances to `out`
     /// as (position, length, shape id) and returns the saving.
-    fn block(&mut self, bi: usize, active: &[bool], out: &mut Vec<(usize, u32, u32)>) -> i64 {
+    fn block(&mut self, bi: usize, active: &[bool], out: &mut Vec<Placed>) -> i64 {
         let (s, n) = self.blocks[bi];
         self.best[n] = 0;
         for i in (0..n).rev() {
@@ -576,7 +621,7 @@ impl CoverDp {
             if sid == NONE {
                 i += 1;
             } else {
-                out.push((s + i, len, sid));
+                out.push(((s + i) as u32, len, sid));
                 i += len as usize;
             }
         }
@@ -584,11 +629,52 @@ impl CoverDp {
     }
 
     /// The whole program's cover under the active entries, into `out`.
-    fn cover(&mut self, active: &[bool], out: &mut Vec<(usize, u32, u32)>) {
+    fn cover(&mut self, active: &[bool], out: &mut Vec<Placed>) {
         out.clear();
         for bi in 0..self.blocks.len() {
             self.block(bi, active, out);
         }
+    }
+}
+
+/// Each block's cover under the active entries: its saving, and its
+/// placements at `placed[s..s + len[bi]]` from the block's first
+/// instruction `s` (a block of `n` instructions holds at most `n`).
+struct BlockCovers<'a> {
+    blocks: &'a [(usize, usize)],
+    value: Vec<i64>,
+    len: Vec<u32>,
+    placed: Vec<Placed>,
+}
+
+impl<'a> BlockCovers<'a> {
+    /// Every block's optimal cover.
+    fn new(dp: &mut CoverDp<'a>, active: &[bool]) -> Self {
+        let blocks = dp.blocks;
+        let mut value = Vec::with_capacity(blocks.len());
+        let mut len = Vec::with_capacity(blocks.len());
+        let mut placed = Vec::with_capacity(blocks.last().map_or(0, |&(s, n)| s + n));
+        for (bi, &(s, n)) in blocks.iter().enumerate() {
+            value.push(dp.block(bi, active, &mut placed));
+            len.push((placed.len() - s) as u32);
+            placed.resize(s + n, (0, 0, NONE));
+        }
+        BlockCovers {
+            blocks,
+            value,
+            len,
+            placed,
+        }
+    }
+
+    fn get(&self, bi: usize) -> &[Placed] {
+        &self.placed[self.blocks[bi].0..][..self.len[bi] as usize]
+    }
+
+    fn set(&mut self, bi: usize, value: i64, placed: &[Placed]) {
+        self.placed[self.blocks[bi].0..][..placed.len()].copy_from_slice(placed);
+        self.len[bi] = placed.len() as u32;
+        self.value[bi] = value;
     }
 }
 
@@ -624,68 +710,73 @@ impl Compressor {
                 cfg.entry_cap()
             )));
         }
-        let graph = Cfg::build(program)?;
-        let num_insts: usize = graph.blocks.iter().map(|b| b.insts.len()).sum();
-
-        let (shape_list, selected) = match cfg.select {
-            SelectAlgo::V1 => self.select_v1(&graph, num_insts),
-            SelectAlgo::V2 => self.select_v2(&graph, num_insts),
+        let text = Text::new(program)?;
+        let Selection { entries, planted } = match cfg.select {
+            SelectAlgo::V1 => self.select_v1(&text),
+            SelectAlgo::V2 => self.select_v2(&text),
         };
 
-        // ---- emission ---------------------------------------------------
-        let mut starts: Vec<Option<(u16, Instance, usize)>> = vec![None; num_insts];
-        for (tag, sid, taken) in &selected {
-            let len = shape_list[*sid].1.len;
-            for inst in taken {
-                starts[inst.start] = Some((*tag, *inst, len));
-            }
-        }
+        // The relocator holds its own copy of the instruction list.
+        drop(text);
         let mut relocator = Relocator::new(program)?;
         let mut i = 0usize;
-        while i < num_insts {
-            if let Some((tag, inst, len)) = starts[i] {
-                let item = if cfg.two_byte_codewords {
-                    NewItem::plain(TextItem::Short(tag))
-                } else {
-                    let [p1, p2, p3] = inst.params;
-                    let cw = Inst::codeword(cfg.cw_op, p1, p2, p3, tag);
-                    // The relocator re-points a parameterized branch
-                    // (parameters 2 and 3) at its target's new address.
-                    match inst.branch_target {
-                        Some(target) => NewItem::branch(cw, NewTarget::OldAddr(target)),
-                        None => NewItem::inst(cw),
-                    }
-                };
-                relocator.replace(len, [item])?;
-                i += len;
-            } else {
+        for &(inst, tag) in &planted {
+            let start = inst.start as usize;
+            for _ in i..start {
                 relocator.keep()?;
-                i += 1;
             }
+            let len = entries[tag as usize].len();
+            let item = if cfg.two_byte_codewords {
+                NewItem::plain(TextItem::Short(tag))
+            } else {
+                let [p1, p2, p3] = inst.params;
+                let cw = Inst::codeword(cfg.cw_op, p1, p2, p3, tag);
+                // The relocator re-points a parameterized branch
+                // (parameters 2 and 3) at its target's new address.
+                match Terminal::of(&relocator.insts()[start..start + len]) {
+                    Terminal::Short { target, .. } => {
+                        NewItem::branch(cw, NewTarget::OldAddr(target))
+                    }
+                    _ => NewItem::inst(cw),
+                }
+            };
+            relocator.replace(len, [item])?;
+            i = start + len;
         }
+        relocator.keep_rest()?;
         let out = relocator.finish()?;
+        let arena_uops: u64 = entries.iter().map(|e| e.len() as u64).sum();
+        let stats = CompressionStats {
+            original_text: program.text_size(),
+            compressed_text: out.program.text_size(),
+            dictionary_bytes: arena_uops * cfg.entry_bytes_per_inst,
+            entries: entries.len(),
+            instances: planted.len() as u64,
+            insts_removed: planted
+                .iter()
+                .map(|&(_, tag)| entries[tag as usize].len() as u64)
+                .sum(),
+            arena_stride: entries.iter().map(Vec::len).max().unwrap_or(0),
+            arena_uops,
+        };
 
         // ---- build the dictionary ---------------------------------------
         let mut productions = None;
         let mut dictionary = None;
-        let mut dict_bytes = 0u64;
         if cfg.two_byte_codewords {
-            let mut entries = Vec::with_capacity(selected.len());
-            for (_, sid, _) in &selected {
-                let specs = &shape_list[*sid].0;
+            let mut dict = Vec::with_capacity(entries.len());
+            for specs in &entries {
                 let nop = Inst::nop();
                 let insts: Vec<Inst> = specs
                     .iter()
                     .map(|s| s.instantiate(&nop, 0).expect("literal specs"))
                     .collect();
-                dict_bytes += insts.len() as u64 * cfg.entry_bytes_per_inst;
-                entries.push(insts);
+                dict.push(insts);
             }
-            dictionary = Some(DedicatedDict::new(entries));
+            dictionary = Some(DedicatedDict::new(dict));
         } else {
             let mut set = ProductionSet::new();
-            for (tag, sid, _) in &selected {
-                let mut specs = shape_list[*sid].0.clone();
+            for (tag, mut specs) in entries.into_iter().enumerate() {
                 // Absolute-target branch entries were recorded against the
                 // original layout; remap them to the compressed one.
                 for s in &mut specs {
@@ -701,36 +792,11 @@ impl Compressor {
                         })?;
                     }
                 }
-                dict_bytes += specs.len() as u64 * cfg.entry_bytes_per_inst;
-                set.add_aware(cfg.cw_op, *tag, ReplacementSpec::new(specs))?;
+                set.add_aware(cfg.cw_op, tag as u16, ReplacementSpec::new(specs))?;
             }
             productions = Some(set);
         }
 
-        let instances: u64 = selected.iter().map(|(_, _, t)| t.len() as u64).sum();
-        let insts_removed: u64 = selected
-            .iter()
-            .map(|(_, sid, t)| (t.len() * shape_list[*sid].1.len) as u64)
-            .sum();
-        let arena_stride = selected
-            .iter()
-            .map(|(_, sid, _)| shape_list[*sid].1.len)
-            .max()
-            .unwrap_or(0);
-        let arena_uops: u64 = selected
-            .iter()
-            .map(|(_, sid, _)| shape_list[*sid].1.len as u64)
-            .sum();
-        let stats = CompressionStats {
-            original_text: program.text_size(),
-            compressed_text: out.program.text_size(),
-            dictionary_bytes: dict_bytes,
-            entries: selected.len(),
-            instances,
-            insts_removed,
-            arena_stride,
-            arena_uops,
-        };
         Ok(CompressedProgram {
             program: out.program,
             productions,
@@ -762,79 +828,72 @@ impl Compressor {
     /// of a shape seen `min_count` times is enumerated. Occurrences are
     /// recorded only for those shapes, level by level and in start order
     /// within a level; with `min_count` 1 every window is kept.
-    fn window_table(&self, graph: &Cfg, min_count: u32) -> WindowTable {
+    fn window_table(&self, text: &Text, min_count: u32) -> WindowTable {
         let cfg = &self.config;
         let mut table = WindowTable::default();
         // The level-1 frontier: every instruction starts a window.
-        let mut bases = Vec::with_capacity(graph.blocks.len());
-        let mut frontier = Vec::new();
-        let mut idx_base = 0usize;
-        for (bi, block) in graph.blocks.iter().enumerate() {
-            bases.push(idx_base);
-            idx_base += block.insts.len();
-            frontier.extend((0..block.insts.len() as u32).map(|start| Growing {
-                block: bi as u32,
+        let mut frontier = Vec::with_capacity(text.insts.len());
+        for &(base, n) in &text.blocks {
+            let end = (base + n) as u32;
+            frontier.extend((base as u32..end).map(|start| Growing {
                 start,
+                end,
                 id: NONE,
                 canon: Canon::default(),
             }));
         }
         let mut specs = Vec::with_capacity(cfg.max_seq_len);
-        let mut grown: Vec<(Growing, Instance)> = Vec::with_capacity(frontier.len());
         for len in 1..=cfg.max_seq_len {
-            grown.clear();
-            for mut w in frontier.drain(..) {
-                let insts = &graph.blocks[w.block as usize].insts;
+            // Grow every live window by one instruction in place, dropping
+            // those that leave their block. Growing a window never makes
+            // it eligible again: drop it once the new instruction cannot
+            // end a window or the old last one cannot sit inside one.
+            let mut live = 0;
+            for i in 0..frontier.len() {
+                let mut w = frontier[i];
                 let start = w.start as usize;
-                let Some(window) = insts.get(start..start + len) else {
+                if start + len > w.end as usize {
                     continue;
-                };
-                // Growing a window never makes it eligible again: drop it
-                // once the new instruction cannot end a window or the old
-                // last one cannot sit inside one.
+                }
+                let window = &text.insts[start..start + len];
                 if !self.eligible(&window[len - 1].1, true)
                     || (len > 1 && !self.eligible(&window[len - 2].1, false))
                 {
                     continue;
                 }
-                let idx = bases[w.block as usize] + start;
                 let term = Terminal::of(window);
-                let (id, instance) = if let Terminal::Short { .. } = term {
+                w.id = if let Terminal::Short { .. } = term {
+                    // A branch ends its block, so this window is never
+                    // grown again and its parameters replace the grown
+                    // prefix's.
                     let instance = self
-                        .shape_of(window, idx, &mut specs)
+                        .shape_of(window, start, &mut specs)
                         .expect("eligible window");
-                    let id = specs.iter().fold(NONE, |id, spec| table.child(id, spec));
-                    (id, instance)
+                    w.canon.params = instance.params;
+                    specs.iter().fold(NONE, |id, spec| table.child(id, spec))
                 } else {
                     let spec = w.canon.spec(cfg.parameterize, &window[len - 1].1, term.imm());
                     let id = table.child(w.id, &spec);
-                    let instance = Instance {
-                        start: idx,
-                        pc: window[0].0,
-                        params: w.canon.params,
-                        branch_target: None,
-                    };
                     #[cfg(debug_assertions)]
                     {
-                        let whole = self.shape_of(window, idx, &mut specs);
-                        assert_eq!(whole, Some(instance), "grown window instance");
+                        let whole = self.shape_of(window, start, &mut specs);
+                        assert_eq!(whole, Some(w.instance()), "grown window instance");
                         assert_eq!(specs, table.specs_of(id), "grown window specs");
                     }
-                    (id, instance)
+                    id
                 };
-                table.counts[id as usize] += 1;
-                w.id = id;
-                grown.push((w, instance));
+                table.counts[w.id as usize] += 1;
+                frontier[live] = w;
+                live += 1;
             }
+            frontier.truncate(live);
             // The level's counts are final: keep the windows whose shape
-            // can still become a candidate.
-            for &(w, instance) in &grown {
-                if table.counts[w.id as usize] >= min_count {
-                    if len >= cfg.min_seq_len {
-                        table.instances.push((w.id, instance));
-                    }
-                    frontier.push(w);
-                }
+            // can still become a candidate, and record them.
+            frontier.retain(|w| table.counts[w.id as usize] >= min_count);
+            frontier.shrink_to_fit();
+            if len >= cfg.min_seq_len {
+                table.instances.reserve_exact(frontier.len());
+                table.instances.extend(frontier.iter().map(|w| (w.id, w.instance())));
             }
         }
         table
@@ -845,20 +904,19 @@ impl Compressor {
     /// start in turn and interned without pruning, every occurrence
     /// recorded in window order.
     #[cfg(test)]
-    fn window_table_reference(&self, graph: &Cfg) -> WindowTable {
+    fn window_table_reference(&self, text: &Text) -> WindowTable {
         let cfg = &self.config;
         let max_len = cfg.max_seq_len;
         let mut table = WindowTable::default();
         let mut specs = Vec::with_capacity(max_len);
-        let mut idx_base = 0usize;
-        for block in &graph.blocks {
-            let n = block.insts.len();
+        for &(base, n) in &text.blocks {
+            let block = &text.insts[base..base + n];
             for start in 0..n {
-                let idx = idx_base + start;
+                let idx = base + start;
                 let mut canon = Canon::default();
                 let mut prefix = NONE;
                 for len in 1..=max_len.min(n - start) {
-                    let window = &block.insts[start..start + len];
+                    let window = &block[start..start + len];
                     // Growing a window never makes it eligible again: stop
                     // once the new instruction cannot end a window or the
                     // old last one cannot sit inside one.
@@ -878,10 +936,8 @@ impl Compressor {
                         let spec = canon.spec(cfg.parameterize, &window[len - 1].1, term.imm());
                         let id = table.child(prefix, &spec);
                         let instance = Instance {
-                            start: idx,
-                            pc: window[0].0,
+                            start: idx as u32,
                             params: canon.params,
-                            branch_target: None,
                         };
                         prefix = id;
                         (id, instance)
@@ -892,7 +948,6 @@ impl Compressor {
                     }
                 }
             }
-            idx_base += n;
         }
         table
     }
@@ -909,98 +964,142 @@ impl Compressor {
         u64::from(count) * (4 * len - cfg.cw_bytes()) > len * cfg.entry_bytes_per_inst
     }
 
+    /// The fewest occurrences a shape needs to become a candidate: the
+    /// least count with which a shape of some length in
+    /// `min_seq_len..=max_seq_len` [`Compressor::may_pay`], and at least
+    /// two for v2 ([`u32::MAX`] when no length can ever pay). It is the
+    /// window table's pruning threshold: 2 for the first three Figure 7
+    /// configurations, 3 for the other three.
+    fn min_count(&self) -> u32 {
+        let cfg = &self.config;
+        // `may_pay(c, len)` holds exactly when `c > len·entry / saving`.
+        let payable = (cfg.min_seq_len..=cfg.max_seq_len)
+            .filter_map(|len| {
+                let len = len as u64;
+                let saving = (4 * len).checked_sub(cfg.cw_bytes()).filter(|&s| s > 0)?;
+                Some(len * cfg.entry_bytes_per_inst / saving + 1)
+            })
+            .min()
+            .map_or(u32::MAX, |c| u32::try_from(c).unwrap_or(u32::MAX));
+        match cfg.select {
+            SelectAlgo::V1 => payable,
+            SelectAlgo::V2 => payable.max(2),
+        }
+    }
+
+    /// The candidate shapes: the window table built at
+    /// [`Compressor::min_count`], sorted.
+    fn candidates(&self, text: &Text) -> Shapes {
+        let min_count = self.min_count();
+        self.sorted_shape_list(self.window_table(text, min_count), text, min_count)
+    }
+
     /// The table's candidate shapes: those that occur at least
     /// `min_count` times and [`Compressor::may_pay`]. They are ordered
     /// deterministically (longest, then most frequent, then earliest — a
     /// unique key, as no two shapes share a first window) so
     /// dictionaries reproduce byte-for-byte. Selection indexes shapes by
-    /// position in this list. Consumes the table, so its maps are freed
-    /// before selection runs.
-    fn sorted_shape_list(
-        &self,
-        table: WindowTable,
-        min_count: u32,
-    ) -> Vec<(Vec<InstSpec>, ShapeData)> {
+    /// position in this list. Consumes the table and frees its maps
+    /// first.
+    fn sorted_shape_list(&self, mut table: WindowTable, text: &Text, min_count: u32) -> Shapes {
+        table.spec_ids = FxHashMap::default();
+        table.children = FxHashMap::default();
         // Trie depth is the shape length; a parent is interned before
         // its children.
-        let mut len = vec![0usize; table.num_shapes()];
+        let mut len = vec![0u32; table.num_shapes()];
         for id in 0..len.len() {
             let parent = table.parent[id];
             len[id] = if parent == NONE { 1 } else { len[parent as usize] + 1 };
         }
         // Sort keys of the candidates, seen at their first occurrence.
         let mut slot = vec![NONE; table.num_shapes()];
-        let mut keys: Vec<(usize, u32, u64, u32)> = Vec::new();
+        let mut keys: Vec<(u32, u32, u64, u32)> = Vec::new();
         for &(id, instance) in &table.instances {
             let (i, count) = (id as usize, table.counts[id as usize]);
-            if slot[i] == NONE && count >= min_count && self.may_pay(count, len[i]) {
+            if slot[i] == NONE && count >= min_count && self.may_pay(count, len[i] as usize) {
                 slot[i] = 0; // seen; the real slot is set after the sort
-                keys.push((usize::MAX - len[i], u32::MAX - count, instance.pc, id));
+                let pc = text.insts[instance.start as usize].0;
+                keys.push((u32::MAX - len[i], u32::MAX - count, pc, id));
             }
         }
+        drop(len);
         keys.sort_unstable();
-        let mut shape_list = Vec::with_capacity(keys.len());
-        for &(_, _, _, id) in &keys {
-            slot[id as usize] = shape_list.len() as u32;
-            let data = ShapeData {
-                len: len[id as usize],
-                instances: Vec::with_capacity(table.counts[id as usize] as usize),
-            };
-            shape_list.push((table.specs_of(id), data));
+        let mut specs = Vec::with_capacity(keys.len());
+        let mut inst_off = Vec::with_capacity(keys.len() + 1);
+        let mut total = 0u32;
+        inst_off.push(total);
+        for &(_, rev_count, _, id) in &keys {
+            slot[id as usize] = specs.len() as u32;
+            specs.push(table.specs_of(id));
+            total += u32::MAX - rev_count;
+            inst_off.push(total);
         }
+        drop(keys);
+        // Each shape's occurrences sit at one level of the table, in
+        // start order.
+        let mut fill = inst_off.clone();
+        let mut instances = vec![Instance { start: 0, params: [0; 3] }; total as usize];
         for &(id, instance) in &table.instances {
-            if let Some(data) = shape_list.get_mut(slot[id as usize] as usize) {
-                data.1.instances.push(instance);
+            if let Some(at) = fill.get_mut(slot[id as usize] as usize) {
+                instances[*at as usize] = instance;
+                *at += 1;
             }
         }
-        shape_list
+        debug_assert_eq!(fill[..specs.len()], inst_off[1..], "every occurrence recorded");
+        Shapes {
+            specs,
+            inst_off,
+            instances,
+        }
     }
 
     /// Lazy-greedy dictionary-entry selection (the \[20\]-style pass):
     /// repeatedly pick the shape with the best profit against the already
     /// claimed text, first-fit claiming its non-overlapping unclaimed
-    /// instances. Shapes with `skip[sid]` set are never picked; at most
-    /// `budget` entries are returned, in selection order.
+    /// instances. Shapes with `skip[sid]` set are never picked. Returns
+    /// at most `budget` entries' shape ids in selection order; with
+    /// `planted`, appends each claimed instance to it with its entry's
+    /// position in that order.
     fn greedy_entries(
         &self,
-        shape_list: &[(Vec<InstSpec>, ShapeData)],
+        shapes: &Shapes,
         claimed: &mut [bool],
         skip: &[bool],
         budget: usize,
-    ) -> Vec<(usize, Vec<Instance>)> {
+        mut planted: Option<&mut Vec<(Instance, u16)>>,
+    ) -> Vec<usize> {
         let cfg = &self.config;
-        let cw_bytes = cfg.cw_bytes();
-        let profit_of = |data: &ShapeData, claimed: &[bool]| -> (i64, u64) {
-            let mut k = 0u64;
+        let cw_bytes = cfg.cw_bytes() as i64;
+        let profit_of = |sid: usize, claimed: &[bool]| -> i64 {
+            let len = shapes.len(sid);
+            let mut k = 0i64;
             let mut next_free = 0usize;
-            for inst in &data.instances {
-                if inst.start < next_free {
+            for inst in shapes.instances(sid) {
+                let start = inst.start as usize;
+                if start < next_free {
                     continue; // overlaps an instance already counted
                 }
-                if claimed[inst.start..inst.start + data.len].iter().any(|c| *c) {
+                if claimed[start..start + len].iter().any(|c| *c) {
                     continue;
                 }
                 k += 1;
-                next_free = inst.start + data.len;
+                next_free = start + len;
             }
-            let saving = k as i64 * (data.len as i64 * 4 - cw_bytes as i64);
-            let cost = data.len as i64 * cfg.entry_bytes_per_inst as i64;
-            (saving - cost, k)
+            let len = len as i64;
+            k * (len * 4 - cw_bytes) - len * cfg.entry_bytes_per_inst as i64
         };
 
-        let mut heap: BinaryHeap<(i64, usize)> = shape_list
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !skip[*i])
-            .map(|(i, (_, d))| (profit_of(d, claimed).0, i))
+        let mut heap: BinaryHeap<(i64, usize)> = (0..shapes.count())
+            .filter(|&sid| !skip[sid])
+            .map(|sid| (profit_of(sid, claimed), sid))
             .filter(|(p, _)| *p > 0)
             .collect();
-        let mut selected: Vec<(usize, Vec<Instance>)> = Vec::new();
+        let mut selected = Vec::new();
         while selected.len() < budget {
             let Some((stale_profit, sid)) = heap.pop() else {
                 break;
             };
-            let (profit, _) = profit_of(&shape_list[sid].1, claimed);
+            let profit = profit_of(sid, claimed);
             if profit <= 0 {
                 continue;
             }
@@ -1015,41 +1114,39 @@ impl Compressor {
                 }
             }
             // Claim this shape's non-overlapping unclaimed instances.
-            let data = &shape_list[sid].1;
-            let mut taken = Vec::new();
-            let mut next_free = 0usize;
-            for inst in &data.instances {
-                if inst.start < next_free
-                    || claimed[inst.start..inst.start + data.len].iter().any(|c| *c)
-                {
+            let tag = selected.len() as u16;
+            let len = shapes.len(sid);
+            for &inst in shapes.instances(sid) {
+                let span = &mut claimed[inst.start as usize..][..len];
+                if span.iter().any(|c| *c) {
                     continue;
                 }
-                taken.push(*inst);
-                next_free = inst.start + data.len;
-            }
-            for inst in &taken {
-                for c in &mut claimed[inst.start..inst.start + data.len] {
-                    *c = true;
+                span.fill(true);
+                if let Some(planted) = planted.as_deref_mut() {
+                    planted.push((inst, tag));
                 }
             }
-            selected.push((sid, taken));
+            selected.push(sid);
         }
         selected
     }
 
     /// v1 selection: full window enumeration, then one greedy pass. Tags
     /// follow selection order.
-    fn select_v1(&self, graph: &Cfg, num_insts: usize) -> Selection {
-        let shape_list = self.sorted_shape_list(self.window_table(graph, 1), 1);
-        let mut claimed = vec![false; num_insts];
-        let skip = vec![false; shape_list.len()];
-        let selected = self
-            .greedy_entries(&shape_list, &mut claimed, &skip, self.config.max_entries)
-            .into_iter()
-            .enumerate()
-            .map(|(tag, (sid, taken))| (tag as u16, sid, taken))
-            .collect();
-        (shape_list, selected)
+    fn select_v1(&self, text: &Text) -> Selection {
+        let shapes = self.candidates(text);
+        let mut claimed = vec![false; text.insts.len()];
+        let skip = vec![false; shapes.count()];
+        let mut planted = Vec::new();
+        let entries = self.greedy_entries(
+            &shapes,
+            &mut claimed,
+            &skip,
+            self.config.max_entries,
+            Some(&mut planted),
+        );
+        planted.sort_unstable_by_key(|(inst, _)| inst.start);
+        Selection::new(shapes, &entries, planted)
     }
 
     /// v2 selection. Candidates are the shapes with at least two
@@ -1059,31 +1156,31 @@ impl Compressor {
     /// prune/grow fixpoint, with a per-block weighted-interval dynamic
     /// program choosing the best non-conflicting cover each round. Tags
     /// follow first planted position.
-    fn select_v2(&self, graph: &Cfg, num_insts: usize) -> Selection {
+    fn select_v2(&self, text: &Text) -> Selection {
         let cfg = &self.config;
-        let shape_list = self.sorted_shape_list(self.window_table(graph, 2), 2);
-        let mut dp = CoverDp::new(graph, &shape_list, num_insts, cfg.cw_bytes() as i64);
-        let num_blocks = graph.blocks.len();
+        let num_insts = text.insts.len();
+        let shapes = self.candidates(text);
+        let mut dp = CoverDp::new(&text.blocks, &shapes, num_insts, cfg.cw_bytes() as i64);
+        let num_blocks = text.blocks.len();
 
         // Seed with the greedy solution, then refine: prune entries whose
         // DP-realized saving no longer pays their dictionary cost (the
         // cover re-routes their text to the survivors), and when stable,
         // spend leftover budget on shapes profitable against the residual.
         let budget = cfg.max_entries;
-        let entry_cost =
-            |sid: usize| shape_list[sid].1.len as i64 * cfg.entry_bytes_per_inst as i64;
-        let mut active = vec![false; shape_list.len()];
+        let entry_cost = |sid: usize| shapes.len(sid) as i64 * cfg.entry_bytes_per_inst as i64;
+        let mut active = vec![false; shapes.count()];
         {
             let mut claimed = vec![false; num_insts];
-            let skip = vec![false; shape_list.len()];
-            for (sid, _) in self.greedy_entries(&shape_list, &mut claimed, &skip, budget) {
+            let skip = vec![false; shapes.count()];
+            for sid in self.greedy_entries(&shapes, &mut claimed, &skip, budget, None) {
                 active[sid] = true;
             }
         }
-        let mut retired = vec![false; shape_list.len()];
+        let mut retired = vec![false; shapes.count()];
         let mut cover = Vec::new();
         dp.cover(&active, &mut cover);
-        let mut realized = vec![0i64; shape_list.len()];
+        let mut realized = vec![0i64; shapes.count()];
         for _round in 0..16 {
             realized.fill(0);
             for &(_, len, sid) in &cover {
@@ -1100,16 +1197,14 @@ impl Compressor {
             if !changed {
                 let mut claimed = vec![false; num_insts];
                 for &(start, len, _) in &cover {
-                    for c in &mut claimed[start..start + len as usize] {
-                        *c = true;
-                    }
+                    claimed[start as usize..][..len as usize].fill(true);
                 }
                 let mut skip = retired.clone();
                 for (sid, s) in skip.iter_mut().enumerate() {
                     *s = *s || active[sid];
                 }
                 let room = budget - active.iter().filter(|a| **a).count();
-                for (sid, _) in self.greedy_entries(&shape_list, &mut claimed, &skip, room) {
+                for sid in self.greedy_entries(&shapes, &mut claimed, &skip, room, None) {
                     active[sid] = true;
                     changed = true;
                 }
@@ -1119,7 +1214,7 @@ impl Compressor {
             }
             dp.cover(&active, &mut cover);
         }
-        drop(cover);
+        drop((cover, realized, retired));
 
         // Final refinement: single-entry add/drop local search on the
         // true byte objective (realized code savings minus the dictionary
@@ -1131,42 +1226,42 @@ impl Compressor {
         // survivors for less than its dictionary cost. Every committed
         // flip strictly raises the integer objective, so the search
         // cannot cycle (the pass cap is a safety net).
-        let mut blocks_of: Vec<Vec<usize>> = vec![Vec::new(); shape_list.len()];
-        for (sid, (_, d)) in shape_list.iter().enumerate() {
-            for inst in &d.instances {
-                let bi = dp.blocks.partition_point(|&(s, n)| s + n <= inst.start);
-                if blocks_of[sid].last() != Some(&bi) {
-                    blocks_of[sid].push(bi);
+        //
+        // The blocks each candidate occurs in, in order: shape `sid`'s
+        // are `block_ids[block_off[sid]..block_off[sid + 1]]`.
+        let mut block_off = Vec::with_capacity(shapes.count() + 1);
+        let mut block_ids: Vec<u32> = Vec::new();
+        block_off.push(0);
+        for sid in 0..shapes.count() {
+            let first = block_ids.len();
+            for inst in shapes.instances(sid) {
+                let start = inst.start as usize;
+                let bi = text.blocks.partition_point(|&(s, n)| s + n <= start) as u32;
+                if block_ids[first..].last() != Some(&bi) {
+                    block_ids.push(bi);
                 }
             }
+            block_off.push(block_ids.len());
         }
-        let mut covers: Vec<BlockCover> = (0..num_blocks)
-            .map(|bi| {
-                let mut c = Vec::new();
-                (dp.block(bi, &active, &mut c), c)
-            })
-            .collect();
-        let mut uses: Vec<i64> = vec![0; shape_list.len()];
-        for (_, c) in &covers {
-            for &(_, _, sid) in c {
+        let mut covers = BlockCovers::new(&mut dp, &active);
+        let mut uses: Vec<i64> = vec![0; shapes.count()];
+        for bi in 0..num_blocks {
+            for &(_, _, sid) in covers.get(bi) {
                 uses[sid as usize] += 1;
             }
         }
         let mut used_now = uses.iter().filter(|u| **u > 0).count() as i64;
         // Per-trial change in each entry's use count (dense scratch,
         // zeroed again as each trial reads it back).
-        let mut delta_uses: Vec<i64> = vec![0; shape_list.len()];
+        let mut delta_uses: Vec<i64> = vec![0; shapes.count()];
         let mut touched: Vec<u32> = Vec::new();
         // One trial's re-covered blocks as (block, saving, end of its
         // placements in `trial_cover`), all placements in one buffer.
         let mut trial: Vec<(usize, i64, usize)> = Vec::new();
-        let mut trial_cover: Vec<(usize, u32, u32)> = Vec::new();
+        let mut trial_cover: Vec<Placed> = Vec::new();
         for _pass in 0..8 {
             let mut improved = false;
-            for sid in 0..shape_list.len() {
-                if blocks_of[sid].is_empty() {
-                    continue;
-                }
+            for sid in 0..shapes.count() {
                 if active[sid] && uses[sid] == 0 {
                     // Unused entries cost nothing (selection follows the
                     // cover) — deactivate without an evaluation.
@@ -1179,11 +1274,12 @@ impl Compressor {
                 trial.clear();
                 trial_cover.clear();
                 let mut delta = 0i64;
-                for &bi in &blocks_of[sid] {
+                for &bi in &block_ids[block_off[sid]..block_off[sid + 1]] {
+                    let bi = bi as usize;
                     let from = trial_cover.len();
                     let v = dp.block(bi, &active, &mut trial_cover);
-                    delta += v - covers[bi].0;
-                    for &(_, _, s2) in &covers[bi].1 {
+                    delta += v - covers.value[bi];
+                    for &(_, _, s2) in covers.get(bi) {
                         delta_uses[s2 as usize] -= 1;
                         touched.push(s2);
                     }
@@ -1209,18 +1305,15 @@ impl Compressor {
                 if delta > 0 && used_now + used_delta <= budget as i64 {
                     let mut from = 0;
                     for &(bi, v, to) in &trial {
-                        let placed = &trial_cover[from..to];
+                        let new = &trial_cover[from..to];
                         from = to;
-                        let (value, c) = &mut covers[bi];
-                        for &(_, _, s2) in c.iter() {
+                        for &(_, _, s2) in covers.get(bi) {
                             uses[s2 as usize] -= 1;
                         }
-                        for &(_, _, s2) in placed {
+                        for &(_, _, s2) in new {
                             uses[s2 as usize] += 1;
                         }
-                        *value = v;
-                        c.clear();
-                        c.extend_from_slice(placed);
+                        covers.set(bi, v, new);
                     }
                     used_now += used_delta;
                     improved = true;
@@ -1233,27 +1326,26 @@ impl Compressor {
             }
         }
 
-        // Map the final cover back to per-entry instances; tag entries by
-        // first planted position.
-        let mut order: Vec<usize> = Vec::new();
-        let mut taken: Vec<Vec<Instance>> = vec![Vec::new(); shape_list.len()];
-        for &(start, _, sid) in covers.iter().flat_map(|(_, c)| c) {
-            let instances = &shape_list[sid as usize].1.instances;
-            let at = instances
-                .binary_search_by_key(&start, |i| i.start)
-                .expect("covers place indexed instances");
-            let slot = &mut taken[sid as usize];
-            if slot.is_empty() {
-                order.push(sid as usize);
+        // Map the final cover back to instances; tag entries by first
+        // planted position.
+        let mut tag_of = vec![NONE; shapes.count()];
+        let mut entries = Vec::new();
+        let mut planted = Vec::new();
+        for bi in 0..num_blocks {
+            for &(start, _, sid) in covers.get(bi) {
+                let sid = sid as usize;
+                if tag_of[sid] == NONE {
+                    tag_of[sid] = entries.len() as u32;
+                    entries.push(sid);
+                }
+                let instances = shapes.instances(sid);
+                let at = instances
+                    .binary_search_by_key(&start, |i| i.start)
+                    .expect("covers place indexed instances");
+                planted.push((instances[at], tag_of[sid] as u16));
             }
-            slot.push(instances[at]);
         }
-        let selected = order
-            .into_iter()
-            .enumerate()
-            .map(|(tag, sid)| (tag as u16, sid, std::mem::take(&mut taken[sid])))
-            .collect();
-        (shape_list, selected)
+        Selection::new(shapes, &entries, planted)
     }
 
     /// Whether `inst` may appear in a compressible window, as its last
@@ -1287,13 +1379,11 @@ impl Compressor {
         }
         let term = Terminal::of(window);
         let mut canon = Canon::default();
-        let mut branch_target = None;
-        if let Terminal::Short { target, lo, hi } = term {
+        if let Terminal::Short { lo, hi, .. } = term {
             canon.used[1] = true;
             canon.used[2] = true;
             canon.params[1] = lo;
             canon.params[2] = hi;
-            branch_target = Some(target);
         }
         specs.clear();
         for (i, (_, inst)) in window.iter().enumerate() {
@@ -1332,10 +1422,8 @@ impl Compressor {
             }
         }
         Some(Instance {
-            start: start_idx,
-            pc: window[0].0,
+            start: start_idx as u32,
             params,
-            branch_target,
         })
     }
 }
@@ -1389,15 +1477,25 @@ impl Terminal {
 }
 
 /// A window being grown one instruction per level of
-/// [`Compressor::window_table`]: its block, its first instruction there,
-/// its shape so far ([`NONE`] before the first level) and the
-/// canonicalization state that extends it.
+/// [`Compressor::window_table`]: its first instruction and the end of its
+/// block (indices into [`Text::insts`]), its shape so far ([`NONE`]
+/// before the first level) and the canonicalization state that extends
+/// it.
 #[derive(Debug, Clone, Copy)]
 struct Growing {
-    block: u32,
     start: u32,
+    end: u32,
     id: u32,
     canon: Canon,
+}
+
+impl Growing {
+    fn instance(&self) -> Instance {
+        Instance {
+            start: self.start,
+            params: self.canon.params,
+        }
+    }
 }
 
 /// Canonicalization state of a window built left to right: the codeword
@@ -1803,42 +1901,81 @@ mod tests {
         assert!(r.entries().windows(2).all(|w| w[0].0 < w[1].0));
     }
 
-    /// Checks the level-pruned window table against the unpruned
-    /// reference on `benches` (seeds 0–2, tiny workloads) under three
-    /// Figure 7 configurations: v2's candidate list is identical (specs,
-    /// lengths, instances in order), v1's threshold interns every shape
-    /// the reference does and yields the same list, and v2's interns
-    /// strictly fewer, so the comparison proves that pruning ran.
-    fn check_pruned_table(benches: &[Benchmark]) {
-        let configs = [
+    /// The six Figure 7 configurations, walk order.
+    fn figure7() -> [(&'static str, CompressionConfig); 6] {
+        [
             ("dedicated", CompressionConfig::dedicated()),
+            ("dedicated_no_single", CompressionConfig::dedicated_no_single()),
+            ("dise_unparameterized", CompressionConfig::dise_unparameterized()),
+            ("dise_wide_entries", CompressionConfig::dise_wide_entries()),
             ("dise_parameterized", CompressionConfig::dise_parameterized()),
             ("dise_full", CompressionConfig::dise_full()),
-        ];
+        ]
+    }
+
+    #[test]
+    fn table_threshold_is_the_least_payable_count() {
+        let unique_pays = CompressionConfig {
+            entry_bytes_per_inst: 2,
+            ..CompressionConfig::dise_unparameterized()
+        };
+        let mut cases = figure7().to_vec();
+        cases.push(("2-byte entry instructions", unique_pays));
+        let payable = [2, 2, 2, 3, 3, 3, 1];
+        for ((name, config), expected) in cases.into_iter().zip(payable) {
+            let v1 = Compressor::new(config.with_select(SelectAlgo::V1));
+            let threshold = v1.min_count();
+            assert_eq!(threshold, expected, "{name}");
+            let mut lens = config.min_seq_len..=config.max_seq_len;
+            for count in 0..threshold {
+                for len in lens.clone() {
+                    assert!(!v1.may_pay(count, len), "{name}: {count} × {len} pays");
+                }
+            }
+            assert!(lens.any(|len| v1.may_pay(threshold, len)), "{name}");
+            let v2 = Compressor::new(config.with_select(SelectAlgo::V2));
+            assert_eq!(v2.min_count(), threshold.max(2), "{name} v2");
+        }
+    }
+
+    #[test]
+    fn selection_records_stay_small() {
+        assert_eq!(std::mem::size_of::<Instance>(), 8);
+        assert_eq!(std::mem::size_of::<Growing>(), 32);
+    }
+
+    /// Checks the level-pruned window table against the unpruned
+    /// reference on `benches` (seeds 0–2, tiny workloads) under the six
+    /// Figure 7 configurations. Each algorithm's table, built at its own
+    /// [`Compressor::min_count`], gives the candidate list that the
+    /// reference gives at the algorithm's old fixed threshold (1 for v1,
+    /// 2 for v2): the same specs, lengths and instances in order. It
+    /// interns strictly fewer shapes, so the comparison proves that
+    /// pruning ran.
+    fn check_pruned_table(benches: &[Benchmark]) {
         for &bench in benches {
             for seed in 0..3 {
                 let program = bench.build(&WorkloadConfig {
                     seed,
                     ..WorkloadConfig::tiny()
                 });
-                let graph = Cfg::build(&program).unwrap();
-                for (name, config) in configs {
-                    let what = format!("{} seed {seed} {name}", bench.name());
-                    let c = Compressor::new(config);
-                    let reference = c.window_table_reference(&graph);
-                    let v1 = c.window_table(&graph, 1);
-                    let v2 = c.window_table(&graph, 2);
-                    assert_eq!(v1.num_shapes(), reference.num_shapes(), "v1 shapes: {what}");
-                    assert!(
-                        v2.num_shapes() < reference.num_shapes(),
-                        "v2 table interned {} of {} shapes: {what}",
-                        v2.num_shapes(),
-                        reference.num_shapes()
-                    );
-                    let expected = c.sorted_shape_list(reference, 2);
-                    assert_eq!(c.sorted_shape_list(v2, 2), expected, "v2 list: {what}");
-                    let expected = c.sorted_shape_list(c.window_table_reference(&graph), 1);
-                    assert_eq!(c.sorted_shape_list(v1, 1), expected, "v1 list: {what}");
+                let text = Text::new(&program).unwrap();
+                for (name, config) in figure7() {
+                    for (select, old_count) in [(SelectAlgo::V1, 1), (SelectAlgo::V2, 2)] {
+                        let what = format!("{} seed {seed} {name} {select:?}", bench.name());
+                        let c = Compressor::new(config.with_select(select));
+                        let reference = c.window_table_reference(&text);
+                        let pruned = c.window_table(&text, c.min_count());
+                        assert!(
+                            pruned.num_shapes() < reference.num_shapes(),
+                            "table interned {} of {} shapes: {what}",
+                            pruned.num_shapes(),
+                            reference.num_shapes()
+                        );
+                        let expected = c.sorted_shape_list(reference, &text, old_count);
+                        let list = c.sorted_shape_list(pruned, &text, c.min_count());
+                        assert_eq!(list, expected, "shape list: {what}");
+                    }
                 }
             }
         }
@@ -1859,12 +1996,21 @@ mod tests {
     }
 
     /// The shape ids of the short-branch windows `table` recorded, in
-    /// start order.
+    /// start order: those whose last spec takes the fused displacement.
     fn short_branch_ids(table: &WindowTable) -> Vec<u32> {
-        let mut ids: Vec<(usize, u32)> = table
+        let mut ids: Vec<(u32, u32)> = table
             .instances
             .iter()
-            .filter(|(_, inst)| inst.branch_target.is_some())
+            .filter(|(id, _)| {
+                let last = &table.specs[table.last[*id as usize] as usize];
+                matches!(
+                    last,
+                    InstSpec::Templated {
+                        imm: ImmDirective::Param2 { .. },
+                        ..
+                    }
+                )
+            })
             .map(|(id, inst)| (inst.start, *id))
             .collect();
         ids.sort_unstable();
@@ -1872,17 +2018,18 @@ mod tests {
     }
 
     /// Two one-block windows, each an `addq` and a short `beq`.
-    fn short_branch_pair(listing: &str) -> (Compressor, Cfg) {
-        let graph = Cfg::build(&assemble(listing)).unwrap();
-        assert_eq!(graph.blocks[0].insts.len(), 2, "{listing}");
-        assert_eq!(graph.blocks[1].insts.len(), 2, "{listing}");
-        (Compressor::new(CompressionConfig::dise_full()), graph)
+    fn short_branch_pair(listing: &str) -> (Compressor, Text) {
+        let text = Text::new(&assemble(listing)).unwrap();
+        assert_eq!(text.blocks[0].1, 2, "{listing}");
+        assert_eq!(text.blocks[1].1, 2, "{listing}");
+        (Compressor::new(CompressionConfig::dise_full()), text)
     }
 
     /// The canonical specs of the first `len` instructions of block `bi`.
-    fn block_shape(c: &Compressor, graph: &Cfg, bi: usize, len: usize) -> Vec<InstSpec> {
+    fn block_shape(c: &Compressor, text: &Text, bi: usize, len: usize) -> Vec<InstSpec> {
         let mut specs = Vec::new();
-        c.shape_of(&graph.blocks[bi].insts[..len], 0, &mut specs)
+        let start = text.blocks[bi].0;
+        c.shape_of(&text.insts[start..start + len], start, &mut specs)
             .expect("compressible window");
         specs
     }
@@ -1896,14 +2043,14 @@ mod tests {
             "addq r1, r2, r3\n beq r1, a\n a: addq r5, r2, r3\n beq r5, b\n b: halt",
             "addq r2, #5, r3\n beq r3, a\n a: addq r2, #7, r3\n beq r3, b\n b: halt",
         ] {
-            let (c, graph) = short_branch_pair(listing);
-            let whole = |bi| block_shape(&c, &graph, bi, 2);
-            let prefix = |bi| block_shape(&c, &graph, bi, 1);
+            let (c, text) = short_branch_pair(listing);
+            let whole = |bi| block_shape(&c, &text, bi, 2);
+            let prefix = |bi| block_shape(&c, &text, bi, 1);
             assert_eq!(whole(0), whole(1), "whole shapes: {listing}");
             assert_eq!(prefix(0), prefix(1), "grown prefixes: {listing}");
             // So v2's table grows both windows past their prefix and
             // records them under one shape.
-            let ids = short_branch_ids(&c.window_table(&graph, 2));
+            let ids = short_branch_ids(&c.window_table(&text, 2));
             assert_eq!(ids.len(), 2, "{listing}");
             assert_eq!(ids[0], ids[1], "{listing}");
         }
@@ -1914,13 +2061,13 @@ mod tests {
         // The whole shapes differ only where the second window reuses r1,
         // the slot-0 register, for values the first keeps literal (r3).
         let listing = "addq r1, r2, r3\n beq r3, a\n a: addq r1, r2, r1\n beq r1, b\n b: halt";
-        let (c, graph) = short_branch_pair(listing);
-        assert_ne!(block_shape(&c, &graph, 0, 2), block_shape(&c, &graph, 1, 2));
-        assert_ne!(block_shape(&c, &graph, 0, 1), block_shape(&c, &graph, 1, 1));
-        let ids = short_branch_ids(&c.window_table(&graph, 1));
+        let (c, text) = short_branch_pair(listing);
+        assert_ne!(block_shape(&c, &text, 0, 2), block_shape(&c, &text, 1, 2));
+        assert_ne!(block_shape(&c, &text, 0, 1), block_shape(&c, &text, 1, 1));
+        let ids = short_branch_ids(&c.window_table(&text, 1));
         assert_eq!(ids.len(), 2);
         assert_ne!(ids[0], ids[1]);
         // Seen once each, neither is recorded at v2's threshold.
-        assert!(short_branch_ids(&c.window_table(&graph, 2)).is_empty());
+        assert!(short_branch_ids(&c.window_table(&text, 2)).is_empty());
     }
 }

@@ -27,8 +27,9 @@
 #             scripts/fig7_smoke_golden.json cell for cell
 #   golden  — the full selection golden-digest matrix under --release
 #             (byte-identical compressor output, every Figure 7
-#             configuration × v1/v2; `ignore`d in debug builds), and the
-#             pruned-window-table differential on every benchmark
+#             configuration × v1/v2; `ignore`d in debug builds), the
+#             pruned-window-table differential on every benchmark, and
+#             the compressor's peak live heap on gzip under its bound
 #   sim golden — the full timing-statistics golden-digest matrix under
 #             --release (every exported counter of 168 Figure 6/7/8
 #             cells byte-identical; `ignore`d in debug builds)
@@ -146,6 +147,10 @@ cargo test --release -q -p dise-acf --test select_golden
 # The prefix-pruned window table against its unpruned reference model
 # on every benchmark (same debug/release split; debug runs cover one).
 cargo test --release -q -p dise-acf --lib pruned_window_table
+# Peak live heap of compressing gzip (dise_full v2, dedicated v1) under a
+# counting allocator, within 25% of its measured value (same
+# debug/release split: debug cross-checks allocate).
+cargo test --release -q -p dise-acf --test footprint
 
 echo "== ci: simulation golden digests ($(date)) =="
 # The timing model is byte-stable: digests of every exported counter for
