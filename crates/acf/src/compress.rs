@@ -785,7 +785,7 @@ impl Compressor {
                         ..
                     } = s
                     {
-                        *target = *out.old_to_new.get(target).ok_or_else(|| {
+                        *target = out.new_addr(*target).ok_or_else(|| {
                             AcfError::Compress(format!(
                                 "shared branch target {target:#x} no longer addressable"
                             ))
@@ -1620,6 +1620,39 @@ mod tests {
         Assembler::new(Program::segment_base(Program::TEXT_SEGMENT))
             .assemble(&listing)
             .unwrap()
+    }
+
+    #[test]
+    fn single_instruction_compression_helps_the_dedicated_baseline() {
+        // The same (large-immediate) instruction many times: only
+        // single-instruction compression can touch it when instructions
+        // alternate.
+        let mut listing = String::new();
+        for i in 0..12 {
+            listing.push_str("lda r1, 999(r31)\n");
+            listing.push_str(&format!("lda r{}, {}(r31)\n", 2 + (i % 8), 100 + i * 13));
+        }
+        listing.push_str("halt");
+        let p = Assembler::new(Program::segment_base(Program::TEXT_SEGMENT))
+            .assemble(&listing)
+            .unwrap();
+        let with = Compressor::new(CompressionConfig::dedicated())
+            .compress(&p)
+            .unwrap();
+        let without = Compressor::new(CompressionConfig::dedicated_no_single())
+            .compress(&p)
+            .unwrap();
+        assert!(
+            with.stats.compressed_text < without.stats.compressed_text,
+            "{} !< {}",
+            with.stats.compressed_text,
+            without.stats.compressed_text
+        );
+        // Still runs.
+        let mut m = Machine::load(&with.program);
+        with.attach(&mut m, EngineConfig::default()).unwrap();
+        m.run(10_000).unwrap();
+        assert_eq!(m.reg(Reg::R1), 999);
     }
 
     #[test]

@@ -48,17 +48,6 @@ pub enum MfiVariant {
     Sandbox,
 }
 
-impl MfiVariant {
-    /// Number of extra instructions per checked memory operation.
-    pub fn check_insts(self) -> usize {
-        match self {
-            MfiVariant::Sandbox => 2,
-            MfiVariant::Dise3 => 3,
-            MfiVariant::Dise4 => 4,
-        }
-    }
-}
-
 /// Memory fault isolation ACF builder.
 ///
 /// ```
@@ -74,7 +63,6 @@ impl MfiVariant {
 pub struct Mfi {
     variant: MfiVariant,
     error_handler: u64,
-    check_ijumps: bool,
 }
 
 /// Dedicated register holding the legal data-segment identifier.
@@ -100,7 +88,6 @@ impl Mfi {
         Mfi {
             variant,
             error_handler: 0,
-            check_ijumps: true,
         }
     }
 
@@ -110,14 +97,10 @@ impl Mfi {
         self
     }
 
-    /// Disables indirect-jump checking (loads and stores only).
-    pub fn without_ijump_checks(mut self) -> Mfi {
-        self.check_ijumps = false;
-        self
-    }
-
     /// The check sequence for triggers whose legal segment lives in
-    /// `segment_reg`.
+    /// `segment_reg`. This is the check's only description: the binary
+    /// rewriting baseline (`dise_rewrite::RewriteMfi`) instantiates DISE4's
+    /// into the static image.
     fn check_spec(&self, segment_reg: Reg) -> ReplacementSpec {
         let lit = RegDirective::Literal;
         let mut insts = Vec::new();
@@ -220,8 +203,7 @@ impl Mfi {
     }
 
     /// Builds the production set: loads and stores checked (or sandboxed)
-    /// against the data segment, indirect jumps (if enabled) against the
-    /// code segment.
+    /// against the data segment, indirect jumps against the code segment.
     ///
     /// # Errors
     ///
@@ -237,23 +219,19 @@ impl Mfi {
                 Pattern::opclass(OpClass::Store),
                 Self::sandbox_spec(DATA_BASE_REG, RegDirective::TriggerRt, false),
             )?;
-            if self.check_ijumps {
-                set.add_transparent(
-                    Pattern::opclass(OpClass::IndirectJump),
-                    Self::sandbox_spec(CODE_BASE_REG, RegDirective::TriggerRd, true),
-                )?;
-            }
+            set.add_transparent(
+                Pattern::opclass(OpClass::IndirectJump),
+                Self::sandbox_spec(CODE_BASE_REG, RegDirective::TriggerRd, true),
+            )?;
             return Ok(set);
         }
         let data_check = self.check_spec(SEGMENT_REG);
         let id = set.add_transparent(Pattern::opclass(OpClass::Store), data_check)?;
         set.add_pattern(Pattern::opclass(OpClass::Load), id)?;
-        if self.check_ijumps {
-            set.add_transparent(
-                Pattern::opclass(OpClass::IndirectJump),
-                self.check_spec(CODE_SEGMENT_REG),
-            )?;
-        }
+        set.add_transparent(
+            Pattern::opclass(OpClass::IndirectJump),
+            self.check_spec(CODE_SEGMENT_REG),
+        )?;
         Ok(set)
     }
 

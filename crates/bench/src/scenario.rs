@@ -15,7 +15,7 @@ use dise_acf::compress::{CompressedProgram, CompressionConfig, SelectAlgo};
 use dise_acf::mfi::{Mfi, MfiVariant};
 use dise_core::{compose, Controller, DiseEngine, EngineConfig, ProductionSet};
 use dise_isa::Program;
-use dise_rewrite::{DedicatedDecompressor, RewriteMfi};
+use dise_rewrite::RewriteMfi;
 use dise_sim::{ExpansionCost, Machine, MachineConfig, SimConfig, SimStats, Simulator};
 use dise_workloads::{Benchmark, WorkloadConfig};
 
@@ -149,13 +149,12 @@ impl Workload {
             ))),
             Recipe::RewriteCompress { dedicated, cc } => {
                 let rewritten = self.image(Recipe::RewriteMfi);
-                Image::Compressed(Cow::Owned(if dedicated {
-                    DedicatedDecompressor::new()
-                        .compress(rewritten.program())
-                        .expect("dedicated compression")
+                let cc = if dedicated {
+                    CompressionConfig::dedicated()
                 } else {
-                    compress(rewritten.program(), cc)
-                }))
+                    cc
+                };
+                Image::Compressed(Cow::Owned(compress(rewritten.program(), cc)))
             }
         }
     }

@@ -47,8 +47,6 @@ impl BasicBlock {
 pub struct Cfg {
     /// Blocks in address order; together they tile the text segment.
     pub blocks: Vec<BasicBlock>,
-    /// All branch-target addresses discovered (PC-relative only).
-    pub branch_targets: BTreeSet<u64>,
 }
 
 impl Cfg {
@@ -77,7 +75,6 @@ impl Cfg {
         }
 
         let mut leaders = BTreeSet::new();
-        let mut branch_targets = BTreeSet::new();
         leaders.insert(program.entry());
         if let Some((first, _)) = insts.first() {
             leaders.insert(*first);
@@ -86,9 +83,7 @@ impl Cfg {
             if inst.is_app_ctrl() {
                 leaders.insert(pc + 4);
                 if inst.op.class() != OpClass::IndirectJump {
-                    let target = (pc + 4).wrapping_add_signed(inst.imm);
-                    branch_targets.insert(target);
-                    leaders.insert(target);
+                    leaders.insert((pc + 4).wrapping_add_signed(inst.imm));
                 }
             }
         }
@@ -114,10 +109,7 @@ impl Cfg {
         if let Some(b) = current.take() {
             blocks.push(b);
         }
-        Ok(Cfg {
-            blocks,
-            branch_targets,
-        })
+        Ok(Cfg { blocks })
     }
 
     /// Total instruction count across all blocks.
@@ -157,7 +149,8 @@ mod tests {
         assert_eq!(cfg.blocks.len(), 3);
         assert_eq!(cfg.blocks[1].start, 0x1004);
         assert_eq!(cfg.blocks[1].len(), 2);
-        assert!(cfg.branch_targets.contains(&0x1004));
+        // The branch target 0x1004 is a leader: it ends the first block.
+        assert_eq!(cfg.blocks[0].end(), 0x1004);
     }
 
     #[test]

@@ -135,10 +135,25 @@ impl std::fmt::Debug for Relocator<'_> {
 pub struct RelocOutput {
     /// The transformed program (entry point and symbols remapped).
     pub program: Program,
-    /// Maps each original span-start address to its new address. Untouched
-    /// instructions appear individually; addresses strictly inside a
-    /// replaced span do not appear.
-    pub old_to_new: BTreeMap<u64, u64>,
+    /// Each original span-start address with its new address, ascending
+    /// (spans are declared in program order), ending with the original
+    /// text end. Untouched instructions appear individually; addresses
+    /// strictly inside a replaced span do not appear.
+    old_to_new: Vec<(u64, u64)>,
+}
+
+impl RelocOutput {
+    /// The new address of original address `old`, if a span starts there
+    /// or it is the original text end.
+    pub fn new_addr(&self, old: u64) -> Option<u64> {
+        new_addr(&self.old_to_new, old)
+    }
+}
+
+/// Binary search of a sorted old→new address list.
+fn new_addr(old_to_new: &[(u64, u64)], old: u64) -> Option<u64> {
+    let i = old_to_new.binary_search_by_key(&old, |&(o, _)| o).ok()?;
+    Some(old_to_new[i].1)
 }
 
 impl<'a> Relocator<'a> {
@@ -300,39 +315,44 @@ impl<'a> Relocator<'a> {
                 self.insts.len() - self.cursor
             )));
         }
-        // Pass 1: lay out addresses.
+        // Pass 1: lay out addresses, recording span starts and labels.
         let base = self.original.text_base();
+        let tail_start = self.items.len();
+        let mut defs = (self.labels.iter().map(|(at, l)| (*at, l)))
+            .chain(self.tail_labels.iter().map(|(at, l)| (tail_start + at, l)))
+            .peekable();
+        let mut labels: BTreeMap<&str, u64> = BTreeMap::new();
+        // Defines the labels on item `at` (numbered across `items` then
+        // `tail`), laid out at `pc`.
+        let mut define = |at: usize, pc: u64| -> Result<()> {
+            while let Some((_, label)) = defs.next_if(|(d, _)| *d == at) {
+                if labels.insert(label, pc).is_some() {
+                    return Err(IsaError::Reloc(format!("label `{label}` defined twice")));
+                }
+            }
+            Ok(())
+        };
+        let mut old_to_new = Vec::with_capacity(self.spans.len() + 1);
         let mut pc = base;
-        let mut old_to_new = BTreeMap::new();
-        let mut item_addrs = Vec::with_capacity(self.items.len() + self.tail.len());
         let mut begin = 0;
         for &(old_start, end) in &self.spans {
-            old_to_new.insert(old_start, pc);
-            for slot in &self.items[begin..end] {
-                item_addrs.push(pc);
-                pc += slot.item.size();
+            old_to_new.push((old_start, pc));
+            for at in begin..end {
+                define(at, pc)?;
+                pc += self.items[at].item.size();
             }
             begin = end;
         }
-        for slot in &self.tail {
-            item_addrs.push(pc);
+        for (at, slot) in self.tail.iter().enumerate() {
+            define(tail_start + at, pc)?;
             pc += slot.item.size();
         }
         // The one-past-the-end address maps too (a branch may target it).
-        old_to_new.insert(self.original.text_end(), pc);
-        let tail_start = self.items.len();
-        let mut labels: BTreeMap<&str, u64> = BTreeMap::new();
-        let defs = (self.labels.iter().map(|(at, l)| (*at, l)))
-            .chain(self.tail_labels.iter().map(|(at, l)| (tail_start + at, l)));
-        for (at, label) in defs {
-            if labels.insert(label, item_addrs[at]).is_some() {
-                return Err(IsaError::Reloc(format!("label `{label}` defined twice")));
-            }
-        }
+        old_to_new.push((self.original.text_end(), pc));
 
         // Pass 2: patch branch displacements and serialize.
         let resolve_old = |a: u64| -> Result<u64> {
-            old_to_new.get(&a).copied().ok_or_else(|| {
+            new_addr(&old_to_new, a).ok_or_else(|| {
                 IsaError::Reloc(format!(
                     "branch targets {a:#x}, which is inside a replaced sequence"
                 ))
@@ -351,9 +371,10 @@ impl<'a> Relocator<'a> {
             }
         };
         let mut text = Vec::with_capacity((pc - base) as usize);
-        for (slot, &addr) in self.items.iter().chain(&self.tail).zip(&item_addrs) {
+        for slot in self.items.iter().chain(&self.tail) {
             let mut item = slot.item;
             if slot.target != NO_TARGET {
+                let addr = base + text.len() as u64;
                 let new_target = resolve(slot.target)?;
                 let TextItem::Inst(inst) = &mut item else {
                     return Err(IsaError::Reloc("retarget on a non-instruction".into()));
@@ -393,13 +414,13 @@ impl<'a> Relocator<'a> {
 
         // Remap entry and symbols.
         let original = self.original;
-        let entry = *old_to_new.get(&original.entry()).ok_or_else(|| {
+        let entry = new_addr(&old_to_new, original.entry()).ok_or_else(|| {
             IsaError::Reloc("entry point is inside a replaced sequence".into())
         })?;
         let mut symbols = BTreeMap::new();
         for (name, addr) in original.symbols() {
-            if let Some(new) = old_to_new.get(addr) {
-                symbols.insert(name.clone(), *new);
+            if let Some(new) = new_addr(&old_to_new, *addr) {
+                symbols.insert(name.clone(), new);
             }
         }
         for (name, addr) in labels {
@@ -445,7 +466,7 @@ mod tests {
         let out = r.finish().unwrap();
         assert_eq!(out.program.text(), p.text());
         assert_eq!(out.program.entry(), p.entry());
-        assert_eq!(out.old_to_new.get(&0x1004), Some(&0x1004));
+        assert_eq!(out.new_addr(0x1004), Some(0x1004));
     }
 
     #[test]
@@ -473,7 +494,7 @@ mod tests {
         let out = r.finish().unwrap();
         // loop (0x1004) now maps to 0x1004 but holds the first nop; the bne
         // target must be the span start.
-        assert_eq!(out.old_to_new[&0x1004], 0x1004);
+        assert_eq!(out.new_addr(0x1004), Some(0x1004));
         let TextItem::Inst(bne) = out.program.fetch(0x1010).unwrap() else {
             panic!()
         };
@@ -504,6 +525,11 @@ mod tests {
         };
         let target = (0x1002u64 + 4).wrapping_add_signed(bne.imm);
         assert_eq!(out.program.fetch(target).unwrap(), TextItem::Inst(Inst::halt()));
+        // Span starts and the text end map; the replaced interior does not.
+        assert_eq!(
+            [0x1000, 0x1004, 0x1008, 0x100C, 0x1010, 0x1014].map(|old| out.new_addr(old)),
+            [Some(0x1000), None, Some(0x1002), Some(0x1006), Some(0x100A), Some(0x100E)]
+        );
     }
 
     #[test]

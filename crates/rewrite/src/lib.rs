@@ -1,36 +1,35 @@
 #![warn(missing_docs)]
 
-//! # dise-rewrite: the paper's non-DISE baselines
+//! # dise-rewrite: the paper's binary-rewriting baseline
 //!
 //! Figure 6 compares DISE memory fault isolation against a **static binary
-//! rewriting** implementation; Figure 7 compares DISE decompression against
-//! a **dedicated decoder-based decompressor**; Figure 8 composes them. This
-//! crate provides both baselines:
+//! rewriting** implementation, and Figure 8 compresses the rewritten image.
+//! This crate provides that baseline:
 //!
 //! * [`mfi::RewriteMfi`] — software fault isolation by binary rewriting
-//!   (Wahbe et al.-style segment matching, §3.1): every load, store and
-//!   indirect jump is preceded by a four-instruction check sequence built
-//!   from *scavenged* registers, all branches are retargeted, and a check
-//!   prologue/error block is added. Unlike the DISE version, the check
-//!   instructions occupy the static image — they consume I-cache capacity
-//!   and fetch bandwidth.
-//! * [`dedicated`] — the dedicated decompressor model: 2-byte codewords
-//!   expanded at decode from an on-chip dictionary with no cycle cost
-//!   (mechanics shared with [`dise_acf::compress`]; the decoder itself is
-//!   [`dise_sim::DedicatedDict`]).
+//!   (Wahbe et al.-style segment matching, §3.1): every instruction the
+//!   DISE4 production set of [`dise_acf::Mfi`] expands (loads, stores,
+//!   indirect jumps) is preceded by that set's four-instruction check,
+//!   instantiated with *scavenged* registers and varied per site (see
+//!   [`mfi`]); all branches are retargeted, and a check prologue and error
+//!   block are added. Unlike the DISE version, the check instructions
+//!   occupy the static image — they consume I-cache capacity and fetch
+//!   bandwidth.
+//!
+//! The other baseline, the dedicated decoder-based decompressor, is
+//! [`dise_acf::compress`] with `CompressionConfig::dedicated()`, decoded by
+//! `dise_sim::DedicatedDict`.
 
-pub mod dedicated;
 pub mod mfi;
 
-pub use dedicated::DedicatedDecompressor;
 pub use mfi::{RewriteMfi, RewriteOutput, RewriteStats};
 
-/// Errors produced by the rewriting baselines.
+/// Errors produced by the rewriting baseline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RewriteError {
     /// Underlying ISA error (relocation, encoding).
     Isa(dise_isa::IsaError),
-    /// Underlying compression error.
+    /// Underlying ACF error (building or instantiating the check).
     Acf(dise_acf::AcfError),
 }
 

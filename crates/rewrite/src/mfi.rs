@@ -9,12 +9,16 @@
 //! dedicated registers plus an extra copy instruction so that a malicious
 //! jump into the middle of a check cannot use an unchecked address.
 //!
-//! Register convention (the synthetic workloads deliberately leave these
-//! free; real rewriters must scavenge or spill): `r25` legal code-segment
-//! id, `r27` address copy, `r28` scratch, `r29` legal data-segment id.
-//!
-//! The check sequence before each unsafe instruction is four instructions
-//! — the same work as the DISE4 variant, but resident in the static image:
+//! The check is not written here: it is instantiated from the DISE4
+//! production set of [`dise_acf::Mfi`], so the rewriter inserts exactly
+//! what DISE4 expands (§4.1: DISE4 "mirrors rewriting"). Which
+//! instructions are checked is `ProductionSet::lookup`'s answer, and the
+//! check's dedicated registers are mapped to scavenged ones (the synthetic
+//! workloads deliberately leave these free; real rewriters must scavenge
+//! or spill): `$dr0` address copy → `r27`, `$dr1` scratch → `r28`, `$dr2`
+//! legal data-segment id → `r29`, `$dr3` legal code-segment id → `r25`.
+//! The DISE4 branch to the error handler becomes a branch to the
+//! appended `mfi_error` block.
 //!
 //! ```text
 //! bis   rs, rs, r27        ; defensive copy
@@ -23,10 +27,20 @@
 //! beq   r28, mfi_error     ; divert on mismatch
 //! <original instruction>
 //! ```
+//!
+//! **Per-site diversity.** A real rewriter's register scavenging gives
+//! different sites different registers, and uniform check sequences would
+//! be unrealistically easy for an *unparameterized* dictionary compressor
+//! (Figure 8's rewrite+dedicated) to fold. So the `n`-th check (from 1)
+//! swaps the copy and scratch registers when `n` is odd (a per-site
+//! register map) and commutes `cmpeq`'s two sources when `n & 2` is set
+//! (which no renaming can express).
 
 use crate::Result;
+use dise_acf::{mfi as dise_mfi, AcfError, Mfi, MfiVariant};
+use dise_core::{ImmDirective, InstSpec, ReplacementSpec};
 use dise_isa::reloc::{NewItem, NewTarget, Relocator};
-use dise_isa::{Inst, Op, OpClass, Program, Reg};
+use dise_isa::{Inst, Op, Program, Reg};
 
 /// Scavenged register holding the legal code-segment identifier.
 pub const CODE_SEGMENT_REG: Reg = Reg::r(25);
@@ -82,65 +96,71 @@ pub struct RewriteOutput {
 /// assert_eq!(out.stats.checked, 1);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RewriteMfi {
-    skip_ijumps: bool,
-}
+pub struct RewriteMfi;
 
 impl RewriteMfi {
     /// Creates the rewriter.
     pub fn new() -> RewriteMfi {
-        RewriteMfi::default()
+        RewriteMfi
     }
 
-    /// Disables indirect-jump checking (loads and stores only).
-    pub fn without_ijump_checks(mut self) -> RewriteMfi {
-        self.skip_ijumps = true;
-        self
-    }
-
-    /// The four-instruction check sequence for an unsafe instruction whose
-    /// address register is `rs`, against the segment id in `segment_reg`.
-    ///
-    /// `site` rotates the roles of the scavenged copy/scratch registers
-    /// and the compare's operand order, approximating the per-site
-    /// register-allocation diversity a real rewriter's scavenging
-    /// produces. (Uniform check sequences would be unrealistically easy
-    /// for an *unparameterized* dictionary compressor to fold.)
-    fn check_seq(rs: Reg, segment_reg: Reg, site: u64) -> [NewItem; 4] {
+    /// The scavenged register standing for the check's dedicated register
+    /// `dr` at check number `site`.
+    fn scavenged(dr: Reg, site: u64) -> Reg {
         let (copy, scratch) = if site & 1 == 0 {
             (COPY_REG, SCRATCH_REG)
         } else {
             (SCRATCH_REG, COPY_REG)
         };
-        let (cmp_a, cmp_b) = if site & 2 == 0 {
-            (scratch, segment_reg)
-        } else {
-            (segment_reg, scratch)
-        };
-        [
-            NewItem::inst(Inst::alu_rr(Op::Bis, rs, rs, copy)),
-            NewItem::inst(Inst::alu_ri(
-                Op::Srl,
-                copy,
-                Program::SEGMENT_SHIFT as u8,
-                scratch,
-            )),
-            NewItem::inst(Inst::alu_rr(Op::Cmpeq, cmp_a, cmp_b, scratch)),
-            NewItem::branch(
-                Inst::branch(Op::Beq, scratch, 0),
-                NewTarget::Label(ERROR_LABEL.into()),
-            ),
-        ]
+        match dr {
+            dise_mfi::COPY_REG => copy,
+            dise_mfi::SCRATCH_REG => scratch,
+            dise_mfi::SEGMENT_REG => DATA_SEGMENT_REG,
+            dise_mfi::CODE_SEGMENT_REG => CODE_SEGMENT_REG,
+            _ => unreachable!("the DISE4 check names no other register: {dr}"),
+        }
+    }
+
+    /// The check items DISE4's `spec` expands before `trigger` (at `pc`),
+    /// as check number `site` of the rewrite. `spec` ends in the trigger
+    /// itself, which the caller re-appends.
+    fn check_seq(
+        spec: &ReplacementSpec,
+        trigger: &Inst,
+        pc: u64,
+        site: u64,
+    ) -> Result<Vec<NewItem>> {
+        let (last, checks) = spec.insts.split_last().expect("non-empty spec");
+        debug_assert_eq!(*last, InstSpec::Trigger);
+        checks
+            .iter()
+            .map(|s| {
+                let mut s = s.clone();
+                s.rename_dedicated(&mut |dr| Self::scavenged(dr, site));
+                let mut inst = s.instantiate(trigger, pc).map_err(AcfError::from)?;
+                if inst.op == Op::Cmpeq && site & 2 != 0 {
+                    (inst.ra, inst.rb) = (inst.rb, inst.ra);
+                }
+                Ok(match s {
+                    InstSpec::Templated {
+                        imm: ImmDirective::AbsTarget(_),
+                        ..
+                    } => NewItem::branch(inst, NewTarget::Label(ERROR_LABEL.into())),
+                    _ => NewItem::inst(inst),
+                })
+            })
+            .collect()
     }
 
     /// Rewrites `program`: prepends the segment-register prologue, inserts
-    /// a check before every unsafe instruction, appends the error block
-    /// (symbol `mfi_error`), and retargets all branches.
+    /// a check before every instruction DISE4 would expand, appends the
+    /// error block (symbol `mfi_error`), and retargets all branches.
     ///
     /// # Errors
     ///
     /// Fails on malformed input (undecodable or already-compressed text).
     pub fn rewrite(&self, program: &Program) -> Result<RewriteOutput> {
+        let productions = Mfi::new(MfiVariant::Dise4).productions()?;
         let mut r = Relocator::new(program)?;
         let mut checked = 0u64;
         // Prologue: initialize the scavenged segment registers. Attached to
@@ -158,24 +178,16 @@ impl RewriteMfi {
         ];
         for i in 0..r.insts().len() {
             let (pc, inst) = r.insts()[i];
-            let unsafe_mem = inst.op.class().is_mem();
-            let unsafe_jump =
-                inst.op.class() == OpClass::IndirectJump && !self.skip_ijumps;
             let at_entry = pc == program.entry();
-            let check = (unsafe_mem || unsafe_jump).then(|| {
-                checked += 1;
-                let segment_reg = if unsafe_mem {
-                    DATA_SEGMENT_REG
-                } else {
-                    CODE_SEGMENT_REG
-                };
-                Self::check_seq(
-                    inst.rs().expect("memory/jump ops have an address register"),
-                    segment_reg,
-                    checked,
-                )
-            });
-            if !at_entry && check.is_none() {
+            let check = match productions.lookup(&inst) {
+                Some(id) => {
+                    checked += 1;
+                    let spec = productions.seq(id).expect("lookup returns an installed id");
+                    Self::check_seq(spec, &inst, pc, checked)?
+                }
+                None => Vec::new(),
+            };
+            if !at_entry && check.is_empty() {
                 r.keep()?;
             } else {
                 // Re-append the original instruction (branches keep their
@@ -189,9 +201,7 @@ impl RewriteMfi {
                 let prologue = prologue.iter().filter(|_| at_entry).cloned();
                 r.replace(
                     1,
-                    prologue
-                        .chain(check.into_iter().flatten())
-                        .chain([original]),
+                    prologue.chain(check).chain([original]),
                 )?;
             }
         }
@@ -282,16 +292,6 @@ mod tests {
         assert_eq!(m.reg(Reg::r(3)), 42);
         let err_block = out.program.symbol("mfi_error").unwrap();
         assert!(m.pc().0 < err_block, "halted before the error block");
-    }
-
-    #[test]
-    fn ijump_checks_optional() {
-        let p = asm("bsr f\nhalt\nf: ret");
-        let with = RewriteMfi::new().rewrite(&p).unwrap();
-        let without = RewriteMfi::new().without_ijump_checks().rewrite(&p).unwrap();
-        assert_eq!(with.stats.checked, 1);
-        assert_eq!(without.stats.checked, 0);
-        assert!(with.stats.rewritten_text > without.stats.rewritten_text);
     }
 
     #[test]

@@ -16,6 +16,9 @@
 #   clippy  — every crate, all targets, warnings denied
 #   rustdoc — every crate's docs, warnings denied (a link to a deleted
 #             or private item fails)
+#   examples — every examples/*.rs run under --release must exit 0
+#             (clippy --all-targets only compiles them; fault_isolation
+#             drives the rewriting baseline end to end)
 #   smoke   — run_figures.sh --smoke: every figure binary end-to-end on
 #             a tiny budget, including the stats-JSON byte-stability
 #             check (jobs 1 vs 8, warm vs cold cell cache)
@@ -84,6 +87,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== ci: rustdoc ($(date)) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
+echo "== ci: examples ($(date)) =="
+for example in examples/*.rs; do
+    cargo run --release --quiet --offline --example "$(basename "$example" .rs)" > /dev/null
+done
 
 echo "== ci: smoke figures ($(date)) =="
 ./run_figures.sh --smoke

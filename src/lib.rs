@@ -14,8 +14,9 @@
 //!   production DSL, and ACF composition.
 //! * [`acf`] — application customization functions: memory fault isolation,
 //!   dynamic code (de)compression, store-address tracing, branch profiling.
-//! * [`rewrite`] — the baselines: binary-rewriting fault isolation and a
-//!   dedicated hardware decompressor.
+//! * [`rewrite`] — the binary-rewriting fault-isolation baseline, its
+//!   check instantiated from the DISE4 production set (the dedicated
+//!   hardware decompressor baseline is [`acf`]'s compressor).
 //! * [`workloads`] — the synthetic SPEC2000-integer-like benchmark suite.
 //!
 //! ## Quickstart

@@ -5,7 +5,7 @@ use dise::acf::compress::{CompressionConfig, Compressor};
 use dise::acf::mfi::{Mfi, MfiVariant};
 use dise::engine::{DiseEngine, EngineConfig, RtOrganization};
 use dise::isa::{Program, Reg};
-use dise::rewrite::{DedicatedDecompressor, RewriteMfi};
+use dise::rewrite::RewriteMfi;
 use dise::sim::{ExpansionCost, Machine, SimConfig, Simulator};
 use dise::workloads::{Benchmark, WorkloadConfig};
 
@@ -58,6 +58,31 @@ fn rewriting_mfi_preserves_semantics_on_every_benchmark() {
         assert!(r.halted(), "{bench}");
         assert_eq!(final_state(&plain), final_state(&m), "{bench}");
         assert!(rewritten.stats.growth() > 1.2, "{bench}: no checks inserted?");
+
+        // The rewrite inserts exactly DISE4's check (§4.1: DISE4 mirrors
+        // rewriting). DISE4 runs the same instructions but for the
+        // rewriter's two-instruction prologue, and leaves the same
+        // registers outside the ones the rewriter scavenges (r25, r27–r29);
+        // a code address only has to be some code address, since the
+        // rewrite moves code.
+        let mut dise4 = Machine::load(&p);
+        let set = Mfi::new(MfiVariant::Dise4)
+            .with_error_handler(p.symbol("mfi_error").unwrap())
+            .productions()
+            .unwrap();
+        dise4.attach_engine(DiseEngine::with_productions(EngineConfig::default(), set).unwrap());
+        Mfi::init_machine(&mut dise4);
+        let d = dise4.run(u64::MAX).unwrap();
+        assert!(d.halted(), "{bench}");
+        assert_eq!(r.total_insts, d.total_insts + 2, "{bench}: rewrite vs DISE4");
+        for i in (0..32).filter(|i| ![25, 27, 28, 29].contains(i)) {
+            let (rw, di) = (m.reg(Reg::r(i)), dise4.reg(Reg::r(i)));
+            if Program::segment_of(di) == Program::TEXT_SEGMENT {
+                assert_eq!(Program::segment_of(rw), Program::TEXT_SEGMENT, "{bench}: r{i}");
+            } else {
+                assert_eq!(rw, di, "{bench}: r{i} diverged from DISE4");
+            }
+        }
     }
 }
 
@@ -139,7 +164,9 @@ fn timing_orderings_hold_on_a_workload() {
 #[test]
 fn dedicated_decompressor_runs_compressed_workloads() {
     let p = workload(Benchmark::Mcf);
-    let c = DedicatedDecompressor::new().compress(&p).unwrap();
+    let c = Compressor::new(CompressionConfig::dedicated())
+        .compress(&p)
+        .unwrap();
     assert!(c.dictionary.is_some());
     let mut plain = Machine::load(&p);
     plain.run(u64::MAX).unwrap();

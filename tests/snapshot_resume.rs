@@ -18,7 +18,7 @@ use dise::acf::compress::{CompressionConfig, Compressor, SelectAlgo};
 use dise::acf::mfi::{Mfi, MfiVariant};
 use dise::engine::{compose, DiseEngine, EngineConfig, RtOrganization};
 use dise::isa::{Program, Reg};
-use dise::rewrite::{DedicatedDecompressor, RewriteMfi};
+use dise::rewrite::RewriteMfi;
 use dise::sim::{
     restore_machine, restore_simulator, save_machine, save_simulator, Machine, MachineConfig,
     SimConfig, SimError, Simulator,
@@ -104,7 +104,9 @@ fn build(s: Scenario, econfig: EngineConfig, mconfig: MachineConfig) -> Machine 
         }
         Scenario::Dedicated => {
             let p = workload(Benchmark::Crafty);
-            let c = DedicatedDecompressor::new().compress(&p).unwrap();
+            let c = Compressor::new(CompressionConfig::dedicated())
+                .compress(&p)
+                .unwrap();
             let mut m = Machine::with_config(&c.program, mconfig);
             c.attach(&mut m, econfig).unwrap();
             m
