@@ -321,33 +321,13 @@ impl CompressedProgram {
 }
 
 /// One occurrence of a shape in the original program: its first
-/// instruction, as an index into [`Text::insts`], and its codeword
+/// instruction, as an index into [`Cfg::insts`], and its codeword
 /// parameters. The PC and a short branch's target are read from the
 /// instruction list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Instance {
     start: u32,
     params: [u8; 3],
-}
-
-/// The program's instructions in address order, as (PC, instruction),
-/// and each basic block's first index and length. Blocks tile the list.
-struct Text {
-    insts: Vec<(u64, Inst)>,
-    blocks: Vec<(usize, usize)>,
-}
-
-impl Text {
-    fn new(program: &Program) -> Result<Text> {
-        let graph = Cfg::build(program)?;
-        let mut insts = Vec::with_capacity(graph.num_insts());
-        let mut blocks = Vec::with_capacity(graph.blocks.len());
-        for block in graph.blocks {
-            blocks.push((insts.len(), block.insts.len()));
-            insts.extend(block.insts);
-        }
-        Ok(Text { insts, blocks })
-    }
 }
 
 /// The candidate shapes in selection order (see
@@ -710,7 +690,7 @@ impl Compressor {
                 cfg.entry_cap()
             )));
         }
-        let text = Text::new(program)?;
+        let text = Cfg::build(program)?;
         let Selection { entries, planted } = match cfg.select {
             SelectAlgo::V1 => self.select_v1(&text),
             SelectAlgo::V2 => self.select_v2(&text),
@@ -828,7 +808,7 @@ impl Compressor {
     /// of a shape seen `min_count` times is enumerated. Occurrences are
     /// recorded only for those shapes, level by level and in start order
     /// within a level; with `min_count` 1 every window is kept.
-    fn window_table(&self, text: &Text, min_count: u32) -> WindowTable {
+    fn window_table(&self, text: &Cfg, min_count: u32) -> WindowTable {
         let cfg = &self.config;
         let mut table = WindowTable::default();
         // The level-1 frontier: every instruction starts a window.
@@ -904,7 +884,7 @@ impl Compressor {
     /// start in turn and interned without pruning, every occurrence
     /// recorded in window order.
     #[cfg(test)]
-    fn window_table_reference(&self, text: &Text) -> WindowTable {
+    fn window_table_reference(&self, text: &Cfg) -> WindowTable {
         let cfg = &self.config;
         let max_len = cfg.max_seq_len;
         let mut table = WindowTable::default();
@@ -989,7 +969,7 @@ impl Compressor {
 
     /// The candidate shapes: the window table built at
     /// [`Compressor::min_count`], sorted.
-    fn candidates(&self, text: &Text) -> Shapes {
+    fn candidates(&self, text: &Cfg) -> Shapes {
         let min_count = self.min_count();
         self.sorted_shape_list(self.window_table(text, min_count), text, min_count)
     }
@@ -1001,7 +981,7 @@ impl Compressor {
     /// dictionaries reproduce byte-for-byte. Selection indexes shapes by
     /// position in this list. Consumes the table and frees its maps
     /// first.
-    fn sorted_shape_list(&self, mut table: WindowTable, text: &Text, min_count: u32) -> Shapes {
+    fn sorted_shape_list(&self, mut table: WindowTable, text: &Cfg, min_count: u32) -> Shapes {
         table.spec_ids = FxHashMap::default();
         table.children = FxHashMap::default();
         // Trie depth is the shape length; a parent is interned before
@@ -1133,7 +1113,7 @@ impl Compressor {
 
     /// v1 selection: full window enumeration, then one greedy pass. Tags
     /// follow selection order.
-    fn select_v1(&self, text: &Text) -> Selection {
+    fn select_v1(&self, text: &Cfg) -> Selection {
         let shapes = self.candidates(text);
         let mut claimed = vec![false; text.insts.len()];
         let skip = vec![false; shapes.count()];
@@ -1156,7 +1136,7 @@ impl Compressor {
     /// prune/grow fixpoint, with a per-block weighted-interval dynamic
     /// program choosing the best non-conflicting cover each round. Tags
     /// follow first planted position.
-    fn select_v2(&self, text: &Text) -> Selection {
+    fn select_v2(&self, text: &Cfg) -> Selection {
         let cfg = &self.config;
         let num_insts = text.insts.len();
         let shapes = self.candidates(text);
@@ -1408,8 +1388,7 @@ impl Compressor {
                     .instantiate(&trigger, window[0].0)
                     .expect("shape instantiation");
                 let ok = if branch_pc == Some(*pc0) {
-                    (window[0].0 + 4).wrapping_add_signed(inst.imm)
-                        == (pc0 + 4).wrapping_add_signed(orig.imm)
+                    inst.branch_target(window[0].0) == orig.branch_target(*pc0)
                 } else {
                     inst == *orig
                 };
@@ -1453,7 +1432,7 @@ impl Terminal {
         if !matches!(inst.op.class(), OpClass::CondBranch | OpClass::UncondBranch) {
             return Terminal::None;
         }
-        let target = (pc + 4).wrapping_add_signed(inst.imm);
+        let target = inst.branch_target(pc);
         let disp_from_cw = target as i64 - (window[0].0 as i64 + 4);
         match Inst::codeword_disp_params(disp_from_cw) {
             Some([lo, hi]) => Terminal::Short { target, lo, hi },
@@ -1478,7 +1457,7 @@ impl Terminal {
 
 /// A window being grown one instruction per level of
 /// [`Compressor::window_table`]: its first instruction and the end of its
-/// block (indices into [`Text::insts`]), its shape so far ([`NONE`]
+/// block (indices into [`Cfg::insts`]), its shape so far ([`NONE`]
 /// before the first level) and the canonicalization state that extends
 /// it.
 #[derive(Debug, Clone, Copy)]
@@ -1992,7 +1971,7 @@ mod tests {
                     seed,
                     ..WorkloadConfig::tiny()
                 });
-                let text = Text::new(&program).unwrap();
+                let text = Cfg::build(&program).unwrap();
                 for (name, config) in figure7() {
                     for (select, old_count) in [(SelectAlgo::V1, 1), (SelectAlgo::V2, 2)] {
                         let what = format!("{} seed {seed} {name} {select:?}", bench.name());
@@ -2051,15 +2030,15 @@ mod tests {
     }
 
     /// Two one-block windows, each an `addq` and a short `beq`.
-    fn short_branch_pair(listing: &str) -> (Compressor, Text) {
-        let text = Text::new(&assemble(listing)).unwrap();
+    fn short_branch_pair(listing: &str) -> (Compressor, Cfg) {
+        let text = Cfg::build(&assemble(listing)).unwrap();
         assert_eq!(text.blocks[0].1, 2, "{listing}");
         assert_eq!(text.blocks[1].1, 2, "{listing}");
         (Compressor::new(CompressionConfig::dise_full()), text)
     }
 
     /// The canonical specs of the first `len` instructions of block `bi`.
-    fn block_shape(c: &Compressor, text: &Text, bi: usize, len: usize) -> Vec<InstSpec> {
+    fn block_shape(c: &Compressor, text: &Cfg, bi: usize, len: usize) -> Vec<InstSpec> {
         let mut specs = Vec::new();
         let start = text.blocks[bi].0;
         c.shape_of(&text.insts[start..start + len], start, &mut specs)

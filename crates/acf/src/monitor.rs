@@ -163,8 +163,8 @@ impl JumpMonitor {
         program: &Program,
     ) -> Result<()> {
         let cfg = dise_isa::Cfg::build(program).map_err(crate::AcfError::Isa)?;
-        for block in &cfg.blocks {
-            self.set_approved(machine, table, entries, block.start, true);
+        for start in cfg.block_starts() {
+            self.set_approved(machine, table, entries, start, true);
         }
         Ok(())
     }

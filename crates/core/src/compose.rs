@@ -25,8 +25,7 @@ use crate::pattern::Pattern;
 use crate::production::{ProductionSet, SeqRef};
 use crate::spec::{ImmDirective, InstSpec, OpDirective, RegDirective, ReplacementSpec};
 use crate::{CoreError, Result};
-use dise_isa::op::Format;
-use dise_isa::{Op, Reg};
+use dise_isa::Reg;
 use std::collections::BTreeMap;
 
 /// Three-valued static match result.
@@ -35,36 +34,6 @@ enum Tri {
     Yes,
     No,
     Unknown,
-}
-
-/// Register-role directives of a templated spec with a literal opcode, or
-/// `None` when the role does not exist for that opcode.
-fn role_directives(
-    op: Op,
-    ra: RegDirective,
-    rb: RegDirective,
-    uses_lit: bool,
-    rc: RegDirective,
-) -> [Option<RegDirective>; 3] {
-    use dise_isa::OpClass;
-    // [rs, rt, rd], mirroring `Inst::rs/rt/rd`.
-    match op.format() {
-        Format::Memory => match op.class() {
-            OpClass::Store => [Some(rb), Some(ra), None],
-            _ => [Some(rb), None, Some(ra)],
-        },
-        Format::Branch => match op.class() {
-            OpClass::UncondBranch => [Some(ra), None, Some(ra)],
-            _ => [Some(ra), None, None],
-        },
-        Format::Jump => [Some(rb), None, Some(ra)],
-        Format::Operate => [
-            Some(ra),
-            if uses_lit { None } else { Some(rb) },
-            Some(rc),
-        ],
-        Format::Codeword | Format::Misc => [None, None, None],
-    }
 }
 
 /// Statically evaluates `pattern` against an inner spec entry. `hint` is
@@ -106,7 +75,7 @@ fn match_entry(pattern: &Pattern, entry: &InstSpec, hint: Option<&Pattern>) -> T
             if let Some(p_class) = pattern.class {
                 check(if op.class() == p_class { Tri::Yes } else { Tri::No });
             }
-            let roles = role_directives(*op, *ra, *rb, *uses_lit, *rc);
+            let roles = op.operands().roles([*ra, *rb, *rc], *uses_lit);
             for (want, have) in [pattern.rs, pattern.rt, pattern.rd].iter().zip(roles) {
                 if let Some(want) = want {
                     check(match have {
@@ -182,7 +151,7 @@ fn substitute(
                     "cannot inline into an entry with a templated opcode".into(),
                 ));
             };
-            inner_roles = role_directives(*op, *ra, *rb, *uses_lit, *rc);
+            inner_roles = op.operands().roles([*ra, *rb, *rc], *uses_lit);
             inner_imm = Some(*imm);
         }
     }
@@ -528,7 +497,7 @@ pub fn merge_specs(a: &ReplacementSpec, b: &ReplacementSpec) -> Result<Replaceme
 mod tests {
     use super::*;
     use crate::dsl;
-    use dise_isa::{Inst, OpClass};
+    use dise_isa::{Inst, Op, OpClass};
     use std::collections::BTreeMap as Map;
 
     fn mfi() -> ProductionSet {

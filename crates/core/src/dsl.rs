@@ -27,26 +27,26 @@
 //! `#T.P<k>[.s][<<n]`, `#T.P<hi>:<lo>[.s][<<n]` and `=<symbol>` (an
 //! absolute target resolved against the caller's symbol table — typically
 //! an error handler). A line consisting of `T.INSN` re-emits the trigger.
-//! DISE-internal branches use the `.d` mnemonic suffix with an `@<index>`
-//! target, exactly as in the disassembler.
+//!
+//! Operands follow each format's one layout in [`dise_isa::syntax`],
+//! exactly as in the disassembler: `ldq T.RD, T.P2.s(T.RS)`,
+//! `addq T.RS, #T.P1, $dr1`, and DISE-internal branches with the `.d`
+//! mnemonic suffix and an `@<index>` target. So every replacement
+//! instruction prints ([`InstSpec`]'s `Display`) as a line this module
+//! parses back, except an absolute target, which prints as its address
+//! (`=0x…`) where the language takes a symbol.
 
 use crate::pattern::{ImmPredicate, Pattern};
 use crate::production::ProductionSet;
 use crate::spec::{ImmDirective, InstSpec, OpDirective, RegDirective, ReplacementSpec};
 use crate::{CoreError, Result};
 use dise_isa::op::Format;
-use dise_isa::{Op, OpClass, Reg};
+use dise_isa::syntax;
+use dise_isa::{IsaError, Op, OpClass, Reg};
 use std::collections::BTreeMap;
 
 fn err(msg: impl Into<String>) -> CoreError {
     CoreError::Dsl(msg.into())
-}
-
-fn clean(line: &str) -> Option<&str> {
-    let line = line.split(';').next().unwrap_or("");
-    let line = line.split("//").next().unwrap_or("");
-    let line = line.trim();
-    (!line.is_empty()).then_some(line)
 }
 
 fn parse_opclass(s: &str) -> Result<OpClass> {
@@ -169,158 +169,31 @@ fn parse_imm_directive(s: &str, symbols: &BTreeMap<String, u64>) -> Result<ImmDi
     }
 }
 
-/// True if an operand token should be treated as an immediate in operate
-/// format.
-fn is_imm_token(s: &str) -> bool {
-    s.starts_with('#') || s.starts_with('=')
-}
-
 /// Parses one replacement-instruction line.
 fn parse_spec_line(line: &str, symbols: &BTreeMap<String, u64>) -> Result<InstSpec> {
-    let line = line.trim();
     if line == "T.INSN" {
         return Ok(InstSpec::Trigger);
     }
-    let (mnem, rest) = match line.split_once(char::is_whitespace) {
-        Some((m, r)) => (m, r.trim()),
-        None => (line, ""),
-    };
-    let (mnem, dise) = match mnem.strip_suffix(".d") {
-        Some(m) => (m, true),
-        None => (mnem, false),
-    };
-    let op =
-        Op::from_mnemonic(mnem).ok_or_else(|| err(format!("unknown mnemonic `{mnem}`")))?;
-    if dise && op.format() != Format::Branch {
-        return Err(err(format!("`.d` suffix only valid on branches: `{line}`")));
+    let syntax_err = |e: IsaError| err(e.to_string());
+    let (op, dise_branch, operands) = syntax::mnemonic(line).map_err(syntax_err)?;
+    if op.format() == Format::Codeword {
+        return Err(err(format!(
+            "codewords cannot appear in replacement sequences (no recursive expansion): `{line}`"
+        )));
     }
-    let ops: Vec<&str> = if rest.is_empty() {
-        Vec::new()
-    } else {
-        rest.split(',').map(str::trim).collect()
-    };
-    let wrong = || err(format!("wrong operand count for `{line}`"));
-    let zero = RegDirective::Literal(Reg::ZERO);
-    let no_imm = ImmDirective::Literal(0);
-
-    let spec = match op.format() {
-        Format::Memory => {
-            if ops.len() != 2 {
-                return Err(wrong());
-            }
-            let ra = parse_reg_directive(ops[0])?;
-            let (imm_s, rb_s) = ops[1]
-                .strip_suffix(')')
-                .and_then(|s| s.split_once('('))
-                .ok_or_else(|| err(format!("expected `imm(reg)` in `{line}`")))?;
-            InstSpec::Templated {
-                op: OpDirective::Literal(op),
-                ra,
-                rb: parse_reg_directive(rb_s)?,
-                rc: zero,
-                imm: parse_imm_directive(imm_s, symbols)?,
-                uses_lit: false,
-                dise_branch: false,
-            }
-        }
-        Format::Branch => {
-            if ops.len() != 2 {
-                return Err(wrong());
-            }
-            let ra = parse_reg_directive(ops[0])?;
-            if dise {
-                let target = ops[1]
-                    .strip_prefix('@')
-                    .and_then(|t| t.parse::<i64>().ok())
-                    .ok_or_else(|| err(format!("DISE branch needs `@index` in `{line}`")))?;
-                InstSpec::Templated {
-                    op: OpDirective::Literal(op),
-                    ra,
-                    rb: zero,
-                    rc: zero,
-                    imm: ImmDirective::Literal(target),
-                    uses_lit: false,
-                    dise_branch: true,
-                }
-            } else {
-                InstSpec::Templated {
-                    op: OpDirective::Literal(op),
-                    ra,
-                    rb: zero,
-                    rc: zero,
-                    imm: parse_imm_directive(ops[1], symbols)?,
-                    uses_lit: false,
-                    dise_branch: false,
-                }
-            }
-        }
-        Format::Jump => {
-            if ops.len() != 2 {
-                return Err(wrong());
-            }
-            let rb_s = ops[1]
-                .strip_prefix('(')
-                .and_then(|s| s.strip_suffix(')'))
-                .ok_or_else(|| err(format!("expected `(reg)` in `{line}`")))?;
-            InstSpec::Templated {
-                op: OpDirective::Literal(op),
-                ra: parse_reg_directive(ops[0])?,
-                rb: parse_reg_directive(rb_s)?,
-                rc: zero,
-                imm: no_imm,
-                uses_lit: false,
-                dise_branch: false,
-            }
-        }
-        Format::Operate => {
-            if ops.len() != 3 {
-                return Err(wrong());
-            }
-            let ra = parse_reg_directive(ops[0])?;
-            let rc = parse_reg_directive(ops[2])?;
-            if is_imm_token(ops[1]) {
-                InstSpec::Templated {
-                    op: OpDirective::Literal(op),
-                    ra,
-                    rb: zero,
-                    rc,
-                    imm: parse_imm_directive(ops[1], symbols)?,
-                    uses_lit: true,
-                    dise_branch: false,
-                }
-            } else {
-                InstSpec::Templated {
-                    op: OpDirective::Literal(op),
-                    ra,
-                    rb: parse_reg_directive(ops[1])?,
-                    rc,
-                    imm: no_imm,
-                    uses_lit: false,
-                    dise_branch: false,
-                }
-            }
-        }
-        Format::Codeword => {
-            return Err(err(format!(
-                "codewords cannot appear in replacement sequences (no recursive expansion): `{line}`"
-            )))
-        }
-        Format::Misc => {
-            if !ops.is_empty() {
-                return Err(wrong());
-            }
-            InstSpec::Templated {
-                op: OpDirective::Literal(op),
-                ra: zero,
-                rb: zero,
-                rc: zero,
-                imm: no_imm,
-                uses_lit: false,
-                dise_branch: false,
-            }
-        }
-    };
-    Ok(spec)
+    let f = syntax::split(op, dise_branch, operands).map_err(syntax_err)?;
+    let reg = |t: Option<&str>| t.map_or(Ok(RegDirective::Literal(Reg::ZERO)), parse_reg_directive);
+    Ok(InstSpec::Templated {
+        op: OpDirective::Literal(op),
+        ra: reg(f.ra)?,
+        rb: reg(f.rb)?,
+        rc: reg(f.rc)?,
+        imm: f
+            .imm
+            .map_or(Ok(ImmDirective::Literal(0)), |t| parse_imm_directive(t, symbols))?,
+        uses_lit: f.uses_lit,
+        dise_branch,
+    })
 }
 
 /// Parses a bare replacement sequence (instruction lines only, no `P:`/`R:`
@@ -345,7 +218,7 @@ pub fn parse_sequence_with(
 ) -> Result<ReplacementSpec> {
     let mut insts = Vec::new();
     for raw in text.lines() {
-        let Some(line) = clean(raw) else { continue };
+        let Some(line) = syntax::clean(raw) else { continue };
         insts.push(parse_spec_line(line, symbols)?);
     }
     let spec = ReplacementSpec::new(insts);
@@ -371,7 +244,7 @@ pub fn parse(text: &str, symbols: &BTreeMap<String, u64>) -> Result<ProductionSe
     let mut seqs: Vec<(String, Vec<String>)> = Vec::new();
     let mut current_seq: Option<usize> = None;
     for raw in text.lines() {
-        let Some(line) = clean(raw) else { continue };
+        let Some(line) = syntax::clean(raw) else { continue };
         // Header? `Pname: ...` or `Rname: ...`
         let header = line.split_once(':').and_then(|(h, rest)| {
             let h = h.trim();
@@ -527,6 +400,78 @@ mod tests {
         assert!(parse_sequence("cw0 r1, r2, r3, tag=5").is_err()); // no recursion
         assert!(parse_sequence("bne.d r1, 5").is_err()); // needs @
         assert!(parse_sequence("").is_err()); // empty sequence invalid
+    }
+
+    #[test]
+    fn every_format_prints_as_a_line_that_parses_back() {
+        // Every register directive in every register field and every
+        // immediate directive in every immediate field, for each opcode
+        // the language accepts. `ImmDirective::AbsTarget` is left out: it
+        // prints the resolved address (`=0x7000`) where the language takes
+        // a symbol name.
+        use ImmDirective as I;
+        use RegDirective as R;
+        let regs = [
+            R::Literal(Reg::r(5)),
+            R::Literal(Reg::dr(3)),
+            R::TriggerRs,
+            R::TriggerRt,
+            R::TriggerRd,
+            R::Param(0),
+            R::Param(1),
+            R::Param(2),
+        ];
+        let imms = [
+            I::Literal(-8),
+            I::Literal(12),
+            I::TriggerImm,
+            I::TriggerPc,
+            I::Param { slot: 1, shift: 0, signed: false },
+            I::Param { slot: 2, shift: 3, signed: true },
+            I::Param2 { hi: 2, lo: 1, shift: 2, signed: true },
+            I::Param2 { hi: 0, lo: 1, shift: 0, signed: false },
+        ];
+        let (zero, no_imm) = (R::Literal(Reg::ZERO), I::Literal(0));
+        let mut checked = 0;
+        for &op in Op::ALL.iter().filter(|op| op.format() != Format::Codeword) {
+            for (k, &ra) in regs.iter().enumerate() {
+                let (rb, rc) = (regs[(k + 1) % regs.len()], regs[(k + 2) % regs.len()]);
+                for &imm in &imms {
+                    // (ra, rb, rc, imm, uses_lit, dise_branch) per layout.
+                    let layouts = match op.format() {
+                        Format::Memory => vec![(ra, rb, zero, imm, false, false)],
+                        Format::Branch => vec![
+                            (ra, zero, zero, imm, false, false),
+                            // `@0`: the only index inside a one-line sequence.
+                            (ra, zero, zero, no_imm, false, true),
+                        ],
+                        Format::Jump => vec![(ra, rb, zero, no_imm, false, false)],
+                        Format::Operate => vec![
+                            (ra, rb, rc, no_imm, false, false),
+                            (ra, zero, rc, imm, true, false),
+                        ],
+                        _ => vec![(zero, zero, zero, no_imm, false, false)],
+                    };
+                    for (ra, rb, rc, imm, uses_lit, dise_branch) in layouts {
+                        let spec = InstSpec::Templated {
+                            op: OpDirective::Literal(op),
+                            ra,
+                            rb,
+                            rc,
+                            imm,
+                            uses_lit,
+                            dise_branch,
+                        };
+                        let text = spec.to_string();
+                        let back = parse_sequence(&text)
+                            .unwrap_or_else(|e| panic!("`{text}` does not parse: {e}"));
+                        assert_eq!(back.insts, [spec], "`{text}`");
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 1000, "{checked} specs");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! function [`InstSpec::instantiate`].
 
 use crate::{CoreError, Result};
+use dise_isa::syntax::Fields;
 use dise_isa::{Inst, Op, Reg};
 use std::fmt;
 
@@ -155,9 +156,20 @@ impl ImmDirective {
 }
 
 impl fmt::Display for ImmDirective {
+    /// The DSL's immediate syntax; an operate literal's `#` is the
+    /// format's, printed by [`dise_isa::syntax`].
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let param = |f: &mut fmt::Formatter<'_>, signed: bool, shift: u8| {
+            if signed {
+                f.write_str(".s")?;
+            }
+            if shift > 0 {
+                write!(f, "<<{shift}")?;
+            }
+            Ok(())
+        };
         match self {
-            ImmDirective::Literal(v) => write!(f, "#{v}"),
+            ImmDirective::Literal(v) => write!(f, "{v}"),
             ImmDirective::TriggerImm => f.write_str("T.IMM"),
             ImmDirective::TriggerPc => f.write_str("T.PC"),
             ImmDirective::AbsTarget(t) => write!(f, "={t:#x}"),
@@ -165,34 +177,19 @@ impl fmt::Display for ImmDirective {
                 slot,
                 shift,
                 signed,
-            } => write!(
-                f,
-                "T.P{}{}{}",
-                slot + 1,
-                if *signed { "s" } else { "" },
-                if *shift > 0 {
-                    format!("<<{shift}")
-                } else {
-                    String::new()
-                }
-            ),
+            } => {
+                write!(f, "T.P{}", slot + 1)?;
+                param(f, *signed, *shift)
+            }
             ImmDirective::Param2 {
                 lo,
                 hi,
                 shift,
                 signed,
-            } => write!(
-                f,
-                "T.P{}:{}{}{}",
-                hi + 1,
-                lo + 1,
-                if *signed { "s" } else { "" },
-                if *shift > 0 {
-                    format!("<<{shift}")
-                } else {
-                    String::new()
-                }
-            ),
+            } => {
+                write!(f, "T.P{}:{}", hi + 1, lo + 1)?;
+                param(f, *signed, *shift)
+            }
         }
     }
 }
@@ -340,10 +337,10 @@ impl InstSpec {
 
 impl fmt::Display for InstSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
+        match *self {
             InstSpec::Trigger => f.write_str("T.INSN"),
             InstSpec::Templated {
-                op,
+                op: OpDirective::Literal(op),
                 ra,
                 rb,
                 rc,
@@ -351,28 +348,28 @@ impl fmt::Display for InstSpec {
                 uses_lit,
                 dise_branch,
             } => {
-                // Render in roughly assembler shape; exact layout depends on
-                // the opcode when it is literal.
-                let suffix = if *dise_branch { ".d" } else { "" };
-                if let OpDirective::Literal(o) = op {
-                    match o.format() {
-                        dise_isa::op::Format::Memory => {
-                            return write!(f, "{o} {ra}, {imm}({rb})")
-                        }
-                        dise_isa::op::Format::Branch => {
-                            return write!(f, "{o}{suffix} {ra}, {imm}")
-                        }
-                        dise_isa::op::Format::Jump => return write!(f, "{o} {ra}, ({rb})"),
-                        dise_isa::op::Format::Operate => {
-                            return if *uses_lit {
-                                write!(f, "{o} {ra}, {imm}, {rc}")
-                            } else {
-                                write!(f, "{o} {ra}, {rb}, {rc}")
-                            }
-                        }
-                        _ => {}
-                    }
-                }
+                let fields = Fields {
+                    op,
+                    ra,
+                    rb,
+                    rc,
+                    imm,
+                    uses_lit,
+                    dise_branch,
+                };
+                fmt::Display::fmt(&fields, f)
+            }
+            // A templated opcode has no one operand layout.
+            InstSpec::Templated {
+                op,
+                ra,
+                rb,
+                rc,
+                imm,
+                dise_branch,
+                ..
+            } => {
+                let suffix = if dise_branch { ".d" } else { "" };
                 write!(f, "{op}{suffix} ra={ra} rb={rb} rc={rc} imm={imm}")
             }
         }

@@ -4,8 +4,9 @@
 //! (numeric branch displacements only), and [`Assembler`] assembles a
 //! multi-line listing with labels into a [`Program`].
 //!
-//! Syntax follows the disassembler output exactly, so
-//! `inst.to_string().parse()` always round-trips:
+//! Operands follow each format's one layout in [`crate::syntax`], which
+//! the disassembler prints, so `inst.to_string().parse()` always
+//! round-trips:
 //!
 //! ```text
 //! ldq r1, 8(r2)        ; memory
@@ -16,38 +17,21 @@
 //! cw0 r1, r2, r3, tag=7
 //! ```
 //!
-//! Comments start with `;` or `//`. In [`Assembler`] listings a branch's
+//! Comments start with `;` or `//`. Only the assembler has the shorthands
+//! `ret` (for `ret r31, (r26)`) and `br target` / `bsr target` (linking
+//! through r31 / r26), and in [`Assembler`] listings a branch's
 //! displacement operand may instead be a label.
 
 use crate::builder::ProgramBuilder;
 use crate::inst::Inst;
-use crate::op::{Format, Op, OpClass};
+use crate::op::{Format, Op};
 use crate::program::Program;
 use crate::reg::Reg;
+use crate::syntax;
 use crate::{IsaError, Result};
 
 fn err(msg: impl Into<String>) -> IsaError {
     IsaError::Parse(msg.into())
-}
-
-/// Strips comments and whitespace; returns `None` for blank lines.
-fn clean(line: &str) -> Option<&str> {
-    let line = line.split(';').next().unwrap_or("");
-    let line = line.split("//").next().unwrap_or("");
-    let line = line.trim();
-    if line.is_empty() {
-        None
-    } else {
-        Some(line)
-    }
-}
-
-/// Splits an operand list on top-level commas.
-fn split_operands(s: &str) -> Vec<&str> {
-    if s.trim().is_empty() {
-        return Vec::new();
-    }
-    s.split(',').map(str::trim).collect()
 }
 
 fn parse_int(s: &str) -> Result<i64> {
@@ -64,186 +48,49 @@ fn parse_int(s: &str) -> Result<i64> {
     Ok(if neg { -v } else { v })
 }
 
-/// The branch-target operand of a parsed instruction line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum BranchTarget {
-    Disp(i64),
-    Label(String),
-    DisePc(u8),
-}
-
-/// A parsed line: the instruction with displacement 0 plus, for branches,
-/// how to resolve the target.
+/// A parsed line: the instruction, plus the label a branch targets (its
+/// displacement then 0).
 #[derive(Debug, Clone)]
 struct ParsedInst {
     inst: Inst,
-    target: Option<BranchTarget>,
+    label: Option<String>,
 }
 
 fn parse_line(line: &str) -> Result<ParsedInst> {
-    let line = line.trim();
-    let (mnem, rest) = match line.split_once(char::is_whitespace) {
-        Some((m, r)) => (m, r.trim()),
-        None => (line, ""),
+    let (op, dise_branch, operands) = syntax::mnemonic(line)?;
+    // Shorthands: `ret` is `ret r31, (r26)`, and `br t` / `bsr t` link
+    // through r31 / r26.
+    let long;
+    let operands = match op {
+        Op::Ret if operands.is_empty() => "r31, (r26)",
+        Op::Br | Op::Bsr if !operands.is_empty() && !operands.contains(',') => {
+            let link = if op == Op::Bsr { Reg::RA } else { Reg::ZERO };
+            long = format!("{link}, {operands}");
+            &long
+        }
+        _ => operands,
     };
-    let (mnem, dise) = match mnem.strip_suffix(".d") {
-        Some(m) => (m, true),
-        None => (mnem, false),
+    let f = syntax::split(op, dise_branch, operands)?;
+    let reg = |t: Option<&str>| t.map_or(Ok(Reg::ZERO), str::parse);
+    let is_label = |t: &str| !t.starts_with(|c: char| c.is_ascii_digit() || c == '-');
+    let (imm, label) = match f.imm {
+        Some(t) if op.format() == Format::Branch && !dise_branch && is_label(t) => {
+            (0, Some(t.to_string()))
+        }
+        Some(t) => (parse_int(t)?, None),
+        None => (0, None),
     };
-    let op = Op::from_mnemonic(mnem).ok_or_else(|| err(format!("unknown mnemonic `{mnem}`")))?;
-    if dise && op.format() != Format::Branch {
-        return Err(err(format!("`.d` suffix only valid on branches: `{line}`")));
-    }
-    let ops = split_operands(rest);
-    let wrong_count = || err(format!("wrong operand count for `{line}`"));
-    let reg = |s: &str| -> Result<Reg> { s.parse() };
-
-    let parsed = match op.format() {
-        Format::Memory => {
-            // ra, disp(rb)
-            if ops.len() != 2 {
-                return Err(wrong_count());
-            }
-            let ra = reg(ops[0])?;
-            let (disp_s, rb_s) = ops[1]
-                .strip_suffix(')')
-                .and_then(|s| s.split_once('('))
-                .ok_or_else(|| err(format!("expected `disp(reg)`, got `{}`", ops[1])))?;
-            let disp = parse_int(disp_s)?;
-            let disp = i16::try_from(disp).map_err(|_| IsaError::ImmOutOfRange {
-                op,
-                value: disp,
-            })?;
-            ParsedInst {
-                inst: Inst::mem(op, ra, reg(rb_s)?, disp),
-                target: None,
-            }
-        }
-        Format::Branch => {
-            // ra, target — or shorthand `br target` / `bsr target`.
-            let (ra, target_s) = match ops.len() {
-                2 => (reg(ops[0])?, ops[1]),
-                1 if op.class() == OpClass::UncondBranch => {
-                    let link = if op == Op::Bsr { Reg::RA } else { Reg::ZERO };
-                    (link, ops[0])
-                }
-                _ => return Err(wrong_count()),
-            };
-            let target = if let Some(ix) = target_s.strip_prefix('@') {
-                if !dise {
-                    return Err(err(format!("`@` target requires `.d` branch: `{line}`")));
-                }
-                BranchTarget::DisePc(
-                    ix.parse()
-                        .map_err(|_| err(format!("bad DISEPC target `{target_s}`")))?,
-                )
-            } else if dise {
-                return Err(err(format!("DISE branch requires `@index` target: `{line}`")));
-            } else if target_s
-                .starts_with(|c: char| c.is_ascii_digit() || c == '-')
-            {
-                BranchTarget::Disp(parse_int(target_s)?)
-            } else {
-                BranchTarget::Label(target_s.to_string())
-            };
-            let inst = if dise {
-                let BranchTarget::DisePc(ix) = target else {
-                    unreachable!()
-                };
-                return Ok(ParsedInst {
-                    inst: Inst::dise_branch(op, ra, ix),
-                    target: None,
-                });
-            } else {
-                Inst::branch(op, ra, 0)
-            };
-            match target {
-                BranchTarget::Disp(d) => ParsedInst {
-                    inst: Inst::branch(op, ra, i32::try_from(d).map_err(|_| {
-                        IsaError::ImmOutOfRange { op, value: d }
-                    })?),
-                    target: None,
-                },
-                label @ BranchTarget::Label(_) => ParsedInst {
-                    inst,
-                    target: Some(label),
-                },
-                BranchTarget::DisePc(_) => unreachable!(),
-            }
-        }
-        Format::Jump => {
-            // ra, (rb) — or shorthand `ret` for `ret r31, (r26)`.
-            if ops.is_empty() && op == Op::Ret {
-                ParsedInst {
-                    inst: Inst::jump(Op::Ret, Reg::ZERO, Reg::RA),
-                    target: None,
-                }
-            } else {
-                if ops.len() != 2 {
-                    return Err(wrong_count());
-                }
-                let rb_s = ops[1]
-                    .strip_prefix('(')
-                    .and_then(|s| s.strip_suffix(')'))
-                    .ok_or_else(|| err(format!("expected `(reg)`, got `{}`", ops[1])))?;
-                ParsedInst {
-                    inst: Inst::jump(op, reg(ops[0])?, reg(rb_s)?),
-                    target: None,
-                }
-            }
-        }
-        Format::Operate => {
-            if ops.len() != 3 {
-                return Err(wrong_count());
-            }
-            let ra = reg(ops[0])?;
-            let rc = reg(ops[2])?;
-            let inst = if let Some(lit) = ops[1].strip_prefix('#') {
-                let v = parse_int(lit)?;
-                let v = u8::try_from(v).map_err(|_| IsaError::ImmOutOfRange {
-                    op,
-                    value: v,
-                })?;
-                Inst::alu_ri(op, ra, v, rc)
-            } else {
-                Inst::alu_rr(op, ra, reg(ops[1])?, rc)
-            };
-            ParsedInst { inst, target: None }
-        }
-        Format::Codeword => {
-            // p1, p2, p3, tag=N
-            if ops.len() != 4 {
-                return Err(wrong_count());
-            }
-            let p = |s: &str| -> Result<u8> {
-                let r: Reg = s.parse()?;
-                r.arch_num()
-                    .ok_or_else(|| err("codeword params must be architectural registers"))
-            };
-            let tag_s = ops[3]
-                .strip_prefix("tag=")
-                .ok_or_else(|| err(format!("expected `tag=N`, got `{}`", ops[3])))?;
-            let tag = parse_int(tag_s)?;
-            let tag = u16::try_from(tag)
-                .ok()
-                .filter(|t| *t <= crate::inst::MAX_TAG)
-                .ok_or_else(|| err(format!("codeword tag out of range: {tag}")))?;
-            ParsedInst {
-                inst: Inst::codeword(op, p(ops[0])?, p(ops[1])?, p(ops[2])?, tag),
-                target: None,
-            }
-        }
-        Format::Misc => {
-            if !ops.is_empty() {
-                return Err(wrong_count());
-            }
-            ParsedInst {
-                inst: Inst { op, ..Inst::nop() },
-                target: None,
-            }
-        }
+    let inst = Inst {
+        op,
+        ra: reg(f.ra)?,
+        rb: reg(f.rb)?,
+        rc: reg(f.rc)?,
+        imm,
+        uses_lit: f.uses_lit,
+        dise_branch,
     };
-    Ok(parsed)
+    inst.validate()?;
+    Ok(ParsedInst { inst, label })
 }
 
 impl std::str::FromStr for Inst {
@@ -256,14 +103,13 @@ impl std::str::FromStr for Inst {
     ///
     /// Returns [`IsaError::Parse`] on malformed input.
     fn from_str(s: &str) -> Result<Inst> {
-        let line = clean(s).ok_or_else(|| err("empty instruction"))?;
+        let line = syntax::clean(s).ok_or_else(|| err("empty instruction"))?;
         let parsed = parse_line(line)?;
-        match parsed.target {
-            None => Ok(parsed.inst),
-            Some(BranchTarget::Label(l)) => Err(err(format!(
+        match parsed.label {
+            Some(l) => Err(err(format!(
                 "label `{l}` not allowed outside an Assembler listing"
             ))),
-            Some(_) => Ok(parsed.inst),
+            None => Ok(parsed.inst),
         }
     }
 }
@@ -303,7 +149,7 @@ impl Assembler {
     pub fn assemble(&self, listing: &str) -> Result<Program> {
         let mut b = ProgramBuilder::new(self.text_base);
         for raw in listing.lines() {
-            let Some(mut line) = clean(raw) else {
+            let Some(mut line) = syntax::clean(raw) else {
                 continue;
             };
             // Leading `name:` defines a label.
@@ -326,11 +172,11 @@ impl Assembler {
                 continue;
             }
             let parsed = parse_line(line)?;
-            match parsed.target {
-                Some(BranchTarget::Label(l)) => {
+            match parsed.label {
+                Some(l) => {
                     b.branch_to(parsed.inst.op, parsed.inst.ra, &l);
                 }
-                _ => {
+                None => {
                     b.push(parsed.inst);
                 }
             }

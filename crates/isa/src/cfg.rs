@@ -1,52 +1,24 @@
 //! Basic-block discovery.
 //!
 //! The code compressor only considers candidate sequences that do not
-//! straddle basic blocks (paper §3.2), and the relocation engine uses block
-//! boundaries to verify that no branch targets the interior of a replaced
-//! sequence. This module computes the standard leader-based basic-block
-//! partition of a program's text.
+//! straddle basic blocks (paper §3.2), and the jump monitor approves every
+//! block start. This module computes the standard leader-based basic-block
+//! partition of a program's text, over one flat instruction list.
 
 use crate::inst::Inst;
 use crate::op::OpClass;
-use crate::program::{Program, TextItem};
-use crate::{IsaError, Result};
-use std::collections::BTreeSet;
+use crate::program::Program;
+use crate::Result;
 
-/// A basic block: a maximal single-entry, single-exit straight-line run of
-/// instructions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BasicBlock {
-    /// PC of the first instruction.
-    pub start: u64,
-    /// The instructions with their PCs.
-    pub insts: Vec<(u64, Inst)>,
-}
-
-impl BasicBlock {
-    /// One-past-the-end PC.
-    pub fn end(&self) -> u64 {
-        self.insts
-            .last()
-            .map(|(pc, _)| pc + 4)
-            .unwrap_or(self.start)
-    }
-
-    /// Number of instructions.
-    pub fn len(&self) -> usize {
-        self.insts.len()
-    }
-
-    /// True if the block holds no instructions.
-    pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
-    }
-}
-
-/// The basic-block partition of a program.
+/// The basic-block partition of a program: its instructions in address
+/// order, cut into maximal single-entry, single-exit straight-line runs.
 #[derive(Debug, Clone)]
 pub struct Cfg {
-    /// Blocks in address order; together they tile the text segment.
-    pub blocks: Vec<BasicBlock>,
+    /// Every instruction of the text with its PC, in address order.
+    pub insts: Vec<(u64, Inst)>,
+    /// Each block's first index in `insts` and its length, in address
+    /// order; together they tile `insts`.
+    pub blocks: Vec<(usize, usize)>,
 }
 
 impl Cfg {
@@ -61,60 +33,40 @@ impl Cfg {
     /// Fails if the text contains 2-byte codewords (block analysis is
     /// performed on uncompressed images only) or undecodable bytes.
     pub fn build(program: &Program) -> Result<Cfg> {
-        let mut insts = Vec::new();
-        for entry in program.iter() {
-            let (pc, item) = entry?;
-            match item {
-                TextItem::Inst(i) => insts.push((pc, i)),
-                TextItem::Short(_) => {
-                    return Err(IsaError::Reloc(
-                        "cannot build a CFG over a compressed (short-codeword) image".into(),
-                    ))
-                }
+        let insts = program.insts()?;
+        // Uncompressed text holds one instruction every 4 bytes.
+        let base = program.text_base();
+        let mut leader = vec![false; insts.len()];
+        let mut mark = |pc: u64| {
+            let off = pc.wrapping_sub(base);
+            if off.is_multiple_of(4) && off / 4 < insts.len() as u64 {
+                leader[(off / 4) as usize] = true;
             }
-        }
-
-        let mut leaders = BTreeSet::new();
-        leaders.insert(program.entry());
-        if let Some((first, _)) = insts.first() {
-            leaders.insert(*first);
-        }
+        };
+        mark(program.entry());
+        mark(base);
         for (pc, inst) in &insts {
             if inst.is_app_ctrl() {
-                leaders.insert(pc + 4);
+                mark(pc + 4);
                 if inst.op.class() != OpClass::IndirectJump {
-                    leaders.insert((pc + 4).wrapping_add_signed(inst.imm));
+                    mark(inst.branch_target(*pc));
                 }
             }
         }
-
-        let mut blocks = Vec::new();
-        let mut current: Option<BasicBlock> = None;
-        for (pc, inst) in insts {
-            if leaders.contains(&pc) {
-                if let Some(b) = current.take() {
-                    blocks.push(b);
-                }
-                current = Some(BasicBlock {
-                    start: pc,
-                    insts: Vec::new(),
-                });
+        let mut blocks: Vec<(usize, usize)> =
+            Vec::with_capacity(leader.iter().filter(|&&l| l).count());
+        for (i, &lead) in leader.iter().enumerate() {
+            match blocks.last_mut() {
+                Some((_, len)) if !lead => *len += 1,
+                _ => blocks.push((i, 1)),
             }
-            current
-                .as_mut()
-                .expect("first instruction is always a leader")
-                .insts
-                .push((pc, inst));
         }
-        if let Some(b) = current.take() {
-            blocks.push(b);
-        }
-        Ok(Cfg { blocks })
+        Ok(Cfg { insts, blocks })
     }
 
-    /// Total instruction count across all blocks.
-    pub fn num_insts(&self) -> usize {
-        self.blocks.iter().map(BasicBlock::len).sum()
+    /// The PC of each block's first instruction, in address order.
+    pub fn block_starts(&self) -> impl Iterator<Item = u64> + '_ {
+        self.blocks.iter().map(|&(start, _)| self.insts[start].0)
     }
 }
 
@@ -122,6 +74,7 @@ impl Cfg {
 mod tests {
     use super::*;
     use crate::asm::Assembler;
+    use crate::program::TextItem;
 
     fn blocks_of(listing: &str) -> Cfg {
         let p = Assembler::new(0x1000).assemble(listing).unwrap();
@@ -131,10 +84,8 @@ mod tests {
     #[test]
     fn straight_line_is_one_block() {
         let cfg = blocks_of("nop\nnop\nhalt");
-        assert_eq!(cfg.blocks.len(), 1);
-        assert_eq!(cfg.blocks[0].len(), 3);
-        assert_eq!(cfg.blocks[0].start, 0x1000);
-        assert_eq!(cfg.blocks[0].end(), 0x100C);
+        assert_eq!(cfg.blocks, [(0, 3)]);
+        assert_eq!(cfg.block_starts().collect::<Vec<_>>(), [0x1000]);
     }
 
     #[test]
@@ -145,12 +96,10 @@ mod tests {
                     bne r1, loop
                     halt",
         );
-        // [lda], [subq; bne], [halt]
-        assert_eq!(cfg.blocks.len(), 3);
-        assert_eq!(cfg.blocks[1].start, 0x1004);
-        assert_eq!(cfg.blocks[1].len(), 2);
-        // The branch target 0x1004 is a leader: it ends the first block.
-        assert_eq!(cfg.blocks[0].end(), 0x1004);
+        // [lda], [subq; bne], [halt]: the branch target 0x1004 is a
+        // leader, so it ends the first block.
+        assert_eq!(cfg.blocks, [(0, 1), (1, 2), (3, 1)]);
+        assert_eq!(cfg.block_starts().nth(1), Some(0x1004));
     }
 
     #[test]
@@ -162,9 +111,11 @@ mod tests {
                     ret",
         );
         // [bsr], [halt], [nop; ret]
-        assert_eq!(cfg.blocks.len(), 3);
-        assert_eq!(cfg.blocks[1].start, 0x1004);
-        assert_eq!(cfg.blocks[2].start, 0x1008);
+        assert_eq!(
+            cfg.block_starts().collect::<Vec<_>>(),
+            [0x1000, 0x1004, 0x1008]
+        );
+        assert_eq!(cfg.blocks[2], (2, 2));
     }
 
     #[test]
@@ -177,12 +128,15 @@ mod tests {
              b:     addq r1, r1, r2
                     halt",
         );
-        let mut pc = 0x1000;
-        for b in &cfg.blocks {
-            assert_eq!(b.start, pc);
-            pc = b.end();
+        let mut next = 0;
+        for &(start, len) in &cfg.blocks {
+            assert_eq!(start, next);
+            assert!(len > 0);
+            next = start + len;
         }
-        assert_eq!(cfg.num_insts(), 6);
+        assert_eq!(next, 6);
+        assert_eq!(cfg.insts.len(), 6);
+        assert!(cfg.insts.iter().enumerate().all(|(i, (pc, _))| *pc == 0x1000 + 4 * i as u64));
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! registers (`$dr0`–`$dr15`) and use DISE-internal branches, neither of
 //! which is encodable — such instructions exist in decoded form only.
 
-use crate::op::{Format, Op, OpClass};
+use crate::op::{Field, Format, Op};
 use crate::reg::Reg;
+use crate::syntax::Fields;
 use crate::{IsaError, Result};
 use std::fmt;
 
@@ -213,28 +214,26 @@ impl Inst {
     }
 
     // ----- field roles for DISE parameterization (paper §2.1) -------------
+    //
+    // All derived from the opcode's one operand description,
+    // [`Op::operands`].
+
+    fn role(&self, f: Option<Field>) -> Option<Reg> {
+        let regs = [self.ra, self.rb, self.rc];
+        self.op.operands().get(f, regs, self.uses_lit)
+    }
 
     /// The trigger's `T.RS` register: its primary source — the address base
-    /// for memory operations, the condition register for branches, the jump
-    /// target register, or the first ALU operand.
+    /// for memory operations, the condition (or link) register for
+    /// branches, the jump target register, or the first ALU operand.
     pub fn rs(&self) -> Option<Reg> {
-        match self.op.format() {
-            Format::Memory => Some(self.rb),
-            Format::Branch => Some(self.ra),
-            Format::Jump => Some(self.rb),
-            Format::Operate => Some(self.ra),
-            Format::Codeword | Format::Misc => None,
-        }
+        self.role(self.op.operands().rs)
     }
 
     /// The trigger's `T.RT` register: its secondary source — the data
     /// register for stores or the second ALU operand.
     pub fn rt(&self) -> Option<Reg> {
-        match self.op.format() {
-            Format::Memory if self.op.class() == OpClass::Store => Some(self.ra),
-            Format::Operate if !self.uses_lit => Some(self.rb),
-            _ => None,
-        }
+        self.role(self.op.operands().rt)
     }
 
     /// The trigger's `T.RD` register: its destination, if any.
@@ -245,46 +244,23 @@ impl Inst {
     /// The destination register, if the instruction writes one. Writes to
     /// the zero register are still reported (the machine discards them).
     pub fn dest(&self) -> Option<Reg> {
-        match self.op.format() {
-            Format::Memory => match self.op.class() {
-                OpClass::Store => None,
-                _ => Some(self.ra), // loads, lda, ldah
-            },
-            Format::Branch => match self.op.class() {
-                // br/bsr write the link register.
-                OpClass::UncondBranch => Some(self.ra),
-                _ => None,
-            },
-            Format::Jump => Some(self.ra),
-            Format::Operate => Some(self.rc),
-            Format::Codeword | Format::Misc => None,
-        }
+        self.role(self.op.operands().rd)
     }
 
-    /// The source registers read by this instruction (0–2 of them).
-    pub fn sources(&self) -> [Option<Reg>; 2] {
-        match self.op.format() {
-            Format::Memory => match self.op.class() {
-                OpClass::Store => [Some(self.rb), Some(self.ra)],
-                _ => [Some(self.rb), None],
-            },
-            Format::Branch => {
-                if self.op.class() == OpClass::CondBranch {
-                    [Some(self.ra), None]
-                } else {
-                    [None, None]
-                }
-            }
-            Format::Jump => [Some(self.rb), None],
-            Format::Operate => {
-                if self.uses_lit {
-                    [Some(self.ra), None]
-                } else {
-                    [Some(self.ra), Some(self.rb)]
-                }
-            }
-            Format::Codeword | Format::Misc => [None, None],
+    /// The registers whose old values this instruction reads (0–3 of
+    /// them; a conditional move also reads its destination).
+    pub fn sources(&self) -> [Option<Reg>; 3] {
+        let mut out = [None; 3];
+        for (slot, &f) in out.iter_mut().zip(self.op.operands().reads) {
+            *slot = self.role(Some(f));
         }
+        out
+    }
+
+    /// The target of a PC-relative branch at `pc`: its displacement
+    /// counts from the next instruction.
+    pub fn branch_target(&self, pc: u64) -> u64 {
+        (pc + 4).wrapping_add_signed(self.imm)
     }
 
     // ----- predicates ------------------------------------------------------
@@ -374,30 +350,25 @@ impl Inst {
 
 impl fmt::Display for Inst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let m = self.op.mnemonic();
-        match self.op.format() {
-            Format::Memory => write!(f, "{m} {}, {}({})", self.ra, self.imm, self.rb),
-            Format::Branch => {
-                if self.dise_branch {
-                    write!(f, "{m}.d {}, @{}", self.ra, self.imm)
-                } else {
-                    write!(f, "{m} {}, {}", self.ra, self.imm)
-                }
-            }
-            Format::Jump => write!(f, "{m} {}, ({})", self.ra, self.rb),
-            Format::Operate => {
-                if self.uses_lit {
-                    write!(f, "{m} {}, #{}, {}", self.ra, self.imm, self.rc)
-                } else {
-                    write!(f, "{m} {}, {}, {}", self.ra, self.rb, self.rc)
-                }
-            }
-            Format::Codeword => {
-                let [p1, p2, p3] = [self.ra, self.rb, self.rc];
-                write!(f, "{m} {p1}, {p2}, {p3}, tag={}", self.imm)
-            }
-            Format::Misc => f.write_str(m),
-        }
+        let Inst {
+            op,
+            ra,
+            rb,
+            rc,
+            imm,
+            uses_lit,
+            dise_branch,
+        } = *self;
+        let fields = Fields {
+            op,
+            ra,
+            rb,
+            rc,
+            imm,
+            uses_lit,
+            dise_branch,
+        };
+        fmt::Display::fmt(&fields, f)
     }
 }
 
@@ -417,7 +388,7 @@ mod tests {
         assert_eq!(i.dest(), Some(Reg::R1));
         assert_eq!(i.rs(), Some(Reg::R2));
         assert_eq!(i.rt(), None);
-        assert_eq!(i.sources(), [Some(Reg::R2), None]);
+        assert_eq!(i.sources(), [Some(Reg::R2), None, None]);
     }
 
     #[test]
@@ -426,24 +397,26 @@ mod tests {
         assert_eq!(i.dest(), None);
         assert_eq!(i.rs(), Some(Reg::R2));
         assert_eq!(i.rt(), Some(Reg::R1));
-        assert_eq!(i.sources(), [Some(Reg::R2), Some(Reg::R1)]);
+        assert_eq!(i.sources(), [Some(Reg::R2), Some(Reg::R1), None]);
     }
 
     #[test]
     fn operate_field_roles() {
         let rr = Inst::alu_rr(Op::Addq, Reg::R1, Reg::R2, Reg::R3);
         assert_eq!(rr.dest(), Some(Reg::R3));
-        assert_eq!(rr.sources(), [Some(Reg::R1), Some(Reg::R2)]);
+        assert_eq!(rr.sources(), [Some(Reg::R1), Some(Reg::R2), None]);
         let ri = Inst::alu_ri(Op::Addq, Reg::R1, 7, Reg::R3);
-        assert_eq!(ri.sources(), [Some(Reg::R1), None]);
+        assert_eq!(ri.sources(), [Some(Reg::R1), None, None]);
         assert_eq!(ri.rt(), None);
+        let cmov = Inst::alu_rr(Op::Cmovne, Reg::R1, Reg::R2, Reg::R3);
+        assert_eq!(cmov.sources(), [Some(Reg::R1), Some(Reg::R2), Some(Reg::R3)]);
     }
 
     #[test]
     fn branch_and_jump_roles() {
         let b = Inst::branch(Op::Bne, Reg::R4, -8);
         assert!(b.is_app_ctrl());
-        assert_eq!(b.sources(), [Some(Reg::R4), None]);
+        assert_eq!(b.sources(), [Some(Reg::R4), None, None]);
         assert_eq!(b.dest(), None);
 
         let bsr = Inst::branch(Op::Bsr, Reg::RA, 100);
@@ -468,7 +441,7 @@ mod tests {
         assert_eq!(cw.codeword_params(), [2, 8, 0]);
         assert_eq!(cw.codeword_tag(), 1234);
         assert_eq!(cw.dest(), None);
-        assert_eq!(cw.sources(), [None, None]);
+        assert_eq!(cw.sources(), [None; 3]);
     }
 
     #[test]

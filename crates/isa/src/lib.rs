@@ -44,10 +44,11 @@ pub mod op;
 pub mod program;
 pub mod reg;
 pub mod reloc;
+pub mod syntax;
 
 pub use asm::Assembler;
 pub use builder::ProgramBuilder;
-pub use cfg::{BasicBlock, Cfg};
+pub use cfg::Cfg;
 pub use inst::Inst;
 pub use op::{Op, OpClass};
 pub use program::{Predecode, Program, TextItem};

@@ -1,4 +1,4 @@
-//! Opcodes and opcode classes.
+//! Opcodes, opcode classes and operand descriptions.
 //!
 //! The instruction set is a 64-bit integer-only subset modeled on Alpha
 //! (which is what SimpleScalar, the paper's substrate, simulates). Four
@@ -108,8 +108,97 @@ impl fmt::Display for OpClass {
     }
 }
 
+/// A register field of an instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Field {
+    /// `ra`.
+    Ra,
+    /// `rb`.
+    Rb,
+    /// `rc`.
+    Rc,
+}
+
+/// How an opcode uses its register fields ([`Op::operands`]): the one
+/// description from which DISE's trigger roles (`T.RS`, `T.RT`, `T.RD`,
+/// paper §2.1), the source and destination registers, composition's role
+/// substitution and the timing model's dependences are all derived.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Operands {
+    /// The `T.RS` field: the address base, the branch condition or link
+    /// register, the jump target, or the first ALU operand.
+    pub rs: Option<Field>,
+    /// The `T.RT` field: the store data register or the second ALU
+    /// operand.
+    pub rt: Option<Field>,
+    /// The field written, which is also `T.RD`. Writes to the zero
+    /// register count (the machine discards them).
+    pub rd: Option<Field>,
+    /// The fields whose old values the instruction reads.
+    pub reads: &'static [Field],
+    /// `rb` holds an 8-bit literal instead of a register when the
+    /// instruction uses one (operate format): then no role and no read
+    /// names `rb`.
+    pub lit_rb: bool,
+}
+
+impl Operands {
+    /// Field `f` of an instruction whose `[ra, rb, rc]` fields are `regs`:
+    /// `None` if `f` is, or if it is `rb` holding a literal.
+    pub fn get<T: Copy>(self, f: Option<Field>, regs: [T; 3], uses_lit: bool) -> Option<T> {
+        let [ra, rb, rc] = regs;
+        match f? {
+            Field::Ra => Some(ra),
+            Field::Rb if self.lit_rb && uses_lit => None,
+            Field::Rb => Some(rb),
+            Field::Rc => Some(rc),
+        }
+    }
+
+    /// The `[T.RS, T.RT, T.RD]` roles of an instruction whose
+    /// `[ra, rb, rc]` fields are `regs`.
+    pub fn roles<T: Copy>(self, regs: [T; 3], uses_lit: bool) -> [Option<T>; 3] {
+        [self.rs, self.rt, self.rd].map(|f| self.get(f, regs, uses_lit))
+    }
+}
+
+const fn shape(
+    rs: Option<Field>,
+    rt: Option<Field>,
+    rd: Option<Field>,
+    reads: &'static [Field],
+) -> Operands {
+    Operands {
+        rs,
+        rt,
+        rd,
+        reads,
+        lit_rb: false,
+    }
+}
+
+use Field::{Ra, Rb, Rc};
+/// Loads, and `lda`/`ldah`, which write the address they compute.
+const LOAD: Operands = shape(Some(Rb), None, Some(Ra), &[Rb]);
+const STORE: Operands = shape(Some(Rb), Some(Ra), None, &[Rb, Ra]);
+const CBRANCH: Operands = shape(Some(Ra), None, None, &[Ra]);
+/// `br`/`bsr`: `ra` is the link register.
+const UBRANCH: Operands = shape(Some(Ra), None, Some(Ra), &[]);
+const JUMP: Operands = shape(Some(Rb), None, Some(Ra), &[Rb]);
+const ALU: Operands = Operands {
+    lit_rb: true,
+    ..shape(Some(Ra), Some(Rb), Some(Rc), &[Ra, Rb])
+};
+/// A conditional move leaves its destination unchanged when the condition
+/// fails, so it also reads the old `rc`.
+const CMOV: Operands = Operands {
+    reads: &[Ra, Rb, Rc],
+    ..ALU
+};
+const NONE: Operands = shape(None, None, None, &[]);
+
 macro_rules! define_ops {
-    ($( $variant:ident = ($num:expr, $mnem:expr, $fmt:ident, $class:ident) ),+ $(,)?) => {
+    ($( $variant:ident = ($num:expr, $mnem:expr, $fmt:ident, $class:ident, $operands:ident) ),+ $(,)?) => {
         /// An opcode. Each opcode owns a distinct 6-bit primary opcode number
         /// (there is no secondary function field in this simplified
         /// encoding). Its discriminant (`op as u8`) is its position in
@@ -146,6 +235,11 @@ macro_rules! define_ops {
             /// timing model).
             pub const fn class(self) -> OpClass {
                 match self { $(Op::$variant => OpClass::$class),+ }
+            }
+
+            /// How the opcode uses its register fields.
+            pub const fn operands(self) -> Operands {
+                match self { $(Op::$variant => $operands),+ }
             }
 
             /// Looks an opcode up by its 6-bit number.
@@ -185,58 +279,58 @@ macro_rules! define_ops {
 // decompressor codeword in a compressed text stream (see `encode`).
 define_ops! {
     // Memory format.
-    Lda   = (0x08, "lda",   Memory, IntAlu),
-    Ldah  = (0x09, "ldah",  Memory, IntAlu),
-    Ldl   = (0x28, "ldl",   Memory, Load),
-    Ldq   = (0x29, "ldq",   Memory, Load),
-    Stl   = (0x2C, "stl",   Memory, Store),
-    Stq   = (0x2D, "stq",   Memory, Store),
+    Lda   = (0x08, "lda",   Memory,   IntAlu,       LOAD),
+    Ldah  = (0x09, "ldah",  Memory,   IntAlu,       LOAD),
+    Ldl   = (0x28, "ldl",   Memory,   Load,         LOAD),
+    Ldq   = (0x29, "ldq",   Memory,   Load,         LOAD),
+    Stl   = (0x2C, "stl",   Memory,   Store,        STORE),
+    Stq   = (0x2D, "stq",   Memory,   Store,        STORE),
     // Branch format.
-    Br    = (0x30, "br",    Branch, UncondBranch),
-    Bsr   = (0x34, "bsr",   Branch, UncondBranch),
-    Beq   = (0x39, "beq",   Branch, CondBranch),
-    Bne   = (0x3D, "bne",   Branch, CondBranch),
-    Blt   = (0x3A, "blt",   Branch, CondBranch),
-    Ble   = (0x3B, "ble",   Branch, CondBranch),
-    Bgt   = (0x3C, "bgt",   Branch, CondBranch),
-    Bge   = (0x36, "bge",   Branch, CondBranch),
-    Blbc  = (0x38, "blbc",  Branch, CondBranch),
-    Blbs  = (0x37, "blbs",  Branch, CondBranch),
+    Br    = (0x30, "br",    Branch,   UncondBranch, UBRANCH),
+    Bsr   = (0x34, "bsr",   Branch,   UncondBranch, UBRANCH),
+    Beq   = (0x39, "beq",   Branch,   CondBranch,   CBRANCH),
+    Bne   = (0x3D, "bne",   Branch,   CondBranch,   CBRANCH),
+    Blt   = (0x3A, "blt",   Branch,   CondBranch,   CBRANCH),
+    Ble   = (0x3B, "ble",   Branch,   CondBranch,   CBRANCH),
+    Bgt   = (0x3C, "bgt",   Branch,   CondBranch,   CBRANCH),
+    Bge   = (0x36, "bge",   Branch,   CondBranch,   CBRANCH),
+    Blbc  = (0x38, "blbc",  Branch,   CondBranch,   CBRANCH),
+    Blbs  = (0x37, "blbs",  Branch,   CondBranch,   CBRANCH),
     // Jump format.
-    Jmp   = (0x1A, "jmp",   Jump, IndirectJump),
-    Jsr   = (0x1B, "jsr",   Jump, IndirectJump),
-    Ret   = (0x1C, "ret",   Jump, IndirectJump),
+    Jmp   = (0x1A, "jmp",   Jump,     IndirectJump, JUMP),
+    Jsr   = (0x1B, "jsr",   Jump,     IndirectJump, JUMP),
+    Ret   = (0x1C, "ret",   Jump,     IndirectJump, JUMP),
     // Operate format.
-    Addq  = (0x10, "addq",  Operate, IntAlu),
-    Subq  = (0x11, "subq",  Operate, IntAlu),
-    Addl  = (0x12, "addl",  Operate, IntAlu),
-    Subl  = (0x13, "subl",  Operate, IntAlu),
-    S4addq= (0x14, "s4addq",Operate, IntAlu),
-    S8addq= (0x15, "s8addq",Operate, IntAlu),
-    Mulq  = (0x16, "mulq",  Operate, IntMult),
-    And   = (0x17, "and",   Operate, IntAlu),
-    Bis   = (0x18, "bis",   Operate, IntAlu),
-    Xor   = (0x19, "xor",   Operate, IntAlu),
-    Bic   = (0x1D, "bic",   Operate, IntAlu),
-    Ornot = (0x1E, "ornot", Operate, IntAlu),
-    Sll   = (0x20, "sll",   Operate, IntAlu),
-    Srl   = (0x21, "srl",   Operate, IntAlu),
-    Sra   = (0x22, "sra",   Operate, IntAlu),
-    Cmpeq = (0x23, "cmpeq", Operate, IntAlu),
-    Cmplt = (0x24, "cmplt", Operate, IntAlu),
-    Cmple = (0x25, "cmple", Operate, IntAlu),
-    Cmpult= (0x26, "cmpult",Operate, IntAlu),
-    Cmpule= (0x27, "cmpule",Operate, IntAlu),
-    Cmoveq= (0x2A, "cmoveq",Operate, IntAlu),
-    Cmovne= (0x2B, "cmovne",Operate, IntAlu),
+    Addq  = (0x10, "addq",  Operate,  IntAlu,       ALU),
+    Subq  = (0x11, "subq",  Operate,  IntAlu,       ALU),
+    Addl  = (0x12, "addl",  Operate,  IntAlu,       ALU),
+    Subl  = (0x13, "subl",  Operate,  IntAlu,       ALU),
+    S4addq= (0x14, "s4addq",Operate,  IntAlu,       ALU),
+    S8addq= (0x15, "s8addq",Operate,  IntAlu,       ALU),
+    Mulq  = (0x16, "mulq",  Operate,  IntMult,      ALU),
+    And   = (0x17, "and",   Operate,  IntAlu,       ALU),
+    Bis   = (0x18, "bis",   Operate,  IntAlu,       ALU),
+    Xor   = (0x19, "xor",   Operate,  IntAlu,       ALU),
+    Bic   = (0x1D, "bic",   Operate,  IntAlu,       ALU),
+    Ornot = (0x1E, "ornot", Operate,  IntAlu,       ALU),
+    Sll   = (0x20, "sll",   Operate,  IntAlu,       ALU),
+    Srl   = (0x21, "srl",   Operate,  IntAlu,       ALU),
+    Sra   = (0x22, "sra",   Operate,  IntAlu,       ALU),
+    Cmpeq = (0x23, "cmpeq", Operate,  IntAlu,       ALU),
+    Cmplt = (0x24, "cmplt", Operate,  IntAlu,       ALU),
+    Cmple = (0x25, "cmple", Operate,  IntAlu,       ALU),
+    Cmpult= (0x26, "cmpult",Operate,  IntAlu,       ALU),
+    Cmpule= (0x27, "cmpule",Operate,  IntAlu,       ALU),
+    Cmoveq= (0x2A, "cmoveq",Operate,  IntAlu,       CMOV),
+    Cmovne= (0x2B, "cmovne",Operate,  IntAlu,       CMOV),
     // Reserved DISE codeword opcodes ("explicit tagging", paper §2.1).
-    Cw0   = (0x04, "cw0",   Codeword, Codeword),
-    Cw1   = (0x05, "cw1",   Codeword, Codeword),
-    Cw2   = (0x06, "cw2",   Codeword, Codeword),
-    Cw3   = (0x07, "cw3",   Codeword, Codeword),
+    Cw0   = (0x04, "cw0",   Codeword, Codeword,     NONE),
+    Cw1   = (0x05, "cw1",   Codeword, Codeword,     NONE),
+    Cw2   = (0x06, "cw2",   Codeword, Codeword,     NONE),
+    Cw3   = (0x07, "cw3",   Codeword, Codeword,     NONE),
     // Miscellaneous.
-    Nop   = (0x00, "nop",   Misc, Misc),
-    Halt  = (0x01, "halt",  Misc, Misc),
+    Nop   = (0x00, "nop",   Misc,     Misc,         NONE),
+    Halt  = (0x01, "halt",  Misc,     Misc,         NONE),
 }
 
 impl Op {

@@ -310,6 +310,29 @@ impl Program {
         self.iter().collect()
     }
 
+    /// Decodes an uncompressed text segment: every instruction with its
+    /// PC.
+    ///
+    /// # Errors
+    ///
+    /// Fails on undecodable bytes, or on a 2-byte codeword: the analyses
+    /// and transformations that take an instruction list work on
+    /// uncompressed images only.
+    pub fn insts(&self) -> Result<Vec<(u64, Inst)>> {
+        let mut insts = Vec::with_capacity(self.text().len() / 4);
+        for entry in self.iter() {
+            match entry? {
+                (pc, TextItem::Inst(i)) => insts.push((pc, i)),
+                (_, TextItem::Short(_)) => {
+                    return Err(IsaError::Reloc(
+                        "expected an uncompressed image, found a short codeword".into(),
+                    ))
+                }
+            }
+        }
+        Ok(insts)
+    }
+
     /// Looks up a symbol's address.
     pub fn symbol(&self, name: &str) -> Option<u64> {
         self.symbols().get(name).copied()

@@ -164,18 +164,7 @@ impl<'a> Relocator<'a> {
     ///
     /// Fails if the original contains short codewords or undecodable bytes.
     pub fn new(original: &'a Program) -> Result<Relocator<'a>> {
-        let mut insts = Vec::with_capacity(original.text().len() / 4);
-        for entry in original.iter() {
-            let (pc, item) = entry?;
-            match item {
-                TextItem::Inst(i) => insts.push((pc, i)),
-                TextItem::Short(_) => {
-                    return Err(IsaError::Reloc(
-                        "cannot relocate an already-compressed image".into(),
-                    ))
-                }
-            }
-        }
+        let insts = original.insts()?;
         let n = insts.len();
         Ok(Relocator {
             original,
@@ -271,17 +260,27 @@ impl<'a> Relocator<'a> {
     ///
     /// Fails at the end of the program.
     pub fn keep(&mut self) -> Result<()> {
+        self.keep_after([])
+    }
+
+    /// [`Relocator::keep`], with `before` emitted ahead of the kept
+    /// instruction in its span (so the original address maps to the first
+    /// of them).
+    ///
+    /// # Errors
+    ///
+    /// Fails at the end of the program.
+    pub fn keep_after(&mut self, before: impl IntoIterator<Item = NewItem>) -> Result<()> {
         let (pc, inst) = *self
             .insts
             .get(self.cursor)
             .ok_or_else(|| IsaError::Reloc("keep past end of program".into()))?;
         let item = if inst.op.format() == Format::Branch {
-            let old_target = (pc + 4).wrapping_add_signed(inst.imm);
-            NewItem::branch(inst, NewTarget::OldAddr(old_target))
+            NewItem::branch(inst, NewTarget::OldAddr(inst.branch_target(pc)))
         } else {
             NewItem::inst(inst)
         };
-        self.replace(1, [item])
+        self.replace(1, before.into_iter().chain([item]))
     }
 
     /// Keeps all remaining original instructions unchanged.

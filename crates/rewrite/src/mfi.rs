@@ -187,23 +187,8 @@ impl RewriteMfi {
                 }
                 None => Vec::new(),
             };
-            if !at_entry && check.is_empty() {
-                r.keep()?;
-            } else {
-                // Re-append the original instruction (branches keep their
-                // retargeting).
-                let original = if inst.op.format() == dise_isa::op::Format::Branch {
-                    let old_target = (pc + 4).wrapping_add_signed(inst.imm);
-                    NewItem::branch(inst, NewTarget::OldAddr(old_target))
-                } else {
-                    NewItem::inst(inst)
-                };
-                let prologue = prologue.iter().filter(|_| at_entry).cloned();
-                r.replace(
-                    1,
-                    prologue.chain(check).chain([original]),
-                )?;
-            }
+            let prologue = prologue.iter().filter(|_| at_entry).cloned();
+            r.keep_after(prologue.chain(check))?;
         }
         // Error block: record the violation and halt.
         r.append_tail([

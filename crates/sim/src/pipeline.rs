@@ -35,7 +35,7 @@ use crate::ring::Ring;
 use crate::telemetry::{AnomalyReport, EventRing, StallCause, StatsRegistry, TraceEvent, TraceKind};
 use crate::{Result, SimError};
 use dise_core::EngineStats;
-use dise_isa::op::Format;
+use dise_isa::op::Field;
 use dise_isa::{Inst, Op, OpClass, Reg};
 use std::collections::HashMap;
 
@@ -268,35 +268,31 @@ const READS_RA: u8 = 1;
 const READS_RB: u8 = 1 << 1;
 /// `rb`, unless the operate-format operand is a literal.
 const READS_RB_REG: u8 = 1 << 2;
-/// Conditional moves also wait for the old destination value.
 const READS_RC: u8 = 1 << 3;
 const WRITES_RA: u8 = 1 << 4;
 const WRITES_RC: u8 = 1 << 5;
 
-/// The field usage of `op`: the per-opcode part of
-/// [`Inst::sources`]/[`Inst::dest`], plus the conditional-move `rc`
-/// read.
+/// The field usage of `op`, from its operand description
+/// ([`Op::operands`]).
 const fn op_regs(op: Op) -> u8 {
-    match op.format() {
-        Format::Memory => match op.class() {
-            OpClass::Store => READS_RB | READS_RA,
-            _ => READS_RB | WRITES_RA,
-        },
-        Format::Branch => match op.class() {
-            OpClass::CondBranch => READS_RA,
-            _ => WRITES_RA,
-        },
-        Format::Jump => READS_RB | WRITES_RA,
-        Format::Operate => {
-            let cmov = if matches!(op, Op::Cmoveq | Op::Cmovne) {
-                READS_RC
-            } else {
-                0
-            };
-            READS_RA | READS_RB_REG | WRITES_RC | cmov
-        }
-        Format::Codeword | Format::Misc => 0,
+    let o = op.operands();
+    let mut m = match o.rd {
+        Some(Field::Ra) => WRITES_RA,
+        Some(Field::Rc) => WRITES_RC,
+        Some(Field::Rb) => panic!("no opcode writes rb"),
+        None => 0,
+    };
+    let mut i = 0;
+    while i < o.reads.len() {
+        m |= match o.reads[i] {
+            Field::Ra => READS_RA,
+            Field::Rb if o.lit_rb => READS_RB_REG,
+            Field::Rb => READS_RB,
+            Field::Rc => READS_RC,
+        };
+        i += 1;
     }
+    m
 }
 
 /// [`op_regs`] for every opcode, indexed by discriminant.
@@ -1353,15 +1349,10 @@ mod tests {
     }
 
     /// The iterator formulation [`TimingRegs::of`] replaced: an
-    /// instruction's architectural sources, plus the old destination
-    /// value for conditional moves, minus the zero register.
+    /// instruction's sources (a conditional move's include its old
+    /// destination value), minus the zero register.
     fn timing_sources(inst: &Inst) -> impl Iterator<Item = Reg> {
-        let cmov_extra = matches!(inst.op, Op::Cmoveq | Op::Cmovne).then_some(inst.rc);
-        inst.sources()
-            .into_iter()
-            .flatten()
-            .chain(cmov_extra)
-            .filter(|r| !r.is_zero())
+        inst.sources().into_iter().flatten().filter(|r| !r.is_zero())
     }
 
     #[test]

@@ -5,6 +5,11 @@
 #   build   — release build (the smoke sweep runs the release binaries)
 #   perfbench build — compile-only: the stand-alone benchmark package
 #             builds against the library APIs it calls
+#   cmov    — disassembles Simulator::run in the perfbench binary and
+#             prints its instruction and `cmov` counts; fails if the
+#             `cmov` count falls below CMOV_FLOOR (LLVM's cmov-conversion
+#             pass turning the timing maxima back into branches costs the
+#             timing loop up to 30%, see `max` in pipeline.rs)
 #   perfbench run — one 1 s run per workload must report every cell
 #             correct (its invariants and the Figure 6 ordering) and
 #             none failed
@@ -64,6 +69,20 @@ echo "== ci: perfbench build ($(date)) =="
 # build above never compiles it; a library API change that breaks the
 # benchmark would otherwise surface only when the benchmark runs.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "== ci: cmov ($(date)) =="
+# The `cmov` count of Simulator::run (thin-LTO release build, x86-64)
+# when the floor was set: 114 of 5,824 instructions.
+CMOV_FLOOR=114
+bin=perfbench/target/release/perfbench
+sym=$(objdump -t "$bin" | grep -o '_ZN[0-9a-z_]*9Simulator3run17h[0-9a-f]*E' | sort -u)
+[ "$(echo "$sym" | wc -w)" -eq 1 ] || { echo "expected one Simulator::run symbol, found: $sym"; exit 1; }
+listing=$(objdump -d --no-show-raw-insn --disassemble="$sym" "$bin")
+insts=$(printf '%s\n' "$listing" | grep -cP '^\s+[0-9a-f]+:\t' || true)
+cmovs=$(printf '%s\n' "$listing" | grep -cP '\tcmov' || true)
+echo "Simulator::run: $insts instructions, $cmovs cmov (floor $CMOV_FLOOR)"
+[ "$cmovs" -ge "$CMOV_FLOOR" ] || {
+    echo "Simulator::run has $cmovs cmov, below the floor of $CMOV_FLOOR"; exit 1; }
 
 echo "== ci: perfbench run ($(date)) =="
 # The benchmark checks every cell's statistics against the invariants
